@@ -10,10 +10,13 @@ ordered wall per proper nonempty subset.
 
 Chambers are enumerated exactly: a sign vector over the walls is realized
 iff the corresponding open system admits a rational point, decided by the
-max-slack LP in `lp`.  Small wall sets are tested exhaustively (with cheap
-subset-implication prefilters), larger ones by a breadth-first walk over
-single-sign flips, which reaches every chamber because adjacent chambers
-differ in exactly one wall.
+max-slack LP in `lp`.  One walk finds them all: starting from a generic
+point, it flips the sign of one hyperplane at a time and keeps every
+realized neighbour.  Rows that cut out the same hyperplane of the ambient
+affine space (a hypersimplex wall written over J and over its complement,
+say) flip together, so each step crosses exactly one hyperplane; a generic
+segment between two regions crosses the distinct hyperplanes one at a time,
+so the walk reaches every region.
 """
 from __future__ import annotations
 
@@ -136,12 +139,16 @@ def enumerate_walls(mode: str, n: int) -> list[Wall]:
     if n > 12:
         raise TooLargeError("wall enumeration capped at n <= 12")
     if mode == QN:
+        if n < 3:
+            raise ValueError("hypersimplex walls need n >= 3")
         seen = set()
         for k in range(2, n - 1):
             for j in itertools.combinations(range(n), k):
                 seen.add(canonical_qn_wall(n, j))
         return sorted(seen)
     if mode == PN:
+        if n < 1:
+            raise ValueError("double-star walls need n >= 1")
         walls = []
         for k in range(1, n):
             for j in itertools.combinations(range(n), k):
@@ -326,6 +333,11 @@ def _subset_implications(walls: Sequence[Wall], n: int):
     return imps
 
 
+def _row_value(row, x) -> Fraction:
+    coeffs, rhs = row
+    return sum(c * xi for c, xi in zip(coeffs, x)) - rhs
+
+
 def _generic_seed(nvars, eqs, box_rows, hyps):
     """A point off every hyperplane, found by greedily pinning signs."""
     pinned: list[tuple[int, int]] = []
@@ -333,8 +345,7 @@ def _generic_seed(nvars, eqs, box_rows, hyps):
     if x is None:
         return None
     while True:
-        vals = [sum(c * xi for c, xi in zip(coeffs, x)) - rhs for coeffs, rhs in hyps]
-        zero_at = next((k for k, v in enumerate(vals) if v == 0), None)
+        zero_at = next((k for k, row in enumerate(hyps) if _row_value(row, x) == 0), None)
         if zero_at is None:
             return x
         for s in (1, -1):
@@ -350,104 +361,91 @@ def _generic_seed(nvars, eqs, box_rows, hyps):
             raise RuntimeError("hyperplane cannot be strictly avoided on either side")
 
 
-def _consistent_signs(m, imps, cap):
-    """All sign vectors satisfying the implications, by DFS with propagation.
+def _hyperplane_classes(eqs, hyps) -> list[list[int]]:
+    """Indices of `hyps` grouped by the hyperplane they cut from the affine
+    space `eqs`.
 
-    Returns None if more than `cap` vectors exist (caller falls back to the
-    breadth-first walk).
+    Each row, in homogeneous form (coeffs, -rhs), is reduced modulo the
+    equality rows and scaled so its first nonzero entry is 1; rows with the
+    same reduced vector define the same hyperplane.  A row that reduces to
+    a constant never changes sign and stays a class of its own.
     """
-    fwd: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, si, j, sj in imps:
-        fwd.setdefault((i, si), []).append((j, sj))
-    sign = [0] * m
-    out: list[tuple[int, ...]] = []
+    basis: list[tuple[int, list[Fraction]]] = []
 
-    def propagate(i, si, trail):
-        if sign[i] == si:
-            return True
-        if sign[i] == -si:
-            return False
-        sign[i] = si
-        trail.append(i)
-        for j, sj in fwd.get((i, si), ()):
-            if not propagate(j, sj, trail):
-                return False
-        return True
+    def reduce(v):
+        for p, b in basis:
+            if v[p]:
+                f = v[p]
+                v = [a - f * c for a, c in zip(v, b)]
+        return v
 
-    def dfs(k):
-        while k < m and sign[k] != 0:
-            k += 1
-        if k == m:
-            out.append(tuple(sign))
-            return len(out) <= cap
-        for s in (1, -1):
-            trail: list[int] = []
-            ok = propagate(k, s, trail)
-            if ok and not dfs(k + 1):
-                return False
-            for t in trail:
-                sign[t] = 0
-        return True
-
-    if not dfs(0):
-        return None
-    return out
+    for coeffs, rhs in eqs:
+        v = reduce(list(coeffs) + [-rhs])
+        p = next((k for k, a in enumerate(v) if a), None)
+        if p is not None:
+            basis.append((p, [a / v[p] for a in v]))
+    classes: dict[tuple, list[int]] = {}
+    for k, (coeffs, rhs) in enumerate(hyps):
+        v = reduce(list(coeffs) + [-rhs])
+        if any(v[:-1]):
+            lead = next(a for a in v if a)
+            key = tuple(a / lead for a in v)
+        else:
+            key = k
+        classes.setdefault(key, []).append(k)
+    return list(classes.values())
 
 
-_CANDIDATE_CAP = 60_000
-
-
-def _enumerate_regions(nvars, eqs, box_rows, hyps, implications=(), brute_limit=18):
+def _enumerate_regions(nvars, eqs, box_rows, hyps, implications=()):
     """All realized sign vectors over the hyperplane list, with witnesses.
 
-    Candidate vectors come from implication-consistent enumeration where that
-    stays small, and otherwise from a breadth-first walk over single-sign
-    flips (complete because neighboring regions differ in exactly one sign).
+    A walk from the region of a generic seed point: each step flips one
+    hyperplane class (see `_hyperplane_classes`) and keeps the result if it
+    passes the implication filter and its strict system is feasible.  The
+    walk is complete because any two regions are joined by a segment that
+    meets no intersection of two distinct hyperplanes, and each crossing
+    along it flips exactly one class; without merging coinciding rows a
+    single-row flip could never cross a hyperplane written twice.  Every
+    witness comes from `_region_witness`, so it depends only on the sign
+    vector and not on the order of the walk.
     """
-    m = len(hyps)
-    if m == 0:
-        x = strict_interior_point(nvars, list(box_rows), eqs)
-        return [((), x)] if x is not None else []
-    candidates = None
-    if implications or m <= brute_limit:
-        cap = _CANDIDATE_CAP if implications else 2**brute_limit
-        candidates = _consistent_signs(m, implications, cap)
-    regions = {}
-    if candidates is not None:
-        for combo in candidates:
-            x = _region_witness(nvars, eqs, box_rows, hyps, combo, implications)
-            if x is not None:
-                regions[combo] = x
-    else:
-        seed = _generic_seed(nvars, eqs, box_rows, hyps)
-        if seed is None:
-            return []
-        vals = [sum(c * xi for c, xi in zip(coeffs, seed)) - rhs for coeffs, rhs in hyps]
-        start = tuple(1 if v > 0 else -1 for v in vals)
-        regions[start] = seed
-        frontier = [start]
-        dead = set()
-        cap = max_work()
-        while frontier:
-            signs = frontier.pop()
-            for k in range(m):
-                flipped = signs[:k] + (-signs[k],) + signs[k + 1 :]
-                if flipped in regions or flipped in dead:
-                    continue
-                if any(
-                    flipped[i] == si and flipped[j] != sj
-                    for i, si, j, sj in implications
-                ):
-                    dead.add(flipped)
-                    continue
-                x = _region_witness(nvars, eqs, box_rows, hyps, flipped, implications)
-                if x is None:
-                    dead.add(flipped)
-                else:
-                    regions[flipped] = x
-                    frontier.append(flipped)
-                    if len(regions) > cap:
-                        raise TooLargeError("region enumeration exceeds QML_MAX_WORK")
+    seed = _generic_seed(nvars, eqs, box_rows, hyps)
+    if seed is None:
+        return []
+    # a region satisfies every implication, so a flip can only break the
+    # implications that mention a flipped row
+    mentions: list[list] = [[] for _ in hyps]
+    for imp in implications:
+        mentions[imp[0]].append(imp)
+        mentions[imp[2]].append(imp)
+    steps = [
+        (cls, {imp for k in cls for imp in mentions[k]})
+        for cls in _hyperplane_classes(eqs, hyps)
+    ]
+    start = tuple(1 if _row_value(row, seed) > 0 else -1 for row in hyps)
+    regions = {start: _region_witness(nvars, eqs, box_rows, hyps, start, implications)}
+    dead: set[tuple[int, ...]] = set()
+    frontier = [start]
+    cap = max_work()
+    while frontier:
+        signs = frontier.pop()
+        for cls, imps in steps:
+            flipped = list(signs)
+            for k in cls:
+                flipped[k] = -flipped[k]
+            flipped = tuple(flipped)
+            if flipped in regions or flipped in dead:
+                continue
+            if any(flipped[i] == si and flipped[j] != sj for i, si, j, sj in imps):
+                continue
+            x = _region_witness(nvars, eqs, box_rows, hyps, flipped, implications)
+            if x is None:
+                dead.add(flipped)
+                continue
+            regions[flipped] = x
+            frontier.append(flipped)
+            if len(regions) > cap:
+                raise TooLargeError("region enumeration exceeds QML_MAX_WORK")
     return sorted(regions.items())
 
 
@@ -482,38 +480,29 @@ def chamber_second_witness(mode: str, n: int, chamber: Chamber) -> Weight:
     imps = _subset_implications(walls, n)
     tweak = [Fraction(1, 997 + 13 * k) for k in range(nvars)]
     x = _region_witness(nvars, eqs, box_rows, hyps, chamber.signs, imps, tweak=tweak)
-    assert x is not None
+    if x is None:
+        raise ValueError(f"sign vector {chamber.signs} is not a chamber")
     return decode(x)
 
 
 def chamber_adjacency(mode: str, n: int, chambers: Sequence[Chamber]) -> list[tuple[int, int]]:
     """Edges between chambers sharing a full-dimensional wall facet.
 
-    Candidates differ in exactly one sign; the shared facet is confirmed by
-    an exact LP with equality pinned on the flipped wall and everything else
-    strict.
+    These are exactly the pairs whose sign vectors differ in one wall, so no
+    LP is needed.  The segment between the two witnesses keeps every other
+    wall's sign, since an affine function with one sign at both ends of a
+    segment keeps it along the segment; the segment stays inside the open
+    polytope, which is convex; so it crosses the flipped wall at a point of
+    the wall's relative interior that lies on a facet of both chambers.
     """
-    walls = enumerate_walls(mode, n)
-    nvars, eqs, box_rows, _ = _space(mode, n)
-    hyps = [_wall_row(mode, n, w) for w in walls]
+    index = {c.signs: i for i, c in enumerate(chambers)}
     edges = []
-    for i in range(len(chambers)):
-        for k in range(i + 1, len(chambers)):
-            si, sk = chambers[i].signs, chambers[k].signs
-            diff = [t for t in range(len(walls)) if si[t] != sk[t]]
-            if len(diff) != 1:
-                continue
-            t = diff[0]
-            others = [hyps[u] for u in range(len(walls)) if u != t]
-            signs = [si[u] for u in range(len(walls)) if u != t]
-            x = strict_interior_point(
-                nvars,
-                list(box_rows) + _signed_rows(others, signs),
-                eqs + [hyps[t]],
-            )
-            if x is not None:
+    for i, c in enumerate(chambers):
+        for t, s in enumerate(c.signs):
+            k = index.get(c.signs[:t] + (-s,) + c.signs[t + 1 :])
+            if k is not None and i < k:
                 edges.append((i, k))
-    return edges
+    return sorted(edges)
 
 
 def wall_relative_interior_point(mode: str, n: int, wall: Wall) -> Weight:
@@ -523,27 +512,10 @@ def wall_relative_interior_point(mode: str, n: int, wall: Wall) -> Weight:
     nvars, eqs, box_rows, decode = _space(mode, n)
     target = _wall_row(mode, n, wall)
     rest = [_wall_row(mode, n, w) for w in walls if w != wall]
-    # pin signs off the remaining walls greedily, as in _generic_seed
-    pinned: list[tuple[int, int]] = []
-    x = strict_interior_point(nvars, list(box_rows), eqs + [target])
+    x = _generic_seed(nvars, eqs + [target], box_rows, rest)
     if x is None:
         raise ValueError(f"wall {wall} does not meet the polytope interior")
-    while True:
-        vals = [sum(c * xi for c, xi in zip(coeffs, x)) - rhs for coeffs, rhs in rest]
-        zero_at = next((k for k, v in enumerate(vals) if v == 0), None)
-        if zero_at is None:
-            return decode(x)
-        for s in (1, -1):
-            trial = pinned + [(zero_at, s)]
-            rows = list(box_rows)
-            for k, sk in trial:
-                rows.extend(_signed_rows([rest[k]], [sk]))
-            x2 = strict_interior_point(nvars, rows, eqs + [target])
-            if x2 is not None:
-                pinned, x = trial, x2
-                break
-        else:
-            raise RuntimeError("wall meets the interior but admits no generic relative point")
+    return decode(x)
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +807,7 @@ def cover_check(
                 seen_rows.add(row)
                 rows.append(row)
     nvars, eqs, box_rows, decode = _space(mode, n)
-    for signs, x in _enumerate_regions(nvars, eqs, box_rows, rows, brute_limit=14):
+    for signs, x in _enumerate_regions(nvars, eqs, box_rows, rows):
         w = decode(x)
         if target is not None and polytope_contains(target, w) == OUTSIDE:
             continue

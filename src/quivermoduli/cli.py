@@ -72,6 +72,8 @@ def cmd_chambers(args) -> int:
         )
     except TooLargeError as exc:
         raise CliError(EXIT_TOO_LARGE, str(exc))
+    except ValueError as exc:
+        raise CliError(EXIT_INVARIANT, str(exc))
     _emit(args, payload)
     return 0
 

@@ -79,13 +79,6 @@ def affine(x) -> ProjPoint:
     return ProjPoint(_rat(x), Fraction(1))
 
 
-def as_affine(p: ProjPoint) -> Optional[Fraction]:
-    """Affine coordinate c0/c1 of p, or None for the point at infinity."""
-    if p.c1 == 0:
-        return None
-    return p.c0 / p.c1
-
-
 def pp_eq(p: ProjPoint, q: ProjPoint) -> bool:
     """Projective equality by cross multiplication."""
     return p.c0 * q.c1 == p.c1 * q.c0
@@ -140,10 +133,6 @@ class Moebius:
 
 
 IDENTITY_MOEBIUS = Moebius(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-
-
-def moebius_apply(m: Moebius, p: ProjPoint) -> ProjPoint:
-    return m.apply(p)
 
 
 def moebius_two_point(p_zero: ProjPoint, p_inf: ProjPoint) -> Moebius:
@@ -210,19 +199,6 @@ IPoint = tuple[int, int]
 
 def idet(a: IPoint, b: IPoint) -> int:
     return a[0] * b[1] - a[1] * b[0]
-
-
-def inorm(a0: int, a1: int) -> IPoint:
-    if a0 == 0 and a1 == 0:
-        raise ValueError("(0:0) is not a projective point")
-    from math import gcd
-
-    g = gcd(a0, a1)
-    a0, a1 = a0 // g, a1 // g
-    lead = a0 if a0 != 0 else a1
-    if lead < 0:
-        a0, a1 = -a0, -a1
-    return (a0, a1)
 
 
 def point_from_ihom(pair: IPoint) -> ProjPoint:

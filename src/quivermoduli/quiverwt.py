@@ -55,15 +55,6 @@ DimVector = Mapping[str, int]
 GeneralWeight = Mapping[str, Fraction]
 
 
-def check_dim_vector(quiver: Quiver, d: DimVector) -> None:
-    if set(d) != set(quiver.vertices):
-        raise ValueError("dimension vector keys must match the vertex set")
-    if any(v < 0 for v in d.values()):
-        raise ValueError("dimensions must be nonnegative")
-    if all(v == 0 for v in d.values()):
-        raise ValueError("dimension vector must have a positive entry")
-
-
 def in_weight_space(theta: GeneralWeight, d: DimVector) -> bool:
     """Whether sum_q d_q * theta_q = 0."""
     return sum(Fraction(theta[q]) * d[q] for q in d) == 0

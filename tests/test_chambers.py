@@ -1,9 +1,13 @@
+import hashlib
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
+from quivermoduli import serialize
 from quivermoduli.chambers import (
     BadEpsilonError,
+    Chamber,
     HassettPolytope,
     PnWall,
     PnWeight,
@@ -12,6 +16,7 @@ from quivermoduli.chambers import (
     StabPolytope,
     canonical_qn_wall,
     chamber_adjacency,
+    chamber_second_witness,
     chart_weight_pn,
     chart_weight_qn,
     classify_weight,
@@ -22,6 +27,13 @@ from quivermoduli.chambers import (
     polytope_contains,
     stability_polytope,
     wall_relative_interior_point,
+    _constraint_row,
+    _constraints,
+    _enumerate_regions,
+    _region_witness,
+    _space,
+    _subset_implications,
+    _wall_row,
 )
 from quivermoduli.quiverwt import TooLargeError
 
@@ -84,6 +96,13 @@ def test_chamber_witnesses_generic():
         for c in enumerate_chambers(mode, n):
             cls = classify_weight(c.witness)
             assert cls.generic and cls.signs == c.signs
+
+
+def test_second_witness_rejects_unrealized_signs():
+    realized = {c.signs for c in enumerate_chambers("qn", 5)}
+    signs = next(s for s in itertools.product((1, -1), repeat=10) if s not in realized)
+    with pytest.raises(ValueError):
+        chamber_second_witness("qn", 5, Chamber(signs, enumerate_chambers("qn", 5)[0].witness))
 
 
 def test_adjacency_no_self_loops_and_connected():
@@ -220,3 +239,101 @@ def test_cover_check_weighted_target():
     assert covered
     covered_all, witness = cover_check(polys, "qn", 5)
     assert not covered_all and witness is not None
+
+
+def test_cover_check_star_polytopes_with_complementary_blocks():
+    # 16 distinct rows, several pairs of which (a block J and its complement)
+    # describe the same hyperplane; a walk flipping one row at a time cannot
+    # cross such a hyperplane and once reported this family as a cover
+    partitions = (
+        ((0, 3, 4, 5), (1,), (2,)),
+        ((0, 5), (1, 2, 3), (4,)),
+        ((0, 1, 4), (2,), (3,), (5,)),
+        ((0, 2), (1, 3), (4,), (5,)),
+        ((0, 3), (1, 5), (2,), (4,)),
+        ((0, 4, 5), (1,), (2,), (3,)),
+        ((0, 1), (2, 4, 5), (3,)),
+        ((0, 4), (1, 5), (2,), (3,)),
+        ((0, 2), (1, 5), (3,), (4,)),
+        ((0, 2), (1, 3, 5), (4,)),
+        ((0, 3), (1, 5), (2, 4)),
+        ((0, 2), (1,), (3, 5), (4,)),
+        ((0, 2), (1, 4), (3,), (5,)),
+    )
+    polys = [StabPolytope("qn", 6, partition=p) for p in partitions]
+    covered, witness = cover_check(polys, "qn", 6)
+    assert covered is False
+    assert all(polytope_contains(p, witness) == "outside" for p in polys)
+    gap = QnWeight((F(8, 9),) + (F(2, 9),) * 5)
+    assert all(polytope_contains(p, gap) == "outside" for p in polys)
+
+
+def _exhaustive_regions(nvars, eqs, box_rows, hyps, imps=()):
+    out = []
+    for signs in itertools.product((1, -1), repeat=len(hyps)):
+        x = _region_witness(nvars, eqs, box_rows, hyps, signs, imps)
+        if x is not None:
+            out.append((signs, x))
+    return sorted(out)
+
+
+def _cover_rows(mode, n, polys):
+    rows = []
+    for p in polys:
+        for kind, idxs, bound in _constraints(p):
+            row = _constraint_row(mode, n, kind, idxs, bound)
+            if row not in rows:
+                rows.append(row)
+    return rows
+
+
+def test_enumerate_regions_matches_exhaustive_reference():
+    cases = []
+    for mode, n in (("qn", 4), ("qn", 5), ("pn", 3)):
+        walls = enumerate_walls(mode, n)
+        hyps = [_wall_row(mode, n, w) for w in walls]
+        cases.append((mode, n, hyps, _subset_implications(walls, n)))
+    cover_sets = (
+        ("qn", 4, [StabPolytope("qn", 4, partition=((0, 1), (2, 3)))]),
+        ("qn", 4, [
+            StabPolytope("qn", 4, partition=((0, 2), (1, 3))),
+            StabPolytope("qn", 4, partition=((0, 1), (2,), (3,))),
+        ]),
+        ("qn", 5, [
+            StabPolytope("qn", 5, partition=((0, 1), (2, 3, 4))),
+            StabPolytope("qn", 5, partition=((0, 2, 4), (1, 3))),
+            StabPolytope("qn", 5, partition=((1, 2), (0,), (3,), (4,))),
+        ]),
+        ("qn", 5, [
+            StabPolytope("qn", 5, partition=((2, 3), (0, 1, 4))),
+            HassettPolytope((F(1), F(1), F(1, 2), F(1, 2), F(3, 4))),
+        ]),
+        ("qn", 4, [HassettPolytope((F(1), F(1, 3), F(2, 3), F(1, 2)))]),
+    )
+    for mode, n, polys in cover_sets:
+        cases.append((mode, n, _cover_rows(mode, n, polys), ()))
+    for mode, n, hyps, imps in cases:
+        nvars, eqs, box_rows, _ = _space(mode, n)
+        got = _enumerate_regions(nvars, eqs, box_rows, hyps, imps)
+        assert got == _exhaustive_regions(nvars, eqs, box_rows, hyps, imps), (mode, n, hyps)
+
+
+def test_chamber_complex_output_is_pinned():
+    expected = {
+        ("qn", 3): "64a530f5397e92e6f39cd8038e55a128e087e942d739a958e965dd2717e7a96c",
+        ("qn", 4): "c79a8932e5717ad0be8daa7d92692e84ec0b70fe359e276de109c9ccd18719b3",
+        ("qn", 5): "db7eea5dd2579e6cadfbfb474ec1f30759a3b72a4c25a9550bd724b1cdc6d11d",
+        ("pn", 1): "b20204fcac0c9a1a6cff26f8807197609a57b92330ccc9db4801aa5c72da66d7",
+        ("pn", 2): "b1992171d246e726fc55abf9d3fd392c511c71ebe00538ff9bcb8abd355a117b",
+        ("pn", 3): "68efb2ae29a0d59350a7dfb146f70094b47b805d2356e1f480fe3fe2b8cb2f88",
+        ("pn", 4): "ac613b097c32542000a85b8f537e40f87230d57461427e33c1fcce2bc3d59ebd",
+    }
+    for (mode, n), digest in expected.items():
+        text = serialize.dumps(serialize.chamber_complex_json(mode, n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (mode, n)
+
+
+def test_enumerate_walls_rejects_sizes_without_interior():
+    for mode, n in (("qn", 2), ("qn", -1), ("pn", 0)):
+        with pytest.raises(ValueError):
+            enumerate_walls(mode, n)

@@ -77,6 +77,13 @@ def test_cli_chambers_counts():
     assert r.returncode == 2
 
 
+def test_cli_chambers_rejects_sizes_without_interior():
+    for mode, n in (("qn", "2"), ("qn", "-1"), ("pn", "0")):
+        r = run_cli("chambers", "--mode", mode, "--n", n)
+        assert r.returncode == 4 and r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
 def test_cli_stability_and_exit_codes(tmp_path):
     cfg = tmp_path / "c.json"
     wt = tmp_path / "w.json"
