@@ -21,7 +21,7 @@ so the walk reaches every region.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -44,11 +44,22 @@ def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _field_hash_once(self) -> int:
+    """The dataclass field hash, computed on first use and kept: weights key
+    the cached stability tables, and hashing Fractions is slow."""
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class QnWeight:
     """A point of the hypersimplex: 0 <= theta_i <= 1, sum theta_i = 2."""
 
     theta: tuple[Fraction, ...]
+    __hash__ = _field_hash_once
 
     def __post_init__(self):
         th = tuple(_rat(v) for v in self.theta)
@@ -73,6 +84,7 @@ class PnWeight:
     eta1: Fraction
     eta2: Fraction
     theta: tuple[Fraction, ...]
+    __hash__ = _field_hash_once
 
     def __post_init__(self):
         e1, e2 = _rat(self.eta1), _rat(self.eta2)

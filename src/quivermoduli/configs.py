@@ -28,7 +28,6 @@ from .projline import (
     ProjPoint,
     Section,
     ZERO_POINT,
-    idet,
     moebius_from_triple,
     moebius_two_point,
     point_from_ihom,
@@ -277,9 +276,9 @@ def brute_force_semistable(config: Config, weight) -> Verdict:
             allow1 |= 1 << i
             allow2 |= 1 << i
         else:
-            if s.c0 == 0:
+            if s.ihom[0] == 0:
                 allow1 |= 1 << i
-            if s.c1 == 0:
+            if s.ihom[1] == 0:
                 allow2 |= 1 << i
     found_zero = None
     for b1, b2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -352,11 +351,9 @@ def _normalized_ipairs(config: Config, i: Optional[int], j: Optional[int]) -> li
     pi, pj = secs[i].ihom, secs[j].ihom
     if pi == pj:
         raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
-    out = []
-    for s in secs:
-        q = s.ihom
-        out.append((-idet(pi, q), idet(pj, q)))
-    return out
+    # the pair (-idet(pi, q), idet(pj, q)) for each section q
+    (a0, a1), (b0, b1) = pi, pj
+    return [(a1 * q0 - a0 * q1, b0 * q1 - b1 * q0) for q0, q1 in (s.ihom for s in secs)]
 
 
 def check_limit_equations(

@@ -122,9 +122,9 @@ def _int_rows(mat, rhs):
     """Scale each rational constraint row to integers."""
     out = []
     for row, b in zip(mat, rhs):
-        fr = [Fraction(v) for v in row] + [Fraction(b)]
-        m = lcm(*(f.denominator for f in fr)) if fr else 1
-        out.append([int(f * m) for f in fr])
+        fr = [v if isinstance(v, Fraction) else Fraction(v) for v in (*row, b)]
+        m = lcm(*(f.denominator for f in fr))
+        out.append([f.numerator * (m // f.denominator) for f in fr])
     return out
 
 

@@ -5,14 +5,17 @@ nonzero coordinate, in row-major order for matrices, equals 1) so that
 equality is plain field comparison and values work as dict keys.  All values
 are immutable and all operations are pure.
 
-Besides the Fraction-based public types there is a small integer toolkit
-(`ihom` pairs and 2x2 determinants) used by hot loops elsewhere; both views
-describe the same canonical point.
+Each value also carries an integer view of the same class (`ihom` pairs for
+points, `imat` matrices for maps: coprime integers, first nonzero entry
+positive).  The operations compute on that view, as do hot loops elsewhere
+through the small integer toolkit at the end; the Fraction fields are the
+public canonical form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Rat = Fraction
@@ -34,6 +37,19 @@ def _rat(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {x!r}")
 
 
+def _int_row(values) -> list[int]:
+    """Exact rationals as integers with one positive common factor."""
+    if all(type(v) is int for v in values):
+        return list(values)
+    rats = [_rat(v) for v in values]
+    den = lcm(*(r.denominator for r in rats))
+    return [r.numerator * (den // r.denominator) for r in rats]
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """A point (c0 : c1) of the projective line, canonicalized on construction.
@@ -48,19 +64,23 @@ class ProjPoint:
     ihom: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c0, c1 = _rat(self.c0), _rat(self.c1)
-        if c0 == 0 and c1 == 0:
-            raise ValueError("(0:0) is not a projective point")
-        if c0 != 0:
-            c1 = c1 / c0
-            c0 = Fraction(1)
-            pair = (c1.denominator, c1.numerator)
+        x0, x1 = _int_row((self.c0, self.c1))
+        if x0:
+            c1 = Fraction(x1, x0)
+            object.__setattr__(self, "c0", _ONE)
+            object.__setattr__(self, "c1", c1)
+            object.__setattr__(self, "ihom", (c1.denominator, c1.numerator))
+        elif x1:
+            object.__setattr__(self, "c0", _ZERO)
+            object.__setattr__(self, "c1", _ONE)
+            object.__setattr__(self, "ihom", (0, 1))
         else:
-            c1 = Fraction(1)
-            pair = (0, 1)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "ihom", pair)
+            raise ValueError("(0:0) is not a projective point")
+
+    def __eq__(self, other):
+        if other.__class__ is not ProjPoint:
+            return NotImplemented
+        return self.ihom == other.ihom
 
     def __repr__(self):
         return f"({self.c0}:{self.c1})"
@@ -80,8 +100,8 @@ def affine(x) -> ProjPoint:
 
 
 def pp_eq(p: ProjPoint, q: ProjPoint) -> bool:
-    """Projective equality by cross multiplication."""
-    return p.c0 * q.c1 == p.c1 * q.c0
+    """Projective equality; canonical forms make it a comparison of `ihom`."""
+    return p.ihom == q.ihom
 
 
 def det2(p: ProjPoint, q: ProjPoint) -> Fraction:
@@ -97,39 +117,47 @@ class Moebius:
     """An invertible 2x2 matrix class up to scale, canonicalized on construction.
 
     Canonical form: the first nonzero entry in row-major order equals 1.
+    `imat` caches the same class as a primitive integer matrix with positive
+    leading entry, which is what the operations compute with.
     """
 
     m00: Fraction
     m01: Fraction
     m10: Fraction
     m11: Fraction
+    imat: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries = tuple(_rat(v) for v in (self.m00, self.m01, self.m10, self.m11))
-        det = entries[0] * entries[3] - entries[1] * entries[2]
-        if det == 0:
+        e = _int_row((self.m00, self.m01, self.m10, self.m11))
+        if e[0] * e[3] - e[1] * e[2] == 0:
             raise ValueError("singular matrix does not define a Moebius transformation")
-        scale = next(v for v in entries if v != 0)
-        for name, v in zip(("m00", "m01", "m10", "m11"), entries):
-            object.__setattr__(self, name, v / scale)
+        lead = next(v for v in e if v)
+        g = gcd(*e) if lead > 0 else -gcd(*e)
+        e = tuple(v // g for v in e)
+        lead //= g
+        for name, v in zip(("m00", "m01", "m10", "m11"), e):
+            object.__setattr__(self, name, Fraction(v, lead))
+        object.__setattr__(self, "imat", e)
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint(
-            self.m00 * p.c0 + self.m01 * p.c1,
-            self.m10 * p.c0 + self.m11 * p.c1,
-        )
+        a0, a1 = p.ihom
+        i00, i01, i10, i11 = self.imat
+        return ProjPoint(i00 * a0 + i01 * a1, i10 * a0 + i11 * a1)
 
     def compose(self, other: "Moebius") -> "Moebius":
         """self after other."""
+        a00, a01, a10, a11 = self.imat
+        b00, b01, b10, b11 = other.imat
         return Moebius(
-            self.m00 * other.m00 + self.m01 * other.m10,
-            self.m00 * other.m01 + self.m01 * other.m11,
-            self.m10 * other.m00 + self.m11 * other.m10,
-            self.m10 * other.m01 + self.m11 * other.m11,
+            a00 * b00 + a01 * b10,
+            a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10,
+            a10 * b01 + a11 * b11,
         )
 
     def inverse(self) -> "Moebius":
-        return Moebius(self.m11, -self.m01, -self.m10, self.m00)
+        i00, i01, i10, i11 = self.imat
+        return Moebius(i11, -i01, -i10, i00)
 
 
 IDENTITY_MOEBIUS = Moebius(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
@@ -139,11 +167,16 @@ def moebius_two_point(p_zero: ProjPoint, p_inf: ProjPoint) -> Moebius:
     """Some Moebius sending p_zero to (0:1) and p_inf to (1:0).
 
     Determined only up to a diagonal factor; callers that need a canonical
-    choice must normalize a third point.
+    choice must normalize a third point.  The choice made is the matrix
+    with rows (c1, -c0) of p_zero and (-c1, c0) of p_inf.
     """
     if pp_eq(p_zero, p_inf):
         raise DegenerateTripleError(f"anchor points coincide: {p_zero}")
-    return Moebius(p_zero.c1, -p_zero.c0, -p_inf.c1, p_inf.c0)
+    # ihom is (c0 : c1) times its first entry, or (c0 : c1) itself at (0:1)
+    z0, z1 = p_zero.ihom
+    f0, f1 = p_inf.ihom
+    sz, sf = z0 or 1, f0 or 1
+    return Moebius(z1 * sf, -z0 * sf, -f1 * sz, f0 * sz)
 
 
 def moebius_from_triple(p0: ProjPoint, pinf: ProjPoint, p1: ProjPoint) -> Moebius:
@@ -151,12 +184,14 @@ def moebius_from_triple(p0: ProjPoint, pinf: ProjPoint, p1: ProjPoint) -> Moebiu
     for a, b in ((p0, pinf), (p0, p1), (pinf, p1)):
         if pp_eq(a, b):
             raise DegenerateTripleError(f"reference points coincide: {a}")
-    r00, r01 = p0.c1, -p0.c0
-    r10, r11 = -pinf.c1, pinf.c0
-    w0 = r00 * p1.c0 + r01 * p1.c1
-    w1 = r10 * p1.c0 + r11 * p1.c1
-    # w0, w1 nonzero since p1 differs from both anchors
-    return Moebius(r00 / w0, r01 / w0, r10 / w1, r11 / w1)
+    a0, a1 = p0.ihom
+    b0, b1 = pinf.ihom
+    c0, c1 = p1.ihom
+    # rows (a1, -a0) and (-b1, b0) send p0 and pinf to the anchors; scaling
+    # them by the other row's value at p1 sends p1 to (1:1)
+    w0 = a1 * c0 - a0 * c1
+    w1 = b0 * c1 - b1 * c0
+    return Moebius(a1 * w1, -a0 * w1, -b1 * w0, b0 * w0)
 
 
 def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint) -> ProjPoint:
@@ -166,8 +201,9 @@ def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint) -> P
     moebius_from_triple(p1, p2, p3) applied to p4 whenever p1, p2, p3 are
     pairwise distinct.
     """
-    num = det2(p1, p4) * det2(p2, p3)
-    den = det2(p1, p3) * det2(p2, p4)
+    a1, a2, a3, a4 = p1.ihom, p2.ihom, p3.ihom, p4.ihom
+    num = idet(a1, a4) * idet(a2, a3)
+    den = idet(a1, a3) * idet(a2, a4)
     if num == 0 and den == 0:
         raise DegenerateTripleError("cross-ratio undefined: reference points degenerate")
     return ProjPoint(num, den)
@@ -180,9 +216,9 @@ def cross_ratio_invariant(config: Sequence[ProjPoint], i: int, j: int, k: int, l
     it reduces to (s_k0 s_l1 : s_k1 s_l0).  Returned projectively so the
     value infinity needs no sentinel.
     """
-    si, sj, sk, sl = config[i], config[j], config[k], config[l]
-    num = det2(sj, sl) * det2(si, sk)
-    den = det2(si, sl) * det2(sj, sk)
+    si, sj, sk, sl = config[i].ihom, config[j].ihom, config[k].ihom, config[l].ihom
+    num = idet(sj, sl) * idet(si, sk)
+    den = idet(si, sl) * idet(sj, sk)
     if num == 0 and den == 0:
         raise IndeterminateError(
             f"cross-ratio invariant indeterminate for indices ({i},{j},{k},{l})"
