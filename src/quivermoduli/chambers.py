@@ -229,17 +229,16 @@ def classify_weight(weight: Weight) -> WeightClass:
 def _space(mode: str, n: int):
     if mode == QN:
         nvars = n
-        eqs = [((Fraction(1),) * n, Fraction(2))]
+        eqs = [((1,) * n, 2)]
 
         def box():
             rows = []
             for i in range(n):
-                e = [Fraction(0)] * n
-                e[i] = Fraction(1)
-                rows.append((tuple(e), Fraction(0)))  # theta_i > 0
-                f = [Fraction(0)] * n
-                f[i] = Fraction(-1)
-                rows.append((tuple(f), Fraction(-1)))  # theta_i < 1
+                e = [0] * n
+                e[i] = 1
+                rows.append((tuple(e), 0))  # theta_i > 0
+                e[i] = -1
+                rows.append((tuple(e), -1))  # theta_i < 1
             return rows
 
         def decode(x):
@@ -247,18 +246,17 @@ def _space(mode: str, n: int):
 
     elif mode == PN:
         nvars = n + 2
-        one = Fraction(1)
         eqs = [
-            ((one, one) + (Fraction(0),) * n, Fraction(1)),
-            ((Fraction(0), Fraction(0)) + (one,) * n, Fraction(1)),
+            ((1, 1) + (0,) * n, 1),
+            ((0, 0) + (1,) * n, 1),
         ]
 
         def box():
             rows = []
             for i in range(nvars):
-                e = [Fraction(0)] * nvars
-                e[i] = Fraction(1)
-                rows.append((tuple(e), Fraction(0)))  # h_j > 0, theta_i > 0
+                e = [0] * nvars
+                e[i] = 1
+                rows.append((tuple(e), 0))  # h_j > 0, theta_i > 0
             return rows
 
         def decode(x):
@@ -269,18 +267,18 @@ def _space(mode: str, n: int):
     return nvars, eqs, box(), decode
 
 
-def _wall_row(mode: str, n: int, wall: Wall) -> tuple[tuple[Fraction, ...], Fraction]:
+def _wall_row(mode: str, n: int, wall: Wall) -> tuple[tuple[int, ...], int]:
     """(coeffs, rhs) with coeffs . x - rhs = wall_value."""
     if mode == QN:
-        coeffs = [Fraction(0)] * n
+        coeffs = [0] * n
         for i in wall.j:
-            coeffs[i] = Fraction(1)
-        return tuple(coeffs), Fraction(1)
-    coeffs = [Fraction(0)] * (n + 2)
-    coeffs[0] = Fraction(-1)  # -h1 = eta1
+            coeffs[i] = 1
+        return tuple(coeffs), 1
+    coeffs = [0] * (n + 2)
+    coeffs[0] = -1  # -h1 = eta1
     for i in wall.j:
-        coeffs[2 + i] = Fraction(1)
-    return tuple(coeffs), Fraction(0)
+        coeffs[2 + i] = 1
+    return tuple(coeffs), 0
 
 
 @dataclass(frozen=True)
@@ -383,6 +381,7 @@ def _hyperplane_classes(eqs, hyps) -> list[list[int]]:
     a constant never changes sign and stays a class of its own.
     """
     basis: list[tuple[int, list[Fraction]]] = []
+    # rows may be all ints, so every division is made exact through Fraction
 
     def reduce(v):
         for p, b in basis:
@@ -395,13 +394,13 @@ def _hyperplane_classes(eqs, hyps) -> list[list[int]]:
         v = reduce(list(coeffs) + [-rhs])
         p = next((k for k, a in enumerate(v) if a), None)
         if p is not None:
-            basis.append((p, [a / v[p] for a in v]))
+            basis.append((p, [Fraction(a, v[p]) for a in v]))
     classes: dict[tuple, list[int]] = {}
     for k, (coeffs, rhs) in enumerate(hyps):
         v = reduce(list(coeffs) + [-rhs])
         if any(v[:-1]):
             lead = next(a for a in v if a)
-            key = tuple(a / lead for a in v)
+            key = tuple(Fraction(a, lead) for a in v)
         else:
             key = k
         classes.setdefault(key, []).append(k)
@@ -693,7 +692,7 @@ def _constraints(p: TargetPolytope):
     if isinstance(p, HassettPolytope):
         return [("theta_le", (i,), p.a[i]) for i in range(p.n) if p.a[i] < 1]
     if p.mode == QN:
-        return [("sum_le", b, Fraction(1)) for b in p.partition if len(b) >= 2]
+        return [("sum_le", b, 1) for b in p.partition if len(b) >= 2]
     out = []
     if p.j0:
         out.append(("sum_le_h2", p.j0, None))
@@ -753,24 +752,24 @@ def _constraint_row(mode: str, n: int, kind, idxs, bound):
     """LP row (coeffs, rhs) with coeffs . x - rhs = constraint value."""
     nvars = n if mode == QN else n + 2
     off = 0 if mode == QN else 2
-    coeffs = [Fraction(0)] * nvars
+    coeffs = [0] * nvars
     if kind == "theta_le":
-        coeffs[off + idxs[0]] = Fraction(1)
+        coeffs[off + idxs[0]] = 1
         return tuple(coeffs), bound
     if kind == "sum_le":
         for i in idxs:
-            coeffs[off + i] = Fraction(1)
+            coeffs[off + i] = 1
         return tuple(coeffs), bound
     if kind == "sum_le_h2":
         for i in idxs:
-            coeffs[off + i] = Fraction(1)
-        coeffs[1] = Fraction(-1)
-        return tuple(coeffs), Fraction(0)
+            coeffs[off + i] = 1
+        coeffs[1] = -1
+        return tuple(coeffs), 0
     if kind == "sum_le_h1":
         for i in idxs:
-            coeffs[off + i] = Fraction(1)
-        coeffs[0] = Fraction(-1)
-        return tuple(coeffs), Fraction(0)
+            coeffs[off + i] = 1
+        coeffs[0] = -1
+        return tuple(coeffs), 0
     raise ValueError(kind)
 
 

@@ -97,9 +97,19 @@ def cmd_stability(args) -> int:
     return 0
 
 
+def _needed(args, *flags: str) -> str:
+    """The value of the first of `flags` that was given; exit 3 naming the
+    flags when none was."""
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-"))
+        if value:
+            return value
+    raise CliError(EXIT_PARSE, f"tree {args.subcommand} needs {' or '.join(flags)}")
+
+
 def cmd_tree(args) -> int:
     if args.subcommand == "check":
-        obj = _load(args.tree if args.tree else args.chain)
+        obj = _load(_needed(args, "--tree", "--chain"))
         if isinstance(obj, curves.Chain):
             result = {"stable": curves.is_lm_stable(obj), "mode": "lm"}
         elif isinstance(obj, curves.PointedTree):
@@ -122,10 +132,14 @@ def cmd_tree(args) -> int:
         return 0
 
     if args.subcommand == "contract":
-        tree = _load(args.tree)
+        tree = _load(_needed(args, "--tree"))
         if not isinstance(tree, curves.PointedTree):
             raise CliError(EXIT_INVARIANT, "input is not a tree")
-        keep = [int(x) for x in args.keep.split(",")]
+        keep_text = _needed(args, "--keep")
+        try:
+            keep = [int(x) for x in keep_text.split(",")]
+        except ValueError:
+            raise CliError(EXIT_PARSE, f"bad mark list {keep_text!r}")
         try:
             out = curves.contract_gamma(tree, keep)
         except ValueError as exc:
@@ -134,7 +148,7 @@ def cmd_tree(args) -> int:
         return 0
 
     if args.subcommand == "coords":
-        obj = _load(args.tree if args.tree else args.chain)
+        obj = _load(_needed(args, "--tree", "--chain"))
         try:
             if isinstance(obj, curves.Chain):
                 fam = curves.lm_moduli_coordinates(obj)
@@ -148,7 +162,7 @@ def cmd_tree(args) -> int:
         return 0
 
     if args.subcommand == "reconstruct":
-        fam = _load(args.family)
+        fam = _load(_needed(args, "--family"))
         if not isinstance(fam, curves.LimitFamily):
             raise CliError(EXIT_INVARIANT, "input is not a chart family")
         try:
@@ -179,10 +193,14 @@ def cmd_verify(args) -> int:
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     if any(name not in verify.SUITES for name in names):
         raise CliError(EXIT_PARSE, f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}")
-    reports = [
-        verify.run_suite(name, seed=args.seed, bounds=bounds.get(name, bounds if args.suite != "all" else {}))
-        for name in names
-    ]
+    if args.suite != "all" and isinstance(bounds, dict):
+        # a single suite takes its bounds flat or under its own name
+        bounds = {args.suite: bounds.get(args.suite, bounds)}
+    try:
+        verify.check_bounds(bounds)
+    except verify.BoundsError as exc:
+        raise CliError(EXIT_PARSE, f"bad bounds: {exc}")
+    reports = [verify.run_suite(name, seed=args.seed, bounds=bounds.get(name, {})) for name in names]
     payload = {
         "schema": serialize.SCHEMA,
         "type": "verification-report",

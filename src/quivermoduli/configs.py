@@ -442,8 +442,8 @@ def glue_fiber(
             m = frame_b.inverse().compose(diag).compose(frame_a)
         else:
             m = diag
-        for sa, sb in zip(config_a.sections, config_b.sections):
-            assert pp_eq(m.apply(sa), sb), "connecting map must match every section"
+        if not all(pp_eq(m.apply(sa), sb) for sa, sb in zip(config_a.sections, config_b.sections)):
+            raise EquationsFailError("the connecting map does not match every section")
         return GluedFiber(IRREDUCIBLE, moebius=m)
     # the fiber is a chain of two lines with its node at an anchor corner;
     # the corner orientation is read off where the varying sections of one
@@ -454,10 +454,12 @@ def glue_fiber(
         raise EquationsFailError("fiber undetermined: one chart has only anchored sections")
     cb_vals = {v[k] for k in offs_a}
     ca_vals = {u[k] for k in offs_b}
-    assert len(cb_vals) == 1 and len(ca_vals) == 1, "collapse anchors must be unique"
+    if len(cb_vals) != 1 or len(ca_vals) != 1:
+        raise EquationsFailError("the varying sections collapse to more than one anchor")
     corner_b = next(iter(cb_vals))
     corner_a = next(iter(ca_vals))
-    assert corner_a != corner_b, "node corner must mix the two anchors"
+    if corner_a == corner_b:
+        raise EquationsFailError("the node corner does not mix the two anchors")
     on_a = frozenset(k for k in range(config_a.n) if v[k] == corner_b)
     on_b = frozenset(k for k in range(config_a.n) if u[k] == corner_a)
     pa = point_from_ihom(corner_a)

@@ -333,7 +333,8 @@ def contract_to_chart(
             hits.append(c)
     if not hits:
         return None
-    assert len(hits) == 1, "three marks separate on at most one component"
+    if len(hits) > 1:
+        raise ValueError(f"marks {tuple(triple)} separate on more than one component")
     img = images[hits[0]]
     m = moebius_from_triple(img[i1], img[i2], img[i3])
     return {lb: m.apply(p) for lb, p in img.items()}
@@ -399,7 +400,8 @@ def moduli_coordinates(
         for c in tree.components:
             img = images[c]
             if len({img[tset[0]].ihom, img[tset[1]].ihom, img[tset[2]].ihom}) == 3:
-                assert comp is None
+                if comp is not None:
+                    raise ValueError(f"marks {tset} separate on more than one component")
                 comp = c
         if comp is None:
             if mode == GK:

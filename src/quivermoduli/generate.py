@@ -186,7 +186,8 @@ def tree_from_splits(
                     break
             if ok:
                 hosts.append(cid)
-        assert len(hosts) == 1, f"split {sorted(j)} has {len(hosts)} insertion points"
+        if len(hosts) != 1:
+            raise ValueError(f"split {sorted(j)} has {len(hosts)} insertion points")
         cid = hosts[0]
         cj, cjc = next_id, next_id + 1
         next_id += 2

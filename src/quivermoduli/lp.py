@@ -1,11 +1,16 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase simplex using integer pivoting: the tableau is an integer
-matrix together with a common denominator (the previous pivot), updated by
-the Bareiss rule so every division is exact.  Entries stay integers, the
-inner loops are pure int arithmetic, and all results are exact rationals.
-Entering columns follow the steepest coefficient at first and Bland's rule
-after a fixed pivot budget, which rules out cycling.
+A two-phase simplex on a condensed integer tableau: only the nonbasic
+columns and the right-hand side are stored, each basic column being the
+implicit unit column scaled by the common denominator (the previous pivot).
+Pivots follow the fraction-free Bareiss rule, so every division is exact and
+the inner loops are pure int arithmetic; the leaving variable's column takes
+the entering one's slot.  Constraints given as ints enter the tableau as
+they are, a row holding a Fraction is scaled to integers, and only the
+results (witness and optimal value) are Fractions.  Entering columns follow
+the steepest coefficient at first and Bland's rule after a fixed pivot
+budget, which rules out cycling; every tie goes to the lowest variable
+index, so the pivot sequence does not depend on the order of the slots.
 
 Strict inequality systems are decided by maximizing an auxiliary slack
 bounded away from zero: the open system {g_k . x > h_k} has a solution iff
@@ -15,10 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from typing import Optional, Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -28,70 +33,90 @@ _DANTZIG_PIVOT_BUDGET = 64
 
 
 class _Tableau:
-    """Integer tableau M with denominator den > 0; true entries are M/den."""
+    """Integer tableau over the nonbasic columns; true entries are M/den.
 
-    __slots__ = ("rows", "obj", "den", "basis")
+    rows[i] holds basic row i at the nonbasic columns, then its right-hand
+    side, and obj holds den times the reduced costs the same way.  cols[s]
+    is the variable of slot s and basis[i] the basic variable of row i,
+    whose own column (den in row i, 0 elsewhere and in obj) is left out.
+    """
 
-    def __init__(self, rows, obj, basis):
+    __slots__ = ("rows", "obj", "den", "basis", "cols")
+
+    def __init__(self, rows, basis, cols):
         self.rows = rows
-        self.obj = obj
+        self.obj = [0] * (len(cols) + 1)
         self.den = 1
         self.basis = basis
+        self.cols = cols
 
-    def pivot(self, r, c):
+    def pivot(self, r, s):
+        """Exchange basic row r with the variable of slot s (Bareiss step).
+
+        The leaving variable's column takes slot s: the old den in row r and
+        -f in every other row, f being that row's entry at slot s."""
         rows = self.rows
         den = self.den
-        p = rows[r][c]
         prow = rows[r]
+        p = prow[s]
         for i, row in enumerate(rows):
             if i != r:
-                f = row[c]
+                f = row[s]
                 if f:
-                    rows[i] = [(a * p - f * b) // den for a, b in zip(row, prow)]
+                    row = [(a * p - f * b) // den for a, b in zip(row, prow)]
+                    row[s] = -f
+                    rows[i] = row
                 elif den != 1:
                     rows[i] = [(a * p) // den for a in row]
                 elif p != 1:
                     rows[i] = [a * p for a in row]
-        f = self.obj[c]
+        obj = self.obj
+        f = obj[s]
         if f:
-            self.obj = [(a * p - f * b) // den for a, b in zip(self.obj, prow)]
+            obj = [(a * p - f * b) // den for a, b in zip(obj, prow)]
+            obj[s] = -f
         elif den != 1:
-            self.obj = [(a * p) // den for a in self.obj]
+            obj = [(a * p) // den for a in obj]
         elif p != 1:
-            self.obj = [a * p for a in self.obj]
+            obj = [a * p for a in obj]
+        prow[s] = den
+        self.obj = obj
         self.den = p
-        self.basis[r] = c
-        if self.den < 0:
+        self.basis[r], self.cols[s] = self.cols[s], self.basis[r]
+        if p < 0:
             # keep the denominator positive so sign tests read directly
-            self.den = -self.den
-            self.rows = [[-v for v in row] for row in self.rows]
-            self.obj = [-v for v in self.obj]
+            self.den = -p
+            for i, row in enumerate(rows):
+                rows[i] = [-v for v in row]
+            self.obj = [-v for v in obj]
 
     def optimize(self):
-        """Maximize the carried objective.  Returns OPTIMAL or UNBOUNDED."""
-        rows = self.rows
-        ncols = len(self.obj) - 1
+        """Maximize the carried objective.  Returns OPTIMAL or UNBOUNDED.
+
+        Entering: the largest reduced cost, ties to the lowest variable,
+        then after the budget the lowest variable with a positive one.
+        Leaving: the least ratio, ties to the lowest basic variable."""
+        rows, basis, cols = self.rows, self.basis, self.cols
+        slots = range(len(cols))
         pivots = 0
         while True:
             obj = self.obj
             entering = -1
             if pivots < _DANTZIG_PIVOT_BUDGET:
                 best = 0
-                for j in range(ncols):
-                    v = obj[j]
-                    if v > best:
+                for s in slots:
+                    v = obj[s]
+                    if v > best or (v == best and v and cols[s] < cols[entering]):
                         best = v
-                        entering = j
+                        entering = s
             else:
-                for j in range(ncols):
-                    if obj[j] > 0:
-                        entering = j
-                        break
+                for s in slots:
+                    if obj[s] > 0 and (entering < 0 or cols[s] < cols[entering]):
+                        entering = s
             if entering < 0:
                 return OPTIMAL
             leaving = -1
             lb = lv = 0  # current best ratio = lb / lv
-            basis = self.basis
             for i, row in enumerate(rows):
                 a = row[entering]
                 if a > 0:
@@ -107,119 +132,123 @@ class _Tableau:
             self.pivot(leaving, entering)
             pivots += 1
 
-    def set_objective(self, obj_int):
-        """Install integer costs as den * (reduced costs) for the basis."""
-        obj = [v * self.den for v in obj_int] + [0]
+    def set_objective(self, cost):
+        """Install integer costs, indexed by variable, as den * (reduced
+        costs) for the basis."""
+        obj = [cost[j] * self.den for j in self.cols] + [0]
         for i, bi in enumerate(self.basis):
-            cb = obj_int[bi]
+            cb = cost[bi]
             if cb:
-                row = self.rows[i]
-                obj = [a - cb * b for a, b in zip(obj, row)]
+                obj = [a - cb * b for a, b in zip(obj, self.rows[i])]
         self.obj = obj
+
+    def drop_from(self, first):
+        """Delete every variable numbered `first` or higher, with the rows
+        where such a variable is basic."""
+        keep = [k for k, j in enumerate(self.cols) if j < first] + [-1]
+        self.rows = [
+            [row[k] for k in keep]
+            for row, bi in zip(self.rows, self.basis)
+            if bi < first
+        ]
+        self.basis = [bi for bi in self.basis if bi < first]
+        self.cols = [j for j in self.cols if j < first]
 
 
 def _int_rows(mat, rhs):
-    """Scale each rational constraint row to integers."""
+    """Each constraint row followed by its right-hand side, in integers.
+
+    All-integer rows pass through; a row holding a Fraction is scaled by
+    the lcm of its denominators."""
     out = []
     for row, b in zip(mat, rhs):
-        fr = [v if isinstance(v, Fraction) else Fraction(v) for v in (*row, b)]
-        m = lcm(*(f.denominator for f in fr))
-        out.append([f.numerator * (m // f.denominator) for f in fr])
+        row = (*row, b)
+        if Fraction in map(type, row):
+            m = lcm(*(v.denominator for v in row))
+            row = tuple(v.numerator * (m // v.denominator) for v in row)
+        out.append(row)
     return out
 
 
 def simplex_maximize(
-    c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]],
-    b_ub: Sequence[Fraction],
-    a_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
+    c: Sequence[Rational],
+    a_ub: Sequence[Sequence[Rational]],
+    b_ub: Sequence[Rational],
+    a_eq: Sequence[Sequence[Rational]] = (),
+    b_eq: Sequence[Rational] = (),
 ):
     """Maximize c . x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
-    Returns (status, x, value); x and value are None unless status is OPTIMAL.
+    Entries are ints or Fractions.  Returns (status, x, value); x and value
+    are None unless status is OPTIMAL.
     """
     n = len(c)
-    m_ub, m_eq = len(a_ub), len(a_eq)
-    m = m_ub + m_eq
-    nslack = m_ub
-
+    m_ub = len(a_ub)
+    first_art = n + m_ub  # variables: x, then one slack per a_ub row, then artificials
     scaled = _int_rows(list(a_ub) + list(a_eq), list(b_ub) + list(b_eq))
+
+    # A row with a negative right-hand side is negated, and an a_ub row whose
+    # slack then reads -1 starts with an artificial basic, as does every
+    # a_eq row; those slacks start nonbasic next to x.
+    flipped = [i for i in range(m_ub) if scaled[i][-1] < 0]
+    slot_of = {i: n + k for k, i in enumerate(flipped)}
+    cols = list(range(n)) + [n + i for i in flipped]
     rows = []
-    slack_ok = []
-    for i in range(m):
-        core, b = scaled[i][:-1], scaled[i][-1]
-        row = core + [0] * nslack + [b]
-        if i < m_ub:
-            row[n + i] = 1
+    basis = []
+    nart = 0
+    for i, srow in enumerate(scaled):
+        b = srow[-1]
+        row = [*srow[:-1], *([0] * len(flipped)), b]
+        if i in slot_of:
+            row[slot_of[i]] = 1
         if b < 0:
             row = [-v for v in row]
-            slack_ok.append(False)
+        if i < m_ub and b >= 0:
+            basis.append(n + i)
         else:
-            slack_ok.append(i < m_ub)
+            basis.append(first_art + nart)
+            nart += 1
         rows.append(row)
 
-    basis = [-1] * m
-    art_rows = [i for i in range(m) if not slack_ok[i]]
-    nart = len(art_rows)
-    width = n + nslack + nart
-    for i in range(m):
-        rhs = rows[i].pop()
-        rows[i].extend([0] * nart)
-        rows[i].append(rhs)
-    for k, i in enumerate(art_rows):
-        rows[i][n + nslack + k] = 1
-        basis[i] = n + nslack + k
-    for i in range(m):
-        if slack_ok[i]:
-            basis[i] = n + i
-
-    tab = _Tableau(rows, [0] * (width + 1), basis)
+    tab = _Tableau(rows, basis, cols)
 
     if nart:
-        phase1 = [0] * width
-        for j in range(n + nslack, width):
-            phase1[j] = -1
-        tab.set_objective(phase1)
+        tab.set_objective([0] * first_art + [-1] * nart)
         status = tab.optimize()
         if status != OPTIMAL:
             raise RuntimeError("phase-1 simplex cannot be unbounded")
-        if any(
-            tab.basis[i] >= n + nslack and tab.rows[i][-1] != 0 for i in range(m)
-        ):
+        if any(bi >= first_art and row[-1] for bi, row in zip(tab.basis, tab.rows)):
             return INFEASIBLE, None, None
-        # pivot lingering zero-valued artificials out of the basis
-        for i in range(m):
-            if tab.basis[i] >= n + nslack:
-                col = next((j for j in range(n + nslack) if tab.rows[i][j] != 0), None)
-                if col is not None:
-                    tab.pivot(i, col)
-        keep = [i for i in range(m) if tab.basis[i] < n + nslack]
-        tab.rows = [tab.rows[i][: n + nslack] + [tab.rows[i][-1]] for i in keep]
-        tab.basis = [tab.basis[i] for i in keep]
-        width = n + nslack
+        # pivot lingering zero-valued artificials out of the basis, each on
+        # its lowest nonzero non-artificial column
+        for i in range(len(tab.basis)):
+            if tab.basis[i] >= first_art:
+                row, cols = tab.rows[i], tab.cols
+                nonzero = [s for s, j in enumerate(cols) if j < first_art and row[s]]
+                if nonzero:
+                    tab.pivot(i, min(nonzero, key=cols.__getitem__))
+        tab.drop_from(first_art)
 
-    cf = [Fraction(v) for v in c]
-    mden = lcm(*(f.denominator for f in cf)) if cf else 1
-    obj_int = [int(f * mden) for f in cf] + [0] * (width - n)
-    tab.set_objective(obj_int)
+    mden = lcm(*(v.denominator for v in c)) if c else 1
+    cost = [v.numerator * (mden // v.denominator) for v in c] + [0] * m_ub
+    tab.set_objective(cost)
     status = tab.optimize()
     if status != OPTIMAL:
         return UNBOUNDED, None, None
     x = [ZERO] * n
     den = tab.den
-    for i, bi in enumerate(tab.basis):
+    for bi, row in zip(tab.basis, tab.rows):
         if bi < n:
-            x[bi] = Fraction(tab.rows[i][-1], den)
-    value = sum(ci * xi for ci, xi in zip(cf, x))
-    return OPTIMAL, x, value
+            x[bi] = Fraction(row[-1], den)
+    # obj[-1] is -den * mden * (c . x)
+    return OPTIMAL, x, Fraction(-tab.obj[-1], den * mden)
 
 
 def strict_interior_point(
     nvars: int,
-    strict_ge: Sequence[tuple[Sequence[Fraction], Fraction]],
-    eqs: Sequence[tuple[Sequence[Fraction], Fraction]] = (),
-    tweak: Optional[Sequence[Fraction]] = None,
+    strict_ge: Sequence[tuple[Sequence[Rational], Rational]],
+    eqs: Sequence[tuple[Sequence[Rational], Rational]] = (),
+    tweak: Optional[Sequence[Rational]] = None,
 ) -> Optional[list[Fraction]]:
     """A point x >= 0 with g . x > h for every (g, h) in strict_ge and the
     given equalities, or None if the open system is empty.
@@ -228,15 +257,15 @@ def strict_interior_point(
     picks a different witness of the same region by re-optimizing tweak . x
     with the slack pinned to at least half its maximum.
     """
-    c = [ZERO] * nvars + [ONE]
+    c = [0] * nvars + [1]
     a_ub = []
     b_ub = []
     for g, h in strict_ge:
-        a_ub.append([-Fraction(v) for v in g] + [ONE])
-        b_ub.append(-Fraction(h))
-    a_eq = [list(g) + [ZERO] for g, _ in eqs]
+        a_ub.append([-v for v in g] + [1])
+        b_ub.append(-h)
+    a_eq = [[*g, 0] for g, _ in eqs]
     b_eq = [h for _, h in eqs]
-    status, x, value = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq)
+    status, x, _ = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq)
     if status == UNBOUNDED:
         raise RuntimeError("strict feasibility system is unbounded; missing box constraints")
     if status != OPTIMAL:
@@ -246,9 +275,9 @@ def strict_interior_point(
         return None
     if tweak is None:
         return x[:nvars]
-    floor_row = [ZERO] * nvars + [-ONE]
+    floor_row = [0] * nvars + [-1]
     status, x2, _ = simplex_maximize(
-        list(tweak) + [ZERO],
+        [*tweak, 0],
         list(a_ub) + [floor_row],
         list(b_ub) + [-slack / 2],
         a_eq,

@@ -862,6 +862,76 @@ SUITES = {
 }
 
 
+class BoundsError(ValueError):
+    """Suite bounds with a key no suite reads or a value of the wrong shape."""
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _is_counts(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(_is_count(k) for k in v)
+
+
+def _is_counts_by_n(v) -> bool:
+    # JSON object keys are strings; the corpus reads them with int()
+    return isinstance(v, dict) and all(
+        (_is_count(k) or (isinstance(k, str) and k.isdigit())) and _is_count(c)
+        for k, c in v.items()
+    )
+
+
+def _is_plans(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(
+        isinstance(p, (list, tuple)) and len(p) == 3 and p[0] in (QN, PN)
+        and _is_count(p[1]) and _is_count(p[2])
+        for p in v
+    )
+
+
+_COUNT = ("a nonnegative integer", _is_count)
+_SIZES = ("a list of nonnegative integers", _is_counts)
+_COUNTS_BY_N = ("an object from sizes to nonnegative integers", _is_counts_by_n)
+_PLANS = ('a list of [mode, n, den] with mode "qn" or "pn"', _is_plans)
+_GK_CORPUS = {"exhaustive_n": _SIZES, "per_shape": _COUNT, "random": _COUNTS_BY_N}
+_HASSETT_CORPUS = {"ns": _SIZES, "weights_per_n": _COUNT, "trees_per_weight": _COUNT}
+
+# the bounds each suite reads, and the shape of their values
+BOUNDS = {
+    "stability-oracle": {"exhaustive_n": _SIZES, "random_instances": _COUNT, "random_n": _SIZES},
+    "theta-polytope": {"ns": _SIZES},
+    "chambers-vs-grid": {"plans": _PLANS},
+    "chart-stability": {"max_n": _COUNT},
+    "roundtrip-gk": _GK_CORPUS,
+    "roundtrip-lm": {"exhaustive_n": _SIZES, "per_shape": _COUNT, "random_n6": _COUNT},
+    "roundtrip-hassett": _HASSETT_CORPUS,
+    "five-term": {"instances": _COUNT},
+    "hassett-special": {"ns": _SIZES, "per_shape": _COUNT},
+    "qn2-pn": {"instances": _COUNT, "pn_max": _COUNT},
+    "covering": {"corpus": _GK_CORPUS, "lp_ns": _SIZES, "hassett": _HASSETT_CORPUS},
+    "limit-equations": {"corpus": _GK_CORPUS},
+}
+
+
+def _check_shape(spec: dict, value, where: str) -> None:
+    if not isinstance(value, dict):
+        raise BoundsError(f"{where} must be an object")
+    for key, sub in value.items():
+        if key not in spec:
+            raise BoundsError(f"{where} has unknown key {key!r}; choose from {sorted(spec)}")
+        if isinstance(spec[key], dict):
+            _check_shape(spec[key], sub, f"{where}.{key}")
+        elif not spec[key][1](sub):
+            raise BoundsError(f"{where}.{key} must be {spec[key][0]}")
+
+
+def check_bounds(bounds) -> None:
+    """Raise BoundsError unless `bounds` maps suite names to objects holding
+    only keys that suite reads, each with a value of the shape it expects."""
+    _check_shape(BOUNDS, bounds, "bounds")
+
+
 def run_suite(name: str, seed: int = DEFAULT_SEED, bounds: Optional[dict] = None) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")

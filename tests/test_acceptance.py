@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from quivermoduli.verify import run_suite
+from quivermoduli.verify import BOUNDS, SUITES, check_bounds, run_suite
 
 SEED = 20260810
 
@@ -81,3 +81,8 @@ def test_acceptance(number, suite):
     status = "PASS" if report["passed"] else "FAIL"
     print(f"{status} criterion {number:2d} [{suite}] checks={report['checks']} time={elapsed:.1f}s")
     assert report["passed"], f"criterion {number} ({suite}) failed: {report['counterexample']}"
+
+
+def test_acceptance_bounds_pass_the_bounds_check():
+    assert set(BOUNDS) == set(SUITES) == set(ACCEPTANCE_BOUNDS)
+    check_bounds(ACCEPTANCE_BOUNDS)

@@ -331,6 +331,9 @@ def test_chamber_complex_output_is_pinned():
     for (mode, n), digest in expected.items():
         text = serialize.dumps(serialize.chamber_complex_json(mode, n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (mode, n)
+    text = serialize.dumps(serialize.chamber_complex_json("qn", 6, with_adjacency=False))
+    digest = "d2dbad04e9d7bb8ac9c924ab044ec950006ab70813167b833681ddee29eddb2a"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_enumerate_walls_rejects_sizes_without_interior():

@@ -210,6 +210,11 @@ def test_roundtrip_exhaustive_n4():
         assert moduli_coordinates(t2, GK) == fam
 
 
+def test_tree_from_splits_rejects_crossing_splits():
+    with pytest.raises(ValueError, match="insertion points"):
+        tree_from_splits(5, [(0, 1), (0, 2)])
+
+
 def test_tree_isomorphic_rejects_different_coordinates():
     t1 = single(4, F(5, 2))
     t2 = single(4, F(7, 2))

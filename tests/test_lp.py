@@ -1,9 +1,203 @@
 import random
+from fractions import Fraction
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
+from quivermoduli import lp
 from quivermoduli.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_maximize, strict_interior_point
+
+
+class _DenseTableau:
+    """The full integer tableau (every column, basic ones included) with the
+    Bareiss update; the condensed tableau in `lp` must pivot exactly as this
+    one does."""
+
+    __slots__ = ("rows", "obj", "den", "basis")
+
+    def __init__(self, rows, obj, basis):
+        self.rows = rows
+        self.obj = obj
+        self.den = 1
+        self.basis = basis
+
+    def pivot(self, r, c):
+        rows = self.rows
+        den = self.den
+        p = rows[r][c]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                if f:
+                    rows[i] = [(a * p - f * b) // den for a, b in zip(row, prow)]
+                elif den != 1:
+                    rows[i] = [(a * p) // den for a in row]
+                elif p != 1:
+                    rows[i] = [a * p for a in row]
+        f = self.obj[c]
+        if f:
+            self.obj = [(a * p - f * b) // den for a, b in zip(self.obj, prow)]
+        elif den != 1:
+            self.obj = [(a * p) // den for a in self.obj]
+        elif p != 1:
+            self.obj = [a * p for a in self.obj]
+        self.den = p
+        self.basis[r] = c
+        if self.den < 0:
+            self.den = -self.den
+            self.rows = [[-v for v in row] for row in self.rows]
+            self.obj = [-v for v in self.obj]
+
+    def optimize(self):
+        rows = self.rows
+        ncols = len(self.obj) - 1
+        pivots = 0
+        while True:
+            obj = self.obj
+            entering = -1
+            if pivots < lp._DANTZIG_PIVOT_BUDGET:
+                best = 0
+                for j in range(ncols):
+                    v = obj[j]
+                    if v > best:
+                        best = v
+                        entering = j
+            else:
+                for j in range(ncols):
+                    if obj[j] > 0:
+                        entering = j
+                        break
+            if entering < 0:
+                return OPTIMAL
+            leaving = -1
+            lb = lv = 0
+            basis = self.basis
+            for i, row in enumerate(rows):
+                a = row[entering]
+                if a > 0:
+                    b = row[-1]
+                    if leaving < 0:
+                        leaving, lb, lv = i, b, a
+                    else:
+                        d = b * lv - lb * a
+                        if d < 0 or (d == 0 and basis[i] < basis[leaving]):
+                            leaving, lb, lv = i, b, a
+            if leaving < 0:
+                return UNBOUNDED
+            self.pivot(leaving, entering)
+            pivots += 1
+
+    def set_objective(self, obj_int):
+        obj = [v * self.den for v in obj_int] + [0]
+        for i, bi in enumerate(self.basis):
+            cb = obj_int[bi]
+            if cb:
+                row = self.rows[i]
+                obj = [a - cb * b for a, b in zip(obj, row)]
+        self.obj = obj
+
+
+def dense_maximize(c, a_ub, b_ub, a_eq=(), b_eq=()):
+    """The dense integer-pivoting simplex that `lp.simplex_maximize`
+    replaced, kept as the reference for its results and pivot sequence."""
+    n = len(c)
+    m_ub, m_eq = len(a_ub), len(a_eq)
+    m = m_ub + m_eq
+    nslack = m_ub
+
+    scaled = []
+    for row, b in zip(list(a_ub) + list(a_eq), list(b_ub) + list(b_eq)):
+        fr = [Fraction(v) for v in (*row, b)]
+        den = lcm(*(f.denominator for f in fr))
+        scaled.append([f.numerator * (den // f.denominator) for f in fr])
+    rows = []
+    slack_ok = []
+    for i in range(m):
+        core, b = scaled[i][:-1], scaled[i][-1]
+        row = core + [0] * nslack + [b]
+        if i < m_ub:
+            row[n + i] = 1
+        if b < 0:
+            row = [-v for v in row]
+            slack_ok.append(False)
+        else:
+            slack_ok.append(i < m_ub)
+        rows.append(row)
+
+    basis = [-1] * m
+    art_rows = [i for i in range(m) if not slack_ok[i]]
+    nart = len(art_rows)
+    width = n + nslack + nart
+    for i in range(m):
+        rhs = rows[i].pop()
+        rows[i].extend([0] * nart)
+        rows[i].append(rhs)
+    for k, i in enumerate(art_rows):
+        rows[i][n + nslack + k] = 1
+        basis[i] = n + nslack + k
+    for i in range(m):
+        if slack_ok[i]:
+            basis[i] = n + i
+
+    tab = _DenseTableau(rows, [0] * (width + 1), basis)
+
+    if nart:
+        phase1 = [0] * width
+        for j in range(n + nslack, width):
+            phase1[j] = -1
+        tab.set_objective(phase1)
+        status = tab.optimize()
+        assert status == OPTIMAL
+        if any(
+            tab.basis[i] >= n + nslack and tab.rows[i][-1] != 0 for i in range(m)
+        ):
+            return INFEASIBLE, None, None
+        for i in range(m):
+            if tab.basis[i] >= n + nslack:
+                col = next((j for j in range(n + nslack) if tab.rows[i][j] != 0), None)
+                if col is not None:
+                    tab.pivot(i, col)
+        keep = [i for i in range(m) if tab.basis[i] < n + nslack]
+        tab.rows = [tab.rows[i][: n + nslack] + [tab.rows[i][-1]] for i in keep]
+        tab.basis = [tab.basis[i] for i in keep]
+        width = n + nslack
+
+    cf = [Fraction(v) for v in c]
+    mden = lcm(*(f.denominator for f in cf)) if cf else 1
+    obj_int = [int(f * mden) for f in cf] + [0] * (width - n)
+    tab.set_objective(obj_int)
+    status = tab.optimize()
+    if status != OPTIMAL:
+        return UNBOUNDED, None, None
+    x = [Fraction(0)] * n
+    den = tab.den
+    for i, bi in enumerate(tab.basis):
+        if bi < n:
+            x[bi] = Fraction(tab.rows[i][-1], den)
+    value = sum(ci * xi for ci, xi in zip(cf, x))
+    return OPTIMAL, x, value
+
+
+@pytest.fixture
+def pivot_log(monkeypatch):
+    """Record (leaving, entering) variables of every pivot of both tableaus."""
+    log = {"dense": [], "condensed": []}
+    dense_pivot = _DenseTableau.pivot
+    condensed_pivot = lp._Tableau.pivot
+
+    def dense(self, r, c):
+        log["dense"].append((self.basis[r], c))
+        dense_pivot(self, r, c)
+
+    def condensed(self, r, s):
+        log["condensed"].append((self.basis[r], self.cols[s]))
+        condensed_pivot(self, r, s)
+
+    monkeypatch.setattr(_DenseTableau, "pivot", dense)
+    monkeypatch.setattr(lp._Tableau, "pivot", condensed)
+    return log
 
 
 def reference_maximize(c, a_ub, b_ub, a_eq=(), b_eq=()):
@@ -115,20 +309,27 @@ def test_unbounded():
     assert st == UNBOUNDED
 
 
-def test_matches_reference_on_random_programs():
+def _random_program(rng):
+    n = rng.randint(1, 3)
+    m = rng.randint(1, 4)
+    me = rng.randint(0, 1)
+    c = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+    a_ub = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(m)]
+    b_ub = [F(rng.randint(-2, 5)) for _ in range(m)]
+    a_eq = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(me)]
+    b_eq = [F(rng.randint(0, 3)) for _ in range(me)]
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+def test_matches_reference_on_random_programs(pivot_log):
     rng = random.Random(20260809)
     agree = 0
     for _ in range(400):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, 4)
-        me = rng.randint(0, 1)
-        c = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-        a_ub = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(m)]
-        b_ub = [F(rng.randint(-2, 5)) for _ in range(m)]
-        a_eq = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(me)]
-        b_eq = [F(rng.randint(0, 3)) for _ in range(me)]
+        c, a_ub, b_ub, a_eq, b_eq = _random_program(rng)
         got = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq)
         want = reference_maximize(c, a_ub, b_ub, a_eq, b_eq)
+        assert got == dense_maximize(c, a_ub, b_ub, a_eq, b_eq), (c, a_ub, b_ub, a_eq, b_eq)
+        assert pivot_log["condensed"] == pivot_log["dense"], (c, a_ub, b_ub, a_eq, b_eq)
         assert got[0] == want[0], (c, a_ub, b_ub, a_eq, b_eq)
         if got[0] == OPTIMAL:
             assert got[2] == want[2], (c, a_ub, b_ub, a_eq, b_eq, got, want)
@@ -141,6 +342,17 @@ def test_matches_reference_on_random_programs():
             assert all(v >= 0 for v in x)
             agree += 1
     assert agree > 100
+
+
+@pytest.mark.parametrize("budget", [2, 0])
+def test_matches_dense_pivots_under_blands_rule(pivot_log, monkeypatch, budget):
+    # a smaller Dantzig budget hands the same programs to Bland's rule
+    monkeypatch.setattr(lp, "_DANTZIG_PIVOT_BUDGET", budget)
+    rng = random.Random(20260809)
+    for _ in range(400):
+        prog = _random_program(rng)
+        assert simplex_maximize(*prog) == dense_maximize(*prog), prog
+        assert pivot_log["condensed"] == pivot_log["dense"], prog
 
 
 def test_strict_interior_point_none_on_empty():
@@ -159,3 +371,45 @@ def test_strict_interior_point_tweak_stays_inside():
     assert base is not None and tweaked is not None
     assert 0 < tweaked[0] < 1
     assert tweaked[0] >= base[0]
+
+
+def _random_strict_system(rng):
+    """A bounded open system in integers: a box 0 < x_i < 3, random rows
+    g . x > h and at most one equality."""
+    n = rng.randint(1, 4)
+    rows = []
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1
+        rows.append((tuple(e), 0))
+        e[i] = -1
+        rows.append((tuple(e), -3))
+    for _ in range(rng.randint(0, 5)):
+        rows.append((tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-3, 3)))
+    eqs = [
+        (tuple(rng.randint(0, 2) for _ in range(n)), rng.randint(1, 4))
+        for _ in range(rng.randint(0, 1))
+    ]
+    tweak = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
+    return n, rows, eqs, tweak if rng.random() < 0.5 else None
+
+
+def _as_fractions(rows):
+    return [(tuple(F(v) for v in g), F(h)) for g, h in rows]
+
+
+def test_strict_interior_point_int_and_fraction_rows_match_dense(monkeypatch, pivot_log):
+    rng = random.Random(20261018)
+    cases = [_random_strict_system(rng) for _ in range(300)]
+    got_int = [strict_interior_point(n, rows, eqs, tweak) for n, rows, eqs, tweak in cases]
+    got_fr = [
+        strict_interior_point(n, _as_fractions(rows), _as_fractions(eqs), tweak)
+        for n, rows, eqs, tweak in cases
+    ]
+    monkeypatch.setattr(lp, "simplex_maximize", dense_maximize)
+    want = [strict_interior_point(n, rows, eqs, tweak) for n, rows, eqs, tweak in cases]
+    assert got_int == want
+    assert got_fr == want
+    assert pivot_log["condensed"] == pivot_log["dense"] * 2
+    assert all(v is None or all(type(t) is F for t in v) for v in got_int)
+    assert sum(v is not None for v in want) > 50

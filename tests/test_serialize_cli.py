@@ -139,3 +139,31 @@ def test_cli_verify_seeded_reproducible(tmp_path):
     assert r1.stdout == r2.stdout
     d = json.loads(r1.stdout)
     assert d["reports"][0]["passed"] is True
+
+
+def test_cli_bad_bounds_exit_3():
+    cases = [
+        ("five-term", '{"instances": "x"}'),
+        ("five-term", "[1, 2]"),
+        ("five-term", '{"instance": 3}'),
+        ("five-term", '{"five-term": {"instances": -1}}'),
+        ("all", '{"five-term": {"instances": "x"}}'),
+        ("all", '{"five-term": 3}'),
+    ]
+    for suite, bounds in cases:
+        r = run_cli("verify", "--suite", suite, "--bounds", bounds)
+        assert r.returncode == 3, (suite, bounds, r.stderr)
+        assert r.stdout == "" and r.stderr.startswith("error: bad bounds"), (suite, bounds)
+        assert r.stderr.count("\n") == 1, r.stderr
+
+
+def test_cli_tree_without_input_exits_3():
+    for sub, flags in (
+        ("check", "--tree or --chain"),
+        ("coords", "--tree or --chain"),
+        ("contract", "--tree"),
+        ("reconstruct", "--family"),
+    ):
+        r = run_cli("tree", sub)
+        assert r.returncode == 3, (sub, r.stderr)
+        assert r.stderr == f"error: tree {sub} needs {flags}\n"
