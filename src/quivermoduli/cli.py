@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import chambers, configs, curves, serialize, verify
 from .curves import InconsistentFamilyError
-from .quiverwt import TooLargeError
+from .quiverwt import SettingError, TooLargeError
 from .serialize import ParseError
 
 EXIT_FAIL = 1
@@ -188,7 +188,7 @@ def cmd_verify(args) -> int:
     if args.bounds:
         try:
             bounds = json.loads(args.bounds)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
             raise CliError(EXIT_PARSE, f"bad bounds JSON: {exc}")
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     if any(name not in verify.SUITES for name in names):
@@ -271,6 +271,9 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    except SettingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from .projline import (
     ZERO_POINT,
     moebius_from_triple,
     moebius_two_point,
-    point_from_ihom,
     pp_eq,
 )
 
@@ -333,7 +332,8 @@ def normalize_chart_pn(config: PnConfig, index: int) -> PnConfig:
     s = secs[index]
     if s == ZERO_POINT or s == INF_POINT:
         raise DegenerateAnchorError(f"section {index} sits at an anchor")
-    m = Moebius(s.c1, Fraction(0), Fraction(0), s.c0)
+    x0, x1 = s.ihom
+    m = Moebius(x1, 0, 0, x0)
     return PnConfig(tuple(m.apply(p) for p in secs))
 
 
@@ -437,7 +437,8 @@ def glue_fiber(
         else:
             ua = config_a.sections[k0]
             vb = config_b.sections[k0]
-        diag = Moebius(vb.c0 * ua.c1, Fraction(0), Fraction(0), vb.c1 * ua.c0)
+        (ua0, ua1), (vb0, vb1) = ua.ihom, vb.ihom
+        diag = Moebius(vb0 * ua1, 0, 0, vb1 * ua0)
         if frame_a is not None:
             m = frame_b.inverse().compose(diag).compose(frame_a)
         else:
@@ -462,8 +463,8 @@ def glue_fiber(
         raise EquationsFailError("the node corner does not mix the two anchors")
     on_a = frozenset(k for k in range(config_a.n) if v[k] == corner_b)
     on_b = frozenset(k for k in range(config_a.n) if u[k] == corner_a)
-    pa = point_from_ihom(corner_a)
-    pb = point_from_ihom(corner_b)
+    pa = ProjPoint(*corner_a)
+    pb = ProjPoint(*corner_b)
     if frame_a is not None:
         node_a = frame_a.inverse().apply(pa)
         node_b = frame_b.inverse().apply(pb)

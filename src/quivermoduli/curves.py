@@ -433,7 +433,8 @@ def lm_moduli_coordinates(chain: Chain) -> LimitFamily:
     for i in range(n):
         ci = comp_of[i]
         s = point_of[i]
-        scale = Moebius(s.c1, Fraction(0), Fraction(0), s.c0)
+        x0, x1 = s.ihom
+        scale = Moebius(x1, 0, 0, x0)
         row = []
         for j in range(n):
             cj = comp_of[j]
@@ -739,7 +740,8 @@ def _diag_rescale(row: Sequence[ProjPoint], index: int) -> Optional[tuple[ProjPo
     s = row[index]
     if s == ZERO_POINT or s == INF_POINT:
         return None
-    m = Moebius(s.c1, Fraction(0), Fraction(0), s.c0)
+    x0, x1 = s.ihom
+    m = Moebius(x1, 0, 0, x0)
     return tuple(m.apply(p) for p in row)
 
 
@@ -838,7 +840,8 @@ def chain_canonical(chain: Chain) -> Chain:
     for comp in chain.components:
         row = [p for _, p in comp]
         lead = row[0]
-        m = Moebius(lead.c1, Fraction(0), Fraction(0), lead.c0)
+        x0, x1 = lead.ihom
+        m = Moebius(x1, 0, 0, x0)
         comps.append(tuple((lb, m.apply(p)) for lb, p in comp))
     return Chain(tuple(comps))
 

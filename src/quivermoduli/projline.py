@@ -1,24 +1,21 @@
 """Exact arithmetic on the projective line over the rationals.
 
-Points and Moebius transformations are stored in a canonical form (first
-nonzero coordinate, in row-major order for matrices, equals 1) so that
-equality is plain field comparison and values work as dict keys.  All values
-are immutable and all operations are pure.
-
-Each value also carries an integer view of the same class (`ihom` pairs for
-points, `imat` matrices for maps: coprime integers, first nonzero entry
-positive).  The operations compute on that view, as do hot loops elsewhere
-through the small integer toolkit at the end; the Fraction fields are the
-public canonical form.
+A point is stored only as its integer pair `ihom` and a Moebius
+transformation only as its integer matrix `imat`: coprime integers, first
+nonzero entry (row-major for matrices) positive.  That form is unique, so
+equality and hashing compare it directly and values work as dict keys.  The
+canonical Fraction form (first nonzero coordinate equal to 1) is a derived,
+read-only view (`c0`, `c1`, `m00` ... `m11`) for printing and serializing.
+All values are immutable and all operations are pure; the operations and the
+hot loops elsewhere compute on the integers, the latter through the small
+integer toolkit at the end.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
-
-Rat = Fraction
 
 
 class DegenerateTripleError(ValueError):
@@ -50,45 +47,73 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """A point (c0 : c1) of the projective line, canonicalized on construction.
+class _Frozen:
+    __slots__ = ()
 
-    Canonical form: the first nonzero coordinate equals 1, so the only
-    representatives are (1 : t) and (0 : 1).  `ihom` caches the same point as
-    a coprime integer pair with positive leading entry.
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ProjPoint(_Frozen):
+    """A point (c0 : c1) of the projective line, given by any exact rational
+    representative (`int`, `Fraction` or `str` coordinates).
+
+    Stored only as `ihom`, the coprime integer pair with positive leading
+    entry.  `c0` and `c1` are the canonical Fraction form derived from it:
+    the first nonzero coordinate equals 1, so (1 : t) or (0 : 1).
     """
 
-    c0: Fraction
-    c1: Fraction
-    ihom: tuple[int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("ihom",)
+
+    def __init__(self, c0, c1):
+        # __post_init__ reduces the raw pair in place; it is a separate,
+        # argument-free method so instrumentation can wrap it
+        object.__setattr__(self, "ihom", (c0, c1))
+        self.__post_init__()
 
     def __post_init__(self):
-        x0, x1 = _int_row((self.c0, self.c1))
-        if x0:
-            c1 = Fraction(x1, x0)
-            object.__setattr__(self, "c0", _ONE)
-            object.__setattr__(self, "c1", c1)
-            object.__setattr__(self, "ihom", (c1.denominator, c1.numerator))
-        elif x1:
-            object.__setattr__(self, "c0", _ZERO)
-            object.__setattr__(self, "c1", _ONE)
-            object.__setattr__(self, "ihom", (0, 1))
-        else:
+        x0, x1 = self.ihom
+        if type(x0) is not int or type(x1) is not int:
+            x0, x1 = _int_row((x0, x1))
+        g = gcd(x0, x1)
+        if not g:
             raise ValueError("(0:0) is not a projective point")
+        if x0 < 0 or (not x0 and x1 < 0):
+            g = -g
+        object.__setattr__(self, "ihom", (x0 // g, x1 // g))
+
+    @property
+    def c0(self) -> Fraction:
+        return _ONE if self.ihom[0] else _ZERO
+
+    @property
+    def c1(self) -> Fraction:
+        x0, x1 = self.ihom
+        return Fraction(x1, x0) if x0 else _ONE
 
     def __eq__(self, other):
         if other.__class__ is not ProjPoint:
             return NotImplemented
         return self.ihom == other.ihom
 
+    def __hash__(self):
+        return hash(self.ihom)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since the
+        # instance refuses assignment
+        return ProjPoint, self.ihom
+
     def __repr__(self):
         return f"({self.c0}:{self.c1})"
 
 
-ZERO_POINT = ProjPoint(Fraction(0), Fraction(1))
-INF_POINT = ProjPoint(Fraction(1), Fraction(0))
-ONE_POINT = ProjPoint(Fraction(1), Fraction(1))
+ZERO_POINT = ProjPoint(0, 1)
+INF_POINT = ProjPoint(1, 0)
+ONE_POINT = ProjPoint(1, 1)
 
 #: A section of a configuration: either a projective point or the zero vector.
 Section = Optional[ProjPoint]
@@ -96,48 +121,72 @@ Section = Optional[ProjPoint]
 
 def affine(x) -> ProjPoint:
     """The affine point x, i.e. (x : 1)."""
-    return ProjPoint(_rat(x), Fraction(1))
+    r = _rat(x)
+    return ProjPoint(r.numerator, r.denominator)
 
 
 def pp_eq(p: ProjPoint, q: ProjPoint) -> bool:
-    """Projective equality; canonical forms make it a comparison of `ihom`."""
+    """Projective equality; the unique integer form makes it a comparison of
+    `ihom`."""
     return p.ihom == q.ihom
 
 
 def det2(p: ProjPoint, q: ProjPoint) -> Fraction:
-    """d(p, q) = p0*q1 - p1*q0, the single source of sign conventions.
+    """d(p, q) = p0*q1 - p1*q0 on the canonical forms, the single source of
+    sign conventions.
 
     Vanishes exactly when p and q coincide.
     """
     return p.c0 * q.c1 - p.c1 * q.c0
 
 
-@dataclass(frozen=True)
-class Moebius:
-    """An invertible 2x2 matrix class up to scale, canonicalized on construction.
+class Moebius(_Frozen):
+    """An invertible 2x2 matrix class up to scale, given by any exact
+    rational representative (m00, m01, m10, m11) in row-major order.
 
-    Canonical form: the first nonzero entry in row-major order equals 1.
-    `imat` caches the same class as a primitive integer matrix with positive
-    leading entry, which is what the operations compute with.
+    Stored only as `imat`, the primitive integer matrix with positive leading
+    entry, which is what the operations compute with.  `m00` ... `m11` are the
+    canonical Fraction form derived from it: the first nonzero entry in
+    row-major order equals 1.
     """
 
-    m00: Fraction
-    m01: Fraction
-    m10: Fraction
-    m11: Fraction
-    imat: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("imat",)
 
-    def __post_init__(self):
-        e = _int_row((self.m00, self.m01, self.m10, self.m11))
-        if e[0] * e[3] - e[1] * e[2] == 0:
+    def __init__(self, m00, m01, m10, m11):
+        e = (m00, m01, m10, m11)
+        if not (type(m00) is int and type(m01) is int and type(m10) is int and type(m11) is int):
+            e = _int_row(e)
+        i00, i01, i10, i11 = e
+        if i00 * i11 - i01 * i10 == 0:
             raise ValueError("singular matrix does not define a Moebius transformation")
-        lead = next(v for v in e if v)
-        g = gcd(*e) if lead > 0 else -gcd(*e)
-        e = tuple(v // g for v in e)
-        lead //= g
-        for name, v in zip(("m00", "m01", "m10", "m11"), e):
-            object.__setattr__(self, name, Fraction(v, lead))
-        object.__setattr__(self, "imat", e)
+        # an invertible matrix has m00 or m01 nonzero
+        g = gcd(i00, i01, i10, i11)
+        if (i00 or i01) < 0:
+            g = -g
+        object.__setattr__(self, "imat", (i00 // g, i01 // g, i10 // g, i11 // g))
+
+    def _entry(self, k: int) -> Fraction:
+        e = self.imat
+        return Fraction(e[k], e[0] or e[1])
+
+    m00 = property(lambda self: self._entry(0))
+    m01 = property(lambda self: self._entry(1))
+    m10 = property(lambda self: self._entry(2))
+    m11 = property(lambda self: self._entry(3))
+
+    def __eq__(self, other):
+        if other.__class__ is not Moebius:
+            return NotImplemented
+        return self.imat == other.imat
+
+    def __hash__(self):
+        return hash(self.imat)
+
+    def __reduce__(self):
+        return Moebius, self.imat
+
+    def __repr__(self):
+        return f"Moebius(m00={self.m00!r}, m01={self.m01!r}, m10={self.m10!r}, m11={self.m11!r})"
 
     def apply(self, p: ProjPoint) -> ProjPoint:
         a0, a1 = p.ihom
@@ -158,9 +207,6 @@ class Moebius:
     def inverse(self) -> "Moebius":
         i00, i01, i10, i11 = self.imat
         return Moebius(i11, -i01, -i10, i00)
-
-
-IDENTITY_MOEBIUS = Moebius(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
 
 
 def moebius_two_point(p_zero: ProjPoint, p_inf: ProjPoint) -> Moebius:
@@ -235,7 +281,3 @@ IPoint = tuple[int, int]
 
 def idet(a: IPoint, b: IPoint) -> int:
     return a[0] * b[1] - a[1] * b[0]
-
-
-def point_from_ihom(pair: IPoint) -> ProjPoint:
-    return ProjPoint(Fraction(pair[0]), Fraction(pair[1]))

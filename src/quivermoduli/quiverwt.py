@@ -30,11 +30,22 @@ class ApexError(ValueError):
     """The apex weight itself, where the projection is undefined."""
 
 
+class SettingError(Exception):
+    """An environment variable holds a value the program cannot use."""
+
+
 def max_work() -> int:
+    """The enumeration cap: QML_MAX_WORK, an integer >= 1, or the default."""
     raw = os.environ.get("QML_MAX_WORK")
     if raw is None:
         return DEFAULT_WORK_BOUND
-    return int(raw)
+    try:
+        cap = int(raw)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise SettingError(f"QML_MAX_WORK must be an integer >= 1, got {raw!r}")
 
 
 @dataclass(frozen=True)

@@ -281,5 +281,5 @@ def dumps(obj: dict) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ParseError(str(exc))

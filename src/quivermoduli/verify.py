@@ -863,21 +863,37 @@ SUITES = {
 
 
 class BoundsError(ValueError):
-    """Suite bounds with a key no suite reads or a value of the wrong shape."""
+    """Suite bounds with a key no suite reads, or a value of the wrong shape
+    or below the least value its suite can run with."""
 
 
-def _is_count(v) -> bool:
-    return type(v) is int and v >= 0
+def _int_at_least(v, least: int) -> bool:
+    return type(v) is int and v >= least
 
 
-def _is_counts(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(_is_count(k) for k in v)
+def _count(least: int = 0):
+    return (f"an integer >= {least}", lambda v: _int_at_least(v, least))
+
+
+def _sizes(least: int, nonempty: bool = False):
+    what = f"a {'nonempty ' if nonempty else ''}list of integers >= {least}"
+    return (what, lambda v: isinstance(v, (list, tuple)) and (bool(v) or not nonempty)
+            and all(_int_at_least(k, least) for k in v))
+
+
+def _size_key(k):
+    # JSON object keys are strings; the corpus reads them with int()
+    if isinstance(k, str) and k.isdecimal():
+        try:
+            return int(k)
+        except ValueError:  # more digits than int() converts
+            return None
+    return k
 
 
 def _is_counts_by_n(v) -> bool:
-    # JSON object keys are strings; the corpus reads them with int()
     return isinstance(v, dict) and all(
-        (_is_count(k) or (isinstance(k, str) and k.isdigit())) and _is_count(c)
+        _int_at_least(_size_key(k), _MIN_TREE_N) and _int_at_least(c, 0)
         for k, c in v.items()
     )
 
@@ -885,31 +901,41 @@ def _is_counts_by_n(v) -> bool:
 def _is_plans(v) -> bool:
     return isinstance(v, (list, tuple)) and all(
         isinstance(p, (list, tuple)) and len(p) == 3 and p[0] in (QN, PN)
-        and _is_count(p[1]) and _is_count(p[2])
+        and _int_at_least(p[1], _MIN_WALL_N[p[0]]) and _int_at_least(p[2], 0)
         for p in v
     )
 
 
-_COUNT = ("a nonnegative integer", _is_count)
-_SIZES = ("a list of nonnegative integers", _is_counts)
-_COUNTS_BY_N = ("an object from sizes to nonnegative integers", _is_counts_by_n)
-_PLANS = ('a list of [mode, n, den] with mode "qn" or "pn"', _is_plans)
-_GK_CORPUS = {"exhaustive_n": _SIZES, "per_shape": _COUNT, "random": _COUNTS_BY_N}
-_HASSETT_CORPUS = {"ns": _SIZES, "weights_per_n": _COUNT, "trees_per_weight": _COUNT}
+# the least sizes the generators and enumerators accept: stable trees and
+# star-quiver walls need three marks, double-star walls and chains one
+_MIN_TREE_N = 3
+_MIN_WALL_N = {QN: 3, PN: 1}
+_COUNT = _count()
+_TREE_SIZES = _sizes(_MIN_TREE_N)
+_COUNTS_BY_N = (f"an object from sizes >= {_MIN_TREE_N} to integers >= 0", _is_counts_by_n)
+_PLANS = (
+    f'a list of [mode, n, den] with den >= 0 and n >= {_MIN_WALL_N[QN]} for mode "qn" '
+    f'or n >= {_MIN_WALL_N[PN]} for mode "pn"',
+    _is_plans,
+)
+_GK_CORPUS = {"exhaustive_n": _TREE_SIZES, "per_shape": _COUNT, "random": _COUNTS_BY_N}
+_HASSETT_CORPUS = {"ns": _TREE_SIZES, "weights_per_n": _COUNT, "trees_per_weight": _COUNT}
 
-# the bounds each suite reads, and the shape of their values
+# the bounds each suite reads, and the shape and least value of each
 BOUNDS = {
-    "stability-oracle": {"exhaustive_n": _SIZES, "random_instances": _COUNT, "random_n": _SIZES},
-    "theta-polytope": {"ns": _SIZES},
+    # the random instances are shared out over random_n, so it is nonempty
+    "stability-oracle": {"exhaustive_n": _TREE_SIZES, "random_instances": _COUNT,
+                         "random_n": _sizes(_MIN_TREE_N, nonempty=True)},
+    "theta-polytope": {"ns": _TREE_SIZES},
     "chambers-vs-grid": {"plans": _PLANS},
     "chart-stability": {"max_n": _COUNT},
     "roundtrip-gk": _GK_CORPUS,
-    "roundtrip-lm": {"exhaustive_n": _SIZES, "per_shape": _COUNT, "random_n6": _COUNT},
+    "roundtrip-lm": {"exhaustive_n": _sizes(1), "per_shape": _COUNT, "random_n6": _COUNT},
     "roundtrip-hassett": _HASSETT_CORPUS,
     "five-term": {"instances": _COUNT},
-    "hassett-special": {"ns": _SIZES, "per_shape": _COUNT},
-    "qn2-pn": {"instances": _COUNT, "pn_max": _COUNT},
-    "covering": {"corpus": _GK_CORPUS, "lp_ns": _SIZES, "hassett": _HASSETT_CORPUS},
+    "hassett-special": {"ns": _TREE_SIZES, "per_shape": _COUNT},
+    "qn2-pn": {"instances": _COUNT, "pn_max": _count(1)},
+    "covering": {"corpus": _GK_CORPUS, "lp_ns": _TREE_SIZES, "hassett": _HASSETT_CORPUS},
     "limit-equations": {"corpus": _GK_CORPUS},
 }
 

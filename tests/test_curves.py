@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from quivermoduli.configs import QnConfig
+from quivermoduli import serialize
+from quivermoduli.configs import QnConfig, check_limit_equations, glue_fiber
 from quivermoduli.curves import (
     Chain,
     GK,
@@ -37,7 +39,9 @@ from quivermoduli.curves import (
 )
 from quivermoduli.generate import (
     enumerate_split_systems,
+    random_a_stable_tree,
     random_gk_tree,
+    random_hassett_weight,
     tree_from_splits,
 )
 from quivermoduli.projline import INF_POINT, ONE_POINT, ZERO_POINT, affine
@@ -293,3 +297,48 @@ def test_hassett_inactive_charts():
     assert family_passes(verify_functor_conditions(fam))
     t2 = reconstruct_tree(fam)
     assert tree_isomorphic(dup, t2)
+
+
+def _fiber_json(fiber):
+    return {
+        "kind": fiber.kind,
+        "moebius": None if fiber.moebius is None else serialize.moebius_json(fiber.moebius),
+        "marks": [None if s is None else sorted(s) for s in (fiber.marks_on_a, fiber.marks_on_b)],
+        "nodes": [None if p is None else serialize.point_json(p) for p in (fiber.node_a, fiber.node_b)],
+    }
+
+
+def _chart_layer_text(mode, a, tree):
+    """The serialized chart family of a tree, its reconstruction, and the
+    fibers glued from each chart and the next (cyclically), at the first
+    anchor pair admissible for both."""
+    fam = moduli_coordinates(tree, mode, a)
+    parts = [serialize.family_json(fam), serialize.tree_json(reconstruct_tree(fam))]
+    labels = sorted(fam.charts)
+    for la, lb in zip(labels, labels[1:] + labels[:1]):
+        ca, cb = QnConfig(fam.charts[la]), QnConfig(fam.charts[lb])
+        for i, j in itertools.combinations(range(fam.n), 2):
+            if ca.sections[i] != ca.sections[j] and cb.sections[i] != cb.sections[j]:
+                if check_limit_equations(ca, cb, i, j):
+                    parts.append(_fiber_json(glue_fiber(ca, cb, i, j)))
+                else:
+                    parts.append([list(la), list(lb), i, j])
+                break
+    return "\n".join(serialize.dumps(p) for p in parts)
+
+
+def test_chart_layer_output_pinned():
+    # sha256 taken before points and Moebius maps were stored as integers
+    # only; the chart layer's serialized output must not change
+    rng = random.Random(20261018)
+    corpus = []
+    for n in (4, 5, 6, 7):
+        corpus += [(GK, None, random_gk_tree(rng, n)) for _ in range(4)]
+    for n in (4, 5, 6):
+        for _ in range(3):
+            a = random_hassett_weight(rng, n)
+            corpus += [(HASSETT, a, random_a_stable_tree(rng, n, a)) for _ in range(2)]
+    digest = hashlib.sha256()
+    for mode, a, tree in corpus:
+        digest.update(_chart_layer_text(mode, a, tree).encode())
+    assert digest.hexdigest() == "f2b6ccd373588c65f3af74c51104d24fd4cb12211c3ef4d30cec3cfc5f793718"

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from quivermoduli.projline import (
     DegenerateTripleError,
@@ -154,3 +154,65 @@ def test_det2_sign_convention():
 def test_inverse_compose():
     m = Moebius(2, 1, 1, 1)
     assert m.compose(m.inverse()) == Moebius(1, 0, 0, 1)
+
+
+# exact rationals as the constructors take them: ints, Fractions, strings
+coords = st.one_of(st.integers(-30, 30), fractions, fractions.map(str))
+nonzero = st.one_of(st.integers(-30, 30), fractions).filter(lambda x: x != 0)
+point_inputs = st.one_of(
+    st.tuples(coords, coords).filter(lambda c: F(c[0]) or F(c[1])),
+    st.tuples(st.just(0), nonzero),
+    st.tuples(nonzero, st.just(0)),
+)
+
+
+def canonical_point(c0, c1):
+    """The canonical Fraction form: first nonzero coordinate 1."""
+    c0, c1 = F(c0), F(c1)
+    return (F(1), c1 / c0) if c0 else (F(0), F(1))
+
+
+def canonical_matrix(entries):
+    entries = [F(v) for v in entries]
+    lead = next(v for v in entries if v)
+    return tuple(v / lead for v in entries)
+
+
+def assert_frozen(value, names):
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@given(point_inputs, point_inputs, nonzero)
+def test_point_views_are_the_canonical_fractions(a, b, scale):
+    p = ProjPoint(*a)
+    want = canonical_point(*a)
+    assert (p.c0, p.c1) == want
+    assert all(type(c) is F for c in (p.c0, p.c1))
+    assert repr(p) == f"({want[0]}:{want[1]})"
+    # a scaled or negated representative is the same point
+    same = ProjPoint(F(a[0]) * scale, F(a[1]) * scale)
+    assert same == p and hash(same) == hash(p)
+    q = ProjPoint(*b)
+    assert (p == q) == (want == canonical_point(*b))
+    if p == q:
+        assert hash(p) == hash(q)
+    assert_frozen(p, ("ihom", "c0", "c1"))
+
+
+@given(st.tuples(coords, coords, coords, coords), nonzero)
+def test_moebius_views_are_the_canonical_fractions(entries, scale):
+    m00, m01, m10, m11 = (F(v) for v in entries)
+    assume(m00 * m11 != m01 * m10)
+    m = Moebius(*entries)
+    want = canonical_matrix(entries)
+    names = ("m00", "m01", "m10", "m11")
+    assert tuple(getattr(m, name) for name in names) == want
+    assert all(type(getattr(m, name)) is F for name in names)
+    assert repr(m) == "Moebius(" + ", ".join(f"{k}={v!r}" for k, v in zip(names, want)) + ")"
+    same = Moebius(*(F(v) * scale for v in entries))
+    assert same == m and hash(same) == hash(m)
+    assert_frozen(m, ("imat",) + names)

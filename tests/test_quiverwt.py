@@ -5,10 +5,13 @@ from hypothesis import given, strategies as st
 
 from quivermoduli.chambers import QnWeight, project_weight_to_pn
 from quivermoduli.quiverwt import (
+    DEFAULT_WORK_BOUND,
     ApexError,
     OutsideConeError,
+    SettingError,
     TooLargeError,
     in_weight_space,
+    max_work,
     pn_quiver,
     qn_quiver,
     wall_hyperplanes,
@@ -67,6 +70,17 @@ def test_wall_hyperplanes_bound():
     d = {f"v{i}": 9 for i in range(8)}
     with pytest.raises(TooLargeError):
         wall_hyperplanes(d, bound=1000)
+
+
+def test_max_work_reads_a_positive_integer(monkeypatch):
+    monkeypatch.delenv("QML_MAX_WORK", raising=False)
+    assert max_work() == DEFAULT_WORK_BOUND
+    monkeypatch.setenv("QML_MAX_WORK", "12")
+    assert max_work() == 12
+    for raw in ("abc", "-5", "0", "2.0", " "):
+        monkeypatch.setenv("QML_MAX_WORK", raw)
+        with pytest.raises(SettingError, match="QML_MAX_WORK"):
+            max_work()
 
 
 def test_candidate_wall_avoidance():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -15,9 +16,9 @@ from quivermoduli.projline import INF_POINT, ZERO_POINT, affine
 import random
 
 
-def run_cli(*args, files=None, tmp_path=None):
+def run_cli(*args, env=None):
     argv = [sys.executable, "-m", "quivermoduli.cli", *args]
-    return subprocess.run(argv, capture_output=True, text=True)
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 def test_point_round_trip():
@@ -97,9 +98,10 @@ def test_cli_stability_and_exit_codes(tmp_path):
     assert d["verdict"] == "stable" and d["agreement"] is True
 
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    r = run_cli("stability", "--config", str(bad), "--weight", str(wt))
-    assert r.returncode == 3
+    for text in ("{not json", '{"n": ' + "9" * 5000 + "}"):
+        bad.write_text(text)
+        r = run_cli("stability", "--config", str(bad), "--weight", str(wt))
+        assert r.returncode == 3 and r.stderr.startswith("error: cannot parse"), r.stderr
 
     invalid = tmp_path / "invalid.json"
     invalid.write_text(
@@ -149,12 +151,45 @@ def test_cli_bad_bounds_exit_3():
         ("five-term", '{"five-term": {"instances": -1}}'),
         ("all", '{"five-term": {"instances": "x"}}'),
         ("all", '{"five-term": 3}'),
+        ("five-term", '{"instances": ' + "9" * 5000 + "}"),
     ]
     for suite, bounds in cases:
         r = run_cli("verify", "--suite", suite, "--bounds", bounds)
         assert r.returncode == 3, (suite, bounds, r.stderr)
         assert r.stdout == "" and r.stderr.startswith("error: bad bounds"), (suite, bounds)
         assert r.stderr.count("\n") == 1, r.stderr
+
+
+def test_cli_out_of_range_bounds_exit_3():
+    # values of the right type that the suites cannot run with
+    cases = [
+        ("qn2-pn", '{"pn_max": 0, "instances": 3}', "bounds.qn2-pn.pn_max must be an integer >= 1"),
+        ("theta-polytope", '{"ns": [2]}', "bounds.theta-polytope.ns must be a list of integers >= 3"),
+        ("stability-oracle", '{"random_n": []}', "bounds.stability-oracle.random_n must be a nonempty"),
+        ("roundtrip-hassett", '{"ns": [2]}', "bounds.roundtrip-hassett.ns must be"),
+        ("roundtrip-lm", '{"exhaustive_n": [0]}', "bounds.roundtrip-lm.exhaustive_n must be"),
+        ("limit-equations", '{"corpus": {"random": {"2": 1}}}', "bounds.limit-equations.corpus.random must be"),
+        ("roundtrip-gk", '{"random": {"' + "7" * 5000 + '": 1}}', "bounds.roundtrip-gk.random must be"),
+        ("chambers-vs-grid", '{"plans": [["qn", 2, 8]]}', "bounds.chambers-vs-grid.plans must be"),
+        ("chambers-vs-grid", '{"plans": [["pn", 0, 8]]}', "bounds.chambers-vs-grid.plans must be"),
+        ("chambers-vs-grid", '{"plans": [[["qn"], 3, 8]]}', "bounds.chambers-vs-grid.plans must be"),
+    ]
+    for suite, bounds, message in cases:
+        r = run_cli("verify", "--suite", suite, "--bounds", bounds)
+        assert r.returncode == 3, (suite, bounds, r.stderr)
+        assert r.stdout == "" and r.stderr.startswith(f"error: bad bounds: {message}"), r.stderr
+        assert r.stderr.count("\n") == 1, r.stderr
+
+
+def test_cli_bad_max_work_exits_3():
+    for raw in ("abc", "-5", "0", "1.5", ""):
+        env = dict(os.environ, QML_MAX_WORK=raw)
+        r = run_cli("chambers", "--mode", "qn", "--n", "4", env=env)
+        assert r.returncode == 3, (raw, r.stderr)
+        assert r.stdout == ""
+        assert r.stderr == f"error: QML_MAX_WORK must be an integer >= 1, got {raw!r}\n"
+    r = run_cli("chambers", "--mode", "qn", "--n", "4", env=dict(os.environ, QML_MAX_WORK="3"))
+    assert r.returncode == 2 and "QML_MAX_WORK" in r.stderr
 
 
 def test_cli_tree_without_input_exits_3():

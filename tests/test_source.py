@@ -1,8 +1,11 @@
 """Checks on the library source itself."""
 import ast
+import types
+from fractions import Fraction as F
 from pathlib import Path
 
 import quivermoduli
+from quivermoduli.projline import INF_POINT, Moebius, ProjPoint
 
 
 def test_no_assert_statements():
@@ -13,3 +16,38 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _stored_values(obj):
+    names = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+    return [getattr(obj, name) for name in names] + list(getattr(obj, "__dict__", {}).values())
+
+
+def test_projline_keeps_the_benchmark_tracer_hooks():
+    # qmlbench/tracing.py counts points by replacing ProjPoint.__post_init__
+    # with a one-argument function and wraps the Moebius methods in the
+    # class __dict__
+    assert "__post_init__" in ProjPoint.__dict__
+    for name in ("apply", "compose", "inverse"):
+        assert isinstance(Moebius.__dict__.get(name), types.FunctionType), name
+    orig = ProjPoint.__dict__["__post_init__"]
+    made = []
+
+    def counting(obj):
+        made.append(1)
+        orig(obj)
+
+    ProjPoint.__post_init__ = counting
+    try:
+        p = Moebius(1, 2, 3, 4).apply(ProjPoint(F(1, 2), 3))
+    finally:
+        ProjPoint.__post_init__ = orig
+    assert len(made) == 2 and p == ProjPoint(13, 27)
+
+
+def test_projline_stores_integers_only():
+    for value in (ProjPoint(F(2, 3), F(-5, 7)), INF_POINT, Moebius(F(1, 2), 3, F(-4, 5), 6)):
+        stored = _stored_values(value)
+        assert stored, value
+        for v in stored:
+            assert type(v) is tuple and all(type(x) is int for x in v), (value, v)
