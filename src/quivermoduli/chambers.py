@@ -17,6 +17,17 @@ affine space (a hypersimplex wall written over J and over its complement,
 say) flip together, so each step crosses exactly one hyperplane; a generic
 segment between two regions crosses the distinct hyperplanes one at a time,
 so the walk reaches every region.
+
+Most LPs of the walk are feasible; an empty flip crosses a hyperplane that
+is not a facet of the current region.  When the LP finds a sign vector's
+region empty, the final simplex tableau names a *core*: the signed
+hyperplane rows in the support of its Farkas certificate (see `lp`), which
+with the box and the equalities alone already leave nothing.  The walk
+keeps every core it learns and skips, without an LP, any later flip that
+agrees with a stored core on all of the core's rows: that flip's strict
+system contains the core's rows, so its region is empty too.  The LP of such
+a flip would have returned None, so the walk visits the same regions in the
+same order and finds the same witnesses.
 """
 from __future__ import annotations
 
@@ -302,7 +313,12 @@ def _signed_rows(hyps, signs):
     return rows
 
 
-def _region_witness(nvars, eqs, box_rows, hyps, signs, imps=(), tweak=None):
+def _region_witness(nvars, eqs, box_rows, hyps, signs, imps=(), tweak=None, core=None):
+    """The LP witness of a sign vector, or None if its region is empty.
+
+    When it is empty, a `core` list receives the pairs (k, signs[k]) of a
+    set of hyperplane rows that, with the box and the equalities alone,
+    already leave nothing (see `lp.strict_interior_point`)."""
     # rows dominated by another active row (subset side, same threshold
     # form) are redundant in the strict system and dropped before the LP
     dominated = set()
@@ -311,7 +327,12 @@ def _region_witness(nvars, eqs, box_rows, hyps, signs, imps=(), tweak=None):
             dominated.add(j)
     keep = [k for k in range(len(hyps)) if k not in dominated]
     rows = _signed_rows([hyps[k] for k in keep], [signs[k] for k in keep])
-    return strict_interior_point(nvars, box_rows + rows, eqs, tweak=tweak)
+    found: list[int] = []
+    x = strict_interior_point(nvars, box_rows + rows, eqs, tweak=tweak, core=found)
+    if core is not None:
+        nbox = len(box_rows)
+        core.extend((keep[i - nbox], signs[keep[i - nbox]]) for i in found if i >= nbox)
+    return x
 
 
 def _subset_implications(walls: Sequence[Wall], n: int):
@@ -419,6 +440,19 @@ def _enumerate_regions(nvars, eqs, box_rows, hyps, implications=()):
     single-row flip could never cross a hyperplane written twice.  Every
     witness comes from `_region_witness`, so it depends only on the sign
     vector and not on the order of the walk.
+
+    A flip whose LP finds it empty yields a core, a set of (row, sign)
+    pairs whose rows alone, with the box and the equalities, admit no point;
+    the core is stored under each of its pairs.  A later flip that agrees
+    with a stored core on all of its pairs is empty as well, since its
+    strict system holds the core's rows (the rows `_region_witness` drops as
+    dominated are implied by others it keeps, so dropping them leaves the
+    region as it is).  Such flips are skipped without an LP.  The current
+    region is realized and so matches no core, so only the cores stored
+    under a flipped row's new sign need checking.  Every skipped flip is one
+    whose LP would have returned None, so the walk and its output are the
+    same as without the cores; and since every empty flip met again matches
+    its own core, no set of empty sign vectors is kept.
     """
     seed = _generic_seed(nvars, eqs, box_rows, hyps)
     if seed is None:
@@ -435,7 +469,8 @@ def _enumerate_regions(nvars, eqs, box_rows, hyps, implications=()):
     ]
     start = tuple(1 if _row_value(row, seed) > 0 else -1 for row in hyps)
     regions = {start: _region_witness(nvars, eqs, box_rows, hyps, start, implications)}
-    dead: set[tuple[int, ...]] = set()
+    # the cores learnt from empty flips, under each of their (row, sign)
+    cores: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
     frontier = [start]
     cap = max_work()
     while frontier:
@@ -445,13 +480,22 @@ def _enumerate_regions(nvars, eqs, box_rows, hyps, implications=()):
             for k in cls:
                 flipped[k] = -flipped[k]
             flipped = tuple(flipped)
-            if flipped in regions or flipped in dead:
+            if flipped in regions:
                 continue
             if any(flipped[i] == si and flipped[j] != sj for i, si, j, sj in imps):
                 continue
-            x = _region_witness(nvars, eqs, box_rows, hyps, flipped, implications)
+            if cores and any(
+                all(flipped[i] == si for i, si in core)
+                for k in cls
+                for core in cores.get((k, flipped[k]), ())
+            ):
+                continue
+            learnt: list[tuple[int, int]] = []
+            x = _region_witness(nvars, eqs, box_rows, hyps, flipped, implications, core=learnt)
             if x is None:
-                dead.add(flipped)
+                core = tuple(learnt)
+                for pair in core:
+                    cores.setdefault(pair, []).append(core)
                 continue
             regions[flipped] = x
             frontier.append(flipped)

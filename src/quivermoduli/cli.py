@@ -149,6 +149,8 @@ def cmd_tree(args) -> int:
 
     if args.subcommand == "coords":
         obj = _load(_needed(args, "--tree", "--chain"))
+        if not isinstance(obj, (curves.Chain, curves.PointedTree)):
+            raise CliError(EXIT_INVARIANT, "input is neither a tree nor a chain")
         try:
             if isinstance(obj, curves.Chain):
                 fam = curves.lm_moduli_coordinates(obj)

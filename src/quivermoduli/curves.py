@@ -469,10 +469,6 @@ class ConditionReport:
     witness: object = None
 
 
-def _ih(p: ProjPoint) -> tuple[int, int]:
-    return p.ihom
-
-
 def _check_anchor_rows(family: LimitFamily):
     for label, row in family.charts.items():
         i1, i2, i3 = label
@@ -489,13 +485,13 @@ def _check_permutation_identities(family: LimitFamily):
         for i4 in range(family.n):
             if i4 in (i1, i2, i3):
                 continue
-            x0, x1 = _ih(row[i4])
+            x0, x1 = row[i4].ihom
             if swapped is not None:
-                y0, y1 = _ih(swapped[i4])
+                y0, y1 = swapped[i4].ihom
                 if y0 * x0 != y1 * x1:
                     return ((i1, i2, i3), i4, "swap01")
             if flipped is not None:
-                z0, z1 = _ih(flipped[i4])
+                z0, z1 = flipped[i4].ihom
                 if z0 * x1 != z1 * (x1 - x0):
                     return ((i1, i2, i3), i4, "swap0last")
     return None
@@ -510,8 +506,8 @@ def _check_exchange_identity(family: LimitFamily):
             other = charts.get((i1, i2, i4))
             if other is None:
                 continue
-            x0, x1 = _ih(row[i4])
-            y0, y1 = _ih(other[i3])
+            x0, x1 = row[i4].ihom
+            y0, y1 = other[i3].ihom
             if x0 * y0 != x1 * y1:
                 return ((i1, i2, i3), i4)
     return None
@@ -526,12 +522,12 @@ def _check_five_term(family: LimitFamily):
             other = charts.get((i1, i2, i4))
             if other is None:
                 continue
-            a0, a1 = _ih(row[i4])
+            a0, a1 = row[i4].ihom
             for i5 in range(family.n):
                 if i5 in (i1, i2, i3, i4):
                     continue
-                b0, b1 = _ih(row[i5])
-                c0, c1 = _ih(other[i5])
+                b0, b1 = row[i5].ihom
+                c0, c1 = other[i5].ihom
                 if a0 * b1 * c0 != a1 * b0 * c1:
                     return ((i1, i2, i3), i4, i5)
     return None
@@ -568,9 +564,9 @@ def verify_functor_conditions(family: LimitFamily) -> list[ConditionReport]:
             for j in range(family.n):
                 cj = family.charts[j]
                 for k in range(family.n):
-                    a0, a1 = _ih(cj[i])
-                    b0, b1 = _ih(ci[k])
-                    c0, c1 = _ih(cj[k])
+                    a0, a1 = cj[i].ihom
+                    b0, b1 = ci[k].ihom
+                    c0, c1 = cj[k].ihom
                     if a0 * b0 * c1 != a1 * b1 * c0:
                         w = (i, j, k)
                         break

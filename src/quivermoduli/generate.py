@@ -310,7 +310,11 @@ def random_chain(rng: Rng, labels: Sequence[int], coincide: bool = True) -> Chai
 
 
 def random_hassett_weight(rng: Rng, n: int) -> tuple[Fraction, ...]:
-    """A random admissible weight vector: entries in (0, 1], total above 2."""
+    """A random admissible weight vector: entries in (0, 1], total above 2.
+
+    Raises ValueError for n <= 2, where no such vector exists."""
+    if n <= 2:
+        raise ValueError(f"Hassett weights need n >= 3 entries to sum above 2, got n = {n}")
     while True:
         a = []
         for _ in range(n):

@@ -15,6 +15,15 @@ index, so the pivot sequence does not depend on the order of the slots.
 Strict inequality systems are decided by maximizing an auxiliary slack
 bounded away from zero: the open system {g_k . x > h_k} has a solution iff
 max{s : g_k . x - s >= h_k} is positive.
+
+When it has none, the final tableau holds a Farkas certificate.  The final
+objective row gives den times the reduced costs, and the reduced cost of an
+inequality's slack column is minus that inequality's dual multiplier.  So
+the inequalities whose slack has a nonzero reduced cost are the support of
+an optimal dual solution.  Restricted to those rows, the equalities and
+x >= 0, the same dual solution stays feasible and keeps its value, so the
+smaller system is empty as well: phase 1 still ends above zero, and phase 2
+still caps the slack at zero.  This support is the system's *core*.
 """
 from __future__ import annotations
 
@@ -170,17 +179,30 @@ def _int_rows(mat, rhs):
     return out
 
 
+def _dual_support(tab, first_slack, first_art):
+    """The a_ub rows whose slack has a nonzero reduced cost, ascending."""
+    return sorted(
+        j - first_slack
+        for j, v in zip(tab.cols, tab.obj)
+        if v and first_slack <= j < first_art
+    )
+
+
 def simplex_maximize(
     c: Sequence[Rational],
     a_ub: Sequence[Sequence[Rational]],
     b_ub: Sequence[Rational],
     a_eq: Sequence[Sequence[Rational]] = (),
     b_eq: Sequence[Rational] = (),
+    support: Optional[list[int]] = None,
 ):
     """Maximize c . x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
     Entries are ints or Fractions.  Returns (status, x, value); x and value
-    are None unless status is OPTIMAL.
+    are None unless status is OPTIMAL.  A `support` list receives, when the
+    status is INFEASIBLE or OPTIMAL, the indices of the a_ub rows whose
+    slack has a nonzero reduced cost in the last objective row (phase 1's
+    when infeasible): the support of an optimal dual solution.
     """
     n = len(c)
     m_ub = len(a_ub)
@@ -218,6 +240,8 @@ def simplex_maximize(
         if status != OPTIMAL:
             raise RuntimeError("phase-1 simplex cannot be unbounded")
         if any(bi >= first_art and row[-1] for bi, row in zip(tab.basis, tab.rows)):
+            if support is not None:
+                support.extend(_dual_support(tab, n, first_art))
             return INFEASIBLE, None, None
         # pivot lingering zero-valued artificials out of the basis, each on
         # its lowest nonzero non-artificial column
@@ -235,6 +259,8 @@ def simplex_maximize(
     status = tab.optimize()
     if status != OPTIMAL:
         return UNBOUNDED, None, None
+    if support is not None:
+        support.extend(_dual_support(tab, n, first_art))
     x = [ZERO] * n
     den = tab.den
     for bi, row in zip(tab.basis, tab.rows):
@@ -249,13 +275,16 @@ def strict_interior_point(
     strict_ge: Sequence[tuple[Sequence[Rational], Rational]],
     eqs: Sequence[tuple[Sequence[Rational], Rational]] = (),
     tweak: Optional[Sequence[Rational]] = None,
+    core: Optional[list[int]] = None,
 ) -> Optional[list[Fraction]]:
     """A point x >= 0 with g . x > h for every (g, h) in strict_ge and the
     given equalities, or None if the open system is empty.
 
     The system must be bounded (ours always carry box constraints).  `tweak`
     picks a different witness of the same region by re-optimizing tweak . x
-    with the slack pinned to at least half its maximum.
+    with the slack pinned to at least half its maximum.  When the system is
+    empty, a `core` list receives the ascending indices of strict_ge rows
+    that, with the equalities and x >= 0 alone, already make it empty.
     """
     c = [0] * nvars + [1]
     a_ub = []
@@ -265,14 +294,18 @@ def strict_interior_point(
         b_ub.append(-h)
     a_eq = [[*g, 0] for g, _ in eqs]
     b_eq = [h for _, h in eqs]
-    status, x, _ = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq)
+    if core is None:
+        status, x, _ = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq)
+    else:
+        support: list[int] = []
+        status, x, _ = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq, support=support)
     if status == UNBOUNDED:
         raise RuntimeError("strict feasibility system is unbounded; missing box constraints")
-    if status != OPTIMAL:
+    if status != OPTIMAL or x[nvars] <= 0:
+        if core is not None:
+            core.extend(support)
         return None
     slack = x[nvars]
-    if slack <= 0:
-        return None
     if tweak is None:
         return x[:nvars]
     floor_row = [0] * nvars + [-1]

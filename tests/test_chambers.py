@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from quivermoduli import serialize
+from quivermoduli import chambers, serialize
 from quivermoduli.chambers import (
     BadEpsilonError,
     Chamber,
@@ -31,6 +31,7 @@ from quivermoduli.chambers import (
     _constraints,
     _enumerate_regions,
     _region_witness,
+    _signed_rows,
     _space,
     _subset_implications,
     _wall_row,
@@ -334,6 +335,45 @@ def test_chamber_complex_output_is_pinned():
     text = serialize.dumps(serialize.chamber_complex_json("qn", 6, with_adjacency=False))
     digest = "d2dbad04e9d7bb8ac9c924ab044ec950006ab70813167b833681ddee29eddb2a"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_learnt_cores_skip_empty_flips(monkeypatch):
+    # each empty flip teaches a core, and a later flip that matches a
+    # stored core is skipped without an LP; the counts are the calls to
+    # chambers.strict_interior_point, which the benchmark tracer wraps
+    solve = chambers.strict_interior_point
+    calls = []
+
+    def counted(*args, **kwargs):
+        x = solve(*args, **kwargs)
+        calls.append(x is None)
+        return x
+
+    monkeypatch.setattr(chambers, "strict_interior_point", counted)
+    monkeypatch.setattr(chambers, "_chamber_cache", {})
+    for mode, n, total, empty in (("qn", 6, 1715, 30), ("pn", 4, 161, 6)):
+        calls.clear()
+        enumerate_chambers(mode, n)
+        assert (len(calls), sum(calls)) == (total, empty), (mode, n)
+
+
+def test_region_witness_core_is_empty_on_its_own():
+    mode, n = "pn", 4
+    walls = enumerate_walls(mode, n)
+    nvars, eqs, box_rows, _ = _space(mode, n)
+    hyps = [_wall_row(mode, n, w) for w in walls]
+    imps = _subset_implications(walls, n)
+    seen = 0
+    for signs in itertools.islice(itertools.product((1, -1), repeat=len(hyps)), 0, None, 97):
+        core = []
+        if _region_witness(nvars, eqs, box_rows, hyps, signs, imps, core=core) is not None:
+            assert core == []
+            continue
+        seen += 1
+        assert core and all(signs[k] == s for k, s in core)
+        rows = _signed_rows([hyps[k] for k, _ in core], [s for _, s in core])
+        assert chambers.strict_interior_point(nvars, box_rows + rows, eqs) is None
+    assert seen > 100
 
 
 def test_enumerate_walls_rejects_sizes_without_interior():

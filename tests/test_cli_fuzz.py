@@ -1,0 +1,193 @@
+"""Fuzz the command line in-process: whatever the arguments, `qml` ends with
+one of the documented exit codes 0-5 and never prints a traceback.
+
+Only inputs that finish quickly are drawn: chamber complexes up to n = 5
+(qn) and n = 4 (pn) or sizes that are rejected, and verification bounds
+that are rejected or name every key of a suite with tiny values.  A suite
+run with larger bounds is refused by the guard below and the example is
+dropped.
+"""
+import contextlib
+import io
+import json
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
+
+from quivermoduli import cli, serialize, verify
+from quivermoduli.chambers import QnWeight
+from quivermoduli.curves import Chain, GK, moduli_coordinates
+from quivermoduli.generate import random_gk_tree
+from quivermoduli.projline import affine
+
+_TINY = 4  # the largest size or count a fuzzed suite may run with
+
+_INPUT_NAMES = (
+    "tree.json", "family.json", "chain.json", "weight.json", "bad.json", "empty.json",
+    "list.json", "long.json", "untyped.json", "theta.json", "missing.json",
+)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict[str, str]:
+    """Input files by name, well and badly formed; missing.json is absent."""
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    tree = random_gk_tree(random.Random(3), 5)
+    texts = {
+        "tree.json": serialize.dumps(serialize.tree_json(tree)),
+        "family.json": serialize.dumps(serialize.family_json(moduli_coordinates(tree, GK))),
+        "chain.json": serialize.dumps(serialize.chain_json(Chain((((0, affine(2)),), ((1, affine(5)),))))),
+        "weight.json": serialize.dumps(serialize.weight_json(QnWeight((1, 1, 0)))),
+        "bad.json": "{not json",
+        "empty.json": "",
+        "list.json": "[1, 2]",
+        "long.json": '{"n": ' + "9" * 5000 + "}",
+        "untyped.json": '{"type": "tree"}',
+        "theta.json": json.dumps({"type": "weight", "mode": "qn", "theta": ["1/1"] * 4}),
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return {name: str(root / name) for name in _INPUT_NAMES}
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_value = st.one_of(
+    st.integers(-2, _TINY),
+    st.integers(),
+    st.sampled_from([10**40, "x", "3", None, True, 1.5, [], ["qn", 3, 2], {"4": 2}, {"2": 1}]),
+    st.lists(st.integers(-1, _TINY), max_size=3),
+    st.lists(st.sampled_from([["qn", 3, 2], ["qn", 4, 3], ["pn", 2, 2], ["pn", 0, 2], ["xn", 3, 1]]), max_size=2),
+    st.dictionaries(st.sampled_from(["3", "4", "2", "x", "9" * 5000]), st.integers(-1, 3), max_size=2),
+    _json,
+)
+
+
+@st.composite
+def _near_bounds(draw, spec):
+    """An object over a suite's bounds keys, each value well or badly formed,
+    sometimes with a key left out or an unknown key added."""
+    out = {}
+    for key, sub in spec.items():
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        out[key] = draw(_near_bounds(sub)) if isinstance(sub, dict) else draw(_value)
+    if draw(st.integers(0, 9)) == 0:
+        out[draw(st.text(max_size=5))] = draw(_value)
+    return out
+
+
+@st.composite
+def _verify_argv(draw):
+    suite = draw(st.sampled_from(sorted(verify.SUITES) + ["all", "nope", ""]))
+    spec = verify.BOUNDS.get(suite, {})
+    bounds = draw(st.one_of(
+        st.text(max_size=20),
+        _json.map(json.dumps),
+        _near_bounds(spec).map(json.dumps),
+        _near_bounds(spec).map(lambda b: json.dumps({suite: b})),
+    ))
+    argv = ["verify", "--suite", suite, "--bounds", bounds]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["7", "-1", "x", "1" * 30]))]
+    return argv
+
+
+# pn 5 and 6 and qn 6 and 7 take seconds to minutes, so they are never drawn
+_chambers_argv = st.builds(
+    lambda mode, n, extra: ["chambers", "--mode", mode, "--n", n, *extra],
+    st.sampled_from(["qn", "pn", "xn", ""]),
+    st.sampled_from(["-3", "-1", "0", "1", "2", "3", "4", "5", "8", "13", "99999999999", "x", "1.5", ""]),
+    st.lists(st.sampled_from(["--no-adjacency", "--format", "text", "yaml"]), max_size=3),
+).filter(lambda argv: argv[2:5:2] != ["pn", "5"])
+
+_tree_argv = st.builds(
+    lambda sub, flags: ["tree", sub, *[part for flag in flags for part in flag]],
+    st.sampled_from(["check", "contract", "coords", "reconstruct", "other"]),
+    st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["--tree", "--chain", "--family"]), st.sampled_from(_INPUT_NAMES)),
+            st.tuples(st.just("--keep"), st.sampled_from(["0,1,2", "0,0", "a,b", "", "7", "0,1,2,3,4"])),
+            st.tuples(st.just("--hassett"), st.sampled_from(["1,1,1,1,1", "1/2,1/2,1/2,1/2,1/2", "x", "1/0", "1,1"])),
+        ),
+        max_size=3,
+    ),
+)
+
+_stability_argv = st.builds(
+    lambda config, weight, oracle: ["stability", "--config", config, "--weight", weight, *oracle],
+    st.sampled_from(_INPUT_NAMES),
+    st.sampled_from(_INPUT_NAMES),
+    st.sampled_from([[], ["--oracle"]]),
+)
+
+_argv = st.one_of(
+    _chambers_argv,
+    _verify_argv(),
+    _tree_argv,
+    _stability_argv,
+    st.lists(st.sampled_from(["chambers", "tree", "verify", "--mode", "qn", "--n", "-h", "x"]), max_size=4),
+)
+
+
+class _TooBig(Exception):
+    """A suite run the fuzz test does not afford."""
+
+
+def _is_tiny(spec: dict, bounds) -> bool:
+    """Every key of the suite given, and no size or count above _TINY, so no
+    default (full-size) bound comes into play."""
+
+    def small(v) -> bool:
+        if isinstance(v, bool) or v is None:
+            return True
+        if isinstance(v, int):
+            return v <= _TINY
+        if isinstance(v, (list, tuple)):
+            return all(small(u) for u in v)
+        if isinstance(v, dict):
+            return all(small(verify._size_key(k)) and small(u) for k, u in v.items())
+        return True
+
+    return isinstance(bounds, dict) and all(
+        key in bounds and (_is_tiny(sub, bounds[key]) if isinstance(sub, dict) else small(bounds[key]))
+        for key, sub in spec.items()
+    )
+
+
+_run_suite = verify.run_suite
+
+
+def _guarded_run_suite(name, seed=verify.DEFAULT_SEED, bounds=None):
+    if not _is_tiny(verify.BOUNDS[name], bounds):
+        raise _TooBig(name)
+    return _run_suite(name, seed=seed, bounds=bounds)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = 0 if exc.code is None else exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv)
+@example(["tree", "coords", "--tree", "family.json"])  # was an AttributeError traceback
+def test_cli_exits_with_a_documented_code(inputs, argv):
+    argv = [inputs.get(arg, arg) for arg in argv]
+    with mock.patch.object(verify, "run_suite", _guarded_run_suite):
+        try:
+            code, err = _run(argv)
+        except _TooBig:
+            reject()
+    assert code in range(6), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)

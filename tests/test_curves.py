@@ -254,6 +254,21 @@ def test_hassett_chart_degree():
     assert hassett_chart_degree([(0, 1, 2, 3, 4)], a) == 1
 
 
+class _NoDraws(random.Random):
+    """A generator that fails on any draw, so a sampling loop cannot spin."""
+
+    def random(self):
+        raise RuntimeError("drew a number")
+
+
+def test_hassett_weight_rejects_sizes_without_admissible_weights():
+    for n in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="n >= 3"):
+            random_hassett_weight(_NoDraws(), n)
+    a = random_hassett_weight(random.Random(5), 3)
+    assert len(a) == 3 and sum(a) > 2 and all(0 < v <= 1 for v in a)
+
+
 def test_heavy_tree_chain_correspondence():
     n = 5
     a = lm_specialization_weights(n)

@@ -413,3 +413,35 @@ def test_strict_interior_point_int_and_fraction_rows_match_dense(monkeypatch, pi
     assert pivot_log["condensed"] == pivot_log["dense"] * 2
     assert all(v is None or all(type(t) is F for t in v) for v in got_int)
     assert sum(v is not None for v in want) > 50
+
+
+def test_core_of_an_empty_strict_system_is_empty_on_its_own():
+    # the seeded systems of the test above; their first 2n rows are the box
+    rng = random.Random(20261018)
+    empty = 0
+    for _ in range(300):
+        n, rows, eqs, tweak = _random_strict_system(rng)
+        core = []
+        x = strict_interior_point(n, rows, eqs, tweak, core=core)
+        if x is not None:
+            assert core == []
+            continue
+        empty += 1
+        assert core == sorted(set(core))
+        assert all(0 <= i < len(rows) for i in core), (rows, core)
+        alone = rows[: 2 * n] + [rows[i] for i in core if i >= 2 * n]
+        assert strict_interior_point(n, alone, eqs) is None, (rows, eqs, core)
+    assert empty > 50
+
+
+def test_core_reads_both_phases():
+    # 0 < x < 1 with x > 2: phase 1 finds the closed system infeasible
+    core = []
+    assert strict_interior_point(1, [((1,), 0), ((-1,), -1), ((1,), 2)], core=core) is None
+    assert core == [1, 2]
+    # x > 1 and x < 1 with 0 < x < 3: the closed system is the point x = 1,
+    # so phase 2 caps the slack at zero
+    core = []
+    rows = [((1,), 0), ((-1,), -3), ((1,), 1), ((-1,), -1)]
+    assert strict_interior_point(1, rows, core=core) is None
+    assert core == [2, 3]
