@@ -5,12 +5,20 @@ columns and the right-hand side are stored, each basic column being the
 implicit unit column scaled by the common denominator (the previous pivot).
 Pivots follow the fraction-free Bareiss rule, so every division is exact and
 the inner loops are pure int arithmetic; the leaving variable's column takes
-the entering one's slot.  Constraints given as ints enter the tableau as
-they are, a row holding a Fraction is scaled to integers, and only the
-results (witness and optimal value) are Fractions.  Entering columns follow
-the steepest coefficient at first and Bland's rule after a fixed pivot
-budget, which rules out cycling; every tie goes to the lowest variable
-index, so the pivot sequence does not depend on the order of the slots.
+the entering one's slot.  Most pivots are unit steps, whose pivot element p
+equals the denominator den.  There the Bareiss update (a*p - f*b) // den of
+an entry a, with f the row's entry in the pivot column and b the pivot row's
+entry, is a - f*b // den: den divides a*p - f*b, as every Bareiss
+quotient is exact, and a*p = a*den, so den divides f*b.  A unit step
+therefore leaves rows with f = 0 alone and touches the others only where the
+pivot row is nonzero.
+
+Constraints given as ints enter the tableau as they are, a row holding a
+Fraction is scaled to integers, and only the results (witness and optimal
+value) are Fractions.  Entering columns follow the steepest coefficient at
+first and Bland's rule after a fixed pivot budget, which rules out cycling;
+every tie goes to the lowest variable index, so the pivot sequence does not
+depend on the order of the slots.
 
 Strict inequality systems are decided by maximizing an auxiliary slack
 bounded away from zero: the open system {g_k . x > h_k} has a solution iff
@@ -28,6 +36,7 @@ still caps the slack at zero.  This support is the system's *core*.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from numbers import Rational
 from typing import Optional, Sequence
@@ -63,11 +72,30 @@ class _Tableau:
         """Exchange basic row r with the variable of slot s (Bareiss step).
 
         The leaving variable's column takes slot s: the old den in row r and
-        -f in every other row, f being that row's entry at slot s."""
+        -f in every other row, f being that row's entry at slot s.
+
+        A unit step (pivot element p equal to den) turns the update
+        (a*p - f*b) // den into a - f*b // den, exact because den divides
+        a*p - f*b and a*p, hence f*b.  So a row with f == 0 stays as it is,
+        and any other row, obj included, changes only where the pivot row is
+        nonzero; those entries are updated in place.  Other steps rewrite
+        every row."""
         rows = self.rows
         den = self.den
         prow = rows[r]
         p = prow[s]
+        if p == den:
+            nonzero = [(j, b) for j, b in enumerate(prow) if b and j != s]
+            # chain, not a new tuple of the rows per pivot: CPython keeps up
+            # to 2000 freed tuples of each length below 20, holding memory
+            for row in chain(rows, (self.obj,)):
+                f = row[s]
+                if f and row is not prow:
+                    for j, b in nonzero:
+                        row[j] -= f * b // den
+                    row[s] = -f
+            self.basis[r], self.cols[s] = self.cols[s], self.basis[r]
+            return
         for i, row in enumerate(rows):
             if i != r:
                 f = row[s]

@@ -29,6 +29,7 @@ from .chambers import (
     enumerate_walls,
     project_weight_to_pn,
     wall_relative_interior_point,
+    wall_value,
 )
 from .configs import (
     PnConfig,
@@ -284,6 +285,30 @@ def _distinguishing_partition(mode: str, n: int, wall):
     return blocks, PnConfig(tuple(pts))
 
 
+def _crosses_one_wall(a, b, walls) -> bool:
+    """Whether chambers a and b differ in exactly one wall, and the segment
+    between their witnesses meets that wall at an interior point lying on
+    no other wall and on the same side of every other wall as a."""
+    diff = [t for t, (x, y) in enumerate(zip(a.signs, b.signs)) if x != y]
+    if len(diff) != 1:
+        return False
+    k = diff[0]
+    va, vb = wall_value(a.witness, walls[k]), wall_value(b.witness, walls[k])
+    if va * vb >= 0:
+        return False
+    t = va / (va - vb)
+    wa, wb = a.witness, b.witness
+    theta = tuple(x + t * (y - x) for x, y in zip(wa.theta, wb.theta))
+    if isinstance(wa, QnWeight):
+        q = QnWeight(theta)
+    else:
+        q = PnWeight(wa.eta1 + t * (wb.eta1 - wa.eta1), wa.eta2 + t * (wb.eta2 - wa.eta2), theta)
+    if classify_weight(q).outer:
+        return False
+    signs = [(v > 0) - (v < 0) for v in (wall_value(q, w) for w in walls)]
+    return signs == [0 if i == k else s for i, s in enumerate(a.signs)]
+
+
 def suite_chambers_vs_grid(seed: int, bounds: dict) -> dict:
     rep = _Report("chambers-vs-grid")
     plans = bounds.get(
@@ -304,21 +329,26 @@ def suite_chambers_vs_grid(seed: int, bounds: dict) -> dict:
                 sg = _pn_signs(h, pt, walls)
                 if sg is not None:
                     buckets.setdefault(sg, (h, pt))
+        # every grid chamber must be enumerated; a grid too coarse to meet
+        # an enumerated chamber leaves that chamber to its own witness,
+        # which classify_weight must place inside it
+        unmet = [
+            c.signs for c in chs
+            if c.signs not in buckets and classify_weight(c.witness).signs != c.signs
+        ]
         if not rep.expect(
-            set(buckets) == sign_set,
+            set(buckets) <= sign_set and not unmet,
             lambda: {
                 "mode": mode,
                 "n": n,
                 "grid_only": sorted(set(buckets) - sign_set)[:3],
-                "enumerated_only": sorted(sign_set - set(buckets))[:3],
+                "enumerated_only": sorted(unmet)[:3],
             },
         ):
             return rep.result()
         # adjacency: grid steps crossing exactly one wall versus the exact test
-        adj = {
-            frozenset((chs[i].signs, chs[k].signs))
-            for i, k in chamber_adjacency(mode, n, chs)
-        }
+        pairs = chamber_adjacency(mode, n, chs)
+        adj = {frozenset((chs[i].signs, chs[k].signs)) for i, k in pairs}
         # wall sums move by at most one grid unit per unit step, so a unit
         # step always lands on the wall it meets; steps of two units jump
         # across, and a jump changing exactly one sign crosses exactly that
@@ -362,8 +392,14 @@ def suite_chambers_vs_grid(seed: int, bounds: dict) -> dict:
                     if sg2 is not None and sg2 != sg:
                         if sum(1 for a, b in zip(sg, sg2) if a != b) == 1:
                             grid_adj.add(frozenset((sg, sg2)))
+        # an exact edge the grid steps over needs a crossing point instead
+        unmet_edges = [
+            (i, k) for i, k in pairs
+            if frozenset((chs[i].signs, chs[k].signs)) not in grid_adj
+            and not _crosses_one_wall(chs[i], chs[k], walls)
+        ]
         if not rep.expect(
-            grid_adj == adj,
+            grid_adj <= adj and not unmet_edges,
             lambda: {"mode": mode, "n": n, "grid_edges": len(grid_adj), "exact_edges": len(adj)},
         ):
             return rep.result()

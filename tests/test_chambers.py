@@ -1,10 +1,11 @@
 import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from quivermoduli import chambers, serialize
+from quivermoduli import chambers, lp, serialize
 from quivermoduli.chambers import (
     BadEpsilonError,
     Chamber,
@@ -355,6 +356,26 @@ def test_learnt_cores_skip_empty_flips(monkeypatch):
         calls.clear()
         enumerate_chambers(mode, n)
         assert (len(calls), sum(calls)) == (total, empty), (mode, n)
+
+
+def test_pivot_counts_are_pinned(monkeypatch):
+    # every pivot of the exact simplex under an enumeration, and the unit
+    # steps among them (pivot element equal to den), which update only the
+    # pivot row's nonzero columns
+    pivot = lp._Tableau.pivot
+    counts = Counter()
+
+    def counted(self, r, s):
+        counts["all"] += 1
+        counts["unit"] += self.rows[r][s] == self.den
+        pivot(self, r, s)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", counted)
+    monkeypatch.setattr(chambers, "_chamber_cache", {})
+    for mode, n, total, unit in (("qn", 6, 18871, 15867), ("pn", 4, 1322, 975)):
+        counts.clear()
+        enumerate_chambers(mode, n)
+        assert (counts["all"], counts["unit"]) == (total, unit), (mode, n)
 
 
 def test_region_witness_core_is_empty_on_its_own():

@@ -1,4 +1,6 @@
+import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from fractions import Fraction as F
 from math import lcm
@@ -445,3 +447,50 @@ def test_core_reads_both_phases():
     rows = [((1,), 0), ((-1,), -3), ((1,), 1), ((-1,), -1)]
     assert strict_interior_point(1, rows, core=core) is None
     assert core == [2, 3]
+
+
+@pytest.fixture
+def pivot_kinds(monkeypatch):
+    """Count the pivots of lp._Tableau by kind: unit steps (pivot element
+    equal to den) with den 1 or den > 1, and the other steps."""
+    kinds = Counter()
+    pivot = lp._Tableau.pivot
+
+    def counted(self, r, s):
+        p = self.rows[r][s]
+        kinds["other" if p != self.den else "unit, den 1" if p == 1 else "unit, den > 1"] += 1
+        pivot(self, r, s)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", counted)
+    return kinds
+
+
+def test_solvers_leave_their_inputs_unmodified(pivot_kinds):
+    # the seeded programs and strict systems of the tests above; the unit
+    # steps update the tableau rows in place, and those rows must never be
+    # the caller's lists
+    rng = random.Random(20260809)
+    for _ in range(400):
+        prog = _random_program(rng)
+        before = copy.deepcopy(prog)
+        simplex_maximize(*prog)
+        assert prog == before
+    rng = random.Random(20261018)
+    for _ in range(300):
+        case = _random_strict_system(rng)
+        before = copy.deepcopy(case)
+        strict_interior_point(*case)
+        assert case == before
+        # the same system handed to simplex_maximize as lists of ints
+        n, rows, eqs, _ = case
+        prog = (
+            [0] * n + [1],
+            [[-v for v in g] + [1] for g, _ in rows],
+            [-h for _, h in rows],
+            [[*g, 0] for g, _ in eqs],
+            [h for _, h in eqs],
+        )
+        before = copy.deepcopy(prog)
+        simplex_maximize(*prog)
+        assert prog == before
+    assert set(pivot_kinds) == {"unit, den 1", "unit, den > 1", "other"}, pivot_kinds

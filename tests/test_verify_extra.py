@@ -1,13 +1,16 @@
 """Cross-cutting checks: the verification machinery detects injected bugs,
 double-star gluing, and small odds and ends of the JSON/CLI surface."""
+import itertools
 import json
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
 
+from quivermoduli import cli
 from quivermoduli import configs as configs_mod
 from quivermoduli import verify
+from quivermoduli.chambers import Chamber
 from quivermoduli.configs import (
     IRREDUCIBLE,
     PnConfig,
@@ -86,3 +89,61 @@ def test_quiver_json_round_trip():
     doc = serialize.quiver_json(q, d, theta)
     q2, d2, t2 = serialize.parse_quiver(doc)
     assert q2 == q and d2 == d and t2 == theta
+
+
+def _grid_suite(capsys, *plans):
+    rc = cli.main(["verify", "--suite", "chambers-vs-grid", "--bounds", json.dumps({"plans": plans})])
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    return rc, report
+
+
+def test_chambers_vs_grid_accepts_coarse_grids(capsys):
+    # these grids miss chambers (the first five) or edges (the last two);
+    # what they miss is confirmed by witnesses and crossing points instead
+    for plan in (("pn", 2, 2), ("pn", 2, 3), ("qn", 4, 2), ("qn", 4, 3), ("pn", 3, 4),
+                 ("qn", 4, 5), ("pn", 3, 9)):
+        rc, report = _grid_suite(capsys, plan)
+        assert rc == 0 and report["passed"], (plan, report)
+
+
+def test_chambers_vs_grid_catches_a_dropped_chamber(monkeypatch, capsys):
+    real = verify.enumerate_chambers
+    for drop in range(len(real("pn", 2))):
+        monkeypatch.setattr(
+            verify, "enumerate_chambers",
+            lambda mode, n: [c for i, c in enumerate(real(mode, n)) if i != drop],
+        )
+        rc, report = _grid_suite(capsys, ("pn", 2, 8))
+        assert rc == 1 and report["counterexample"]["grid_only"], drop
+
+
+def test_chambers_vs_grid_catches_a_bogus_chamber_or_edge_on_a_coarse_grid(monkeypatch, capsys):
+    real_chambers = verify.enumerate_chambers
+    real_adjacency = verify.chamber_adjacency
+
+    def with_bogus_chamber(mode, n):
+        # a sign vector no chamber has, carrying a real chamber's witness
+        chs = list(real_chambers(mode, n))
+        realized = {c.signs for c in chs}
+        fake = next(
+            s for s in itertools.product((1, -1), repeat=len(chs[0].signs)) if s not in realized
+        )
+        return chs + [Chamber(fake, chs[0].witness)]
+
+    monkeypatch.setattr(verify, "enumerate_chambers", with_bogus_chamber)
+    rc, report = _grid_suite(capsys, ("qn", 5, 4))
+    assert rc == 1 and report["counterexample"]["enumerated_only"], report
+    monkeypatch.setattr(verify, "enumerate_chambers", real_chambers)
+
+    def with_bogus_edge(mode, n, chs):
+        # two chambers differing in two walls are not adjacent
+        far = next(
+            (i, k) for i, k in itertools.combinations(range(len(chs)), 2)
+            if sum(a != b for a, b in zip(chs[i].signs, chs[k].signs)) == 2
+        )
+        return real_adjacency(mode, n, chs) + [far]
+
+    monkeypatch.setattr(verify, "chamber_adjacency", with_bogus_edge)
+    for plan in (("qn", 4, 5), ("qn", 4, 8)):
+        rc, report = _grid_suite(capsys, plan)
+        assert rc == 1 and "exact_edges" in report["counterexample"], (plan, report)
