@@ -28,9 +28,20 @@ agrees with a stored core on all of the core's rows: that flip's strict
 system contains the core's rows, so its region is empty too.  The LP of such
 a flip would have returned None, so the walk visits the same regions in the
 same order and finds the same witnesses.
+
+Every linear constraint takes one form, the LP row (coeffs, rhs) read as
+coeffs . x - rhs over the variables of `_space`: the box, the walls, and the
+facets that cut a stability polytope or a Hassett target out of its ambient
+polytope (`_constraints`).  `cover_check` walks the arrangement of the
+members' and the target's facet rows.  A region's witness satisfies every
+row strictly on the side the region's sign vector names, so the signs alone
+decide membership: the region lies in a member iff every row of the member
+reads -1, and outside the Hassett target iff some row of the target reads
++1.  Only an uncovered witness is decoded into a weight.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -238,58 +249,53 @@ def classify_weight(weight: Weight) -> WeightClass:
 
 
 def _space(mode: str, n: int):
+    """(nvars, eqs, box_rows, decode): the variable count, the equality rows
+    and the strict box rows of one ambient polytope, and the map from an LP
+    point to its weight; `_encode` is the inverse of `decode`."""
     if mode == QN:
         nvars = n
-        eqs = [((1,) * n, 2)]
-
-        def box():
-            rows = []
-            for i in range(n):
-                e = [0] * n
-                e[i] = 1
-                rows.append((tuple(e), 0))  # theta_i > 0
-                e[i] = -1
-                rows.append((tuple(e), -1))  # theta_i < 1
-            return rows
+        eqs = (((1,) * n, 2),)
+        box = []
+        for i in range(n):
+            e = _indicator(n, (i,))
+            box.append((e, 0))  # theta_i > 0
+            box.append((tuple(-c for c in e), -1))  # theta_i < 1
 
         def decode(x):
             return QnWeight(tuple(x))
 
     elif mode == PN:
         nvars = n + 2
-        eqs = [
+        eqs = (
             ((1, 1) + (0,) * n, 1),
             ((0, 0) + (1,) * n, 1),
-        ]
-
-        def box():
-            rows = []
-            for i in range(nvars):
-                e = [0] * nvars
-                e[i] = 1
-                rows.append((tuple(e), 0))  # h_j > 0, theta_i > 0
-            return rows
+        )
+        box = [(_indicator(nvars, (i,)), 0) for i in range(nvars)]  # h_j > 0, theta_i > 0
 
         def decode(x):
             return PnWeight(-x[0], -x[1], tuple(x[2:]))
 
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return nvars, eqs, box(), decode
+    return nvars, eqs, tuple(box), decode
+
+
+def _encode(weight: Weight) -> tuple[Fraction, ...]:
+    """The LP point of a weight: theta, or (h1, h2, theta) with h_j = -eta_j."""
+    if isinstance(weight, QnWeight):
+        return weight.theta
+    return (-weight.eta1, -weight.eta2, *weight.theta)
+
+
+def _indicator(length: int, idxs) -> tuple[int, ...]:
+    return tuple(1 if i in idxs else 0 for i in range(length))
 
 
 def _wall_row(mode: str, n: int, wall: Wall) -> tuple[tuple[int, ...], int]:
     """(coeffs, rhs) with coeffs . x - rhs = wall_value."""
     if mode == QN:
-        coeffs = [0] * n
-        for i in wall.j:
-            coeffs[i] = 1
-        return tuple(coeffs), 1
-    coeffs = [0] * (n + 2)
-    coeffs[0] = -1  # -h1 = eta1
-    for i in wall.j:
-        coeffs[2 + i] = 1
-    return tuple(coeffs), 0
+        return _indicator(n, wall.j), 1
+    return (-1, 0) + _indicator(n, wall.j), 0  # -h1 = eta1
 
 
 @dataclass(frozen=True)
@@ -328,7 +334,7 @@ def _region_witness(nvars, eqs, box_rows, hyps, signs, imps=(), tweak=None, core
     keep = [k for k in range(len(hyps)) if k not in dominated]
     rows = _signed_rows([hyps[k] for k in keep], [signs[k] for k in keep])
     found: list[int] = []
-    x = strict_interior_point(nvars, box_rows + rows, eqs, tweak=tweak, core=found)
+    x = strict_interior_point(nvars, [*box_rows, *rows], eqs, tweak=tweak, core=found)
     if core is not None:
         nbox = len(box_rows)
         core.extend((keep[i - nbox], signs[keep[i - nbox]]) for i in found if i >= nbox)
@@ -508,6 +514,17 @@ _CHAMBER_BOUNDS = {QN: 7, PN: 6}
 _chamber_cache: dict[tuple[str, int], tuple[Chamber, ...]] = {}
 
 
+@functools.cache
+def _arrangement(mode: str, n: int):
+    """The inner-wall arrangement as LP data: (walls, nvars, eqs, box_rows,
+    decode, hyps, imps), with `_space`'s parts, one row per wall and the
+    subset implications between the walls' signs."""
+    walls = tuple(enumerate_walls(mode, n))
+    nvars, eqs, box_rows, decode = _space(mode, n)
+    hyps = tuple(_wall_row(mode, n, w) for w in walls)
+    return walls, nvars, eqs, box_rows, decode, hyps, tuple(_subset_implications(walls, n))
+
+
 def enumerate_chambers(mode: str, n: int) -> list[Chamber]:
     """All chambers of the inner-wall arrangement, each with a witness."""
     if n > _CHAMBER_BOUNDS[mode]:
@@ -516,23 +533,17 @@ def enumerate_chambers(mode: str, n: int) -> list[Chamber]:
         )
     key = (mode, n)
     if key not in _chamber_cache:
-        walls = enumerate_walls(mode, n)
-        nvars, eqs, box_rows, decode = _space(mode, n)
-        hyps = [_wall_row(mode, n, w) for w in walls]
-        imps = _subset_implications(walls, n)
-        out = []
-        for signs, x in _enumerate_regions(nvars, eqs, box_rows, hyps, imps):
-            out.append(Chamber(signs, decode(x)))
-        _chamber_cache[key] = tuple(out)
+        _, nvars, eqs, box_rows, decode, hyps, imps = _arrangement(mode, n)
+        _chamber_cache[key] = tuple(
+            Chamber(signs, decode(x))
+            for signs, x in _enumerate_regions(nvars, eqs, box_rows, hyps, imps)
+        )
     return list(_chamber_cache[key])
 
 
 def chamber_second_witness(mode: str, n: int, chamber: Chamber) -> Weight:
     """Another interior point of the same chamber (distinct when possible)."""
-    walls = enumerate_walls(mode, n)
-    nvars, eqs, box_rows, decode = _space(mode, n)
-    hyps = [_wall_row(mode, n, w) for w in walls]
-    imps = _subset_implications(walls, n)
+    _, nvars, eqs, box_rows, decode, hyps, imps = _arrangement(mode, n)
     tweak = [Fraction(1, 997 + 13 * k) for k in range(nvars)]
     x = _region_witness(nvars, eqs, box_rows, hyps, chamber.signs, imps, tweak=tweak)
     if x is None:
@@ -563,11 +574,9 @@ def chamber_adjacency(mode: str, n: int, chambers: Sequence[Chamber]) -> list[tu
 def wall_relative_interior_point(mode: str, n: int, wall: Wall) -> Weight:
     """A weight in the relative interior of one inner wall: equality there,
     strictly off every other wall, strictly inside the polytope."""
-    walls = enumerate_walls(mode, n)
-    nvars, eqs, box_rows, decode = _space(mode, n)
-    target = _wall_row(mode, n, wall)
-    rest = [_wall_row(mode, n, w) for w in walls if w != wall]
-    x = _generic_seed(nvars, eqs + [target], box_rows, rest)
+    walls, nvars, eqs, box_rows, decode, hyps, _ = _arrangement(mode, n)
+    rest = [row for w, row in zip(walls, hyps) if w != wall]
+    x = _generic_seed(nvars, (*eqs, _wall_row(mode, n, wall)), box_rows, rest)
     if x is None:
         raise ValueError(f"wall {wall} does not meet the polytope interior")
     return decode(x)
@@ -731,45 +740,31 @@ class HassettPolytope:
 TargetPolytope = Union[StabPolytope, HassettPolytope]
 
 
-def _constraints(p: TargetPolytope):
-    """List of (kind, index set, bound) closed constraints with value <= 0 inside."""
+def _constraints(p: TargetPolytope) -> list[tuple[tuple[int, ...], Union[int, Fraction]]]:
+    """The LP rows (coeffs, rhs) of the facet inequalities coeffs . x <= rhs
+    that cut the polytope out of its ambient polytope, in the variables of
+    `_space`."""
+    n = p.n
     if isinstance(p, HassettPolytope):
-        return [("theta_le", (i,), p.a[i]) for i in range(p.n) if p.a[i] < 1]
+        return [(_indicator(n, (i,)), p.a[i]) for i in range(n) if p.a[i] < 1]
     if p.mode == QN:
-        return [("sum_le", b, 1) for b in p.partition if len(b) >= 2]
+        return [(_indicator(n, b), 1) for b in p.partition if len(b) >= 2]
     out = []
     if p.j0:
-        out.append(("sum_le_h2", p.j0, None))
+        out.append(((0, -1) + _indicator(n, p.j0), 0))  # sum over j0 <= h2
     if p.jinf:
-        out.append(("sum_le_h1", p.jinf, None))
+        out.append(((-1, 0) + _indicator(n, p.jinf), 0))  # sum over jinf <= h1
     return out
 
 
-def _constraint_value(kind, idxs, bound, weight) -> Fraction:
-    """Value <= 0 inside the polytope, 0 on the constraint boundary."""
-    if kind == "theta_le":
-        return weight.theta[idxs[0]] - bound
-    if kind == "sum_le":
-        return sum(weight.theta[i] for i in idxs) - bound
-    if kind == "sum_le_h2":
-        return sum(weight.theta[i] for i in idxs) + weight.eta2
-    if kind == "sum_le_h1":
-        return sum(weight.theta[i] for i in idxs) + weight.eta1
-    raise ValueError(kind)
-
-
-def _ambient_strict_values(weight) -> list[Fraction]:
-    """Values that are positive exactly in the ambient polytope interior."""
-    if isinstance(weight, QnWeight):
-        vals = [v for v in weight.theta]
-        vals += [1 - v for v in weight.theta]
-        return vals
-    return [-weight.eta1, -weight.eta2] + list(weight.theta)
+def _mode_of(p: TargetPolytope) -> str:
+    return QN if isinstance(p, HassettPolytope) else p.mode
 
 
 def polytope_contains(p: TargetPolytope, weight: Weight) -> str:
     """Exact membership classification via the facet inequalities."""
-    if isinstance(p, HassettPolytope) or p.mode == QN:
+    mode = _mode_of(p)
+    if mode == QN:
         if not isinstance(weight, QnWeight):
             raise TypeError("hypersimplex polytopes take hypersimplex weights")
     else:
@@ -777,44 +772,14 @@ def polytope_contains(p: TargetPolytope, weight: Weight) -> str:
             raise TypeError("double-star polytopes take double-star weights")
     if weight.n != p.n:
         raise ValueError("incompatible number of indices")
-    vals = [
-        _constraint_value(kind, idxs, bound, weight)
-        for kind, idxs, bound in _constraints(p)
-    ]
+    x = _encode(weight)
+    vals = [_row_value(row, x) for row in _constraints(p)]
     if any(v > 0 for v in vals):
         return OUTSIDE
-    if all(v < 0 for v in vals) and all(v > 0 for v in _ambient_strict_values(weight)):
+    box_rows = _space(mode, p.n)[2]
+    if all(v < 0 for v in vals) and all(_row_value(row, x) > 0 for row in box_rows):
         return INTERIOR
     return BOUNDARY
-
-
-def _mode_of(p: TargetPolytope) -> str:
-    return QN if isinstance(p, HassettPolytope) else p.mode
-
-
-def _constraint_row(mode: str, n: int, kind, idxs, bound):
-    """LP row (coeffs, rhs) with coeffs . x - rhs = constraint value."""
-    nvars = n if mode == QN else n + 2
-    off = 0 if mode == QN else 2
-    coeffs = [0] * nvars
-    if kind == "theta_le":
-        coeffs[off + idxs[0]] = 1
-        return tuple(coeffs), bound
-    if kind == "sum_le":
-        for i in idxs:
-            coeffs[off + i] = 1
-        return tuple(coeffs), bound
-    if kind == "sum_le_h2":
-        for i in idxs:
-            coeffs[off + i] = 1
-        coeffs[1] = -1
-        return tuple(coeffs), 0
-    if kind == "sum_le_h1":
-        for i in idxs:
-            coeffs[off + i] = 1
-        coeffs[0] = -1
-        return tuple(coeffs), 0
-    raise ValueError(kind)
 
 
 def interiors_intersect(a: TargetPolytope, b: TargetPolytope) -> bool:
@@ -822,13 +787,11 @@ def interiors_intersect(a: TargetPolytope, b: TargetPolytope) -> bool:
     mode = _mode_of(a)
     if mode != _mode_of(b) or a.n != b.n:
         raise ValueError("polytopes live in different ambient spaces")
-    n = a.n
-    nvars, eqs, box_rows, _ = _space(mode, n)
+    nvars, eqs, box_rows, _ = _space(mode, a.n)
     rows = list(box_rows)
     for p in (a, b):
-        for kind, idxs, bound in _constraints(p):
-            coeffs, rhs = _constraint_row(mode, n, kind, idxs, bound)
-            rows.append((tuple(-c for c in coeffs), -rhs))  # value < 0
+        # value < 0
+        rows.extend((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in _constraints(p))
     return strict_interior_point(nvars, rows, eqs) is not None
 
 
@@ -841,31 +804,32 @@ def cover_check(
     """Whether the union of the given stability polytopes covers the target
     (the full ambient polytope, or the sub-polytope below a Hassett weight).
 
-    Decided exactly: enumerate the chambers of the arrangement of all facet
-    walls of the members plus the facet planes of the target, and test each
-    chamber witness for membership in some member.  Returns an uncovered
-    witness on failure.
+    Decided exactly: enumerate the regions of the arrangement of all facet
+    rows of the members and of the target, and test each region for
+    membership in some member.  Returns an uncovered witness on failure.
+
+    Every region's witness satisfies each row strictly on the side its sign
+    vector names, so the signs decide membership without evaluating a row:
+    the region lies in a member iff every row of the member reads -1, and
+    outside the target iff some row of the target reads +1.
     """
     if a is not None and mode != QN:
         raise ValueError("weighted targets only exist for the hypersimplex")
     if n > 6:
         raise TooLargeError("cover check capped at n <= 6")
     target = HassettPolytope(tuple(a)) if a is not None else None
-    rows = []
-    seen_rows = set()
+    # each distinct row, in order of first appearance, and its index
+    index: dict[tuple, int] = {}
+    members = []
     for p in list(polys) + ([target] if target is not None else []):
         if p.n != n or _mode_of(p) != mode:
             raise ValueError("member polytope in a different ambient space")
-        for kind, idxs, bound in _constraints(p):
-            row = _constraint_row(mode, n, kind, idxs, bound)
-            if row not in seen_rows:
-                seen_rows.add(row)
-                rows.append(row)
+        members.append([index.setdefault(row, len(index)) for row in _constraints(p)])
+    target_rows = members.pop() if target is not None else []
     nvars, eqs, box_rows, decode = _space(mode, n)
-    for signs, x in _enumerate_regions(nvars, eqs, box_rows, rows):
-        w = decode(x)
-        if target is not None and polytope_contains(target, w) == OUTSIDE:
+    for signs, x in _enumerate_regions(nvars, eqs, box_rows, list(index)):
+        if any(signs[k] > 0 for k in target_rows):
             continue
-        if not any(polytope_contains(p, w) != OUTSIDE for p in polys):
-            return False, w
+        if not any(all(signs[k] < 0 for k in ks) for ks in members):
+            return False, decode(x)
     return True, None

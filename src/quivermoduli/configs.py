@@ -332,8 +332,7 @@ def normalize_chart_pn(config: PnConfig, index: int) -> PnConfig:
     s = secs[index]
     if s == ZERO_POINT or s == INF_POINT:
         raise DegenerateAnchorError(f"section {index} sits at an anchor")
-    x0, x1 = s.ihom
-    m = Moebius(x1, 0, 0, x0)
+    m = moebius_from_triple(ZERO_POINT, INF_POINT, s)
     return PnConfig(tuple(m.apply(p) for p in secs))
 
 

@@ -34,7 +34,6 @@ from .projline import (
     INF_POINT,
     ONE_POINT,
     ZERO_POINT,
-    Moebius,
     ProjPoint,
     moebius_from_triple,
     moebius_two_point,
@@ -432,9 +431,7 @@ def lm_moduli_coordinates(chain: Chain) -> LimitFamily:
     charts: dict[int, tuple[ProjPoint, ...]] = {}
     for i in range(n):
         ci = comp_of[i]
-        s = point_of[i]
-        x0, x1 = s.ihom
-        scale = Moebius(x1, 0, 0, x0)
+        scale = moebius_from_triple(ZERO_POINT, INF_POINT, point_of[i])
         row = []
         for j in range(n):
             cj = comp_of[j]
@@ -736,8 +733,7 @@ def _diag_rescale(row: Sequence[ProjPoint], index: int) -> Optional[tuple[ProjPo
     s = row[index]
     if s == ZERO_POINT or s == INF_POINT:
         return None
-    x0, x1 = s.ihom
-    m = Moebius(x1, 0, 0, x0)
+    m = moebius_from_triple(ZERO_POINT, INF_POINT, s)
     return tuple(m.apply(p) for p in row)
 
 
@@ -834,10 +830,7 @@ def chain_canonical(chain: Chain) -> Chain:
     """Rescale each component so its least mark sits at (1:1)."""
     comps = []
     for comp in chain.components:
-        row = [p for _, p in comp]
-        lead = row[0]
-        x0, x1 = lead.ihom
-        m = Moebius(x1, 0, 0, x0)
+        m = moebius_from_triple(ZERO_POINT, INF_POINT, comp[0][1])
         comps.append(tuple((lb, m.apply(p)) for lb, p in comp))
     return Chain(tuple(comps))
 

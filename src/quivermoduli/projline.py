@@ -131,15 +131,6 @@ def pp_eq(p: ProjPoint, q: ProjPoint) -> bool:
     return p.ihom == q.ihom
 
 
-def det2(p: ProjPoint, q: ProjPoint) -> Fraction:
-    """d(p, q) = p0*q1 - p1*q0 on the canonical forms, the single source of
-    sign conventions.
-
-    Vanishes exactly when p and q coincide.
-    """
-    return p.c0 * q.c1 - p.c1 * q.c0
-
-
 class Moebius(_Frozen):
     """An invertible 2x2 matrix class up to scale, given by any exact
     rational representative (m00, m01, m10, m11) in row-major order.

@@ -255,20 +255,14 @@ def _pn_grid(n: int, den: int):
             yield h, combo + (last,)
 
 
-def _qn_signs(point: tuple[int, ...], walls, den: int):
+def _grid_signs(point: tuple[int, ...], walls, threshold: int):
+    """Wall signs of a grid point (coordinates times den), or None on a
+    wall.  The threshold is the walls' right-hand side on that scale: den
+    for the hypersimplex (sum = 1), h = den * h1 for the double star
+    (sum = -eta1)."""
     out = []
     for w in walls:
-        v = sum(point[i] for i in w.j) - den
-        if v == 0:
-            return None
-        out.append(1 if v > 0 else -1)
-    return tuple(out)
-
-
-def _pn_signs(h: int, point: tuple[int, ...], walls):
-    out = []
-    for w in walls:
-        v = sum(point[i] for i in w.j) - h
+        v = sum(point[i] for i in w.j) - threshold
         if v == 0:
             return None
         out.append(1 if v > 0 else -1)
@@ -321,12 +315,12 @@ def suite_chambers_vs_grid(seed: int, bounds: dict) -> dict:
         buckets: dict[tuple[int, ...], tuple] = {}
         if mode == QN:
             for pt in _qn_grid(n, den):
-                sg = _qn_signs(pt, walls, den)
+                sg = _grid_signs(pt, walls, den)
                 if sg is not None:
                     buckets.setdefault(sg, pt)
         else:
             for h, pt in _pn_grid(n, den):
-                sg = _pn_signs(h, pt, walls)
+                sg = _grid_signs(pt, walls, h)
                 if sg is not None:
                     buckets.setdefault(sg, (h, pt))
         # every grid chamber must be enumerated; a grid too coarse to meet
@@ -357,7 +351,7 @@ def suite_chambers_vs_grid(seed: int, bounds: dict) -> dict:
         if mode == QN:
             lookup = {}
             for pt in _qn_grid(n, den):
-                sg = _qn_signs(pt, walls, den)
+                sg = _grid_signs(pt, walls, den)
                 if sg is not None:
                     lookup[pt] = sg
             for pt, sg in lookup.items():
@@ -372,7 +366,7 @@ def suite_chambers_vs_grid(seed: int, bounds: dict) -> dict:
         else:
             lookup = {}
             for h, pt in _pn_grid(n, den):
-                sg = _pn_signs(h, pt, walls)
+                sg = _grid_signs(pt, walls, h)
                 if sg is not None:
                     lookup[(h, pt)] = sg
             for (h, pt), sg in lookup.items():
@@ -998,8 +992,3 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, bounds: Optional[dict] = None
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name](seed, bounds or {})
-
-
-def run_all(seed: int = DEFAULT_SEED, bounds: Optional[dict] = None) -> list[dict]:
-    bounds = bounds or {}
-    return [SUITES[name](seed, bounds.get(name, {})) for name in sorted(SUITES)]

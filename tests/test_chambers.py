@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -28,7 +29,6 @@ from quivermoduli.chambers import (
     polytope_contains,
     stability_polytope,
     wall_relative_interior_point,
-    _constraint_row,
     _constraints,
     _enumerate_regions,
     _region_witness,
@@ -37,6 +37,7 @@ from quivermoduli.chambers import (
     _subset_implications,
     _wall_row,
 )
+from quivermoduli.generate import pn_decorations, set_partitions
 from quivermoduli.quiverwt import TooLargeError
 
 
@@ -270,6 +271,113 @@ def test_cover_check_star_polytopes_with_complementary_blocks():
     assert all(polytope_contains(p, gap) == "outside" for p in polys)
 
 
+def _contains_by_definition(p, w):
+    """polytope_contains written out from the definitions: pairs (value,
+    bound) that must satisfy value <= bound, plus theta > 0 for interiority."""
+    if isinstance(p, HassettPolytope):
+        pairs = list(zip(w.theta, p.a))
+    elif p.mode == "qn":
+        # each coincidence block carries total weight at most 1
+        pairs = [(sum(w.theta[i] for i in b), 1) for b in p.partition]
+    else:
+        # the mass at the zero anchor class is at most -eta2, and at the
+        # infinity anchor class at most -eta1
+        pairs = [
+            (sum(w.theta[i] for i in p.j0), -w.eta2),
+            (sum(w.theta[i] for i in p.jinf), -w.eta1),
+        ]
+    if any(v > b for v, b in pairs):
+        return "outside"
+    if all(v < b for v, b in pairs) and all(t > 0 for t in w.theta):
+        return "interior"
+    return "boundary"
+
+
+def _sample_weights(mode, n, rng):
+    """Chamber witnesses, points on each wall, and seeded points of coarse
+    grids, many of which lie on walls or on the boundary."""
+    out = [c.witness for c in enumerate_chambers(mode, n)]
+    out += [wall_relative_interior_point(mode, n, w) for w in enumerate_walls(mode, n)]
+    while len(out) < 120:
+        den = rng.choice((2, 3, 4, 6))
+        ks = [rng.randint(0, den) for _ in range(n - 1)]
+        if mode == "qn":
+            ks.append(2 * den - sum(ks))
+            if 0 <= ks[-1] <= den:
+                out.append(QnWeight(tuple(F(k, den) for k in ks)))
+        else:
+            ks.append(den - sum(ks))
+            h1 = F(rng.randint(0, den), den)
+            if ks[-1] >= 0:
+                out.append(PnWeight(-h1, h1 - 1, tuple(F(k, den) for k in ks)))
+    return out
+
+
+def test_polytope_contains_matches_definition():
+    rng = random.Random(4)
+    families = []
+    for n in (4, 5):
+        polys = [StabPolytope("qn", n, partition=tuple(map(tuple, b))) for b in set_partitions(range(n))]
+        polys += [HassettPolytope(a) for a in (
+            (F(1),) * n,
+            (F(1), F(1), F(1, 2)) + (F(1, 3),) * (n - 3),
+            (F(3, 4),) * n,
+        )]
+        families.append(("qn", n, polys))
+    polys = [
+        StabPolytope("pn", 3, j0=j0, jinf=jinf)
+        for b in set_partitions(range(3))
+        for j0, jinf in pn_decorations(b)
+    ]
+    families.append(("pn", 3, polys))
+    seen = Counter()
+    for mode, n, polys in families:
+        weights = _sample_weights(mode, n, rng)
+        for p in polys:
+            for w in weights:
+                got = polytope_contains(p, w)
+                assert got == _contains_by_definition(p, w), (p, w)
+                seen[type(p).__name__, mode, got] += 1
+    for kind, mode in (("StabPolytope", "qn"), ("HassettPolytope", "qn"), ("StabPolytope", "pn")):
+        for verdict in ("interior", "boundary", "outside"):
+            assert seen[kind, mode, verdict] > 0, (kind, mode, verdict)
+
+
+def _cover_cases():
+    rng = random.Random(91)
+    cases = []
+    for n in (4, 5):
+        stars = [StabPolytope("qn", n, partition=tuple(map(tuple, b))) for b in set_partitions(range(n))]
+        for _ in range(24):
+            polys = rng.sample(stars, rng.randint(1, 4))
+            a = None
+            if rng.random() < 0.5:
+                while a is None or sum(a) <= 2:
+                    a = tuple(F(rng.randint(1, 4), 4) for _ in range(n))
+            cases.append((polys, "qn", n, a))
+    for n in (2, 3):
+        stars = [
+            StabPolytope("pn", n, j0=j0, jinf=jinf)
+            for b in set_partitions(range(n))
+            for j0, jinf in pn_decorations(b)
+        ]
+        for _ in range(16):
+            cases.append((rng.sample(stars, rng.randint(1, 4)), "pn", n, None))
+    return cases
+
+
+def test_cover_check_results_are_pinned():
+    # verdicts and uncovered witnesses of 80 seeded families, 46 of them
+    # uncovered, with and without a Hassett target
+    lines = []
+    for polys, mode, n, a in _cover_cases():
+        covered, w = cover_check(polys, mode, n, a)
+        lines.append(f"{covered} {serialize.dumps(serialize.weight_json(w)) if w is not None else None}")
+    assert sum(line.startswith("False") for line in lines) == 46
+    digest = "1e027ff0ef9a524e179fec6bef72931b22f1530397a51c44751d06ea24de0861"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
 def _exhaustive_regions(nvars, eqs, box_rows, hyps, imps=()):
     out = []
     for signs in itertools.product((1, -1), repeat=len(hyps)):
@@ -279,11 +387,10 @@ def _exhaustive_regions(nvars, eqs, box_rows, hyps, imps=()):
     return sorted(out)
 
 
-def _cover_rows(mode, n, polys):
+def _cover_rows(polys):
     rows = []
     for p in polys:
-        for kind, idxs, bound in _constraints(p):
-            row = _constraint_row(mode, n, kind, idxs, bound)
+        for row in _constraints(p):
             if row not in rows:
                 rows.append(row)
     return rows
@@ -313,7 +420,7 @@ def test_enumerate_regions_matches_exhaustive_reference():
         ("qn", 4, [HassettPolytope((F(1), F(1, 3), F(2, 3), F(1, 2)))]),
     )
     for mode, n, polys in cover_sets:
-        cases.append((mode, n, _cover_rows(mode, n, polys), ()))
+        cases.append((mode, n, _cover_rows(polys), ()))
     for mode, n, hyps, imps in cases:
         nvars, eqs, box_rows, _ = _space(mode, n)
         got = _enumerate_regions(nvars, eqs, box_rows, hyps, imps)
@@ -393,7 +500,7 @@ def test_region_witness_core_is_empty_on_its_own():
         seen += 1
         assert core and all(signs[k] == s for k, s in core)
         rows = _signed_rows([hyps[k] for k, _ in core], [s for _, s in core])
-        assert chambers.strict_interior_point(nvars, box_rows + rows, eqs) is None
+        assert chambers.strict_interior_point(nvars, [*box_rows, *rows], eqs) is None
     assert seen > 100
 
 

@@ -14,7 +14,7 @@ from quivermoduli.projline import (
     affine,
     cross_ratio,
     cross_ratio_invariant,
-    det2,
+    idet,
     moebius_from_triple,
     moebius_two_point,
     pp_eq,
@@ -142,13 +142,13 @@ def test_cross_ratio_invariant_is_cross_ratio(ps):
     assert v == cross_ratio(ps[1], ps[0], ps[2], ps[3])
 
 
-def test_det2_sign_convention():
-    # canonical forms rescale points, so only the sign and vanishing of the
-    # pairing are meaningful
-    assert det2(affine(2), affine(5)) < 0
-    assert det2(affine(5), affine(2)) > 0
-    assert det2(affine(3), affine(3)) == 0
-    assert det2(INF_POINT, affine(4)) > 0
+def test_idet_sign_convention():
+    # d(p, q) = p0*q1 - p1*q0 on the integer forms; only its sign and its
+    # vanishing are meaningful, since the forms are rescaled representatives
+    assert idet(affine(2).ihom, affine(5).ihom) < 0
+    assert idet(affine(5).ihom, affine(2).ihom) > 0
+    assert idet(affine(3).ihom, affine(3).ihom) == 0
+    assert idet(INF_POINT.ihom, affine(4).ihom) > 0
 
 
 def test_inverse_compose():
