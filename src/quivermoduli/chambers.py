@@ -45,9 +45,10 @@ import functools
 import itertools
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
-from .lp import strict_interior_point
+from .lp import equality_row, strict_interior_point, strict_row
 from .quiverwt import TooLargeError, max_work, weight_map_qn2_pn
 
 QN = "qn"
@@ -64,6 +65,13 @@ class BadEpsilonError(ValueError):
 
 def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(m, nums): the lcm m of the denominators and each value times m, so
+    that the weight checks compare and add integers, not Fractions."""
+    m = lcm(*(v.denominator for v in values))
+    return m, [v.numerator * (m // v.denominator) for v in values]
 
 
 def _field_hash_once(self) -> int:
@@ -88,9 +96,10 @@ class QnWeight:
         object.__setattr__(self, "theta", th)
         if len(th) < 3:
             raise ValueError("hypersimplex weights need n >= 3")
-        if any(v < 0 or v > 1 for v in th):
+        m, nums = _over_lcm(th)
+        if any(a < 0 or a > m for a in nums):
             raise ValueError("coordinates must lie in [0, 1]")
-        if sum(th) != 2:
+        if sum(nums) != 2 * m:
             raise ValueError("coordinates must sum to 2")
 
     @property
@@ -116,13 +125,16 @@ class PnWeight:
         object.__setattr__(self, "theta", th)
         if len(th) < 1:
             raise ValueError("double-star weights need n >= 1")
-        if e1 > 0 or e2 > 0:
+        # a Fraction has the sign of its numerator
+        if e1.numerator > 0 or e2.numerator > 0:
             raise ValueError("eta coordinates must be <= 0")
-        if e1 + e2 != -1:
+        m, (a1, a2) = _over_lcm((e1, e2))
+        if a1 + a2 != -m:
             raise ValueError("eta coordinates must sum to -1")
-        if any(v < 0 for v in th):
+        if any(v.numerator < 0 for v in th):
             raise ValueError("theta coordinates must be >= 0")
-        if sum(th) != 1:
+        m, nums = _over_lcm(th)
+        if sum(nums) != m:
             raise ValueError("theta coordinates must sum to 1")
 
     @property
@@ -309,17 +321,41 @@ class Chamber:
         return dict(zip(walls, self.signs))
 
 
-def _signed_rows(hyps, signs):
-    rows = []
-    for (coeffs, rhs), s in zip(hyps, signs):
-        if s > 0:
-            rows.append((coeffs, rhs))
-        else:
-            rows.append((tuple(-c for c in coeffs), -rhs))
-    return rows
+class _Arrangement:
+    """A hyperplane arrangement in an ambient polytope, prepared once for
+    the LPs of every sign vector over it.
+
+    nvars, eqs and box_rows are `_space`'s, hyps the hyperplane rows
+    (coeffs, rhs).  Every row enters each LP as the same starting-tableau
+    row, so it is prepared here (`lp.strict_row`, `lp.equality_row`): `box`
+    and `eq` for the box and equality rows and rows[k][s] for hyperplane k
+    on side s (s = 1 or -1; index 0 is unused).  The implications
+    (i, si, j, sj) of `_subset_implications` and their contrapositives
+    (j, -sj, i, -si) are indexed the same way: implies[i][si] holds each
+    (j, sj) that sign si at row i forces.  The subset implications are
+    already closed under contraposition, so the contrapositives add none.
+    """
+
+    __slots__ = ("nvars", "eqs", "box_rows", "hyps", "box", "eq", "rows", "implies")
+
+    def __init__(self, nvars, eqs, box_rows, hyps, implications=()):
+        self.nvars = nvars
+        self.eqs = eqs
+        self.box_rows = box_rows
+        self.hyps = hyps
+        self.box = tuple(strict_row(g, h) for g, h in box_rows)
+        self.eq = tuple(equality_row(g, h) for g, h in eqs)
+        self.rows = [
+            (None, strict_row(g, h), strict_row(tuple(-c for c in g), -h)) for g, h in hyps
+        ]
+        implies = [(None, set(), set()) for _ in hyps]
+        for i, si, j, sj in implications:
+            implies[i][si].add((j, sj))
+            implies[j][-sj].add((i, -si))
+        self.implies = [(None, sorted(plus), sorted(minus)) for _, plus, minus in implies]
 
 
-def _region_witness(nvars, eqs, box_rows, hyps, signs, imps=(), tweak=None, core=None):
+def _region_witness(arr, signs, tweak=None, core=None):
     """The LP witness of a sign vector, or None if its region is empty.
 
     When it is empty, a `core` list receives the pairs (k, signs[k]) of a
@@ -327,16 +363,22 @@ def _region_witness(nvars, eqs, box_rows, hyps, signs, imps=(), tweak=None, core
     already leave nothing (see `lp.strict_interior_point`)."""
     # rows dominated by another active row (subset side, same threshold
     # form) are redundant in the strict system and dropped before the LP
-    dominated = set()
-    for i, si, j, sj in imps:
-        if signs[i] == si and signs[j] == sj:
-            dominated.add(j)
-    keep = [k for k in range(len(hyps)) if k not in dominated]
-    rows = _signed_rows([hyps[k] for k in keep], [signs[k] for k in keep])
+    implies = arr.implies
+    dominated = {
+        j for i, si in enumerate(signs) for j, sj in implies[i][si] if signs[j] == sj
+    }
+    keep = [k for k in range(len(signs)) if k not in dominated]
+    rows = arr.rows
     found: list[int] = []
-    x = strict_interior_point(nvars, [*box_rows, *rows], eqs, tweak=tweak, core=found)
+    x = strict_interior_point(
+        arr.nvars,
+        [*arr.box, *(rows[k][signs[k]] for k in keep)],
+        arr.eq,
+        tweak=tweak,
+        core=found,
+    )
     if core is not None:
-        nbox = len(box_rows)
+        nbox = len(arr.box)
         core.extend((keep[i - nbox], signs[keep[i - nbox]]) for i in found if i >= nbox)
     return x
 
@@ -375,22 +417,20 @@ def _row_value(row, x) -> Fraction:
     return sum(c * xi for c, xi in zip(coeffs, x)) - rhs
 
 
-def _generic_seed(nvars, eqs, box_rows, hyps):
+def _generic_seed(arr):
     """A point off every hyperplane, found by greedily pinning signs."""
     pinned: list[tuple[int, int]] = []
-    x = strict_interior_point(nvars, list(box_rows), eqs)
+    x = strict_interior_point(arr.nvars, arr.box, arr.eq)
     if x is None:
         return None
     while True:
-        zero_at = next((k for k, row in enumerate(hyps) if _row_value(row, x) == 0), None)
+        zero_at = next((k for k, row in enumerate(arr.hyps) if _row_value(row, x) == 0), None)
         if zero_at is None:
             return x
         for s in (1, -1):
             trial = pinned + [(zero_at, s)]
-            rows = list(box_rows)
-            for k, sk in trial:
-                rows.extend(_signed_rows([hyps[k]], [sk]))
-            x2 = strict_interior_point(nvars, rows, eqs)
+            rows = [*arr.box, *(arr.rows[k][sk] for k, sk in trial)]
+            x2 = strict_interior_point(arr.nvars, rows, arr.eq)
             if x2 is not None:
                 pinned, x = trial, x2
                 break
@@ -434,7 +474,7 @@ def _hyperplane_classes(eqs, hyps) -> list[list[int]]:
     return list(classes.values())
 
 
-def _enumerate_regions(nvars, eqs, box_rows, hyps, implications=()):
+def _enumerate_regions(arr):
     """All realized sign vectors over the hyperplane list, with witnesses.
 
     A walk from the region of a generic seed point: each step flips one
@@ -460,48 +500,46 @@ def _enumerate_regions(nvars, eqs, box_rows, hyps, implications=()):
     same as without the cores; and since every empty flip met again matches
     its own core, no set of empty sign vectors is kept.
     """
-    seed = _generic_seed(nvars, eqs, box_rows, hyps)
+    seed = _generic_seed(arr)
     if seed is None:
         return []
-    # a region satisfies every implication, so a flip can only break the
-    # implications that mention a flipped row
-    mentions: list[list] = [[] for _ in hyps]
-    for imp in implications:
-        mentions[imp[0]].append(imp)
-        mentions[imp[2]].append(imp)
-    steps = [
-        (cls, {imp for k in cls for imp in mentions[k]})
-        for cls in _hyperplane_classes(eqs, hyps)
-    ]
-    start = tuple(1 if _row_value(row, seed) > 0 else -1 for row in hyps)
-    regions = {start: _region_witness(nvars, eqs, box_rows, hyps, start, implications)}
-    # the cores learnt from empty flips, under each of their (row, sign)
-    cores: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
+    implies = arr.implies
+    steps = _hyperplane_classes(arr.eqs, arr.hyps)
+    start = tuple(1 if _row_value(row, seed) > 0 else -1 for row in arr.hyps)
+    regions = {start: _region_witness(arr, start)}
+    # the cores learnt from empty flips, at cores[k][s] for each of their
+    # pairs (k, s)
+    cores: list = [(None, [], []) for _ in arr.hyps]
+    learnt_any = False
     frontier = [start]
     cap = max_work()
     while frontier:
         signs = frontier.pop()
-        for cls, imps in steps:
+        for cls in steps:
             flipped = list(signs)
             for k in cls:
                 flipped[k] = -flipped[k]
             flipped = tuple(flipped)
             if flipped in regions:
                 continue
-            if any(flipped[i] == si and flipped[j] != sj for i, si, j, sj in imps):
+            # a region satisfies every implication, and one that a flip breaks
+            # has, up to contraposition, a flipped row on its new side as
+            # antecedent
+            if any(flipped[j] != sj for k in cls for j, sj in implies[k][flipped[k]]):
                 continue
-            if cores and any(
+            if learnt_any and any(
                 all(flipped[i] == si for i, si in core)
                 for k in cls
-                for core in cores.get((k, flipped[k]), ())
+                for core in cores[k][flipped[k]]
             ):
                 continue
             learnt: list[tuple[int, int]] = []
-            x = _region_witness(nvars, eqs, box_rows, hyps, flipped, implications, core=learnt)
+            x = _region_witness(arr, flipped, core=learnt)
             if x is None:
                 core = tuple(learnt)
-                for pair in core:
-                    cores.setdefault(pair, []).append(core)
+                for k, sk in core:
+                    cores[k][sk].append(core)
+                learnt_any = True
                 continue
             regions[flipped] = x
             frontier.append(flipped)
@@ -516,13 +554,14 @@ _chamber_cache: dict[tuple[str, int], tuple[Chamber, ...]] = {}
 
 @functools.cache
 def _arrangement(mode: str, n: int):
-    """The inner-wall arrangement as LP data: (walls, nvars, eqs, box_rows,
-    decode, hyps, imps), with `_space`'s parts, one row per wall and the
-    subset implications between the walls' signs."""
+    """The inner-wall arrangement: (walls, decode, arr), with `_space`'s
+    decoder and an `_Arrangement` of one row per wall and the subset
+    implications between the walls' signs."""
     walls = tuple(enumerate_walls(mode, n))
     nvars, eqs, box_rows, decode = _space(mode, n)
     hyps = tuple(_wall_row(mode, n, w) for w in walls)
-    return walls, nvars, eqs, box_rows, decode, hyps, tuple(_subset_implications(walls, n))
+    arr = _Arrangement(nvars, eqs, box_rows, hyps, _subset_implications(walls, n))
+    return walls, decode, arr
 
 
 def enumerate_chambers(mode: str, n: int) -> list[Chamber]:
@@ -533,19 +572,18 @@ def enumerate_chambers(mode: str, n: int) -> list[Chamber]:
         )
     key = (mode, n)
     if key not in _chamber_cache:
-        _, nvars, eqs, box_rows, decode, hyps, imps = _arrangement(mode, n)
+        _, decode, arr = _arrangement(mode, n)
         _chamber_cache[key] = tuple(
-            Chamber(signs, decode(x))
-            for signs, x in _enumerate_regions(nvars, eqs, box_rows, hyps, imps)
+            Chamber(signs, decode(x)) for signs, x in _enumerate_regions(arr)
         )
     return list(_chamber_cache[key])
 
 
 def chamber_second_witness(mode: str, n: int, chamber: Chamber) -> Weight:
     """Another interior point of the same chamber (distinct when possible)."""
-    _, nvars, eqs, box_rows, decode, hyps, imps = _arrangement(mode, n)
-    tweak = [Fraction(1, 997 + 13 * k) for k in range(nvars)]
-    x = _region_witness(nvars, eqs, box_rows, hyps, chamber.signs, imps, tweak=tweak)
+    _, decode, arr = _arrangement(mode, n)
+    tweak = [Fraction(1, 997 + 13 * k) for k in range(arr.nvars)]
+    x = _region_witness(arr, chamber.signs, tweak=tweak)
     if x is None:
         raise ValueError(f"sign vector {chamber.signs} is not a chamber")
     return decode(x)
@@ -574,9 +612,10 @@ def chamber_adjacency(mode: str, n: int, chambers: Sequence[Chamber]) -> list[tu
 def wall_relative_interior_point(mode: str, n: int, wall: Wall) -> Weight:
     """A weight in the relative interior of one inner wall: equality there,
     strictly off every other wall, strictly inside the polytope."""
-    walls, nvars, eqs, box_rows, decode, hyps, _ = _arrangement(mode, n)
-    rest = [row for w, row in zip(walls, hyps) if w != wall]
-    x = _generic_seed(nvars, (*eqs, _wall_row(mode, n, wall)), box_rows, rest)
+    walls, decode, arr = _arrangement(mode, n)
+    rest = [row for w, row in zip(walls, arr.hyps) if w != wall]
+    eqs = (*arr.eqs, _wall_row(mode, n, wall))
+    x = _generic_seed(_Arrangement(arr.nvars, eqs, arr.box_rows, rest))
     if x is None:
         raise ValueError(f"wall {wall} does not meet the polytope interior")
     return decode(x)
@@ -827,7 +866,8 @@ def cover_check(
         members.append([index.setdefault(row, len(index)) for row in _constraints(p)])
     target_rows = members.pop() if target is not None else []
     nvars, eqs, box_rows, decode = _space(mode, n)
-    for signs, x in _enumerate_regions(nvars, eqs, box_rows, list(index)):
+    # the prepared rows live for this call only
+    for signs, x in _enumerate_regions(_Arrangement(nvars, eqs, box_rows, list(index))):
         if any(signs[k] > 0 for k in target_rows):
             continue
         if not any(all(signs[k] < 0 for k in ks) for ks in members):

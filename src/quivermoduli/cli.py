@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import chambers, configs, curves, serialize, verify
+from . import chambers, configs, curves, serialize
 from .curves import InconsistentFamilyError
 from .quiverwt import SettingError, TooLargeError
 from .serialize import ParseError
@@ -186,6 +186,10 @@ def cmd_tree(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # only this command needs the suites and the generators they load
+    from . import verify
+
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     bounds = {}
     if args.bounds:
         try:
@@ -202,11 +206,11 @@ def cmd_verify(args) -> int:
         verify.check_bounds(bounds)
     except verify.BoundsError as exc:
         raise CliError(EXIT_PARSE, f"bad bounds: {exc}")
-    reports = [verify.run_suite(name, seed=args.seed, bounds=bounds.get(name, {})) for name in names]
+    reports = [verify.run_suite(name, seed=seed, bounds=bounds.get(name, {})) for name in names]
     payload = {
         "schema": serialize.SCHEMA,
         "type": "verification-report",
-        "seed": args.seed,
+        "seed": seed,
         "reports": [
             {
                 "suite": r["suite"],
@@ -256,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites", parents=[common])
     p.add_argument("--suite", default="all")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=int)  # default verify.DEFAULT_SEED, read by cmd_verify
     p.add_argument("--bounds", help="JSON object of per-suite size caps")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -20,6 +20,18 @@ first and Bland's rule after a fixed pivot budget, which rules out cycling;
 every tie goes to the lowest variable index, so the pivot sequence does not
 depend on the order of the slots.
 
+Each constraint enters the starting tableau as one `TableauRow`: scaled to
+integers, negated when its right-hand side is negative, and carrying its
+own slack entry.  Such a row depends on its constraint alone, so
+`simplex_maximize` prepares its rows on every call, while a caller that
+solves many systems over the same constraints (the chamber walk, see
+`chambers._Arrangement`) prepares each row once and hands the prepared
+rows to `strict_interior_point`.  Both go through one tableau builder,
+`_start`, which only lays the rows out, puts the slack entries in place and
+sums the artificial rows into the phase-1 objective; so a prepared row
+gives the same tableau entries, variable numbers and pivots as the same
+constraint given as numbers.
+
 Strict inequality systems are decided by maximizing an auxiliary slack
 bounded away from zero: the open system {g_k . x > h_k} has a solution iff
 max{s : g_k . x - s >= h_k} is positive.
@@ -192,19 +204,79 @@ class _Tableau:
         self.cols = [j for j in self.cols if j < first]
 
 
-def _int_rows(mat, rhs):
-    """Each constraint row followed by its right-hand side, in integers.
+class TableauRow(tuple):
+    """One constraint as it enters the starting tableau: its integer
+    coefficients over the structural variables, its own slack's entry, then
+    its right-hand side, which is never negative.
 
-    All-integer rows pass through; a row holding a Fraction is scaled by
-    the lcm of its denominators."""
-    out = []
-    for row, b in zip(mat, rhs):
-        row = (*row, b)
-        if Fraction in map(type, row):
-            m = lcm(*(v.denominator for v in row))
-            row = tuple(v.numerator * (m // v.denominator) for v in row)
-        out.append(row)
-    return out
+    The slack entry is 1 for an a_ub row whose slack starts basic, -1 for an
+    a_ub row negated to make its right-hand side nonnegative (its slack
+    starts nonbasic and an artificial is basic) and 0 for an equality row
+    (an artificial is basic)."""
+
+    __slots__ = ()
+
+
+def _prepare(coeffs, rhs, slack) -> TableauRow:
+    """The row of coeffs . x (<= or =) rhs; `slack` is 1 or 0.  All-integer
+    rows keep their entries, and a row holding a Fraction is scaled by the
+    lcm of its denominators."""
+    row = (*coeffs, rhs)
+    if Fraction in map(type, row):
+        m = lcm(*(v.denominator for v in row))
+        row = tuple(v.numerator * (m // v.denominator) for v in row)
+    if row[-1] < 0:
+        return TableauRow((*(-v for v in row[:-1]), -slack, -row[-1]))
+    return TableauRow((*row[:-1], slack, row[-1]))
+
+
+def strict_row(g: Sequence[Rational], h: Rational) -> TableauRow:
+    """The row of g . x > h in the max-slack LP of `strict_interior_point`:
+    -g . x + s <= -h, with s the slack variable of that LP."""
+    return _prepare((*(-v for v in g), 1), -h, 1)
+
+
+def equality_row(g: Sequence[Rational], h: Rational) -> TableauRow:
+    """The row of g . x = h in the max-slack LP of `strict_interior_point`."""
+    return _prepare((*g, 0), h, 0)
+
+
+def _start(n, ub, eq):
+    """The starting tableau of prepared a_ub rows `ub` and equality rows
+    `eq` over n structural variables, carrying the phase-1 objective, and
+    the number of artificials.
+
+    Variables are x, then one slack per a_ub row, then one artificial per
+    row that starts with one (negated a_ub rows, then equality rows, in
+    order).  The slack of a negated row starts nonbasic next to x, and the
+    phase-1 objective, maximizing minus the sum of the artificials, is the
+    sum of the artificials' rows."""
+    first_art = n + len(ub)
+    slots = [n + i for i, row in enumerate(ub) if row[n] < 0]
+    pad = (0,) * len(slots)
+    rows = []
+    basis = []
+    art = []
+    s = n
+    for i, prow in enumerate(ub):
+        row = [*prow[:n], *pad, prow[-1]]
+        if prow[n] < 0:
+            row[s] = -1
+            s += 1
+            basis.append(first_art + len(art))
+            art.append(row)
+        else:
+            basis.append(n + i)
+        rows.append(row)
+    for prow in eq:
+        row = [*prow[:n], *pad, prow[-1]]
+        basis.append(first_art + len(art))
+        art.append(row)
+        rows.append(row)
+    tab = _Tableau(rows, basis, [*range(n), *slots])
+    if art:
+        tab.obj = [sum(col) for col in zip(*art)]
+    return tab, len(art)
 
 
 def _dual_support(tab, first_slack, first_art):
@@ -232,38 +304,18 @@ def simplex_maximize(
     slack has a nonzero reduced cost in the last objective row (phase 1's
     when infeasible): the support of an optimal dual solution.
     """
+    ub = [_prepare(row, b, 1) for row, b in zip(a_ub, b_ub)]
+    eq = [_prepare(row, b, 0) for row, b in zip(a_eq, b_eq)]
+    return _solve(c, ub, eq, support)
+
+
+def _solve(c, ub, eq, support=None):
+    """`simplex_maximize` over prepared rows."""
     n = len(c)
-    m_ub = len(a_ub)
-    first_art = n + m_ub  # variables: x, then one slack per a_ub row, then artificials
-    scaled = _int_rows(list(a_ub) + list(a_eq), list(b_ub) + list(b_eq))
-
-    # A row with a negative right-hand side is negated, and an a_ub row whose
-    # slack then reads -1 starts with an artificial basic, as does every
-    # a_eq row; those slacks start nonbasic next to x.
-    flipped = [i for i in range(m_ub) if scaled[i][-1] < 0]
-    slot_of = {i: n + k for k, i in enumerate(flipped)}
-    cols = list(range(n)) + [n + i for i in flipped]
-    rows = []
-    basis = []
-    nart = 0
-    for i, srow in enumerate(scaled):
-        b = srow[-1]
-        row = [*srow[:-1], *([0] * len(flipped)), b]
-        if i in slot_of:
-            row[slot_of[i]] = 1
-        if b < 0:
-            row = [-v for v in row]
-        if i < m_ub and b >= 0:
-            basis.append(n + i)
-        else:
-            basis.append(first_art + nart)
-            nart += 1
-        rows.append(row)
-
-    tab = _Tableau(rows, basis, cols)
+    first_art = n + len(ub)
+    tab, nart = _start(n, ub, eq)
 
     if nart:
-        tab.set_objective([0] * first_art + [-1] * nart)
         status = tab.optimize()
         if status != OPTIMAL:
             raise RuntimeError("phase-1 simplex cannot be unbounded")
@@ -282,7 +334,7 @@ def simplex_maximize(
         tab.drop_from(first_art)
 
     mden = lcm(*(v.denominator for v in c)) if c else 1
-    cost = [v.numerator * (mden // v.denominator) for v in c] + [0] * m_ub
+    cost = [v.numerator * (mden // v.denominator) for v in c] + [0] * len(ub)
     tab.set_objective(cost)
     status = tab.optimize()
     if status != OPTIMAL:
@@ -308,42 +360,29 @@ def strict_interior_point(
     """A point x >= 0 with g . x > h for every (g, h) in strict_ge and the
     given equalities, or None if the open system is empty.
 
-    The system must be bounded (ours always carry box constraints).  `tweak`
+    Any row of strict_ge may instead be given as `strict_row(g, h)` and any
+    equality as `equality_row(g, h)`, prepared once for many systems.  The
+    system must be bounded (ours always carry box constraints).  `tweak`
     picks a different witness of the same region by re-optimizing tweak . x
     with the slack pinned to at least half its maximum.  When the system is
     empty, a `core` list receives the ascending indices of strict_ge rows
     that, with the equalities and x >= 0 alone, already make it empty.
     """
     c = [0] * nvars + [1]
-    a_ub = []
-    b_ub = []
-    for g, h in strict_ge:
-        a_ub.append([-v for v in g] + [1])
-        b_ub.append(-h)
-    a_eq = [[*g, 0] for g, _ in eqs]
-    b_eq = [h for _, h in eqs]
-    if core is None:
-        status, x, _ = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq)
-    else:
-        support: list[int] = []
-        status, x, _ = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq, support=support)
+    ub = [row if type(row) is TableauRow else strict_row(*row) for row in strict_ge]
+    eq = [row if type(row) is TableauRow else equality_row(*row) for row in eqs]
+    support = None if core is None else []
+    status, x, _ = _solve(c, ub, eq, support)
     if status == UNBOUNDED:
         raise RuntimeError("strict feasibility system is unbounded; missing box constraints")
     if status != OPTIMAL or x[nvars] <= 0:
         if core is not None:
             core.extend(support)
         return None
-    slack = x[nvars]
     if tweak is None:
         return x[:nvars]
-    floor_row = [0] * nvars + [-1]
-    status, x2, _ = simplex_maximize(
-        [*tweak, 0],
-        list(a_ub) + [floor_row],
-        list(b_ub) + [-slack / 2],
-        a_eq,
-        b_eq,
-    )
+    floor_row = _prepare((0,) * nvars + (-1,), -x[nvars] / 2, 1)
+    status, x2, _ = _solve([*tweak, 0], [*ub, floor_row], eq)
     if status != OPTIMAL or x2[nvars] <= 0:
         return x[:nvars]
     return x2[:nvars]

@@ -3,8 +3,10 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivermoduli import chambers, lp, serialize
 from quivermoduli.chambers import (
@@ -29,10 +31,10 @@ from quivermoduli.chambers import (
     polytope_contains,
     stability_polytope,
     wall_relative_interior_point,
+    _Arrangement,
     _constraints,
     _enumerate_regions,
     _region_witness,
-    _signed_rows,
     _space,
     _subset_implications,
     _wall_row,
@@ -48,6 +50,79 @@ def test_weight_invariants():
         QnWeight((F(1, 2),) * 3)
     with pytest.raises(ValueError):
         PnWeight(F(-1, 2), F(-1, 2), (F(1, 2), F(1, 4)))
+
+
+def _verdict(make, *args):
+    """None if make(*args) accepts, else its ValueError message."""
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _reference_qn(theta):
+    th = [F(v) for v in theta]
+    if len(th) < 3:
+        return "hypersimplex weights need n >= 3"
+    if any(v < 0 or v > 1 for v in th):
+        return "coordinates must lie in [0, 1]"
+    if sum(th) != 2:
+        return "coordinates must sum to 2"
+    return None
+
+
+def _reference_pn(eta1, eta2, theta):
+    e1, e2, th = F(eta1), F(eta2), [F(v) for v in theta]
+    if len(th) < 1:
+        return "double-star weights need n >= 1"
+    if e1 > 0 or e2 > 0:
+        return "eta coordinates must be <= 0"
+    if e1 + e2 != -1:
+        return "eta coordinates must sum to -1"
+    if any(v < 0 for v in th):
+        return "theta coordinates must be >= 0"
+    if sum(th) != 1:
+        return "theta coordinates must sum to 1"
+    return None
+
+
+_IN_RANGE = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=12), st.sampled_from([0, 1])
+)
+_ANY = st.one_of(st.integers(-1, 2), st.fractions(min_value=-1, max_value=2, max_denominator=12))
+
+
+@st.composite
+def _coords(draw, total):
+    """Up to 7 coordinates in [0, 1], often completed to sum to `total`
+    (the others rescaled to leave the last one in range), and at times one
+    of them replaced by any value in [-1, 2]."""
+    values = draw(st.lists(_IN_RANGE, max_size=7))
+    if len(values) >= 2 and draw(st.booleans()):
+        rest = sum(F(v) for v in values[:-1])
+        if rest > total or 0 < rest < total - 1:
+            scale = (total if rest > total else total - 1) / rest
+            values[:-1] = [v * scale for v in values[:-1]]
+        values[-1] = total - sum(F(v) for v in values[:-1])
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_ANY)
+    return values
+
+
+@settings(max_examples=400, deadline=None)
+@given(_coords(2))
+def test_qn_weight_checks_match_fraction_reference(theta):
+    assert _verdict(QnWeight, tuple(theta)) == _reference_qn(theta)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.fractions(min_value=-1, max_value=0, max_denominator=12), _ANY),
+       _ANY, st.booleans(), _coords(1))
+def test_pn_weight_checks_match_fraction_reference(eta1, eta2, exact_eta, theta):
+    if exact_eta:
+        eta2 = -1 - F(eta1)
+    assert _verdict(PnWeight, eta1, eta2, tuple(theta)) == _reference_pn(eta1, eta2, theta)
 
 
 def test_wall_counts():
@@ -378,13 +453,19 @@ def test_cover_check_results_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
-def _exhaustive_regions(nvars, eqs, box_rows, hyps, imps=()):
+def _exhaustive_regions(arr):
     out = []
-    for signs in itertools.product((1, -1), repeat=len(hyps)):
-        x = _region_witness(nvars, eqs, box_rows, hyps, signs, imps)
+    for signs in itertools.product((1, -1), repeat=len(arr.hyps)):
+        x = _region_witness(arr, signs)
         if x is not None:
             out.append((signs, x))
     return sorted(out)
+
+
+def _signed(row, s):
+    """The hyperplane row (coeffs, rhs) on side s: coeffs . x > rhs for s = 1."""
+    coeffs, rhs = row
+    return row if s > 0 else (tuple(-c for c in coeffs), -rhs)
 
 
 def _cover_rows(polys):
@@ -394,6 +475,60 @@ def _cover_rows(polys):
             if row not in rows:
                 rows.append(row)
     return rows
+
+
+def _generic_row(coeffs, rhs, slack):
+    """The starting-tableau row built from one constraint as the dense
+    reference tableau of tests/test_lp.py builds it: scaled to integers
+    through Fraction, its slack entry appended, and negated when the
+    right-hand side is negative."""
+    fr = [F(v) for v in (*coeffs, rhs)]
+    m = lcm(*(f.denominator for f in fr))
+    row = [int(f * m) for f in fr]
+    row = [*row[:-1], slack, row[-1]]
+    return tuple(-v for v in row) if row[-1] < 0 else tuple(row)
+
+
+def _assert_prepared_rows_are_generic(arr):
+    def strict(g, h):
+        return _generic_row([*(-v for v in g), 1], -h, 1)
+
+    assert arr.box == tuple(strict(g, h) for g, h in arr.box_rows)
+    assert arr.eq == tuple(_generic_row([*g, 0], h, 0) for g, h in arr.eqs)
+    for k, row in enumerate(arr.hyps):
+        for s in (1, -1):
+            assert arr.rows[k][s] == strict(*_signed(row, s)), (k, s)
+    for prepared in (*arr.box, *arr.eq, *(r for pair in arr.rows for r in pair[1:])):
+        assert type(prepared) is lp.TableauRow and all(type(v) is int for v in prepared)
+
+
+def test_prepared_rows_match_the_generic_construction():
+    for mode, ns in (("qn", (4, 5, 6)), ("pn", (1, 2, 3, 4, 5))):
+        for n in ns:
+            walls, _, arr = chambers._arrangement(mode, n)
+            assert len(arr.rows) == len(walls)
+            _assert_prepared_rows_are_generic(arr)
+            # the index of implications adds no contrapositive, so the rows
+            # that _region_witness drops as dominated are the ones the
+            # implications name
+            imps = set(_subset_implications(walls, n))
+            assert imps == {(j, -sj, i, -si) for i, si, j, sj in imps}
+            assert {(i, s, *imp) for i in range(len(walls)) for s in (1, -1)
+                    for imp in arr.implies[i][s]} == imps
+    # cover rows: a Hassett target's rows hold Fractions
+    cases = (
+        (4, [StabPolytope("qn", 4, partition=((0, 1), (2, 3))),
+             HassettPolytope((F(1), F(1, 3), F(2, 3), F(1, 2)))]),
+        (5, [StabPolytope("qn", 5, partition=((2, 3), (0, 1, 4))),
+             HassettPolytope((F(1), F(1), F(1, 2), F(1, 2), F(3, 4)))]),
+        (6, [StabPolytope("qn", 6, partition=((0, 1, 2), (3, 4), (5,))),
+             HassettPolytope((F(5, 7), F(1, 3), F(2, 5), F(1), F(1, 2), F(3, 11)))]),
+    )
+    for n, polys in cases:
+        nvars, eqs, box_rows, _ = _space("qn", n)
+        rows = _cover_rows(polys)
+        assert any(type(rhs) is F for _, rhs in rows)
+        _assert_prepared_rows_are_generic(_Arrangement(nvars, eqs, box_rows, rows))
 
 
 def test_enumerate_regions_matches_exhaustive_reference():
@@ -423,8 +558,8 @@ def test_enumerate_regions_matches_exhaustive_reference():
         cases.append((mode, n, _cover_rows(polys), ()))
     for mode, n, hyps, imps in cases:
         nvars, eqs, box_rows, _ = _space(mode, n)
-        got = _enumerate_regions(nvars, eqs, box_rows, hyps, imps)
-        assert got == _exhaustive_regions(nvars, eqs, box_rows, hyps, imps), (mode, n, hyps)
+        arr = _Arrangement(nvars, eqs, box_rows, hyps, imps)
+        assert _enumerate_regions(arr) == _exhaustive_regions(arr), (mode, n, hyps)
 
 
 def test_chamber_complex_output_is_pinned():
@@ -490,16 +625,17 @@ def test_region_witness_core_is_empty_on_its_own():
     walls = enumerate_walls(mode, n)
     nvars, eqs, box_rows, _ = _space(mode, n)
     hyps = [_wall_row(mode, n, w) for w in walls]
-    imps = _subset_implications(walls, n)
+    arr = _Arrangement(nvars, eqs, box_rows, hyps, _subset_implications(walls, n))
     seen = 0
     for signs in itertools.islice(itertools.product((1, -1), repeat=len(hyps)), 0, None, 97):
         core = []
-        if _region_witness(nvars, eqs, box_rows, hyps, signs, imps, core=core) is not None:
+        if _region_witness(arr, signs, core=core) is not None:
             assert core == []
             continue
         seen += 1
         assert core and all(signs[k] == s for k, s in core)
-        rows = _signed_rows([hyps[k] for k, _ in core], [s for _, s in core])
+        # the core's rows as (coeffs, rhs) pairs, not the prepared rows
+        rows = [_signed(hyps[k], s) for k, s in core]
         assert chambers.strict_interior_point(nvars, [*box_rows, *rows], eqs) is None
     assert seen > 100
 

@@ -400,7 +400,33 @@ def _as_fractions(rows):
     return [(tuple(F(v) for v in g), F(h)) for g, h in rows]
 
 
-def test_strict_interior_point_int_and_fraction_rows_match_dense(monkeypatch, pivot_log):
+def dense_strict_interior_point(nvars, strict_ge, eqs=(), tweak=None):
+    """The max-slack LP of `lp.strict_interior_point` and its tweak re-solve,
+    built from the constraint rows as a_ub and a_eq lists and solved on the
+    dense tableau."""
+    c = [0] * nvars + [1]
+    a_ub = [[-v for v in g] + [1] for g, _ in strict_ge]
+    b_ub = [-h for _, h in strict_ge]
+    a_eq = [[*g, 0] for g, _ in eqs]
+    b_eq = [h for _, h in eqs]
+    status, x, _ = dense_maximize(c, a_ub, b_ub, a_eq, b_eq)
+    if status != OPTIMAL or x[nvars] <= 0:
+        return None
+    if tweak is None:
+        return x[:nvars]
+    floor_row = [0] * nvars + [-1]
+    status, x2, _ = dense_maximize(
+        [*tweak, 0], a_ub + [floor_row], b_ub + [-x[nvars] / 2], a_eq, b_eq
+    )
+    if status != OPTIMAL or x2[nvars] <= 0:
+        return x[:nvars]
+    return x2[:nvars]
+
+
+def test_strict_interior_point_int_and_fraction_rows_match_dense(pivot_log):
+    # the strict path builds its tableau from prepared rows, not through
+    # simplex_maximize, so its pivots are compared with the dense tableau
+    # solving the same LPs built from the constraint rows
     rng = random.Random(20261018)
     cases = [_random_strict_system(rng) for _ in range(300)]
     got_int = [strict_interior_point(n, rows, eqs, tweak) for n, rows, eqs, tweak in cases]
@@ -408,13 +434,41 @@ def test_strict_interior_point_int_and_fraction_rows_match_dense(monkeypatch, pi
         strict_interior_point(n, _as_fractions(rows), _as_fractions(eqs), tweak)
         for n, rows, eqs, tweak in cases
     ]
-    monkeypatch.setattr(lp, "simplex_maximize", dense_maximize)
-    want = [strict_interior_point(n, rows, eqs, tweak) for n, rows, eqs, tweak in cases]
+    got_prepared = [
+        strict_interior_point(
+            n,
+            [lp.strict_row(g, h) for g, h in _as_fractions(rows)],
+            [lp.equality_row(g, h) for g, h in eqs],
+            tweak,
+        )
+        for n, rows, eqs, tweak in cases
+    ]
+    want = [dense_strict_interior_point(n, rows, eqs, tweak) for n, rows, eqs, tweak in cases]
     assert got_int == want
     assert got_fr == want
-    assert pivot_log["condensed"] == pivot_log["dense"] * 2
+    assert got_prepared == want
+    assert pivot_log["condensed"] == pivot_log["dense"] * 3
     assert all(v is None or all(type(t) is F for t in v) for v in got_int)
     assert sum(v is not None for v in want) > 50
+
+
+def test_equalities_with_negative_right_hand_sides_match_dense(pivot_log):
+    # the seeded programs and strict systems above, each equality written
+    # with both sides negated: the row is negated back when it is prepared
+    rng = random.Random(20260809)
+    for _ in range(400):
+        c, a_ub, b_ub, a_eq, b_eq = _random_program(rng)
+        a_eq = [[-v for v in row] for row in a_eq]
+        b_eq = [-v for v in b_eq]
+        prog = (c, a_ub, b_ub, a_eq, b_eq)
+        assert simplex_maximize(*prog) == dense_maximize(*prog), prog
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n, rows, eqs, tweak = _random_strict_system(rng)
+        eqs = [(tuple(-v for v in g), -h) for g, h in eqs]
+        want = dense_strict_interior_point(n, rows, eqs, tweak)
+        assert strict_interior_point(n, rows, eqs, tweak) == want, (n, rows, eqs)
+    assert pivot_log["condensed"] == pivot_log["dense"]
 
 
 def test_core_of_an_empty_strict_system_is_empty_on_its_own():

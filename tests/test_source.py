@@ -1,5 +1,9 @@
 """Checks on the library source itself."""
 import ast
+import json
+import os
+import subprocess
+import sys
 import types
 from fractions import Fraction as F
 from pathlib import Path
@@ -51,3 +55,18 @@ def test_projline_stores_integers_only():
         assert stored, value
         for v in stored:
             assert type(v) is tuple and all(type(x) is int for x in v), (value, v)
+
+
+def test_cli_import_loads_the_traced_modules_only():
+    # qmlbench/tracing.py looks these six modules up in sys.modules inside a
+    # `qml` child; verify (and generate, which only verify needs) load only
+    # for `qml verify`
+    src = str(Path(quivermoduli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import json, sys, quivermoduli.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    for name in ("projline", "curves", "configs", "lp", "chambers", "serialize"):
+        assert f"quivermoduli.{name}" in loaded, name
+    assert "quivermoduli.verify" not in loaded
+    assert "quivermoduli.generate" not in loaded
