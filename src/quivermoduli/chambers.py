@@ -18,6 +18,22 @@ say) flip together, so each step crosses exactly one hyperplane; a generic
 segment between two regions crosses the distinct hyperplanes one at a time,
 so the walk reaches every region.
 
+The symmetric group S_n permutes the marked points, and with them the
+coordinates theta_i and the walls: a permuted side J is again a wall, and a
+hypersimplex side whose stored form is its complement reads the same wall
+with the opposite sign (the rows of a side and of its complement add up to
+sum theta_i - 2, which vanishes on the hypersimplex).  The box, the
+equalities and the slack objective are invariant, so the max-slack LP of a
+permuted region is the permuted LP.  The walk of the wall arrangements
+therefore solves one LP per S_n-orbit: a realized flip brings in its whole
+orbit, closed under the adjacent transpositions, and only the flip itself
+goes on to be flipped.  When the LP's final tableau certifies that its
+optimum is unique (`lp.strict_interior_point`, `unique`), the witness of
+each orbit member is the permuted witness, exactly the point that member's
+own LP would return; otherwise every member gets its own LP.  So the
+chambers and witnesses are the same as those of the walk without the group,
+which `cover_check` runs on its facet arrangements.
+
 Most LPs of the walk are feasible; an empty flip crosses a hyperplane that
 is not a facet of the current region.  When the LP finds a sign vector's
 region empty, the final simplex tableau names a *core*: the signed
@@ -46,6 +62,7 @@ import itertools
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter, neg
 from typing import Optional, Sequence, Union
 
 from .lp import equality_row, strict_interior_point, strict_row
@@ -334,11 +351,19 @@ class _Arrangement:
     (j, -sj, i, -si) are indexed the same way: implies[i][si] holds each
     (j, sj) that sign si at row i forces.  The subset implications are
     already closed under contraposition, so the contrapositives add none.
+
+    `group` lists generators of a group of symmetries of the arrangement
+    that keep the box, the equalities and the hyperplane classes.  Each is
+    a pair (src, vsrc) of index tuples read off the image: with m
+    hyperplanes, the image of a sign vector s reads (*s, *-s)[src[k]] at
+    each k, so src[k] >= m where the hyperplane's sign reverses, and the
+    image of a point x reads x[vsrc[j]] at each j.  With no generators the
+    walk runs without symmetry.
     """
 
-    __slots__ = ("nvars", "eqs", "box_rows", "hyps", "box", "eq", "rows", "implies")
+    __slots__ = ("nvars", "eqs", "box_rows", "hyps", "box", "eq", "rows", "implies", "group")
 
-    def __init__(self, nvars, eqs, box_rows, hyps, implications=()):
+    def __init__(self, nvars, eqs, box_rows, hyps, implications=(), group=()):
         self.nvars = nvars
         self.eqs = eqs
         self.box_rows = box_rows
@@ -353,14 +378,17 @@ class _Arrangement:
             implies[i][si].add((j, sj))
             implies[j][-sj].add((i, -si))
         self.implies = [(None, sorted(plus), sorted(minus)) for _, plus, minus in implies]
+        self.group = group
 
 
-def _region_witness(arr, signs, tweak=None, core=None):
+def _region_witness(arr, signs, tweak=None, core=None, unique=None):
     """The LP witness of a sign vector, or None if its region is empty.
 
     When it is empty, a `core` list receives the pairs (k, signs[k]) of a
     set of hyperplane rows that, with the box and the equalities alone,
-    already leave nothing (see `lp.strict_interior_point`)."""
+    already leave nothing; when it is not, a `unique` list receives whether
+    the witness is certified the only optimum of its LP (see
+    `lp.strict_interior_point`)."""
     # rows dominated by another active row (subset side, same threshold
     # form) are redundant in the strict system and dropped before the LP
     implies = arr.implies
@@ -376,6 +404,7 @@ def _region_witness(arr, signs, tweak=None, core=None):
         arr.eq,
         tweak=tweak,
         core=found,
+        unique=unique,
     )
     if core is not None:
         nbox = len(arr.box)
@@ -474,6 +503,41 @@ def _hyperplane_classes(eqs, hyps) -> list[list[int]]:
     return list(classes.values())
 
 
+def _store(regions, signs, x, cap):
+    regions[signs] = x
+    if len(regions) > cap:
+        raise TooLargeError("region enumeration exceeds QML_MAX_WORK")
+
+
+def _add_orbit(arr, regions, signs, x, certified, cap):
+    """Put the region `signs`, with witness x, and every image of it under
+    `arr.group` into `regions`.
+
+    If x is `certified` the only optimum of its LP, each image's witness is
+    the image of x; otherwise each image gets its own LP."""
+    _store(regions, signs, x, cap)
+    if not arr.group:
+        return
+    # an itemgetter of two or more indices returns the tuple of the items
+    group = [(itemgetter(*src), itemgetter(*vsrc)) for src, vsrc in arr.group]
+    todo = [(signs, x)]
+    while todo:
+        signs, x = todo.pop()
+        both = signs + tuple(map(neg, signs))
+        for wall_image, point_image in group:
+            image = wall_image(both)
+            if image in regions:
+                continue
+            if certified:
+                y = list(point_image(x))
+            else:
+                y = _region_witness(arr, image)
+                if y is None:
+                    raise RuntimeError("a symmetry of the arrangement maps a region to nothing")
+            _store(regions, image, y, cap)
+            todo.append((image, y))
+
+
 def _enumerate_regions(arr):
     """All realized sign vectors over the hyperplane list, with witnesses.
 
@@ -487,6 +551,32 @@ def _enumerate_regions(arr):
     witness comes from `_region_witness`, so it depends only on the sign
     vector and not on the order of the walk.
 
+    With generators in `arr.group`, a kept region brings in its whole orbit
+    (`_add_orbit`), and only the region itself, the orbit's representative,
+    is flipped in turn.  `regions` is then always a union of whole orbits,
+    so the `flipped in regions` test drops every member of a known orbit
+    and no canonical form is needed.  The walk stays complete.  Each group
+    element g maps regions to regions and, as it keeps the hyperplane
+    classes, flips to flips: it is an automorphism of the flip graph.  Take
+    a path in that graph from the seed's region to any region, and its
+    first vertex V not in `regions`, if any; its predecessor U is g(R) for
+    the representative R of U's orbit, and R was flipped.  Then g^-1(V) is a
+    realized flip of R, so R's step to it put its orbit, V included, into
+    `regions`.
+
+    An orbit member's witness is the image of the representative's when
+    the LP certifies its optimum unique.  The image of the max-slack LP of
+    R under g is the max-slack LP of g(R): the box and equality rows go to
+    box and equality rows, each signed hyperplane row to a signed
+    hyperplane row of g(R) or to one that agrees with it on the affine
+    space of the equalities, and the slack objective stays.  Dropping
+    dominated rows changes no feasible set, since a dominated row is implied
+    by a kept one there.  So g maps the optimal face of R's LP onto that of
+    g(R)'s; a face that is a single point goes to a single point, which is
+    what the LP of g(R) returns.  Without the certificate every orbit member
+    gets its own LP.  Either way the walk returns the same list as the walk
+    without generators.
+
     A flip whose LP finds it empty yields a core, a set of (row, sign)
     pairs whose rows alone, with the box and the equalities, admit no point;
     the core is stored under each of its pairs.  A later flip that agrees
@@ -496,9 +586,12 @@ def _enumerate_regions(arr):
     region as it is).  Such flips are skipped without an LP.  The current
     region is realized and so matches no core, so only the cores stored
     under a flipped row's new sign need checking.  Every skipped flip is one
-    whose LP would have returned None, so the walk and its output are the
+    whose LP would have returned None, so the regions and witnesses are the
     same as without the cores; and since every empty flip met again matches
     its own core, no set of empty sign vectors is kept.
+
+    `QML_MAX_WORK` caps the number of regions, counted as each one is
+    stored, orbit members included.
     """
     seed = _generic_seed(arr)
     if seed is None:
@@ -506,13 +599,16 @@ def _enumerate_regions(arr):
     implies = arr.implies
     steps = _hyperplane_classes(arr.eqs, arr.hyps)
     start = tuple(1 if _row_value(row, seed) > 0 else -1 for row in arr.hyps)
-    regions = {start: _region_witness(arr, start)}
+    cap = max_work()
+    regions: dict = {}
+    # the certificate matters only where there are orbits to expand
+    unique = [] if arr.group else None
+    _add_orbit(arr, regions, start, _region_witness(arr, start, unique=unique), unique == [True], cap)
     # the cores learnt from empty flips, at cores[k][s] for each of their
     # pairs (k, s)
     cores: list = [(None, [], []) for _ in arr.hyps]
     learnt_any = False
     frontier = [start]
-    cap = max_work()
     while frontier:
         signs = frontier.pop()
         for cls in steps:
@@ -534,18 +630,48 @@ def _enumerate_regions(arr):
             ):
                 continue
             learnt: list[tuple[int, int]] = []
-            x = _region_witness(arr, flipped, core=learnt)
+            unique = [] if arr.group else None
+            x = _region_witness(arr, flipped, core=learnt, unique=unique)
             if x is None:
                 core = tuple(learnt)
                 for k, sk in core:
                     cores[k][sk].append(core)
                 learnt_any = True
                 continue
-            regions[flipped] = x
+            _add_orbit(arr, regions, flipped, x, unique == [True], cap)
             frontier.append(flipped)
-            if len(regions) > cap:
-                raise TooLargeError("region enumeration exceeds QML_MAX_WORK")
     return sorted(regions.items())
+
+
+def _symmetry(mode: str, n: int, walls: Sequence[Wall]):
+    """The adjacent transpositions (i, i+1) of the indices as generators of
+    S_n acting on the wall arrangement, in the form of `_Arrangement.group`;
+    none when there are no walls, and so a single region.
+
+    A transposition moves the theta coordinates and keeps h1 and h2.  It
+    maps wall J onto the wall of the image side.  Where that side is the
+    complement of the hypersimplex wall's stored side, the sign reverses:
+    sum over the complement minus 1 is 1 minus the sum over the side,
+    since the thetas sum to 2.  Each transposition is its own inverse, so
+    the wall read at k of an image is the image of wall k."""
+    if not walls:
+        return ()
+    index = {w.j: k for k, w in enumerate(walls)}
+    shift = 0 if mode == QN else 2
+    group = []
+    for i in range(n - 1):
+        tau = list(range(n))
+        tau[i], tau[i + 1] = i + 1, i
+        src = []
+        for w in walls:
+            side = tuple(sorted(tau[a] for a in w.j))
+            if mode == QN:
+                canon = canonical_qn_wall(n, side).j
+                src.append(index[canon] + (0 if canon == side else len(walls)))
+            else:
+                src.append(index[side])
+        group.append((tuple(src), (*range(shift), *(shift + a for a in tau))))
+    return tuple(group)
 
 
 _CHAMBER_BOUNDS = {QN: 7, PN: 6}
@@ -555,12 +681,14 @@ _chamber_cache: dict[tuple[str, int], tuple[Chamber, ...]] = {}
 @functools.cache
 def _arrangement(mode: str, n: int):
     """The inner-wall arrangement: (walls, decode, arr), with `_space`'s
-    decoder and an `_Arrangement` of one row per wall and the subset
-    implications between the walls' signs."""
+    decoder and an `_Arrangement` of one row per wall, the subset
+    implications between the walls' signs and the action of S_n."""
     walls = tuple(enumerate_walls(mode, n))
     nvars, eqs, box_rows, decode = _space(mode, n)
     hyps = tuple(_wall_row(mode, n, w) for w in walls)
-    arr = _Arrangement(nvars, eqs, box_rows, hyps, _subset_implications(walls, n))
+    arr = _Arrangement(
+        nvars, eqs, box_rows, hyps, _subset_implications(walls, n), _symmetry(mode, n, walls)
+    )
     return walls, decode, arr
 
 

@@ -57,10 +57,6 @@ def random_points(rng: Rng, k: int) -> list[ProjPoint]:
     return out
 
 
-def random_fraction(rng: Rng, lo: int = -9, hi: int = 9, den: int = 6) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, den))
-
-
 # ---------------------------------------------------------------------------
 # Partitions.
 

@@ -44,6 +44,14 @@ an optimal dual solution.  Restricted to those rows, the equalities and
 x >= 0, the same dual solution stays feasible and keeps its value, so the
 smaller system is empty as well: phase 1 still ends above zero, and phase 2
 still caps the slack at zero.  This support is the system's *core*.
+
+When it has one, the final tableau can also certify that the witness is the
+only optimum.  Every feasible point y has objective value z + sum d_j y_j,
+with z the optimum and d_j the reduced cost of nonbasic variable j, each
+d_j <= 0.  If every d_j is nonzero (the tableau is dual-nondegenerate), the
+value is z only where every nonbasic variable is zero, which is the basic
+solution alone.  The certificate is sufficient, not necessary: a degenerate
+vertex can be the unique optimum and still show a zero reduced cost.
 """
 from __future__ import annotations
 
@@ -309,8 +317,10 @@ def simplex_maximize(
     return _solve(c, ub, eq, support)
 
 
-def _solve(c, ub, eq, support=None):
-    """`simplex_maximize` over prepared rows."""
+def _solve(c, ub, eq, support=None, unique=None):
+    """`simplex_maximize` over prepared rows.  A `unique` list receives, when
+    the status is OPTIMAL, whether the optimum is certified unique: every
+    nonbasic reduced cost of the final tableau is nonzero."""
     n = len(c)
     first_art = n + len(ub)
     tab, nart = _start(n, ub, eq)
@@ -341,6 +351,8 @@ def _solve(c, ub, eq, support=None):
         return UNBOUNDED, None, None
     if support is not None:
         support.extend(_dual_support(tab, n, first_art))
+    if unique is not None:
+        unique.append(all(tab.obj[:-1]))
     x = [ZERO] * n
     den = tab.den
     for bi, row in zip(tab.basis, tab.rows):
@@ -356,6 +368,7 @@ def strict_interior_point(
     eqs: Sequence[tuple[Sequence[Rational], Rational]] = (),
     tweak: Optional[Sequence[Rational]] = None,
     core: Optional[list[int]] = None,
+    unique: Optional[list[bool]] = None,
 ) -> Optional[list[Fraction]]:
     """A point x >= 0 with g . x > h for every (g, h) in strict_ge and the
     given equalities, or None if the open system is empty.
@@ -372,7 +385,8 @@ def strict_interior_point(
     ub = [row if type(row) is TableauRow else strict_row(*row) for row in strict_ge]
     eq = [row if type(row) is TableauRow else equality_row(*row) for row in eqs]
     support = None if core is None else []
-    status, x, _ = _solve(c, ub, eq, support)
+    certified = None if unique is None or tweak is not None else []
+    status, x, _ = _solve(c, ub, eq, support, certified)
     if status == UNBOUNDED:
         raise RuntimeError("strict feasibility system is unbounded; missing box constraints")
     if status != OPTIMAL or x[nvars] <= 0:
@@ -380,6 +394,8 @@ def strict_interior_point(
             core.extend(support)
         return None
     if tweak is None:
+        if unique is not None:
+            unique.extend(certified)
         return x[:nvars]
     floor_row = _prepare((0,) * nvars + (-1,), -x[nvars] / 2, 1)
     status, x2, _ = _solve([*tweak, 0], [*ub, floor_row], eq)

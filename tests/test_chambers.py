@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermoduli import chambers, lp, serialize
+from quivermoduli import chambers, cli, lp, serialize
 from quivermoduli.chambers import (
     BadEpsilonError,
     Chamber,
@@ -562,28 +562,134 @@ def test_enumerate_regions_matches_exhaustive_reference():
         assert _enumerate_regions(arr) == _exhaustive_regions(arr), (mode, n, hyps)
 
 
-def test_chamber_complex_output_is_pinned():
-    expected = {
-        ("qn", 3): "64a530f5397e92e6f39cd8038e55a128e087e942d739a958e965dd2717e7a96c",
-        ("qn", 4): "c79a8932e5717ad0be8daa7d92692e84ec0b70fe359e276de109c9ccd18719b3",
-        ("qn", 5): "db7eea5dd2579e6cadfbfb474ec1f30759a3b72a4c25a9550bd724b1cdc6d11d",
-        ("pn", 1): "b20204fcac0c9a1a6cff26f8807197609a57b92330ccc9db4801aa5c72da66d7",
-        ("pn", 2): "b1992171d246e726fc55abf9d3fd392c511c71ebe00538ff9bcb8abd355a117b",
-        ("pn", 3): "68efb2ae29a0d59350a7dfb146f70094b47b805d2356e1f480fe3fe2b8cb2f88",
-        ("pn", 4): "ac613b097c32542000a85b8f537e40f87230d57461427e33c1fcce2bc3d59ebd",
-    }
-    for (mode, n), digest in expected.items():
+_COMPLEX_DIGESTS = {
+    ("qn", 3): "64a530f5397e92e6f39cd8038e55a128e087e942d739a958e965dd2717e7a96c",
+    ("qn", 4): "c79a8932e5717ad0be8daa7d92692e84ec0b70fe359e276de109c9ccd18719b3",
+    ("qn", 5): "db7eea5dd2579e6cadfbfb474ec1f30759a3b72a4c25a9550bd724b1cdc6d11d",
+    ("pn", 1): "b20204fcac0c9a1a6cff26f8807197609a57b92330ccc9db4801aa5c72da66d7",
+    ("pn", 2): "b1992171d246e726fc55abf9d3fd392c511c71ebe00538ff9bcb8abd355a117b",
+    ("pn", 3): "68efb2ae29a0d59350a7dfb146f70094b47b805d2356e1f480fe3fe2b8cb2f88",
+    ("pn", 4): "ac613b097c32542000a85b8f537e40f87230d57461427e33c1fcce2bc3d59ebd",
+}
+_QN6_DIGEST = "d2dbad04e9d7bb8ac9c924ab044ec950006ab70813167b833681ddee29eddb2a"
+
+
+def _assert_complex_output_is_pinned():
+    for (mode, n), digest in _COMPLEX_DIGESTS.items():
         text = serialize.dumps(serialize.chamber_complex_json(mode, n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (mode, n)
     text = serialize.dumps(serialize.chamber_complex_json("qn", 6, with_adjacency=False))
-    digest = "d2dbad04e9d7bb8ac9c924ab044ec950006ab70813167b833681ddee29eddb2a"
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(text.encode()).hexdigest() == _QN6_DIGEST
 
 
-def test_learnt_cores_skip_empty_flips(monkeypatch):
-    # each empty flip teaches a core, and a later flip that matches a
-    # stored core is skipped without an LP; the counts are the calls to
-    # chambers.strict_interior_point, which the benchmark tracer wraps
+def test_chamber_complex_output_is_pinned():
+    _assert_complex_output_is_pinned()
+
+
+def _plain_arrangement(mode, n):
+    """The wall arrangement of `chambers._arrangement` without the group, as
+    cover_check builds its arrangements."""
+    walls, _, arr = chambers._arrangement(mode, n)
+    return _Arrangement(arr.nvars, arr.eqs, arr.box_rows, arr.hyps, _subset_implications(walls, n))
+
+
+_SIZES = [("qn", n) for n in (3, 4, 5, 6)] + [("pn", n) for n in (1, 2, 3, 4, 5)]
+
+
+def test_orbit_walk_matches_the_walk_without_generators():
+    for mode, n in _SIZES:
+        _, _, arr = chambers._arrangement(mode, n)
+        assert len(arr.group) == (n - 1 if arr.hyps else 0)
+        assert _enumerate_regions(arr) == _enumerate_regions(_plain_arrangement(mode, n)), (mode, n)
+
+
+def test_uncertified_orbits_get_one_lp_per_member(monkeypatch):
+    # a strict_interior_point that never certifies its optimum unique: every
+    # orbit member then gets its own LP, and the output is the same
+    solve = chambers.strict_interior_point
+    feasible = Counter()
+
+    def uncertified(*args, unique=None, **kwargs):
+        x = solve(*args, **kwargs)
+        feasible[x is not None] += 1
+        return x
+
+    monkeypatch.setattr(chambers, "strict_interior_point", uncertified)
+    monkeypatch.setattr(chambers, "_chamber_cache", {})
+    _assert_complex_output_is_pinned()
+    feasible.clear()
+    chambers._chamber_cache.clear()
+    assert len(enumerate_chambers("qn", 6)) == 1678
+    assert feasible[True] >= 1678
+
+
+def _orbit(arr, signs, x):
+    """Every image of the region `signs` with point x under arr.group."""
+    seen = {signs: x}
+    todo = [(signs, x)]
+    while todo:
+        signs, x = todo.pop()
+        m = len(signs)
+        for src, vsrc in arr.group:
+            image = tuple(signs[k] if k < m else -signs[k - m] for k in src)
+            y = [x[j] for j in vsrc]
+            if image not in seen:
+                seen[image] = y
+                todo.append((image, y))
+    return seen
+
+
+def test_certified_witnesses_are_the_permuted_witnesses():
+    for mode, n, orbits in (("qn", 5, 6), ("pn", 4, 25)):
+        _, _, arr = chambers._arrangement(mode, n)
+        direct = dict(_enumerate_regions(_plain_arrangement(mode, n)))
+        certified = 0
+        for signs, x in direct.items():
+            unique = []
+            assert _region_witness(arr, signs, unique=unique) == x
+            if unique != [True]:
+                continue
+            certified += 1
+            for image, y in _orbit(arr, signs, x).items():
+                assert direct[image] == y, (mode, n, signs, image)
+        assert certified > len(direct) // 2, (mode, n)
+        # the orbits partition the chambers
+        found = []
+        rest = dict(direct)
+        while rest:
+            signs, x = next(iter(rest.items()))
+            orbit = _orbit(arr, signs, x)
+            assert orbit.keys() <= rest.keys()
+            for image in orbit:
+                del rest[image]
+            found.append(len(orbit))
+        assert len(found) == orbits, (mode, n, found)
+
+
+def test_max_work_fires_inside_an_orbit(monkeypatch, capsys):
+    # the qn 5 walk stores the central chamber, an orbit of one, and then an
+    # orbit of ten; a cap of five is passed in the middle of that orbit
+    add = chambers._add_orbit
+    stored = []
+
+    def recorded(arr, regions, *args):
+        stored.append(regions)
+        add(arr, regions, *args)
+
+    monkeypatch.setattr(chambers, "_add_orbit", recorded)
+    monkeypatch.setattr(chambers, "_chamber_cache", {})
+    monkeypatch.setenv("QML_MAX_WORK", "5")
+    with pytest.raises(TooLargeError, match="QML_MAX_WORK"):
+        enumerate_chambers("qn", 5)
+    assert len(stored) == 2 and len(stored[-1]) == 6
+    assert cli.main(["chambers", "--mode", "qn", "--n", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "QML_MAX_WORK" in err
+
+
+def _count_lps(monkeypatch):
+    """The calls to chambers.strict_interior_point, which the benchmark
+    tracer wraps, as a list of 'region empty' flags."""
     solve = chambers.strict_interior_point
     calls = []
 
@@ -594,16 +700,34 @@ def test_learnt_cores_skip_empty_flips(monkeypatch):
 
     monkeypatch.setattr(chambers, "strict_interior_point", counted)
     monkeypatch.setattr(chambers, "_chamber_cache", {})
+    return calls
+
+
+def test_learnt_cores_skip_empty_flips(monkeypatch):
+    # each empty flip teaches a core, and a later flip that matches a
+    # stored core is skipped without an LP; the walk without generators is
+    # the one cover_check runs
+    calls = _count_lps(monkeypatch)
     for mode, n, total, empty in (("qn", 6, 1715, 30), ("pn", 4, 161, 6)):
+        calls.clear()
+        _enumerate_regions(_plain_arrangement(mode, n))
+        assert (len(calls), sum(calls)) == (total, empty), (mode, n)
+
+
+def test_orbit_walk_lp_counts_are_pinned(monkeypatch):
+    # one LP per orbit, plus the seed's, the empty flips' and, at qn 6, 39
+    # for the members of uncertified orbits
+    calls = _count_lps(monkeypatch)
+    for mode, n, total, empty in (("qn", 6, 71, 5), ("pn", 4, 36, 4), ("pn", 5, 189, 63)):
         calls.clear()
         enumerate_chambers(mode, n)
         assert (len(calls), sum(calls)) == (total, empty), (mode, n)
 
 
-def test_pivot_counts_are_pinned(monkeypatch):
-    # every pivot of the exact simplex under an enumeration, and the unit
-    # steps among them (pivot element equal to den), which update only the
-    # pivot row's nonzero columns
+def _count_pivots(monkeypatch):
+    # every pivot of the exact simplex, and the unit steps among them
+    # (pivot element equal to den), which update only the pivot row's
+    # nonzero columns
     pivot = lp._Tableau.pivot
     counts = Counter()
 
@@ -614,7 +738,20 @@ def test_pivot_counts_are_pinned(monkeypatch):
 
     monkeypatch.setattr(lp._Tableau, "pivot", counted)
     monkeypatch.setattr(chambers, "_chamber_cache", {})
+    return counts
+
+
+def test_pivot_counts_are_pinned(monkeypatch):
+    counts = _count_pivots(monkeypatch)
     for mode, n, total, unit in (("qn", 6, 18871, 15867), ("pn", 4, 1322, 975)):
+        counts.clear()
+        _enumerate_regions(_plain_arrangement(mode, n))
+        assert (counts["all"], counts["unit"]) == (total, unit), (mode, n)
+
+
+def test_orbit_walk_pivot_counts_are_pinned(monkeypatch):
+    counts = _count_pivots(monkeypatch)
+    for mode, n, total, unit in (("qn", 6, 962, 852), ("pn", 4, 283, 216)):
         counts.clear()
         enumerate_chambers(mode, n)
         assert (counts["all"], counts["unit"]) == (total, unit), (mode, n)

@@ -503,6 +503,55 @@ def test_core_reads_both_phases():
     assert core == [2, 3]
 
 
+def test_unique_certificate_on_a_vertex_and_on_a_tied_edge():
+    # 0 < x < 1: the slack peaks at x = 1/2 alone, and no reduced cost of
+    # the final tableau is zero
+    unique = []
+    assert strict_interior_point(1, [((1,), 0), ((-1,), -1)], unique=unique) == [F(1, 2)]
+    assert unique == [True]
+    # 0 < x1 < 1 and 0 < x2 < 3: the slack peaks at 1/2 all along the edge
+    # x1 = 1/2, 1/2 <= x2 <= 5/2, so the optimum is not unique
+    rows = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -3)]
+    unique = []
+    x = strict_interior_point(2, rows, unique=unique)
+    assert x[0] == F(1, 2) and F(1, 2) <= x[1] <= F(5, 2)
+    assert unique == [False]
+    # nothing is reported for an empty system or a tweaked witness
+    unique = []
+    assert strict_interior_point(1, [((1,), 0), ((-1,), 0)], unique=unique) is None
+    assert strict_interior_point(1, [((1,), 0), ((-1,), -1)], tweak=[F(1)], unique=unique)
+    assert unique == []
+
+
+def test_certified_witness_is_the_only_optimum():
+    # the seeded strict systems: where the certificate holds, no point of
+    # the max-slack LP's optimal face differs from the witness in any
+    # coordinate
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(300):
+        n, rows, eqs, _ = _random_strict_system(rng)
+        unique = []
+        x = strict_interior_point(n, rows, eqs, unique=unique)
+        if x is None:
+            continue
+        seen[unique[0]] += 1
+        if not unique[0]:
+            continue
+        slack = min(sum(a * b for a, b in zip(g, x)) - h for g, h in rows)
+        a_ub = [[-v for v in g] + [1] for g, _ in rows] + [[0] * n + [-1]]
+        b_ub = [-h for _, h in rows] + [-slack]
+        a_eq = [[*g, 0] for g, _ in eqs]
+        b_eq = [h for _, h in eqs]
+        for i in range(n):
+            for sign in (1, -1):
+                c = [0] * (n + 1)
+                c[i] = sign
+                status, _, value = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq)
+                assert status == OPTIMAL and value == sign * x[i], (rows, eqs, i)
+    assert seen[True] > 50 and seen[False] > 10, seen
+
+
 @pytest.fixture
 def pivot_kinds(monkeypatch):
     """Count the pivots of lp._Tableau by kind: unit steps (pivot element
