@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Optional, Sequence, Union
 
@@ -67,6 +67,14 @@ class QnConfig:
     @property
     def n(self) -> int:
         return len(self.sections)
+
+    @cached_property
+    def dets(self) -> tuple[tuple[int, ...], ...]:
+        """The table dets[i][k] = idet(s_i, s_k) of integer determinants,
+        built on first use and kept outside the fields (so equality, hashing
+        and repr ignore it); raises ZeroSectionError on a zero section."""
+        pts = [s.ihom for s in _require_points(self)]
+        return tuple(tuple(a0 * b1 - a1 * b0 for b0, b1 in pts) for a0, a1 in pts)
 
 
 @dataclass(frozen=True)
@@ -336,49 +344,54 @@ def normalize_chart_pn(config: PnConfig, index: int) -> PnConfig:
     return PnConfig(tuple(m.apply(p) for p in secs))
 
 
-def _normalized_ipairs(config: Config, i: Optional[int], j: Optional[int]) -> list[IPoint]:
-    """Integer homogeneous coordinates after sending section i to (0:1) and
-    section j to (1:0); double-star configurations use their implicit anchors
-    and require i and j to be omitted."""
-    secs = _require_points(config)
+def _anchor_frame(
+    config: Config, i: Optional[int], j: Optional[int]
+) -> tuple[ProjPoint, ProjPoint, Sequence[int], Sequence[int]]:
+    """Anchors p, q of a chart and rows x[k] = idet(p, s_k), y[k] = idet(q, s_k):
+    a Moebius sending p to (0:1) and q to (1:0) sends s_k to (-x[k] : y[k])
+    up to a diagonal factor.  Star-quiver anchors are the sections i and j,
+    with rows from `dets`; double-star ones are (0:1) and (1:0), i, j omitted."""
     if isinstance(config, PnConfig):
+        secs = _require_points(config)
         if i is not None or j is not None:
             raise ValueError("double-star configurations have fixed anchors; omit i and j")
-        return [s.ihom for s in secs]
+        return ZERO_POINT, INF_POINT, [-s.ihom[0] for s in secs], [s.ihom[1] for s in secs]
+    d = config.dets
     if i is None or j is None or i == j:
         raise ValueError("two distinct anchor indices are required")
-    pi, pj = secs[i].ihom, secs[j].ihom
-    if pi == pj:
+    if not (0 <= i < len(d) and 0 <= j < len(d)):
+        raise ValueError(f"anchor indices {i} and {j} must lie in range({len(d)})")
+    if not d[i][j]:
         raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
-    # the pair (-idet(pi, q), idet(pj, q)) for each section q
-    (a0, a1), (b0, b1) = pi, pj
-    return [(a1 * q0 - a0 * q1, b0 * q1 - b1 * q0) for q0, q1 in (s.ihom for s in secs)]
+    return config.sections[i], config.sections[j], d[i], d[j]
 
 
 def check_limit_equations(
     config_a: Config, config_b: Config, i: Optional[int] = None, j: Optional[int] = None
 ) -> bool:
     """Whether the two configurations satisfy the cross-chart equations
-    after both are normalized with section i at (0:1) and section j at (1:0).
+    for the anchor pair (i, j).
 
-    Equivalent formulation: writing (A_k : B_k) for the pair
-    (u_k0 v_k1 : u_k1 v_k0) of normalized coordinates, all pairs other than
-    (0, 0) must define one common projective value, i.e. all mark pairs lie
-    on a single diagonal (1,1)-curve through the two anchor corners.
+    With x, y the anchor rows of a (x[k] = D_a[i][k], y[k] = D_a[j][k],
+    D_a the determinant table; the implicit anchors for double-star
+    configurations) and x', y' those of b, the equations say that the
+    pairs (x[k] y'[k] : y[k] x'[k]) other than (0, 0) all define one
+    projective value.  Equivalently, after sending section i to (0:1) and
+    section j to (1:0) in both charts, all mark pairs lie on a single
+    diagonal (1,1)-curve through the two anchor corners.
     """
     if type(config_a) is not type(config_b) or config_a.n != config_b.n:
         raise ValueError("configurations must share a mode and a size")
-    u = _normalized_ipairs(config_a, i, j)
-    v = _normalized_ipairs(config_b, i, j)
-    ratio = None
-    for (u0, u1), (v0, v1) in zip(u, v):
-        a, b = u0 * v1, u1 * v0
-        if a == 0 and b == 0:
-            continue
-        if ratio is None:
-            ratio = (a, b)
-        elif a * ratio[1] != b * ratio[0]:
+    _, _, xa, ya = _anchor_frame(config_a, i, j)
+    _, _, xb, yb = _anchor_frame(config_b, i, j)
+    # a pair (0, 0) passes every comparison; the first other pair fixes r
+    r0 = r1 = 0
+    for p, q, s, t in zip(xa, yb, ya, xb):
+        a, b = p * q, s * t
+        if a * r1 != b * r0:
             return False
+        if not (r0 or r1):
+            r0, r1 = a, b
     return True
 
 
@@ -411,45 +424,29 @@ def glue_fiber(
     """Glue two equation-compatible charts into their common fiber curve."""
     if not check_limit_equations(config_a, config_b, i, j):
         raise EquationsFailError("configurations are not related by the cross-chart equations")
-    u = _normalized_ipairs(config_a, i, j)
-    v = _normalized_ipairs(config_b, i, j)
-    if isinstance(config_a, QnConfig):
-        secs_a = _require_points(config_a)
-        secs_b = _require_points(config_b)
-        frame_a = moebius_two_point(secs_a[i], secs_a[j])
-        frame_b = moebius_two_point(secs_b[i], secs_b[j])
-    else:
-        frame_a = frame_b = None
-    common = [
-        k
-        for k in range(config_a.n)
-        if 0 not in u[k] and 0 not in v[k]
-    ]
-    if common:
-        # the connecting map is diagonal in the anchor frames; build it from
-        # the frame images of one common off-anchor section so all scales
-        # live in the same frame
-        k0 = min(common)
-        if frame_a is not None:
-            ua = frame_a.apply(config_a.sections[k0])
-            vb = frame_b.apply(config_b.sections[k0])
-        else:
-            ua = config_a.sections[k0]
-            vb = config_b.sections[k0]
-        (ua0, ua1), (vb0, vb1) = ua.ihom, vb.ihom
-        diag = Moebius(vb0 * ua1, 0, 0, vb1 * ua0)
-        if frame_a is not None:
-            m = frame_b.inverse().compose(diag).compose(frame_a)
-        else:
-            m = diag
-        if not all(pp_eq(m.apply(sa), sb) for sa, sb in zip(config_a.sections, config_b.sections)):
-            raise EquationsFailError("the connecting map does not match every section")
+    pa, qa, xa, ya = _anchor_frame(config_a, i, j)
+    pb, qb, xb, yb = _anchor_frame(config_b, i, j)
+    n = config_a.n
+    k0 = next((k for k in range(n) if xa[k] and ya[k] and xb[k] and yb[k]), None)
+    if k0 is not None:
+        # the connecting map takes the anchors and one common off-anchor
+        # section of the first chart to those of the second
+        ma = moebius_from_triple(pa, qa, config_a.sections[k0])
+        mb = moebius_from_triple(pb, qb, config_b.sections[k0])
+        m = mb.inverse().compose(ma)
+        e00, e01, e10, e11 = m.imat
+        for sa, sb in zip(config_a.sections, config_b.sections):
+            (a0, a1), (b0, b1) = sa.ihom, sb.ihom
+            if (e00 * a0 + e01 * a1) * b1 != (e10 * a0 + e11 * a1) * b0:
+                raise EquationsFailError("the connecting map does not match every section")
         return GluedFiber(IRREDUCIBLE, moebius=m)
     # the fiber is a chain of two lines with its node at an anchor corner;
     # the corner orientation is read off where the varying sections of one
     # chart collapse in the other
-    offs_a = [k for k in range(config_a.n) if 0 not in u[k]]
-    offs_b = [k for k in range(config_a.n) if 0 not in v[k]]
+    u = [(-x, y) for x, y in zip(xa, ya)]
+    v = [(-x, y) for x, y in zip(xb, yb)]
+    offs_a = [k for k in range(n) if 0 not in u[k]]
+    offs_b = [k for k in range(n) if 0 not in v[k]]
     if not offs_a or not offs_b:
         raise EquationsFailError("fiber undetermined: one chart has only anchored sections")
     cb_vals = {v[k] for k in offs_a}
@@ -460,22 +457,13 @@ def glue_fiber(
     corner_a = next(iter(ca_vals))
     if corner_a == corner_b:
         raise EquationsFailError("the node corner does not mix the two anchors")
-    on_a = frozenset(k for k in range(config_a.n) if v[k] == corner_b)
-    on_b = frozenset(k for k in range(config_a.n) if u[k] == corner_a)
-    pa = ProjPoint(*corner_a)
-    pb = ProjPoint(*corner_b)
-    if frame_a is not None:
-        node_a = frame_a.inverse().apply(pa)
-        node_b = frame_b.inverse().apply(pb)
-    else:
-        node_a = pa
-        node_b = pb
+    # a corner (0 : c) is the image of the first anchor, (c : 0) of the second
     return GluedFiber(
         TWO_COMPONENTS,
-        marks_on_a=on_a,
-        marks_on_b=on_b,
-        node_a=node_a,
-        node_b=node_b,
+        marks_on_a=frozenset(k for k in range(n) if v[k] == corner_b),
+        marks_on_b=frozenset(k for k in range(n) if u[k] == corner_a),
+        node_a=qa if corner_a[0] else pa,
+        node_b=qb if corner_b[0] else pb,
     )
 
 
@@ -498,8 +486,16 @@ def map_config_qn2_pn(config: QnConfig, a: int, b: int) -> PnConfig:
 
 
 def moebius_equivalent(config_a: QnConfig, config_b: QnConfig) -> bool:
-    """Whether one configuration is a Moebius transform of the other,
-    respecting indices."""
+    """Whether one star-quiver configuration is a Moebius transform of the
+    other, respecting indices.
+
+    With sections r1, r2, r3 from three coincidence blocks, the Moebius
+    sending them to (0:1), (1:0), (1:1) sends section k to
+    (D[r1][k] D[r2][r3] : D[r2][k] D[r1][r3]), D the determinant table; the
+    configurations are equivalent when these values agree for every k.
+    """
+    if not (isinstance(config_a, QnConfig) and isinstance(config_b, QnConfig)):
+        raise ValueError("Moebius equivalence is defined for star-quiver configurations")
     if config_a.n != config_b.n:
         return False
     pa = coincidence_partition(config_a)
@@ -508,7 +504,8 @@ def moebius_equivalent(config_a: QnConfig, config_b: QnConfig) -> bool:
         return False
     if len(pa.blocks) <= 2:
         return True  # at most two distinct points on each side
-    reps = [block[0] for block in pa.blocks[:3]]
-    na = normalize_chart_qn(config_a, reps)
-    nb = normalize_chart_qn(config_b, reps)
-    return na == nb
+    r1, r2, r3 = (block[0] for block in pa.blocks[:3])
+    da, db = config_a.dets, config_b.dets
+    a1, a2, b1, b2 = da[r1], da[r2], db[r1], db[r2]
+    ca, cb = a2[r3] * b1[r3], b2[r3] * a1[r3]
+    return all(x * y * ca == z * w * cb for x, y, z, w in zip(a1, b2, b1, a2))
