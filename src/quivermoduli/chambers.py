@@ -49,11 +49,12 @@ Every linear constraint takes one form, the LP row (coeffs, rhs) read as
 coeffs . x - rhs over the variables of `_space`: the box, the walls, and the
 facets that cut a stability polytope or a Hassett target out of its ambient
 polytope (`_constraints`).  `cover_check` walks the arrangement of the
-members' and the target's facet rows.  A region's witness satisfies every
-row strictly on the side the region's sign vector names, so the signs alone
-decide membership: the region lies in a member iff every row of the member
-reads -1, and outside the Hassett target iff some row of the target reads
-+1.  Only an uncovered witness is decoded into a weight.
+members' facet rows inside the open target: a Hassett target's facet rows,
+taken strictly, join the box, so no region outside the target is visited.
+A region's witness satisfies every hyperplane row strictly on the side the
+region's sign vector names, so the signs alone decide membership: the
+region lies in a member iff every row of the member reads -1.  Only an
+uncovered witness is decoded into a weight.
 """
 from __future__ import annotations
 
@@ -924,6 +925,13 @@ def _constraints(p: TargetPolytope) -> list[tuple[tuple[int, ...], Union[int, Fr
     return out
 
 
+def _interior_rows(p: TargetPolytope) -> tuple[tuple[tuple[int, ...], Union[int, Fraction]], ...]:
+    """The facet rows of `_constraints` negated, as box rows: a point
+    satisfies them strictly (coeffs . x - rhs > 0) iff it lies strictly
+    inside every facet of the polytope."""
+    return tuple((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in _constraints(p))
+
+
 def _mode_of(p: TargetPolytope) -> str:
     return QN if isinstance(p, HassettPolytope) else p.mode
 
@@ -955,10 +963,7 @@ def interiors_intersect(a: TargetPolytope, b: TargetPolytope) -> bool:
     if mode != _mode_of(b) or a.n != b.n:
         raise ValueError("polytopes live in different ambient spaces")
     nvars, eqs, box_rows, _ = _space(mode, a.n)
-    rows = list(box_rows)
-    for p in (a, b):
-        # value < 0
-        rows.extend((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in _constraints(p))
+    rows = [*box_rows, *_interior_rows(a), *_interior_rows(b)]
     return strict_interior_point(nvars, rows, eqs) is not None
 
 
@@ -971,33 +976,43 @@ def cover_check(
     """Whether the union of the given stability polytopes covers the target
     (the full ambient polytope, or the sub-polytope below a Hassett weight).
 
-    Decided exactly: enumerate the regions of the arrangement of all facet
-    rows of the members and of the target, and test each region for
-    membership in some member.  Returns an uncovered witness on failure.
+    Decided exactly: enumerate the regions that the members' facet rows cut
+    from the open target, and test each region for membership in some
+    member.  Returns an uncovered witness on failure.
 
-    Every region's witness satisfies each row strictly on the side its sign
-    vector names, so the signs decide membership without evaluating a row:
-    the region lies in a member iff every row of the member reads -1, and
-    outside the target iff some row of the target reads +1.
+    The open target is the ambient polytope's interior, cut down by the
+    Hassett target's facet rows taken strictly (coeffs . x - rhs < 0) as
+    further box rows, so the walk never leaves it; it is convex, so the walk
+    still reaches every region in it.  A target row is the indicator of one
+    index with rhs a_i < 1 and a member row that of a block of two or more
+    with rhs 1, so no target row is also a hyperplane.  Every region's
+    witness satisfies each member row strictly on the side its sign vector
+    names, so the signs decide membership without evaluating a row: the
+    region lies in a member iff every row of the member reads -1.
     """
     if a is not None and mode != QN:
         raise ValueError("weighted targets only exist for the hypersimplex")
+    if mode == QN and n < 3:
+        raise ValueError("hypersimplex weights need n >= 3")
+    if mode == PN and n < 1:
+        raise ValueError("double-star weights need n >= 1")
     if n > 6:
         raise TooLargeError("cover check capped at n <= 6")
     target = HassettPolytope(tuple(a)) if a is not None else None
-    # each distinct row, in order of first appearance, and its index
+    # each distinct member row, in order of first appearance, and its index
     index: dict[tuple, int] = {}
     members = []
-    for p in list(polys) + ([target] if target is not None else []):
+    for p in polys:
         if p.n != n or _mode_of(p) != mode:
             raise ValueError("member polytope in a different ambient space")
         members.append([index.setdefault(row, len(index)) for row in _constraints(p)])
-    target_rows = members.pop() if target is not None else []
     nvars, eqs, box_rows, decode = _space(mode, n)
+    if target is not None:
+        if target.n != n:
+            raise ValueError("member polytope in a different ambient space")
+        box_rows += _interior_rows(target)
     # the prepared rows live for this call only
     for signs, x in _enumerate_regions(_Arrangement(nvars, eqs, box_rows, list(index))):
-        if any(signs[k] > 0 for k in target_rows):
-            continue
         if not any(all(signs[k] < 0 for k in ks) for ks in members):
             return False, decode(x)
     return True, None

@@ -105,11 +105,16 @@ class CoincidencePartition:
     jinf: tuple[int, ...] = ()
 
 
-def coincidence_partition(config: Config) -> CoincidencePartition:
-    groups: dict[IPoint, list[int]] = {}
+def _require_classes(config: Config) -> None:
     for i, s in enumerate(config.sections):
         if s is None:
             raise ZeroSectionError(f"section {i} is zero and has no projective class")
+
+
+def coincidence_partition(config: Config) -> CoincidencePartition:
+    _require_classes(config)
+    groups: dict[IPoint, list[int]] = {}
+    for i, s in enumerate(config.sections):
         groups.setdefault(s.ihom, []).append(i)
     blocks = tuple(sorted(tuple(v) for v in groups.values()))
     if isinstance(config, PnConfig):
@@ -489,23 +494,28 @@ def moebius_equivalent(config_a: QnConfig, config_b: QnConfig) -> bool:
     """Whether one star-quiver configuration is a Moebius transform of the
     other, respecting indices.
 
-    With sections r1, r2, r3 from three coincidence blocks, the Moebius
-    sending them to (0:1), (1:0), (1:1) sends section k to
-    (D[r1][k] D[r2][r3] : D[r2][k] D[r1][r3]), D the determinant table; the
-    configurations are equivalent when these values agree for every k.
+    Sections i and k coincide iff D[i][k] = 0, D the determinant table, so
+    the first zero of row k names the first section coinciding with k, and
+    the coincidence partitions agree iff these first zeros do.  With r1, r2,
+    r3 the first three sections that coincide with no earlier one, the
+    Moebius sending them to (0:1), (1:0), (1:1) sends section k to
+    (D[r1][k] D[r2][r3] : D[r2][k] D[r1][r3]); the configurations are
+    equivalent when these values agree for every k.
     """
     if not (isinstance(config_a, QnConfig) and isinstance(config_b, QnConfig)):
         raise ValueError("Moebius equivalence is defined for star-quiver configurations")
     if config_a.n != config_b.n:
         return False
-    pa = coincidence_partition(config_a)
-    pb = coincidence_partition(config_b)
-    if pa.blocks != pb.blocks:
-        return False
-    if len(pa.blocks) <= 2:
-        return True  # at most two distinct points on each side
-    r1, r2, r3 = (block[0] for block in pa.blocks[:3])
+    for config in (config_a, config_b):
+        _require_classes(config)
     da, db = config_a.dets, config_b.dets
+    first = [row.index(0) for row in da]
+    if first != [row.index(0) for row in db]:
+        return False
+    leads = [k for k, i in enumerate(first) if i == k]
+    if len(leads) <= 2:
+        return True  # at most two distinct points on each side
+    r1, r2, r3 = leads[:3]
     a1, a2, b1, b2 = da[r1], da[r2], db[r1], db[r2]
     ca, cb = a2[r3] * b1[r3], b2[r3] * a1[r3]
     return all(x * y * ca == z * w * cb for x, y, z, w in zip(a1, b2, b1, a2))

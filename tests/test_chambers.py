@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermoduli import chambers, cli, lp, serialize
+from quivermoduli import chambers, cli, configs, curves, generate, lp, serialize
 from quivermoduli.chambers import (
     BadEpsilonError,
     Chamber,
@@ -451,6 +451,103 @@ def test_cover_check_results_are_pinned():
     assert sum(line.startswith("False") for line in lines) == 46
     digest = "1e027ff0ef9a524e179fec6bef72931b22f1530397a51c44751d06ea24de0861"
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def _full_walk_cover_check(polys, mode, n, a=None):
+    """cover_check as a walk of the whole ambient polytope: the member and
+    target rows all hyperplanes of one arrangement, and the regions where a
+    target row reads +1 dropped afterwards."""
+    target = [HassettPolytope(a)] if a is not None else []
+    index = {}
+    members = [
+        [index.setdefault(row, len(index)) for row in _constraints(p)] for p in [*polys, *target]
+    ]
+    target_rows = members.pop() if target else []
+    nvars, eqs, box_rows, decode = _space(mode, n)
+    for signs, x in _enumerate_regions(_Arrangement(nvars, eqs, box_rows, list(index))):
+        if any(signs[k] > 0 for k in target_rows):
+            continue
+        if not any(all(signs[k] < 0 for k in ks) for ks in members):
+            return False, decode(x)
+    return True, None
+
+
+def _hassett_cover_cases(seed=13):
+    """Chart polytopes of seeded a-stable trees with their Hassett targets,
+    each family whole, with each member dropped in turn and with its first
+    or second member alone."""
+    rng = random.Random(seed)
+    cases = []
+    for n in (4, 5, 6):
+        for _ in range(6):
+            a = generate.random_hassett_weight(rng, n)
+            fam = curves.moduli_coordinates(generate.random_a_stable_tree(rng, n, a), "hassett", a)
+            polys = [
+                configs.theta_polytope(configs.QnConfig(tuple(fam.charts[tuple(t)])))
+                for t in fam.active_sets()
+            ]
+            dropped = [polys[:i] + polys[i + 1:] for i in range(len(polys))]
+            for members in (polys, polys[:1], polys[1:2], *dropped):
+                cases.append((members, "qn", n, a))
+    return cases
+
+
+def test_cover_check_matches_the_full_walk():
+    # the walk inside the open target finds the regions of the full walk that
+    # lie in the target, with the same witnesses, and so the same answers
+    verdicts = Counter()
+    for polys, mode, n, a in _cover_cases() + _hassett_cover_cases():
+        got = cover_check(polys, mode, n, a)
+        assert got == _full_walk_cover_check(polys, mode, n, a), (polys, mode, n, a)
+        verdicts[a is not None, got[0]] += 1
+    assert min(verdicts.values()) >= 15 and len(verdicts) == 4, verdicts
+
+
+def test_weighted_cover_check_lp_count_is_pinned(monkeypatch):
+    # the walk of the whole hypersimplex took 89 LPs for the same answer
+    polys = [
+        StabPolytope("qn", 6, partition=((0, 1), (2, 3), (4,), (5,))),
+        StabPolytope("qn", 6, partition=((0, 2), (1,), (3, 4), (5,))),
+    ]
+    a = (F(5, 6), F(1, 4), F(1, 12), F(1), F(1), F(5, 6))
+    calls = _count_lps(monkeypatch)
+    covered, witness = cover_check(polys, "qn", 6, a)
+    assert not covered
+    assert polytope_contains(HassettPolytope(a), witness) == "interior"
+    assert (len(calls), sum(calls)) == (10, 3)
+
+
+def test_max_work_fires_inside_a_weighted_cover_check(monkeypatch):
+    # seven regions lie inside this target, many more in the hypersimplex;
+    # only the regions inside the target are stored and counted
+    polys = [
+        StabPolytope("qn", 6, partition=((0, 1), (2, 3), (4,), (5,))),
+        StabPolytope("qn", 6, partition=((0, 2), (1,), (3, 4), (5,))),
+        StabPolytope("qn", 6, partition=((1, 5), (0,), (2,), (3,), (4,))),
+    ]
+    a = (F(1), F(1), F(1, 2), F(1, 2), F(3, 4), F(3, 4))
+    monkeypatch.setenv("QML_MAX_WORK", "6")
+    with pytest.raises(TooLargeError, match="QML_MAX_WORK"):
+        cover_check(polys, "qn", 6, a)
+    monkeypatch.setenv("QML_MAX_WORK", "7")
+    assert cover_check(polys, "qn", 6, a) == (True, None)
+    with pytest.raises(TooLargeError, match="QML_MAX_WORK"):
+        _full_walk_cover_check(polys, "qn", 6, a)
+
+
+def test_cover_check_rejects_sizes_without_an_ambient_polytope():
+    for mode, n, message in (
+        ("qn", 2, "hypersimplex weights need n >= 3"),
+        ("qn", 0, "hypersimplex weights need n >= 3"),
+        ("qn", -1, "hypersimplex weights need n >= 3"),
+        ("pn", 0, "double-star weights need n >= 1"),
+        ("pn", -1, "double-star weights need n >= 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            cover_check([], mode, n)
+    # the size cap keeps its place after them
+    with pytest.raises(TooLargeError):
+        cover_check([], "qn", 7)
 
 
 def _exhaustive_regions(arr):

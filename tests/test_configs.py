@@ -504,3 +504,71 @@ def test_cross_chart_tests_match_the_normalizing_reference():
     # every branch is exercised many times
     assert min(seen["equations"]) > 500 and min(seen["equivalent"]) > 100, seen
     assert len(seen["kinds"]) == 3 and min(seen["kinds"].values()) > 100, seen
+
+
+def _partition_equivalent(a, b):
+    """moebius_equivalent as it read the blocks off both coincidence
+    partitions and took r1, r2, r3 as the first indices of the first three."""
+    if a.n != b.n:
+        return False
+    pa, pb = coincidence_partition(a), coincidence_partition(b)
+    if pa.blocks != pb.blocks:
+        return False
+    if len(pa.blocks) <= 2:
+        return True
+    r1, r2, r3 = (block[0] for block in pa.blocks[:3])
+    da, db = a.dets, b.dets
+    return all(
+        da[r1][k] * da[r2][r3] * db[r2][k] * db[r1][r3]
+        == db[r1][k] * db[r2][r3] * da[r2][k] * da[r1][r3]
+        for k in range(a.n)
+    )
+
+
+def _verdict_or_error(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_moebius_equivalent_matches_the_partition_reference():
+    # seeded pairs with zero sections, coincident marks, Moebius-moved copies
+    # and sizes that differ; verdicts, error types and messages agree
+    rng = random.Random(1313)
+    pool = [INF_POINT, ZERO_POINT, ONE_POINT, affine(-1), affine(2), affine(F(1, 3))]
+    seen = {}
+    for step in range(3000):
+        n = rng.randint(3, 6)
+        secs = [rng.choice(pool) for _ in range(n)]
+        a = QnConfig(tuple(secs))
+        kind = step % 4
+        if kind == 0:
+            b = QnConfig(tuple(rng.choice(pool) for _ in range(rng.choice((n, n, n, n + 1)))))
+        else:
+            while True:
+                e = [rng.randint(-3, 3) for _ in range(4)]
+                if e[0] * e[3] != e[1] * e[2]:
+                    break
+            moved = [Moebius(*e).apply(s) for s in secs]
+            if kind == 2:
+                moved[rng.randrange(n)] = rng.choice(pool)
+            b = QnConfig(tuple(moved))
+        if rng.random() < 0.2:
+            x = rng.choice((a, b))
+            secs = list(x.sections)
+            secs[rng.randrange(x.n)] = None
+            a, b = (QnConfig(tuple(secs)), b) if x is a else (a, QnConfig(tuple(secs)))
+        for x, y in ((a, b), (b, a)):
+            got = _verdict_or_error(lambda: moebius_equivalent(x, y))
+            assert got == _verdict_or_error(lambda: _partition_equivalent(x, y)), (x, y)
+            key = got if isinstance(got, bool) else got[0]
+            seen[key] = seen.get(key, 0) + 1
+    assert min(seen[True], seen[False], seen[ZeroSectionError]) > 300, seen
+    # a zero section of a is named before one of b, with the partition's message
+    a = QnConfig((ONE_POINT, None, ZERO_POINT))
+    b = QnConfig((None, ONE_POINT, ZERO_POINT))
+    with pytest.raises(ZeroSectionError, match=r"^section 1 is zero and has no projective class$"):
+        moebius_equivalent(a, b)
+    with pytest.raises(ZeroSectionError, match=r"^section 0 is zero and has no projective class$"):
+        moebius_equivalent(b, a)
