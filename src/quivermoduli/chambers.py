@@ -62,7 +62,7 @@ import functools
 import itertools
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, neg
 from typing import Optional, Sequence, Union
 
@@ -447,6 +447,18 @@ def _row_value(row, x) -> Fraction:
     return sum(c * xi for c, xi in zip(coeffs, x)) - rhs
 
 
+def _row_signs(rows, x) -> tuple[int, ...]:
+    """The sign (1, 0 or -1) of coeffs . x - rhs for each row, read off
+    integers: over the common denominator m of x, m times the value is
+    coeffs . (m x) - m rhs, an integer for integer rows."""
+    m, xs = _over_lcm(x)
+    signs = []
+    for coeffs, rhs in rows:
+        v = sum(c * xi for c, xi in zip(coeffs, xs)) - rhs * m
+        signs.append((v > 0) - (v < 0))
+    return tuple(signs)
+
+
 def _generic_seed(arr):
     """A point off every hyperplane, found by greedily pinning signs."""
     pinned: list[tuple[int, int]] = []
@@ -454,9 +466,10 @@ def _generic_seed(arr):
     if x is None:
         return None
     while True:
-        zero_at = next((k for k, row in enumerate(arr.hyps) if _row_value(row, x) == 0), None)
-        if zero_at is None:
+        signs = _row_signs(arr.hyps, x)
+        if 0 not in signs:
             return x
+        zero_at = signs.index(0)
         for s in (1, -1):
             trial = pinned + [(zero_at, s)]
             rows = [*arr.box, *(arr.rows[k][sk] for k, sk in trial)]
@@ -470,34 +483,39 @@ def _generic_seed(arr):
 
 def _hyperplane_classes(eqs, hyps) -> list[list[int]]:
     """Indices of `hyps` grouped by the hyperplane they cut from the affine
-    space `eqs`.
+    space `eqs`, in order of first appearance.
 
-    Each row, in homogeneous form (coeffs, -rhs), is reduced modulo the
-    equality rows and scaled so its first nonzero entry is 1; rows with the
-    same reduced vector define the same hyperplane.  A row that reduces to
-    a constant never changes sign and stays a class of its own.
+    Each row, in homogeneous form (coeffs, -rhs) scaled to integers, is
+    reduced modulo the equality rows by fraction-free elimination
+    (v := b_p v - v_p b for each basis row b with pivot p, a nonzero
+    multiple of the reduction over the rationals) and divided by the gcd of
+    its entries, signed so that its first nonzero entry is positive; rows
+    with the same reduced vector define the same hyperplane.  A row that
+    reduces to a constant never changes sign and stays a class of its own.
     """
-    basis: list[tuple[int, list[Fraction]]] = []
-    # rows may be all ints, so every division is made exact through Fraction
+    basis: list[tuple[int, list[int]]] = []
 
     def reduce(v):
         for p, b in basis:
-            if v[p]:
-                f = v[p]
-                v = [a - f * c for a, c in zip(v, b)]
+            f = v[p]
+            if f:
+                d = b[p]
+                v = [d * a - f * c for a, c in zip(v, b)]
         return v
 
     for coeffs, rhs in eqs:
-        v = reduce(list(coeffs) + [-rhs])
+        v = reduce(_over_lcm((*coeffs, -rhs))[1])
         p = next((k for k, a in enumerate(v) if a), None)
         if p is not None:
-            basis.append((p, [Fraction(a, v[p]) for a in v]))
+            basis.append((p, v))
     classes: dict[tuple, list[int]] = {}
     for k, (coeffs, rhs) in enumerate(hyps):
-        v = reduce(list(coeffs) + [-rhs])
+        v = reduce(_over_lcm((*coeffs, -rhs))[1])
         if any(v[:-1]):
-            lead = next(a for a in v if a)
-            key = tuple(Fraction(a, lead) for a in v)
+            g = gcd(*v)
+            if next(a for a in v if a) < 0:
+                g = -g
+            key = tuple(a // g for a in v)
         else:
             key = k
         classes.setdefault(key, []).append(k)
@@ -599,7 +617,8 @@ def _enumerate_regions(arr):
         return []
     implies = arr.implies
     steps = _hyperplane_classes(arr.eqs, arr.hyps)
-    start = tuple(1 if _row_value(row, seed) > 0 else -1 for row in arr.hyps)
+    # the seed is off every hyperplane, so no sign is 0
+    start = _row_signs(arr.hyps, seed)
     cap = max_work()
     regions: dict = {}
     # the certificate matters only where there are orbits to expand
@@ -888,17 +907,24 @@ def stability_polytope(p: StabPolytope) -> tuple[list[Weight], list[Wall]]:
 
 @dataclass(frozen=True)
 class HassettPolytope:
-    """The weights below a Hassett weight vector inside the hypersimplex."""
+    """The weights below a Hassett weight vector inside the hypersimplex.
+
+    `a` is the public Fraction view of the weights; `den` and `nums` hold
+    them over their common denominator, a_i = nums[i] / den."""
 
     a: tuple[Fraction, ...]
 
     def __post_init__(self):
         a = tuple(_rat(v) for v in self.a)
         object.__setattr__(self, "a", a)
-        if any(v <= 0 or v > 1 for v in a):
+        den, nums = _over_lcm(a)
+        if any(v <= 0 or v > den for v in nums):
             raise ValueError("weights must satisfy 0 < a_i <= 1")
-        if sum(a) <= 2:
+        if sum(nums) <= 2 * den:
             raise ValueError("weights must sum to more than 2")
+        # kept outside the fields, so equality, hashing and repr read `a` only
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(nums))
 
     @property
     def n(self) -> int:

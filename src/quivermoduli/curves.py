@@ -21,9 +21,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .chambers import QN, HassettPolytope, cover_check
+from .chambers import QN, HassettPolytope, _over_lcm, cover_check
 from .configs import (
     QnConfig,
     coincidence_partition,
@@ -204,21 +206,25 @@ def check_hassett_weight(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def is_a_stable(tree: PointedTree, a: Sequence[Fraction]) -> bool:
     """Weighted stability: coinciding marks carry total weight at most 1 and
-    each component has node count plus resident weight above 2."""
+    each component has node count plus resident weight above 2.
+
+    Both tests compare integers: the weights' numerators over their common
+    denominator against that denominator."""
     validate_tree(tree)
-    aw = check_hassett_weight(a)
-    if len(aw) != tree.n or tree.labels != tuple(range(tree.n)):
+    target = HassettPolytope(tuple(a))
+    if target.n != tree.n or tree.labels != tuple(range(tree.n)):
         raise ValueError("weight vector must match the mark labels 0..n-1")
-    clusters: dict[tuple[str, tuple[int, int]], Fraction] = {}
+    den, nums = target.den, target.nums
+    clusters: dict[tuple[str, tuple[int, int]], int] = {}
     for label, comp, p in tree.marks:
         key = (comp, p.ihom)
-        clusters[key] = clusters.get(key, Fraction(0)) + aw[label]
-    if any(total > 1 for total in clusters.values()):
+        clusters[key] = clusters.get(key, 0) + nums[label]
+    if any(total > den for total in clusters.values()):
         return False
     adj = _adjacency(tree)
     for c in tree.components:
-        resident = sum(aw[label] for label, comp, _ in tree.marks if comp == c)
-        if len(adj[c]) + resident <= 2:
+        resident = sum(nums[label] for label, comp, _ in tree.marks if comp == c)
+        if len(adj[c]) * den + resident <= 2 * den:
             return False
     return True
 
@@ -339,38 +345,54 @@ def contract_to_chart(
     return {lb: m.apply(p) for lb, p in img.items()}
 
 
-@dataclass
+GK = "gk"
+HASSETT = "hassett"
+LM = "lm"
+
+
+@dataclass(frozen=True)
 class LimitFamily:
-    """Chart-indexed normalized configurations.
+    """Chart-indexed normalized configurations, an immutable value.
 
     For tree modes the keys are ordered triples of distinct labels and the
     values are full section tuples in label order; the active charts are
     exactly the keys.  For chains the keys are single labels.
+
+    `charts` is a read-only snapshot of the mapping the family is built
+    from, so a later change to that mapping does not reach the family.  The
+    functor-condition reports are computed once, on first use, and kept
+    with the instance (`verify_functor_conditions` and `reconstruct_tree`
+    both read them); `dataclasses.replace` builds a new family, which
+    computes its own.
     """
 
     mode: str  # "gk" | "hassett" | "lm"
     n: int
-    charts: dict
+    charts: Mapping
     a: Optional[tuple[Fraction, ...]] = None
 
+    # charts is a mapping, so a family has no hash
+    __hash__ = None
+
+    def __post_init__(self):
+        if self.mode not in (GK, HASSETT, LM):
+            raise ValueError(f"unknown family mode {self.mode!r}; expected 'gk', 'hassett' or 'lm'")
+        object.__setattr__(self, "charts", MappingProxyType(dict(self.charts)))
+        if self.a is not None:
+            object.__setattr__(self, "a", tuple(self.a))
+
+    def __reduce__(self):
+        # a read-only view does not pickle; rebuild from a plain dict
+        return LimitFamily, (self.mode, self.n, self.charts.copy(), self.a)
+
+    @cached_property
+    def _reports(self) -> tuple[ConditionReport, ...]:
+        return tuple(_functor_reports(self))
+
     def active_sets(self) -> list[tuple[int, ...]]:
-        if self.mode == "lm":
+        if self.mode == LM:
             return sorted((k,) for k in self.charts)
         return sorted({tuple(sorted(k)) for k in self.charts})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LimitFamily)
-            and self.mode == other.mode
-            and self.n == other.n
-            and self.a == other.a
-            and self.charts == other.charts
-        )
-
-
-GK = "gk"
-HASSETT = "hassett"
-LM = "lm"
 
 
 def moduli_coordinates(
@@ -448,11 +470,14 @@ def lm_moduli_coordinates(chain: Chain) -> LimitFamily:
 def hassett_chart_degree(blocks: Iterable[Iterable[int]], a: Sequence[Fraction]) -> Fraction:
     """Total weighted degree of a chart partition: each coincidence class
     contributes the smaller of 1 and its weight sum."""
-    total = Fraction(0)
-    for block in blocks:
-        s = sum(a[i] for i in block)
-        total += min(Fraction(1), s)
-    return total
+    den, nums = _over_lcm(a)
+    return Fraction(_degree_numerator(blocks, nums, den), den)
+
+
+def _degree_numerator(blocks: Iterable[Iterable[int]], nums: Sequence[int], den: int) -> int:
+    """den times the chart degree of `hassett_chart_degree`, for the weights
+    nums[i] / den: integers throughout."""
+    return sum(min(den, sum(nums[i] for i in block)) for block in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -466,20 +491,19 @@ class ConditionReport:
     witness: object = None
 
 
-def _check_anchor_rows(family: LimitFamily):
-    for label, row in family.charts.items():
+def _check_anchor_rows(charts: dict):
+    for label, row in charts.items():
         i1, i2, i3 = label
         if row[i1] != ZERO_POINT or row[i2] != INF_POINT or row[i3] != ONE_POINT:
             return (label,)
     return None
 
 
-def _check_permutation_identities(family: LimitFamily):
-    charts = family.charts
+def _check_permutation_identities(charts: dict, n: int):
     for (i1, i2, i3), row in charts.items():
         swapped = charts.get((i2, i1, i3))
         flipped = charts.get((i3, i2, i1))
-        for i4 in range(family.n):
+        for i4 in range(n):
             if i4 in (i1, i2, i3):
                 continue
             x0, x1 = row[i4].ihom
@@ -494,10 +518,9 @@ def _check_permutation_identities(family: LimitFamily):
     return None
 
 
-def _check_exchange_identity(family: LimitFamily):
-    charts = family.charts
+def _check_exchange_identity(charts: dict, n: int):
     for (i1, i2, i3), row in charts.items():
-        for i4 in range(family.n):
+        for i4 in range(n):
             if i4 in (i1, i2, i3):
                 continue
             other = charts.get((i1, i2, i4))
@@ -510,17 +533,16 @@ def _check_exchange_identity(family: LimitFamily):
     return None
 
 
-def _check_five_term(family: LimitFamily):
-    charts = family.charts
+def _check_five_term(charts: dict, n: int):
     for (i1, i2, i3), row in charts.items():
-        for i4 in range(family.n):
+        for i4 in range(n):
             if i4 in (i1, i2, i3):
                 continue
             other = charts.get((i1, i2, i4))
             if other is None:
                 continue
             a0, a1 = row[i4].ihom
-            for i5 in range(family.n):
+            for i5 in range(n):
                 if i5 in (i1, i2, i3, i4):
                     continue
                 b0, b1 = row[i5].ihom
@@ -534,9 +556,29 @@ def _chart_blocks(row: Sequence[ProjPoint]) -> tuple[tuple[int, ...], ...]:
     return coincidence_partition(QnConfig(tuple(row))).blocks
 
 
+def _check_row_shape(charts: dict, n: int):
+    for label, row in charts.items():
+        if len(row) != n:
+            return (label,)
+    return None
+
+
 def verify_functor_conditions(family: LimitFamily) -> list[ConditionReport]:
     """Check the defining identities of a chart family, with a concrete
-    witness for each failed condition."""
+    witness for each failed condition.
+
+    The conditions run once per family, on the first call (here or in
+    `reconstruct_tree`); every call returns a fresh list of those reports.
+    """
+    return list(family._reports)
+
+
+def _functor_reports(family: LimitFamily) -> list[ConditionReport]:
+    """The reports of `verify_functor_conditions`, computed."""
+    # the checks look up many charts, which costs more through the
+    # read-only view than in a plain dict; the view's copy() is that dict's
+    charts = family.charts.copy()
+    n = family.n
     reports: list[ConditionReport] = []
 
     def add(name, witness):
@@ -544,23 +586,27 @@ def verify_functor_conditions(family: LimitFamily) -> list[ConditionReport]:
 
     if family.mode == LM:
         w = None
-        if sorted(family.charts) != list(range(family.n)):
+        if sorted(charts) != list(range(n)):
             w = ("missing charts",)
         add("charts-complete", w)
         if w is not None:
             return reports
+        w = _check_row_shape(charts, n)
+        add("row-shape", w)
+        if w is not None:
+            return reports
         w = None
-        for i in range(family.n):
-            if family.charts[i][i] != ONE_POINT:
+        for i in range(n):
+            if charts[i][i] != ONE_POINT:
                 w = (i,)
                 break
         add("diagonal-normalization", w)
         w = None
-        for i in range(family.n):
-            ci = family.charts[i]
-            for j in range(family.n):
-                cj = family.charts[j]
-                for k in range(family.n):
+        for i in range(n):
+            ci = charts[i]
+            for j in range(n):
+                cj = charts[j]
+                for k in range(n):
                     a0, a1 = cj[i].ihom
                     b0, b1 = ci[k].ihom
                     c0, c1 = cj[k].ihom
@@ -574,21 +620,20 @@ def verify_functor_conditions(family: LimitFamily) -> list[ConditionReport]:
         add("triple-identity", w)
         return reports
 
-    n = family.n
     all_labels = set(itertools.permutations(range(n), 3))
     if family.mode == GK:
-        w = None if set(family.charts) == all_labels else ("missing or malformed chart labels",)
+        w = None if set(charts) == all_labels else ("missing or malformed chart labels",)
         add("charts-complete", w)
         if w is not None:
             return reports
     else:
         w = None
-        if not set(family.charts) <= all_labels:
+        if not set(charts) <= all_labels:
             w = ("malformed chart labels",)
         else:
             for tset in family.active_sets():
                 for order in itertools.permutations(tset):
-                    if order not in family.charts:
+                    if order not in charts:
                         w = (tset, order)
                         break
                 if w:
@@ -596,42 +641,44 @@ def verify_functor_conditions(family: LimitFamily) -> list[ConditionReport]:
         add("ordering-closure", w)
         if w is not None:
             return reports
-    bad_row = None
-    for label, row in family.charts.items():
-        if len(row) != n:
-            bad_row = (label,)
-            break
+    bad_row = _check_row_shape(charts, n)
     add("row-shape", bad_row)
     if bad_row is not None:
         return reports
-    add("anchor-normalization", _check_anchor_rows(family))
-    add("permutation-identities", _check_permutation_identities(family))
-    add("exchange-identity", _check_exchange_identity(family))
-    add("five-term-identity", _check_five_term(family))
+    add("anchor-normalization", _check_anchor_rows(charts))
+    add("permutation-identities", _check_permutation_identities(charts, n))
+    add("exchange-identity", _check_exchange_identity(charts, n))
+    add("five-term-identity", _check_five_term(charts, n))
 
     if family.mode == HASSETT:
-        if family.a is None:
-            add("weight-data", ("missing weight vector",))
+        try:
+            if family.a is None:
+                raise ValueError("missing weight vector")
+            if len(family.a) != n:
+                raise ValueError(f"weight vector of length {len(family.a)} for {n} marks")
+            target = HassettPolytope(family.a)
+        except ValueError as exc:
+            add("weight-data", (str(exc),))
             return reports
-        aw = family.a
+        active = family.active_sets()
+        cfgs = [QnConfig(tuple(charts[t])) for t in active]
         w = None
-        for tset in family.active_sets():
-            row = family.charts[tuple(tset)]
-            if hassett_chart_degree(_chart_blocks(row), aw) <= 2:
+        for tset, cfg in zip(active, cfgs):
+            blocks = coincidence_partition(cfg).blocks
+            if _degree_numerator(blocks, target.nums, target.den) <= 2 * target.den:
                 w = (tset,)
                 break
         add("chart-degree", w)
-        w = None
-        active = family.active_sets()
-        polys = [theta_polytope(QnConfig(tuple(family.charts[tuple(t)]))) for t in active]
-        covered, uncovered = cover_check(polys, QN, n, aw)
+        polys = [theta_polytope(cfg) for cfg in cfgs]
+        covered, uncovered = cover_check(polys, QN, n, target.a)
         add("covering", None if covered else (uncovered,))
         w = None
+        active_set = set(active)
         for tset in active:
-            row = family.charts[tuple(tset)]
+            row = charts[tset]
             for other in itertools.combinations(range(n), 3):
                 if len({row[other[0]].ihom, row[other[1]].ihom, row[other[2]].ihom}) == 3:
-                    if tuple(other) not in {tuple(s) for s in active}:
+                    if other not in active_set:
                         w = (tset, other)
                         break
             if w:
@@ -654,6 +701,12 @@ def _chart_config(family: LimitFamily, tset: Sequence[int]) -> QnConfig:
 
 def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     """Rebuild the stable object from its chart family.
+
+    The family must pass the functor conditions; it raises
+    `InconsistentFamilyError` naming the first condition that fails.  It
+    reads the family's reports through `verify_functor_conditions`, which
+    runs the conditions once per family, so verifying a family and then
+    reconstructing it runs them (and the covering test) once.
 
     Charts are grouped by Moebius equivalence of their configurations (one
     group per component), adjacency is read off complementary coincidence

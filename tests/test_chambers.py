@@ -878,3 +878,148 @@ def test_enumerate_walls_rejects_sizes_without_interior():
     for mode, n in (("qn", 2), ("qn", -1), ("pn", 0)):
         with pytest.raises(ValueError):
             enumerate_walls(mode, n)
+
+
+# The weighted trees of the hassett-cover benchmark workload
+# (qmlbench/workloads.py): (n, weights, splits, coincidence clusters).
+_HASSETT_SHAPES = (
+    (4, ("1", "1", "1/3", "1/2"), (), ((2, 3),)),
+    (4, ("3/4", "1", "1/2", "1"), ((0, 1),), ()),
+    (4, ("5/6", "7/12", "1", "3/4"), ((0, 3),), ()),
+    (5, ("1", "5/6", "1/6", "1", "1"), ((0, 2, 4),), ()),
+    (5, ("1", "1", "1/2", "1/4", "1/4"), (), ((3, 4),)),
+    (5, ("5/6", "2/3", "1", "1", "1/6"), ((0, 1, 2), (0, 3, 4)), ()),
+    (6, ("1", "2/3", "1", "5/12", "1", "5/6"), ((0, 4),), ()),
+    (6, ("5/6", "1/4", "1/12", "1", "1", "5/6"), ((0, 2, 5),), ((2, 5),)),
+)
+
+
+def _fraction_seed(arr):
+    """`chambers._generic_seed` with every row value a Fraction."""
+    pinned = []
+    x = chambers.strict_interior_point(arr.nvars, arr.box, arr.eq)
+    if x is None:
+        return None
+    while True:
+        zero_at = next((k for k, row in enumerate(arr.hyps) if chambers._row_value(row, x) == 0), None)
+        if zero_at is None:
+            return x
+        for s in (1, -1):
+            trial = pinned + [(zero_at, s)]
+            rows = [*arr.box, *(arr.rows[k][sk] for k, sk in trial)]
+            x2 = chambers.strict_interior_point(arr.nvars, rows, arr.eq)
+            if x2 is not None:
+                pinned, x = trial, x2
+                break
+        else:
+            raise AssertionError("no side of the hyperplane is open")
+
+
+def _fraction_classes(eqs, hyps):
+    """`chambers._hyperplane_classes` by Fraction elimination, each reduced
+    row scaled so that its first nonzero entry is 1."""
+    basis = []
+
+    def reduce(v):
+        for p, b in basis:
+            if v[p]:
+                f = v[p]
+                v = [a - f * c for a, c in zip(v, b)]
+        return v
+
+    for coeffs, rhs in eqs:
+        v = reduce([F(c) for c in coeffs] + [-F(rhs)])
+        p = next((k for k, a in enumerate(v) if a), None)
+        if p is not None:
+            basis.append((p, [a / v[p] for a in v]))
+    classes = {}
+    for k, (coeffs, rhs) in enumerate(hyps):
+        v = reduce([F(c) for c in coeffs] + [-F(rhs)])
+        key = tuple(a / next(a for a in v if a) for a in v) if any(v[:-1]) else k
+        classes.setdefault(key, []).append(k)
+    return list(classes.values())
+
+
+def _integer_helper_arrangements(monkeypatch):
+    """The wall arrangements of qn 3-6 and pn 1-4, those of
+    `wall_relative_interior_point` at qn 4, qn 5 and pn 3, and every
+    arrangement `cover_check` walks for the Hassett families of
+    _HASSETT_SHAPES (whole, and with each member dropped), with their
+    full-walk forms, where the targets' rational rows are hyperplanes."""
+    arrs = [_plain_arrangement(mode, n) for mode, n in _SIZES if (mode, n) != ("pn", 5)]
+    for mode, n in (("qn", 4), ("qn", 5), ("pn", 3)):
+        walls, _, arr = chambers._arrangement(mode, n)
+        for wall in walls:
+            rest = [row for w, row in zip(walls, arr.hyps) if w != wall]
+            eqs = (*arr.eqs, _wall_row(mode, n, wall))
+            arrs.append(_Arrangement(arr.nvars, eqs, arr.box_rows, rest))
+    walked = []
+    walk = chambers._enumerate_regions
+
+    def spy(arr):
+        walked.append(arr)
+        return walk(arr)
+
+    monkeypatch.setattr(chambers, "_enumerate_regions", spy)
+    for n, a, splits, clusters in _HASSETT_SHAPES:
+        a = tuple(F(v) for v in a)
+        tree = generate.tree_from_splits(n, splits, clusters=clusters)
+        fam = curves.moduli_coordinates(tree, "hassett", a)
+        polys = [
+            configs.theta_polytope(configs.QnConfig(tuple(fam.charts[t]))) for t in fam.active_sets()
+        ]
+        for members in (polys, *(polys[:i] + polys[i + 1:] for i in range(len(polys)))):
+            cover_check(members, "qn", n, a)
+            nvars, eqs, box_rows, _ = _space("qn", n)
+            rows = list(dict.fromkeys(row for p in (*members, HassettPolytope(a)) for row in _constraints(p)))
+            arrs.append(_Arrangement(nvars, eqs, box_rows, rows))
+    monkeypatch.undo()
+    return arrs + walked
+
+
+def test_integer_seed_and_classes_match_the_fraction_reference(monkeypatch):
+    arrs = _integer_helper_arrangements(monkeypatch)
+    merged = pinned = 0
+    for arr in arrs:
+        seed = chambers._generic_seed(arr)
+        assert seed == _fraction_seed(arr)
+        x = chambers.strict_interior_point(arr.nvars, arr.box, arr.eq)
+        for point in (seed, x):
+            if point is not None:
+                values = [chambers._row_value(row, point) for row in arr.hyps]
+                assert chambers._row_signs(arr.hyps, point) == tuple((v > 0) - (v < 0) for v in values)
+        pinned += seed != x
+        classes = chambers._hyperplane_classes(arr.eqs, arr.hyps)
+        assert classes == _fraction_classes(arr.eqs, arr.hyps)
+        merged += sum(len(c) > 1 for c in classes)
+    # 189 arrangements, 59 seeds pinned off a hyperplane, and 162 classes of
+    # two or more rows
+    assert len(arrs) > 150 and pinned > 20 and merged > 100, (len(arrs), pinned, merged)
+
+
+@st.composite
+def _rows_and_copies(draw):
+    """Equality rows and hyperplane rows over a few variables, with rows that
+    are multiples of others, or differ from them by a combination of the
+    equality rows."""
+    nvars = draw(st.integers(2, 5))
+    entry = st.integers(-3, 3)
+    row = st.tuples(st.tuples(*[entry] * nvars), entry)
+    eqs = draw(st.lists(row, max_size=2))
+    hyps = draw(st.lists(row, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs, rhs = hyps[draw(st.integers(0, len(hyps) - 1))]
+        s = draw(st.sampled_from([-2, -1, 1, 3]))
+        coeffs, rhs = [s * c for c in coeffs], s * rhs
+        for e, h in eqs:
+            t = draw(st.integers(-2, 2))
+            coeffs, rhs = [c + t * d for c, d in zip(coeffs, e)], rhs + t * h
+        hyps.append((tuple(coeffs), rhs))
+    return eqs, hyps
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rows_and_copies())
+def test_integer_classes_match_the_fraction_reference_on_any_rows(rows):
+    eqs, hyps = rows
+    assert chambers._hyperplane_classes(eqs, hyps) == _fraction_classes(eqs, hyps)

@@ -24,9 +24,31 @@ from quivermoduli.projline import affine
 
 _TINY = 4  # the largest size or count a fuzzed suite may run with
 
+# families that parse but are not chart families: (body, exit code, the
+# text of the one error line)
+_BAD_FAMILIES = {
+    "weights-negative.json": (
+        {"mode": "hassett", "n": 4, "a": ["1", "1", "1", "-1"], "charts": {}}, 5,
+        "inconsistent family: weight-data",
+    ),
+    "weights-short.json": (
+        {"mode": "hassett", "n": 3, "a": ["1", "1"], "charts": {}}, 5,
+        "inconsistent family: weight-data",
+    ),
+    "weights-long.json": (
+        {"mode": "hassett", "n": 3, "a": ["1", "1", "1", "1"], "charts": {}}, 5,
+        "inconsistent family: weight-data",
+    ),
+    "lm-short-row.json": (
+        {"mode": "lm", "n": 2, "charts": {"0": [["1", "1"]], "1": [["1", "1"], ["1", "1"]]}}, 5,
+        "inconsistent family: row-shape",
+    ),
+    "mode-zz.json": ({"mode": "zz", "n": 3, "charts": {}}, 4, "unknown family mode 'zz'"),
+}
+
 _INPUT_NAMES = (
     "tree.json", "family.json", "chain.json", "weight.json", "bad.json", "empty.json",
-    "list.json", "long.json", "untyped.json", "theta.json", "missing.json",
+    "list.json", "long.json", "untyped.json", "theta.json", "missing.json", *_BAD_FAMILIES,
 )
 
 
@@ -47,6 +69,8 @@ def inputs(tmp_path_factory) -> dict[str, str]:
         "untyped.json": '{"type": "tree"}',
         "theta.json": json.dumps({"type": "weight", "mode": "qn", "theta": ["1/1"] * 4}),
     }
+    for name, (body, _, _) in _BAD_FAMILIES.items():
+        texts[name] = json.dumps({"type": "family", **body})
     for name, text in texts.items():
         (root / name).write_text(text)
     return {name: str(root / name) for name in _INPUT_NAMES}
@@ -191,3 +215,12 @@ def test_cli_exits_with_a_documented_code(inputs, argv):
             reject()
     assert code in range(6), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_FAMILIES))
+def test_bad_families_exit_with_one_error_line(inputs, name):
+    _, code, message = _BAD_FAMILIES[name]
+    got, err = _run(["tree", "reconstruct", "--family", inputs[name]])
+    lines = err.splitlines()
+    assert got == code, err
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err

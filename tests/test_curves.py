@@ -1,11 +1,17 @@
+import copy
+import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
+import re
+import types
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quivermoduli import serialize
+from quivermoduli import curves, serialize
 from quivermoduli.configs import QnConfig, check_limit_equations, glue_fiber
 from quivermoduli.curves import (
     Chain,
@@ -357,3 +363,211 @@ def test_chart_layer_output_pinned():
     for mode, a, tree in corpus:
         digest.update(_chart_layer_text(mode, a, tree).encode())
     assert digest.hexdigest() == "f2b6ccd373588c65f3af74c51104d24fd4cb12211c3ef4d30cec3cfc5f793718"
+
+
+# ---------------------------------------------------------------------------
+# LimitFamily is an immutable value whose reports are computed once.
+
+
+def _hassett_family():
+    """Marks 2 and 3 of weight 1/2 coincide, so the chart (2, 3, k) is not
+    active for any k."""
+    a = (F(1), F(1), F(1, 2), F(1, 2))
+    dup = PointedTree(
+        ("c",), (),
+        ((0, "c", affine(0)), (1, "c", INF_POINT), (2, "c", affine(1)), (3, "c", affine(1))),
+    )
+    fam = moduli_coordinates(dup, HASSETT, a)
+    assert fam.active_sets() == [(0, 1, 2), (0, 1, 3)]
+    return fam
+
+
+def test_family_is_a_snapshot_of_its_charts():
+    fam = moduli_coordinates(single(5), GK)
+    charts = dict(fam.charts)
+    snap = LimitFamily(GK, 5, charts)
+    before = dict(snap.charts)
+    charts[(0, 1, 2)] = charts[(0, 2, 1)]
+    del charts[(1, 2, 3)]
+    assert dict(snap.charts) == before and snap == fam
+    assert family_passes(verify_functor_conditions(snap))
+    a = [F(1)] * 4
+    weighted = LimitFamily(HASSETT, 4, {}, a)
+    a[0] = F(1, 2)
+    assert weighted.a == (F(1),) * 4
+
+
+def test_family_rejects_mutation():
+    fam = _hassett_family()
+    with pytest.raises(TypeError):
+        fam.charts[(0, 1, 2)] = fam.charts[(0, 2, 1)]
+    with pytest.raises(TypeError):
+        del fam.charts[(0, 1, 2)]
+    for name, value in (("mode", GK), ("n", 5), ("charts", {}), ("a", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fam, name, value)
+    with pytest.raises(TypeError):
+        hash(fam)
+
+
+def test_family_rejects_unknown_modes():
+    for mode in ("zz", "GK", "", None, "qn"):
+        with pytest.raises(ValueError, match="unknown family mode"):
+            LimitFamily(mode, 3, {})
+
+
+def test_replaced_family_gets_fresh_reports():
+    fam = moduli_coordinates(single(5), GK)
+    assert family_passes(verify_functor_conditions(fam))
+    charts = dict(fam.charts)
+    row = list(charts[(0, 1, 2)])
+    row[4] = affine(F(99))
+    charts[(0, 1, 2)] = tuple(row)
+    bad = dataclasses.replace(fam, charts=charts)
+    assert not family_passes(verify_functor_conditions(bad))
+    with pytest.raises(InconsistentFamilyError):
+        reconstruct_tree(bad)
+    assert family_passes(verify_functor_conditions(fam))
+    assert dataclasses.replace(bad, charts=fam.charts) == fam
+
+
+def test_reports_are_fresh_lists_of_one_computation():
+    fam = _hassett_family()
+    first = verify_functor_conditions(fam)
+    first.clear()
+    again = verify_functor_conditions(fam)
+    assert again and family_passes(again)
+    assert again == verify_functor_conditions(fam) and again is not verify_functor_conditions(fam)
+
+
+def test_verify_then_reconstruct_runs_one_cover_check(monkeypatch):
+    calls = []
+    real = curves.cover_check
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(curves, "cover_check", counting)
+    fam = _hassett_family()
+    assert family_passes(verify_functor_conditions(fam))
+    tree = reconstruct_tree(fam)
+    assert verify_functor_conditions(fam) and len(calls) == 1
+    # a new family, even an equal one, runs its own conditions
+    again = moduli_coordinates(tree, HASSETT, fam.a)
+    assert again == fam
+    reconstruct_tree(again)
+    assert len(calls) == 2
+
+
+def test_family_pickles_and_copies_without_its_reports():
+    fam = _hassett_family()
+    reports = verify_functor_conditions(fam)
+    for other in (pickle.loads(pickle.dumps(fam)), copy.copy(fam), copy.deepcopy(fam)):
+        assert other == fam and other is not fam
+        assert isinstance(other.charts, types.MappingProxyType)
+        assert "_reports" not in vars(other)
+        assert verify_functor_conditions(other) == reports
+
+
+def _written(mode, n, charts, a=None):
+    return LimitFamily(mode, n, charts, None if a is None else tuple(F(v) for v in a))
+
+
+def test_short_lm_row_fails_row_shape():
+    row = (ONE_POINT, ONE_POINT)
+    fam = _written("lm", 2, {0: row[:1], 1: row})
+    reports = verify_functor_conditions(fam)
+    assert [(r.name, r.passed) for r in reports] == [("charts-complete", True), ("row-shape", False)]
+    assert reports[-1].witness == (0,)
+    with pytest.raises(InconsistentFamilyError, match="row-shape"):
+        reconstruct_tree(fam)
+    good = lm_moduli_coordinates(Chain((((0, affine(2)),), ((1, affine(3)),))))
+    assert [r.name for r in verify_functor_conditions(good)] == [
+        "charts-complete", "row-shape", "diagonal-normalization", "triple-identity",
+    ]
+
+
+@pytest.mark.parametrize("n, a, message", [
+    (4, None, "missing weight vector"),
+    (4, ("1", "1", "1", "-1"), "0 < a_i <= 1"),
+    (4, ("1", "1", "1", "0"), "0 < a_i <= 1"),
+    (4, ("1", "1", "1", "3/2"), "0 < a_i <= 1"),
+    (4, ("1/2", "1/2", "1/2", "1/2"), "more than 2"),
+    (3, ("1", "1"), "length 2 for 3 marks"),
+    (3, ("1", "1", "1", "1"), "length 4 for 3 marks"),
+    (3, (), "length 0 for 3 marks"),
+])
+def test_bad_weight_data_fails_its_condition(n, a, message):
+    fam = _written(HASSETT, n, {}, a)
+    reports = verify_functor_conditions(fam)
+    assert reports[-1].name == "weight-data" and not reports[-1].passed
+    assert message in reports[-1].witness[0]
+    assert all(r.passed for r in reports[:-1])
+    with pytest.raises(InconsistentFamilyError, match="weight-data"):
+        reconstruct_tree(fam)
+
+
+# ---------------------------------------------------------------------------
+# The integer Hassett helpers against Fraction references.
+
+
+def _degree_reference(blocks, a):
+    total = F(0)
+    for block in blocks:
+        total += min(F(1), sum(a[i] for i in block))
+    return total
+
+
+def _a_stable_reference(tree, a):
+    validate_tree(tree)
+    aw = tuple(F(v) for v in a)
+    if any(v <= 0 or v > 1 for v in aw):
+        raise ValueError("weights must satisfy 0 < a_i <= 1")
+    if sum(aw) <= 2:
+        raise ValueError("weights must sum to more than 2")
+    if len(aw) != tree.n or tree.labels != tuple(range(tree.n)):
+        raise ValueError("weight vector must match the mark labels 0..n-1")
+    clusters = {}
+    for label, comp, p in tree.marks:
+        clusters[comp, p.ihom] = clusters.get((comp, p.ihom), F(0)) + aw[label]
+    if any(total > 1 for total in clusters.values()):
+        return False
+    for c in tree.components:
+        nodes = sum(1 for e in tree.edges if c in e.ends)
+        if nodes + sum(aw[lb] for lb, comp, _ in tree.marks if comp == c) <= 2:
+            return False
+    return True
+
+
+_weights = st.lists(
+    st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=24), min_size=1, max_size=7
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weights, st.integers(0, 2**32))
+def test_chart_degree_matches_the_fraction_reference(a, seed):
+    rng = random.Random(seed)
+    labels = list(range(len(a)))
+    rng.shuffle(labels)
+    cuts = sorted(rng.sample(range(1, len(a)), rng.randint(0, len(a) - 1))) if len(a) > 1 else []
+    blocks = [labels[i:j] for i, j in zip([0, *cuts], [*cuts, len(a)])]
+    got = hassett_chart_degree(blocks, a)
+    assert type(got) is F and got == _degree_reference(blocks, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 6), _weights, st.integers(0, 2**32))
+def test_a_stability_matches_the_fraction_reference(n, a, seed):
+    rng = random.Random(seed)
+    heavy = random_hassett_weight(rng, n)
+    tree = random_a_stable_tree(rng, n, heavy) if rng.random() < 0.7 else random_gk_tree(rng, n)
+    for weights in (a, heavy, (*a, *heavy)[:n]):
+        try:
+            expected = _a_stable_reference(tree, weights)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                is_a_stable(tree, weights)
+        else:
+            assert is_a_stable(tree, weights) is expected
