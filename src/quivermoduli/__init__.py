@@ -1,8 +1,9 @@
 """Exact-arithmetic toolkit for quiver stability on the projective line.
 
-Submodules: rational projective geometry (projline), quiver weight spaces
-(quiverwt), wall-and-chamber decompositions of the normalized weight
-polytopes (chambers), point configurations and their stability (configs),
+Submodules: rational projective geometry (projline), wall-and-chamber
+decompositions of the normalized weight polytopes with the vertex
+projection and the enumeration cap (chambers), exact linear programming
+(lp), point configurations and their stability (configs),
 stable pointed trees and chains with their chart coordinates (curves),
 seeded generators (generate), the verification suites (verify), JSON
 serialization (serialize), and the command line (cli).
@@ -72,7 +73,6 @@ from .projline import (
     moebius_from_triple,
     pp_eq,
 )
-from .quiverwt import pn_quiver, qn_quiver, wall_hyperplanes, weight_map_qn2_pn
 
 __version__ = "0.1.0"
 

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
@@ -67,7 +68,6 @@ from operator import itemgetter, neg
 from typing import Optional, Sequence, Union
 
 from .lp import equality_row, strict_interior_point, strict_row
-from .quiverwt import TooLargeError, max_work, weight_map_qn2_pn
 
 QN = "qn"
 PN = "pn"
@@ -76,9 +76,41 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 OUTSIDE = "outside"
 
+DEFAULT_WORK_BOUND = 10**6
+
+
+class TooLargeError(ValueError):
+    """An enumeration would exceed the configured work bound."""
+
+
+class SettingError(Exception):
+    """An environment variable holds a value the program cannot use."""
+
 
 class BadEpsilonError(ValueError):
     """The requested chart weight is not generic."""
+
+
+class OutsideConeError(ValueError):
+    """Weight outside the cone over the distinguished vertex."""
+
+
+class ApexError(ValueError):
+    """The apex weight itself, where the projection is undefined."""
+
+
+def max_work() -> int:
+    """The enumeration cap: QML_MAX_WORK, an integer >= 1, or the default."""
+    raw = os.environ.get("QML_MAX_WORK")
+    if raw is None:
+        return DEFAULT_WORK_BOUND
+    try:
+        cap = int(raw)
+        if cap >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise SettingError(f"QML_MAX_WORK must be an integer >= 1, got {raw!r}")
 
 
 def _rat(x) -> Fraction:
@@ -334,9 +366,6 @@ class Chamber:
 
     signs: tuple[int, ...]
     witness: Weight
-
-    def sign_map(self, walls: Sequence[Wall]) -> dict[Wall, int]:
-        return dict(zip(walls, self.signs))
 
 
 class _Arrangement:
@@ -817,9 +846,24 @@ def chart_weight_pn(n: int, index: int, eps: Optional[Fraction] = None) -> PnWei
 
 
 def project_weight_to_pn(w: QnWeight, a: int, b: int) -> PnWeight:
-    """Typed wrapper around the weight projection toward the vertex e_a + e_b."""
-    eta1, eta2, theta = weight_map_qn2_pn(w, a, b)
-    return PnWeight(eta1, eta2, theta)
+    """Project a hypersimplex weight near the vertex e_a + e_b to a
+    double-star weight (eta1, eta2, theta').
+
+    a != b are 0-based indices of w.  The image satisfies
+    eta1 + eta2 = -1, sum theta' = 1, eta <= 0 <= theta'.
+    """
+    th = w.theta
+    n2 = len(th)
+    if a == b or not (0 <= a < n2 and 0 <= b < n2):
+        raise ValueError("indices a, b must be distinct and in range")
+    rest = [th[i] for i in range(n2) if i != a and i != b]
+    s = sum(rest)
+    if s == 0:
+        raise ApexError("the apex weight e_a + e_b has no image")
+    if th[a] + th[b] < s:
+        raise OutsideConeError("weight outside the cone over e_a + e_b")
+    lam = 1 / s
+    return PnWeight(lam * (th[a] - 1), lam * (th[b] - 1), tuple(lam * v for v in rest))
 
 
 # ---------------------------------------------------------------------------

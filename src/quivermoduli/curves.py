@@ -200,10 +200,6 @@ def is_gk_stable(tree: PointedTree) -> bool:
     return True
 
 
-def check_hassett_weight(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return HassettPolytope(tuple(a)).a
-
-
 def is_a_stable(tree: PointedTree, a: Sequence[Fraction]) -> bool:
     """Weighted stability: coinciding marks carry total weight at most 1 and
     each component has node count plus resident weight above 2.
@@ -408,7 +404,7 @@ def moduli_coordinates(
     elif mode == HASSETT:
         if a is None:
             raise ValueError("weighted mode needs a weight vector")
-        aw = check_hassett_weight(a)
+        aw = HassettPolytope(tuple(a)).a
         if not is_a_stable(tree, aw):
             raise UnstableInputError("tree is not stable for the given weights")
     else:
@@ -769,14 +765,10 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
         validate_tree(tree)
     except ValueError as exc:
         raise InconsistentFamilyError("tree-shape", str(exc))
-    if family.mode == GK:
-        if not is_gk_stable(tree):
-            raise InconsistentFamilyError("stability", None)
-        rebuilt = moduli_coordinates(tree, GK)
-    else:
-        if not is_a_stable(tree, family.a):
-            raise InconsistentFamilyError("stability", None)
-        rebuilt = moduli_coordinates(tree, HASSETT, family.a)
+    try:
+        rebuilt = moduli_coordinates(tree, family.mode, family.a)
+    except UnstableInputError:
+        raise InconsistentFamilyError("stability", None)
     if rebuilt != family:
         raise InconsistentFamilyError("round-trip", None)
     return tree
@@ -825,9 +817,11 @@ def _reconstruct_chain(family: LimitFamily) -> Chain:
         validate_chain(chain)
     except ValueError as exc:
         raise InconsistentFamilyError("chain-shape", str(exc))
-    if not is_lm_stable(chain):
+    try:
+        rebuilt = lm_moduli_coordinates(chain)
+    except UnstableInputError:
         raise InconsistentFamilyError("stability", None)
-    if lm_moduli_coordinates(chain) != family:
+    if rebuilt != family:
         raise InconsistentFamilyError("round-trip", None)
     return chain
 

@@ -302,25 +302,25 @@ def simplex_maximize(
     b_ub: Sequence[Rational],
     a_eq: Sequence[Sequence[Rational]] = (),
     b_eq: Sequence[Rational] = (),
-    support: Optional[list[int]] = None,
 ):
     """Maximize c . x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
     Entries are ints or Fractions.  Returns (status, x, value); x and value
-    are None unless status is OPTIMAL.  A `support` list receives, when the
-    status is INFEASIBLE or OPTIMAL, the indices of the a_ub rows whose
-    slack has a nonzero reduced cost in the last objective row (phase 1's
-    when infeasible): the support of an optimal dual solution.
+    are None unless status is OPTIMAL.
     """
     ub = [_prepare(row, b, 1) for row, b in zip(a_ub, b_ub)]
     eq = [_prepare(row, b, 0) for row, b in zip(a_eq, b_eq)]
-    return _solve(c, ub, eq, support)
+    return _solve(c, ub, eq)
 
 
 def _solve(c, ub, eq, support=None, unique=None):
-    """`simplex_maximize` over prepared rows.  A `unique` list receives, when
-    the status is OPTIMAL, whether the optimum is certified unique: every
-    nonbasic reduced cost of the final tableau is nonzero."""
+    """`simplex_maximize` over prepared rows.  A `support` list receives,
+    when the status is INFEASIBLE or OPTIMAL, the indices of the ub rows
+    whose slack has a nonzero reduced cost in the last objective row (phase
+    1's when infeasible): the support of an optimal dual solution.  A
+    `unique` list receives, when the status is OPTIMAL, whether the optimum
+    is certified unique: every nonbasic reduced cost of the final tableau is
+    nonzero."""
     n = len(c)
     first_art = n + len(ub)
     tab, nart = _start(n, ub, eq)

@@ -56,34 +56,6 @@ def moebius_json(m: Moebius) -> list[list[str]]:
     return [[frac_str(m.m00), frac_str(m.m01)], [frac_str(m.m10), frac_str(m.m11)]]
 
 
-def quiver_json(q, d=None, theta=None) -> dict:
-    out = {
-        "schema": SCHEMA,
-        "type": "quiver",
-        "vertices": list(q.vertices),
-        "arrows": [[s, t] for s, t in q.arrows],
-    }
-    if d is not None:
-        out["dimensions"] = {v: int(d[v]) for v in q.vertices}
-    if theta is not None:
-        out["weight"] = {v: frac_str(Fraction(theta[v])) for v in q.vertices}
-    return out
-
-
-def parse_quiver(doc):
-    from .quiverwt import Quiver
-
-    try:
-        q = Quiver(tuple(doc["vertices"]), tuple((s, t) for s, t in doc["arrows"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad quiver: {exc}")
-    d = {v: int(x) for v, x in doc["dimensions"].items()} if "dimensions" in doc else None
-    theta = (
-        {v: parse_frac(x) for v, x in doc["weight"].items()} if "weight" in doc else None
-    )
-    return q, d, theta
-
-
 def config_json(c: configs.Config) -> dict:
     mode = "qn" if isinstance(c, configs.QnConfig) else "pn"
     return {
@@ -131,8 +103,10 @@ def parse_weight(d):
         if mode == "qn":
             return chambers.QnWeight(theta)
         if mode == "pn":
-            e1, e2 = (parse_frac(v) for v in d["eta"])
-            return chambers.PnWeight(e1, e2, theta)
+            eta = tuple(parse_frac(v) for v in d["eta"])
+            if len(eta) != 2:
+                raise ParseError(f"bad weight: eta must be a pair, got {d['eta']!r}")
+            return chambers.PnWeight(*eta, theta)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad weight: {exc}")
     raise ParseError(f"unknown mode {mode!r}")

@@ -10,14 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from quivermoduli import chambers, cli, configs, curves, generate, lp, serialize
 from quivermoduli.chambers import (
+    DEFAULT_WORK_BOUND,
+    ApexError,
     BadEpsilonError,
     Chamber,
     HassettPolytope,
+    OutsideConeError,
     PnWall,
     PnWeight,
     QnWall,
     QnWeight,
+    SettingError,
     StabPolytope,
+    TooLargeError,
     canonical_qn_wall,
     chamber_adjacency,
     chamber_second_witness,
@@ -28,7 +33,9 @@ from quivermoduli.chambers import (
     enumerate_chambers,
     enumerate_walls,
     interiors_intersect,
+    max_work,
     polytope_contains,
+    project_weight_to_pn,
     stability_polytope,
     wall_relative_interior_point,
     _Arrangement,
@@ -40,7 +47,6 @@ from quivermoduli.chambers import (
     _wall_row,
 )
 from quivermoduli.generate import pn_decorations, set_partitions
-from quivermoduli.quiverwt import TooLargeError
 
 
 def test_weight_invariants():
@@ -224,6 +230,64 @@ def test_chart_weight_pn_examples():
     assert w.theta == (F(8, 9), F(1, 18), F(1, 18))
     assert classify_weight(chart_weight_pn(3, 0)).generic
     assert chart_weight_pn(1, 0).theta == (F(1),)
+
+
+def test_max_work_reads_a_positive_integer(monkeypatch):
+    monkeypatch.delenv("QML_MAX_WORK", raising=False)
+    assert max_work() == DEFAULT_WORK_BOUND
+    monkeypatch.setenv("QML_MAX_WORK", "12")
+    assert max_work() == 12
+    for raw in ("abc", "-5", "0", "2.0", " "):
+        monkeypatch.setenv("QML_MAX_WORK", raw)
+        with pytest.raises(SettingError, match="QML_MAX_WORK"):
+            max_work()
+
+
+def test_weight_map_example():
+    w = QnWeight((F(3, 4), F(3, 4), F(1, 4), F(1, 4)))
+    p = project_weight_to_pn(w, 0, 1)
+    assert (p.eta1, p.eta2) == (F(-1, 2), F(-1, 2))
+    assert p.theta == (F(1, 2), F(1, 2))
+
+
+def test_weight_map_normalization():
+    w = QnWeight((F(9, 10), F(7, 10), F(1, 10), F(3, 10)))
+    p = project_weight_to_pn(w, 0, 1)
+    assert p.eta1 + p.eta2 == -1
+    assert sum(p.theta) == 1
+
+
+def test_weight_map_wall_identification():
+    # on the wall bounding the cone the scale factor is 1
+    w = QnWeight((F(3, 5), F(2, 5), F(1, 2), F(1, 2)))
+    assert w.theta[0] + w.theta[1] == sum(w.theta[2:])
+    p = project_weight_to_pn(w, 0, 1)
+    assert p.eta1 == w.theta[0] - 1 and p.eta2 == w.theta[1] - 1
+    assert p.theta == tuple(w.theta[2:])
+
+
+def test_weight_map_errors():
+    apex = QnWeight((F(1), F(1), F(0), F(0)))
+    with pytest.raises(ApexError):
+        project_weight_to_pn(apex, 0, 1)
+    outside = QnWeight((F(1, 4), F(1, 4), F(3, 4), F(3, 4)))
+    with pytest.raises(OutsideConeError):
+        project_weight_to_pn(outside, 0, 1)
+
+
+@given(
+    st.integers(min_value=1, max_value=11),
+    st.integers(min_value=1, max_value=11),
+)
+def test_weight_map_fibers_are_segments(mu_num, t_num):
+    # moving along the segment toward the apex does not change the image
+    base = QnWeight((F(3, 5), F(2, 5), F(1, 2), F(1, 2)))
+    mu = F(mu_num, 12)
+    apex = (F(1), F(1), F(0), F(0))
+    blend = QnWeight(
+        tuple(mu * b + (1 - mu) * a for b, a in zip(base.theta, apex))
+    )
+    assert project_weight_to_pn(blend, 0, 1) == project_weight_to_pn(base, 0, 1)
 
 
 def test_stability_polytope_vertices_qn():

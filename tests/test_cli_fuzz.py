@@ -46,9 +46,16 @@ _BAD_FAMILIES = {
     "mode-zz.json": ({"mode": "zz", "n": 3, "charts": {}}, 4, "unknown family mode 'zz'"),
 }
 
+# double-star weights whose eta is not a pair: unreadable input, exit 3
+_BAD_ETAS = {
+    "eta-short.json": ["-1/2"],
+    "eta-long.json": ["-1/2", "-1/2", "0"],
+}
+
 _INPUT_NAMES = (
     "tree.json", "family.json", "chain.json", "weight.json", "bad.json", "empty.json",
-    "list.json", "long.json", "untyped.json", "theta.json", "missing.json", *_BAD_FAMILIES,
+    "list.json", "long.json", "untyped.json", "theta.json", "pn-config.json", "missing.json",
+    *_BAD_FAMILIES, *_BAD_ETAS,
 )
 
 
@@ -68,9 +75,12 @@ def inputs(tmp_path_factory) -> dict[str, str]:
         "long.json": '{"n": ' + "9" * 5000 + "}",
         "untyped.json": '{"type": "tree"}',
         "theta.json": json.dumps({"type": "weight", "mode": "qn", "theta": ["1/1"] * 4}),
+        "pn-config.json": json.dumps({"type": "config", "mode": "pn", "sections": [["1", "1"]]}),
     }
     for name, (body, _, _) in _BAD_FAMILIES.items():
         texts[name] = json.dumps({"type": "family", **body})
+    for name, eta in _BAD_ETAS.items():
+        texts[name] = json.dumps({"type": "weight", "mode": "pn", "eta": eta, "theta": ["1"]})
     for name, text in texts.items():
         (root / name).write_text(text)
     return {name: str(root / name) for name in _INPUT_NAMES}
@@ -224,3 +234,11 @@ def test_bad_families_exit_with_one_error_line(inputs, name):
     lines = err.splitlines()
     assert got == code, err
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_ETAS))
+def test_bad_etas_exit_3_with_one_error_line(inputs, name):
+    got, err = _run(["stability", "--config", inputs["pn-config.json"], "--weight", inputs[name]])
+    lines = err.splitlines()
+    assert got == 3, err
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "bad weight" in lines[0], err

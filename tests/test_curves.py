@@ -460,6 +460,28 @@ def test_verify_then_reconstruct_runs_one_cover_check(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("mode, test", [
+    (GK, "is_gk_stable"), (HASSETT, "is_a_stable"), ("lm", "is_lm_stable"),
+])
+def test_reconstruct_runs_one_stability_test(monkeypatch, mode, test):
+    if mode == GK:
+        fam = moduli_coordinates(random_gk_tree(random.Random(3), 5), GK)
+    elif mode == HASSETT:
+        fam = _hassett_family()
+    else:
+        fam = lm_moduli_coordinates(Chain((((0, affine(2)),), ((1, affine(3)), (2, affine(5))))))
+    calls = []
+    real = getattr(curves, test)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(curves, test, counting)
+    reconstruct_tree(fam)
+    assert len(calls) == 1
+
+
 def test_family_pickles_and_copies_without_its_reports():
     fam = _hassett_family()
     reports = verify_functor_conditions(fam)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from quivermoduli import serialize
+from quivermoduli import cli, curves, serialize
 from quivermoduli.chambers import PnWeight, QnWeight
 from quivermoduli.configs import PnConfig, QnConfig
 from quivermoduli.curves import Chain, GK, lm_moduli_coordinates, moduli_coordinates
@@ -131,6 +131,24 @@ def test_cli_tree_round_trip(tmp_path):
     broken.write_text(json.dumps(fam))
     r = run_cli("tree", "reconstruct", "--family", str(broken))
     assert r.returncode == 5
+
+
+def test_cli_reconstruct_builds_the_charts_once(tmp_path, monkeypatch):
+    fam_file = tmp_path / "f.json"
+    fam = moduli_coordinates(random_gk_tree(random.Random(3), 5), GK)
+    fam_file.write_text(serialize.dumps(serialize.family_json(fam)))
+    calls = []
+    real = curves.moduli_coordinates
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(curves, "moduli_coordinates", counting)
+    out = tmp_path / "t.json"
+    assert cli.main(["tree", "reconstruct", "--family", str(fam_file), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["round_trip"] is True
+    assert len(calls) == 1
 
 
 def test_cli_verify_seeded_reproducible(tmp_path):

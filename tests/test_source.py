@@ -1,5 +1,6 @@
 """Checks on the library source itself."""
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -70,3 +71,19 @@ def test_cli_import_loads_the_traced_modules_only():
         assert f"quivermoduli.{name}" in loaded, name
     assert "quivermoduli.verify" not in loaded
     assert "quivermoduli.generate" not in loaded
+
+
+def test_benchmark_traced_names_resolve():
+    # qmlbench/tracing.py wraps each (module, attribute) of TRACED; a name
+    # deleted from the package would break a traced benchmark run
+    path = Path(__file__).resolve().parent.parent / "qmlbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("qmlbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module, attr in tracing.TRACED:
+        obj = importlib.import_module(f"{tracing.PACKAGE}.{module}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), (module, attr)
+            obj = getattr(obj, part)
+        assert callable(obj), (module, attr)

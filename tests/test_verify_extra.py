@@ -81,16 +81,6 @@ def test_cli_check_unit_weights_match_gk(tmp_path):
         assert gk["stable"] == ha["stable"] is True
 
 
-def test_quiver_json_round_trip():
-    from quivermoduli.quiverwt import qn_quiver
-
-    q, d = qn_quiver(4)
-    theta = {"p": F(-1), **{f"q{i}": F(1, 2) for i in range(4)}}
-    doc = serialize.quiver_json(q, d, theta)
-    q2, d2, t2 = serialize.parse_quiver(doc)
-    assert q2 == q and d2 == d and t2 == theta
-
-
 def _grid_suite(capsys, *plans):
     rc = cli.main(["verify", "--suite", "chambers-vs-grid", "--bounds", json.dumps({"plans": plans})])
     (report,) = json.loads(capsys.readouterr().out)["reports"]
