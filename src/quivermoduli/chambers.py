@@ -72,10 +72,6 @@ from .lp import equality_row, strict_interior_point, strict_row
 QN = "qn"
 PN = "pn"
 
-INTERIOR = "interior"
-BOUNDARY = "boundary"
-OUTSIDE = "outside"
-
 DEFAULT_WORK_BOUND = 10**6
 
 
@@ -313,7 +309,7 @@ def classify_weight(weight: Weight) -> WeightClass:
 def _space(mode: str, n: int):
     """(nvars, eqs, box_rows, decode): the variable count, the equality rows
     and the strict box rows of one ambient polytope, and the map from an LP
-    point to its weight; `_encode` is the inverse of `decode`."""
+    point (theta, or (h1, h2, theta) with h_j = -eta_j) to its weight."""
     if mode == QN:
         nvars = n
         eqs = (((1,) * n, 2),)
@@ -340,13 +336,6 @@ def _space(mode: str, n: int):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return nvars, eqs, tuple(box), decode
-
-
-def _encode(weight: Weight) -> tuple[Fraction, ...]:
-    """The LP point of a weight: theta, or (h1, h2, theta) with h_j = -eta_j."""
-    if isinstance(weight, QnWeight):
-        return weight.theta
-    return (-weight.eta1, -weight.eta2, *weight.theta)
 
 
 def _indicator(length: int, idxs) -> tuple[int, ...]:
@@ -469,11 +458,6 @@ def _subset_implications(walls: Sequence[Wall], n: int):
             if i != j and fa == fb and a < b:
                 imps.append((i, si, j, sj))
     return imps
-
-
-def _row_value(row, x) -> Fraction:
-    coeffs, rhs = row
-    return sum(c * xi for c, xi in zip(coeffs, x)) - rhs
 
 
 def _row_signs(rows, x) -> tuple[int, ...]:
@@ -1004,37 +988,6 @@ def _interior_rows(p: TargetPolytope) -> tuple[tuple[tuple[int, ...], Union[int,
 
 def _mode_of(p: TargetPolytope) -> str:
     return QN if isinstance(p, HassettPolytope) else p.mode
-
-
-def polytope_contains(p: TargetPolytope, weight: Weight) -> str:
-    """Exact membership classification via the facet inequalities."""
-    mode = _mode_of(p)
-    if mode == QN:
-        if not isinstance(weight, QnWeight):
-            raise TypeError("hypersimplex polytopes take hypersimplex weights")
-    else:
-        if not isinstance(weight, PnWeight):
-            raise TypeError("double-star polytopes take double-star weights")
-    if weight.n != p.n:
-        raise ValueError("incompatible number of indices")
-    x = _encode(weight)
-    vals = [_row_value(row, x) for row in _constraints(p)]
-    if any(v > 0 for v in vals):
-        return OUTSIDE
-    box_rows = _space(mode, p.n)[2]
-    if all(v < 0 for v in vals) and all(_row_value(row, x) > 0 for row in box_rows):
-        return INTERIOR
-    return BOUNDARY
-
-
-def interiors_intersect(a: TargetPolytope, b: TargetPolytope) -> bool:
-    """Exact LP feasibility of the combined strict facet system."""
-    mode = _mode_of(a)
-    if mode != _mode_of(b) or a.n != b.n:
-        raise ValueError("polytopes live in different ambient spaces")
-    nvars, eqs, box_rows, _ = _space(mode, a.n)
-    rows = [*box_rows, *_interior_rows(a), *_interior_rows(b)]
-    return strict_interior_point(nvars, rows, eqs) is not None
 
 
 def cover_check(

@@ -46,10 +46,6 @@ class DegeneratePairError(ValueError):
     """Two anchor sections coincide (or one is zero)."""
 
 
-class DegenerateAnchorError(ValueError):
-    """Section unusable as a rescaling anchor."""
-
-
 class EquationsFailError(ValueError):
     """The cross-chart equations do not hold."""
 
@@ -336,17 +332,6 @@ def normalize_chart_qn(config: QnConfig, triple: Sequence[int]) -> QnConfig:
     i1, i2, i3 = triple
     m = moebius_from_triple(secs[i1], secs[i2], secs[i3])
     return QnConfig(tuple(m.apply(s) for s in secs))
-
-
-def normalize_chart_pn(config: PnConfig, index: int) -> PnConfig:
-    """Rescale by the diagonal torus fixing both anchors so that the chosen
-    section lands at (1:1)."""
-    secs = _require_points(config)
-    s = secs[index]
-    if s == ZERO_POINT or s == INF_POINT:
-        raise DegenerateAnchorError(f"section {index} sits at an anchor")
-    m = moebius_from_triple(ZERO_POINT, INF_POINT, s)
-    return PnConfig(tuple(m.apply(p) for p in secs))
 
 
 def _anchor_frame(

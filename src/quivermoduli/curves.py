@@ -25,7 +25,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .chambers import QN, HassettPolytope, _over_lcm, cover_check
+from .chambers import QN, HassettPolytope, cover_check
 from .configs import (
     QnConfig,
     coincidence_partition,
@@ -319,24 +319,32 @@ def contract_gamma(tree: PointedTree, keep: Iterable[int]) -> PointedTree:
     )
 
 
+def _separating_image(
+    images: dict[str, dict[int, ProjPoint]], triple: Sequence[int]
+) -> Optional[dict[int, ProjPoint]]:
+    """The mark images (a value of `mark_images`) on the one component where
+    the three marks of `triple` separate; None when no component separates
+    them (the chart is undefined at this tree)."""
+    i1, i2, i3 = triple
+    found = None
+    for img in images.values():
+        if len({img[i1].ihom, img[i2].ihom, img[i3].ihom}) == 3:
+            if found is not None:
+                raise ValueError(f"marks {tuple(triple)} separate on more than one component")
+            found = img
+    return found
+
+
 def contract_to_chart(
     tree: PointedTree, triple: Sequence[int]
 ) -> Optional[dict[int, ProjPoint]]:
     """Contract onto the component where the three chosen marks separate and
     normalize them to (0:1), (1:0), (1:1); None when no component separates
     them (the chart is undefined at this tree)."""
-    i1, i2, i3 = triple
-    images = mark_images(tree)
-    hits = []
-    for c in tree.components:
-        img = images[c]
-        if len({img[i1].ihom, img[i2].ihom, img[i3].ihom}) == 3:
-            hits.append(c)
-    if not hits:
+    img = _separating_image(mark_images(tree), triple)
+    if img is None:
         return None
-    if len(hits) > 1:
-        raise ValueError(f"marks {tuple(triple)} separate on more than one component")
-    img = images[hits[0]]
+    i1, i2, i3 = triple
     m = moebius_from_triple(img[i1], img[i2], img[i3])
     return {lb: m.apply(p) for lb, p in img.items()}
 
@@ -413,18 +421,11 @@ def moduli_coordinates(
     images = mark_images(tree)
     charts: dict[tuple[int, int, int], tuple[ProjPoint, ...]] = {}
     for tset in itertools.combinations(range(n), 3):
-        comp = None
-        for c in tree.components:
-            img = images[c]
-            if len({img[tset[0]].ihom, img[tset[1]].ihom, img[tset[2]].ihom}) == 3:
-                if comp is not None:
-                    raise ValueError(f"marks {tset} separate on more than one component")
-                comp = c
-        if comp is None:
+        img = _separating_image(images, tset)
+        if img is None:
             if mode == GK:
                 raise AssertionError("charts of a stable tree are total")
             continue
-        img = images[comp]
         for order in itertools.permutations(tset):
             m = moebius_from_triple(img[order[0]], img[order[1]], img[order[2]])
             charts[order] = tuple(m.apply(img[k]) for k in range(n))
@@ -463,16 +464,10 @@ def lm_moduli_coordinates(chain: Chain) -> LimitFamily:
     return LimitFamily(LM, n, charts)
 
 
-def hassett_chart_degree(blocks: Iterable[Iterable[int]], a: Sequence[Fraction]) -> Fraction:
-    """Total weighted degree of a chart partition: each coincidence class
-    contributes the smaller of 1 and its weight sum."""
-    den, nums = _over_lcm(a)
-    return Fraction(_degree_numerator(blocks, nums, den), den)
-
-
 def _degree_numerator(blocks: Iterable[Iterable[int]], nums: Sequence[int], den: int) -> int:
-    """den times the chart degree of `hassett_chart_degree`, for the weights
-    nums[i] / den: integers throughout."""
+    """den times the total weighted degree of a chart partition, for the
+    weights nums[i] / den: each coincidence class contributes the smaller of
+    1 and its weight sum.  Integers throughout."""
     return sum(min(den, sum(nums[i] for i in block)) for block in blocks)
 
 
@@ -546,10 +541,6 @@ def _check_five_term(charts: dict, n: int):
                 if a0 * b1 * c0 != a1 * b0 * c1:
                     return ((i1, i2, i3), i4, i5)
     return None
-
-
-def _chart_blocks(row: Sequence[ProjPoint]) -> tuple[tuple[int, ...], ...]:
-    return coincidence_partition(QnConfig(tuple(row))).blocks
 
 
 def _check_row_shape(charts: dict, n: int):
@@ -691,10 +682,6 @@ def family_passes(reports: Sequence[ConditionReport]) -> bool:
 # Reconstruction.
 
 
-def _chart_config(family: LimitFamily, tset: Sequence[int]) -> QnConfig:
-    return QnConfig(tuple(family.charts[tuple(sorted(tset))]))
-
-
 def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     """Rebuild the stable object from its chart family.
 
@@ -717,7 +704,7 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
         return _reconstruct_chain(family)
     n = family.n
     active = family.active_sets()
-    configs = {t: _chart_config(family, t) for t in active}
+    configs = {t: QnConfig(tuple(family.charts[t])) for t in active}
     groups: list[list[tuple[int, ...]]] = []
     for t in active:
         for g in groups:
@@ -969,9 +956,8 @@ def charts_cover_hypersimplex(family: LimitFamily) -> tuple[bool, Optional[tuple
     active = family.active_sets()
     blockmaps = []
     for t in active:
-        blocks = _chart_blocks(family.charts[tuple(t)])
         bm = {}
-        for b in blocks:
+        for b in coincidence_partition(QnConfig(tuple(family.charts[t]))).blocks:
             for i in b:
                 bm[i] = b
         blockmaps.append(bm)

@@ -21,6 +21,20 @@ class ParseError(ValueError):
     pass
 
 
+def _array(v, what: str):
+    """v, when it is a JSON array (a JSON string is not one)."""
+    if not isinstance(v, (list, tuple)):
+        raise ParseError(f"bad {what}: expected an array, got {v!r}")
+    return v
+
+
+def _integer(v, what: str) -> int:
+    """v, when it is a JSON integer (true and false are not)."""
+    if type(v) is not int:
+        raise ParseError(f"bad {what}: expected an integer, got {v!r}")
+    return v
+
+
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -69,7 +83,7 @@ def config_json(c: configs.Config) -> dict:
 def parse_config(d) -> configs.Config:
     try:
         mode = d["mode"]
-        secs = tuple(parse_section(v) for v in d["sections"])
+        secs = tuple(parse_section(v) for v in _array(d["sections"], "configuration sections"))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad configuration: {exc}")
     if mode == "qn":
@@ -99,11 +113,11 @@ def weight_json(w) -> dict:
 def parse_weight(d):
     try:
         mode = d["mode"]
-        theta = tuple(parse_frac(v) for v in d["theta"])
+        theta = tuple(parse_frac(v) for v in _array(d["theta"], "weight theta"))
         if mode == "qn":
             return chambers.QnWeight(theta)
         if mode == "pn":
-            eta = tuple(parse_frac(v) for v in d["eta"])
+            eta = tuple(parse_frac(v) for v in _array(d["eta"], "weight eta"))
             if len(eta) != 2:
                 raise ParseError(f"bad weight: eta must be a pair, got {d['eta']!r}")
             return chambers.PnWeight(*eta, theta)
@@ -164,18 +178,18 @@ def tree_json(t: curves.PointedTree) -> dict:
 
 def parse_tree(d) -> curves.PointedTree:
     try:
-        comps = tuple(d["components"])
-        edges = tuple(
-            curves.TreeEdge(
-                (e["ends"][0], e["ends"][1]),
-                (parse_point(e["nodes"][0]), parse_point(e["nodes"][1])),
-            )
-            for e in d["edges"]
-        )
-        marks = tuple((int(lb), comp, parse_point(p)) for lb, comp, p in d["marks"])
+        comps = tuple(_array(d["components"], "tree components"))
+        edges = []
+        for e in _array(d["edges"], "tree edges"):
+            ends, nodes = _array(e["ends"], "edge ends"), _array(e["nodes"], "edge nodes")
+            edges.append(curves.TreeEdge((ends[0], ends[1]), (parse_point(nodes[0]), parse_point(nodes[1]))))
+        marks = []
+        for m in _array(d["marks"], "tree marks"):
+            lb, comp, p = _array(m, "mark")
+            marks.append((_integer(lb, "mark label"), comp, parse_point(p)))
     except (KeyError, TypeError, IndexError) as exc:
         raise ParseError(f"bad tree: {exc}")
-    return curves.PointedTree(comps, edges, marks)
+    return curves.PointedTree(comps, tuple(edges), tuple(marks))
 
 
 def chain_json(c: curves.Chain) -> dict:
@@ -190,13 +204,16 @@ def chain_json(c: curves.Chain) -> dict:
 
 def parse_chain(d) -> curves.Chain:
     try:
-        comps = tuple(
-            tuple((int(lb), parse_point(p)) for lb, p in comp)
-            for comp in d["components"]
-        )
+        comps = []
+        for comp in _array(d["components"], "chain components"):
+            marks = []
+            for m in _array(comp, "chain component"):
+                lb, p = _array(m, "mark")
+                marks.append((_integer(lb, "mark label"), parse_point(p)))
+            comps.append(tuple(marks))
     except (KeyError, TypeError, IndexError) as exc:
         raise ParseError(f"bad chain: {exc}")
-    return curves.Chain(comps)
+    return curves.Chain(tuple(comps))
 
 
 def family_json(f: curves.LimitFamily) -> dict:
@@ -217,11 +234,13 @@ def family_json(f: curves.LimitFamily) -> dict:
 def parse_family(d) -> curves.LimitFamily:
     try:
         mode = d["mode"]
-        n = int(d["n"])
-        a = None if d.get("a") is None else tuple(parse_frac(v) for v in d["a"])
+        n = _integer(d["n"], "n")
+        a = None if d.get("a") is None else tuple(parse_frac(v) for v in _array(d["a"], "a"))
+        if not isinstance(d["charts"], dict):
+            raise ParseError(f"bad charts: expected an object, got {d['charts']!r}")
         charts = {}
         for key, row in d["charts"].items():
-            pts = tuple(parse_point(p) for p in row)
+            pts = tuple(parse_point(p) for p in _array(row, "chart row"))
             if mode == "lm":
                 charts[int(key)] = pts
             else:

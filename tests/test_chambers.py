@@ -32,9 +32,7 @@ from quivermoduli.chambers import (
     cover_check,
     enumerate_chambers,
     enumerate_walls,
-    interiors_intersect,
     max_work,
-    polytope_contains,
     project_weight_to_pn,
     stability_polytope,
     wall_relative_interior_point,
@@ -309,8 +307,7 @@ def test_stability_polytope_two_classes_is_wall():
     verts, facets = stability_polytope(p)
     assert facets == [QnWall(5, (0, 1))]
     w = wall_relative_interior_point("qn", 5, QnWall(5, (0, 1)))
-    assert polytope_contains(p, w) == "boundary"
-    assert not interiors_intersect(p, p)
+    assert _contains_by_definition(p, w) == "boundary"
 
 
 def test_stability_polytope_pn():
@@ -327,36 +324,22 @@ def test_polytope_contains_examples():
     n = 4
     bary = QnWeight((F(1, 2),) * n)
     full = StabPolytope("qn", n, partition=tuple((i,) for i in range(n)))
-    assert polytope_contains(full, bary) == "interior"
+    assert _contains_by_definition(full, bary) == "interior"
     p = StabPolytope("qn", n, partition=((0, 1), (2,), (3,)))
     onwall = wall_relative_interior_point("qn", n, QnWall(n, (0, 1)))
-    assert polytope_contains(p, onwall) == "boundary"
+    assert _contains_by_definition(p, onwall) == "boundary"
     unstable_side = QnWeight((F(7, 8), F(7, 8), F(1, 8), F(1, 8)))
-    assert polytope_contains(p, unstable_side) == "outside"
+    assert _contains_by_definition(p, unstable_side) == "outside"
 
 
 def test_hassett_polytope():
     with pytest.raises(ValueError):
         HassettPolytope((F(1, 2), F(1, 2), F(1, 2)))
     ha = HassettPolytope((F(1),) * 4)
-    assert polytope_contains(ha, QnWeight((F(1, 2),) * 4)) == "interior"
+    assert _contains_by_definition(ha, QnWeight((F(1, 2),) * 4)) == "interior"
     hb = HassettPolytope((F(1), F(1), F(1), F(1, 3)))
-    assert polytope_contains(hb, QnWeight((F(2, 3), F(2, 3), F(1, 3), F(1, 3)))) == "boundary"
-    assert polytope_contains(hb, QnWeight((F(1, 2), F(1, 2), F(1, 2), F(1, 2)))) == "outside"
-
-
-def test_interiors_intersect_examples():
-    a = StabPolytope("qn", 4, partition=((0, 1), (2,), (3,)))
-    b = StabPolytope("qn", 4, partition=((2, 3), (0,), (1,)))
-    assert interiors_intersect(a, a)
-    # the two polytopes are the closed sides of one wall: interiors disjoint
-    assert not interiors_intersect(a, b)
-    wallp = StabPolytope("qn", 4, partition=((0, 1), (2, 3)))
-    assert not interiors_intersect(wallp, a)
-    # in the larger polytope two different walls genuinely overlap
-    c = StabPolytope("qn", 5, partition=((0, 1), (2,), (3,), (4,)))
-    d = StabPolytope("qn", 5, partition=((2, 3), (0,), (1,), (4,)))
-    assert interiors_intersect(c, d)
+    assert _contains_by_definition(hb, QnWeight((F(2, 3), F(2, 3), F(1, 3), F(1, 3)))) == "boundary"
+    assert _contains_by_definition(hb, QnWeight((F(1, 2), F(1, 2), F(1, 2), F(1, 2)))) == "outside"
 
 
 def test_cover_check_chart_polytopes():
@@ -405,14 +388,15 @@ def test_cover_check_star_polytopes_with_complementary_blocks():
     polys = [StabPolytope("qn", 6, partition=p) for p in partitions]
     covered, witness = cover_check(polys, "qn", 6)
     assert covered is False
-    assert all(polytope_contains(p, witness) == "outside" for p in polys)
+    assert all(_contains_by_definition(p, witness) == "outside" for p in polys)
     gap = QnWeight((F(8, 9),) + (F(2, 9),) * 5)
-    assert all(polytope_contains(p, gap) == "outside" for p in polys)
+    assert all(_contains_by_definition(p, gap) == "outside" for p in polys)
 
 
 def _contains_by_definition(p, w):
-    """polytope_contains written out from the definitions: pairs (value,
-    bound) that must satisfy value <= bound, plus theta > 0 for interiority."""
+    """Where w lies relative to p ("interior", "boundary" or "outside"),
+    written out from the definitions: pairs (value, bound) that must satisfy
+    value <= bound, plus theta > 0 for interiority."""
     if isinstance(p, HassettPolytope):
         pairs = list(zip(w.theta, p.a))
     elif p.mode == "qn":
@@ -430,56 +414,6 @@ def _contains_by_definition(p, w):
     if all(v < b for v, b in pairs) and all(t > 0 for t in w.theta):
         return "interior"
     return "boundary"
-
-
-def _sample_weights(mode, n, rng):
-    """Chamber witnesses, points on each wall, and seeded points of coarse
-    grids, many of which lie on walls or on the boundary."""
-    out = [c.witness for c in enumerate_chambers(mode, n)]
-    out += [wall_relative_interior_point(mode, n, w) for w in enumerate_walls(mode, n)]
-    while len(out) < 120:
-        den = rng.choice((2, 3, 4, 6))
-        ks = [rng.randint(0, den) for _ in range(n - 1)]
-        if mode == "qn":
-            ks.append(2 * den - sum(ks))
-            if 0 <= ks[-1] <= den:
-                out.append(QnWeight(tuple(F(k, den) for k in ks)))
-        else:
-            ks.append(den - sum(ks))
-            h1 = F(rng.randint(0, den), den)
-            if ks[-1] >= 0:
-                out.append(PnWeight(-h1, h1 - 1, tuple(F(k, den) for k in ks)))
-    return out
-
-
-def test_polytope_contains_matches_definition():
-    rng = random.Random(4)
-    families = []
-    for n in (4, 5):
-        polys = [StabPolytope("qn", n, partition=tuple(map(tuple, b))) for b in set_partitions(range(n))]
-        polys += [HassettPolytope(a) for a in (
-            (F(1),) * n,
-            (F(1), F(1), F(1, 2)) + (F(1, 3),) * (n - 3),
-            (F(3, 4),) * n,
-        )]
-        families.append(("qn", n, polys))
-    polys = [
-        StabPolytope("pn", 3, j0=j0, jinf=jinf)
-        for b in set_partitions(range(3))
-        for j0, jinf in pn_decorations(b)
-    ]
-    families.append(("pn", 3, polys))
-    seen = Counter()
-    for mode, n, polys in families:
-        weights = _sample_weights(mode, n, rng)
-        for p in polys:
-            for w in weights:
-                got = polytope_contains(p, w)
-                assert got == _contains_by_definition(p, w), (p, w)
-                seen[type(p).__name__, mode, got] += 1
-    for kind, mode in (("StabPolytope", "qn"), ("HassettPolytope", "qn"), ("StabPolytope", "pn")):
-        for verdict in ("interior", "boundary", "outside"):
-            assert seen[kind, mode, verdict] > 0, (kind, mode, verdict)
 
 
 def _cover_cases():
@@ -577,7 +511,7 @@ def test_weighted_cover_check_lp_count_is_pinned(monkeypatch):
     calls = _count_lps(monkeypatch)
     covered, witness = cover_check(polys, "qn", 6, a)
     assert not covered
-    assert polytope_contains(HassettPolytope(a), witness) == "interior"
+    assert _contains_by_definition(HassettPolytope(a), witness) == "interior"
     assert (len(calls), sum(calls)) == (10, 3)
 
 
@@ -958,6 +892,11 @@ _HASSETT_SHAPES = (
 )
 
 
+def _row_value(row, x) -> F:
+    coeffs, rhs = row
+    return sum(c * xi for c, xi in zip(coeffs, x)) - rhs
+
+
 def _fraction_seed(arr):
     """`chambers._generic_seed` with every row value a Fraction."""
     pinned = []
@@ -965,7 +904,7 @@ def _fraction_seed(arr):
     if x is None:
         return None
     while True:
-        zero_at = next((k for k, row in enumerate(arr.hyps) if chambers._row_value(row, x) == 0), None)
+        zero_at = next((k for k, row in enumerate(arr.hyps) if _row_value(row, x) == 0), None)
         if zero_at is None:
             return x
         for s in (1, -1):
@@ -1050,7 +989,7 @@ def test_integer_seed_and_classes_match_the_fraction_reference(monkeypatch):
         x = chambers.strict_interior_point(arr.nvars, arr.box, arr.eq)
         for point in (seed, x):
             if point is not None:
-                values = [chambers._row_value(row, point) for row in arr.hyps]
+                values = [_row_value(row, point) for row in arr.hyps]
                 assert chambers._row_signs(arr.hyps, point) == tuple((v > 0) - (v < 0) for v in values)
         pinned += seed != x
         classes = chambers._hyperplane_classes(arr.eqs, arr.hyps)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, reject, settings, strategies
 
 from quivermoduli import cli, serialize, verify
 from quivermoduli.chambers import QnWeight
-from quivermoduli.curves import Chain, GK, moduli_coordinates
+from quivermoduli.curves import Chain, GK, HASSETT, moduli_coordinates
 from quivermoduli.generate import random_gk_tree
 from quivermoduli.projline import affine
 
@@ -52,10 +52,40 @@ _BAD_ETAS = {
     "eta-long.json": ["-1/2", "-1/2", "0"],
 }
 
+# a stable tree with one component and three marks
+_TREE3 = {
+    "type": "tree",
+    "components": ["a"],
+    "edges": [],
+    "marks": [[0, "a", ["0", "1"]], [1, "a", ["1", "0"]], [2, "a", ["1", "1"]]],
+}
+
+# a well-formed document of each kind, and the command that reads it
+_COMMANDS = {
+    "weight": ["stability", "--config", "pn-config.json", "--weight"],
+    "tree": ["tree", "check", "--tree"],
+    "gk-family": ["tree", "reconstruct", "--family"],
+    "hassett-family": ["tree", "reconstruct", "--family"],
+}
+
+# a JSON string where the schema has an array, or a non-integer where it has
+# an integer: unreadable input, exit 3 (each change is made to the document
+# of its kind; the strings were read as arrays of their characters, n = 3.9
+# as 3 and the label 0.5 as 0)
+_BAD_TYPES = {
+    "theta-string.json": ("weight", {"theta": "1"}),
+    "eta-string.json": ("weight", {"eta": "00"}),
+    "components-string.json": ("tree", {"components": "a"}),
+    "label-half.json": ("tree", {"marks": [[0.5, "a", ["0", "1"]], *_TREE3["marks"][1:]]}),
+    "a-string.json": ("hassett-family", {"a": "111"}),
+    "n-float.json": ("gk-family", {"n": 3.9}),
+    "charts-list.json": ("gk-family", {"charts": []}),
+}
+
 _INPUT_NAMES = (
     "tree.json", "family.json", "chain.json", "weight.json", "bad.json", "empty.json",
     "list.json", "long.json", "untyped.json", "theta.json", "pn-config.json", "missing.json",
-    *_BAD_FAMILIES, *_BAD_ETAS,
+    *_BAD_FAMILIES, *_BAD_ETAS, *_BAD_TYPES, *(f"{kind}-ok.json" for kind in _COMMANDS),
 )
 
 
@@ -81,6 +111,17 @@ def inputs(tmp_path_factory) -> dict[str, str]:
         texts[name] = json.dumps({"type": "family", **body})
     for name, eta in _BAD_ETAS.items():
         texts[name] = json.dumps({"type": "weight", "mode": "pn", "eta": eta, "theta": ["1"]})
+    tree3 = serialize.parse_tree(_TREE3)
+    documents = {
+        "weight": {"type": "weight", "mode": "pn", "eta": ["-1/2", "-1/2"], "theta": ["1"]},
+        "tree": _TREE3,
+        "gk-family": serialize.family_json(moduli_coordinates(tree3, GK)),
+        "hassett-family": serialize.family_json(moduli_coordinates(tree3, HASSETT, (1, 1, 1))),
+    }
+    for kind, document in documents.items():
+        texts[f"{kind}-ok.json"] = json.dumps(document)
+    for name, (kind, change) in _BAD_TYPES.items():
+        texts[name] = json.dumps({**documents[kind], **change})
     for name, text in texts.items():
         (root / name).write_text(text)
     return {name: str(root / name) for name in _INPUT_NAMES}
@@ -242,3 +283,15 @@ def test_bad_etas_exit_3_with_one_error_line(inputs, name):
     lines = err.splitlines()
     assert got == 3, err
     assert len(lines) == 1 and lines[0].startswith("error: ") and "bad weight" in lines[0], err
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_TYPES))
+def test_wrong_json_types_exit_3_with_one_error_line(inputs, name):
+    kind, _ = _BAD_TYPES[name]
+    command = [inputs.get(arg, arg) for arg in _COMMANDS[kind]]
+    got, err = _run([*command, inputs[f"{kind}-ok.json"]])
+    assert got == 0, err
+    got, err = _run([*command, inputs[name]])
+    lines = err.splitlines()
+    assert got == 3, err
+    assert len(lines) == 1 and lines[0].startswith("error: cannot parse "), err

@@ -29,7 +29,6 @@ from quivermoduli.configs import (
     is_semistable,
     map_config_qn2_pn,
     moebius_equivalent,
-    normalize_chart_pn,
     normalize_chart_qn,
     theta_polytope,
 )
@@ -178,16 +177,6 @@ def test_normalize_chart_qn():
     assert out.sections[0] == cross_ratio(
         cfg.sections[1], cfg.sections[2], cfg.sections[3], cfg.sections[0]
     )
-
-
-def test_normalize_chart_pn():
-    cfg = PnConfig((affine(2), affine(3), INF_POINT))
-    out = normalize_chart_pn(cfg, 0)
-    assert out.sections[0] == ONE_POINT
-    assert out.sections[2] == INF_POINT
-    assert out.sections[1] == affine(F(3, 2))
-    with pytest.raises(Exception):
-        normalize_chart_pn(PnConfig((ZERO_POINT, affine(1))), 0)
 
 
 def test_check_limit_equations_identity_and_diagonal():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermoduli import curves, serialize
+from quivermoduli.chambers import _over_lcm
 from quivermoduli.configs import QnConfig, check_limit_equations, glue_fiber
 from quivermoduli.curves import (
     Chain,
@@ -29,7 +30,6 @@ from quivermoduli.curves import (
     contract_gamma,
     contract_to_chart,
     family_passes,
-    hassett_chart_degree,
     is_a_stable,
     is_gk_stable,
     is_lm_stable,
@@ -254,10 +254,10 @@ def test_chain_canonical():
 
 
 def test_hassett_chart_degree():
-    a = (F(3, 5),) * 5
-    blocks = [(0, 1), (2,), (3,), (4,)]
-    assert hassett_chart_degree(blocks, a) == 1 + 3 * F(3, 5)
-    assert hassett_chart_degree([(0, 1, 2, 3, 4)], a) == 1
+    # weights 3/5 over the denominator 5: degrees 1 + 3 * 3/5 and 1, times 5
+    nums = (3,) * 5
+    assert curves._degree_numerator([(0, 1), (2,), (3,), (4,)], nums, 5) == 14
+    assert curves._degree_numerator([(0, 1, 2, 3, 4)], nums, 5) == 5
 
 
 class _NoDraws(random.Random):
@@ -575,8 +575,9 @@ def test_chart_degree_matches_the_fraction_reference(a, seed):
     rng.shuffle(labels)
     cuts = sorted(rng.sample(range(1, len(a)), rng.randint(0, len(a) - 1))) if len(a) > 1 else []
     blocks = [labels[i:j] for i, j in zip([0, *cuts], [*cuts, len(a)])]
-    got = hassett_chart_degree(blocks, a)
-    assert type(got) is F and got == _degree_reference(blocks, a)
+    den, nums = _over_lcm(a)
+    got = curves._degree_numerator(blocks, nums, den)
+    assert type(got) is int and got == den * _degree_reference(blocks, a)
 
 
 @settings(max_examples=300, deadline=None)

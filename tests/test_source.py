@@ -12,6 +12,19 @@ from pathlib import Path
 import quivermoduli
 from quivermoduli.projline import INF_POINT, Moebius, ProjPoint
 
+_REPO = Path(__file__).resolve().parent.parent
+
+# Public names that nothing in src/ or qmlbench/ reads, kept for library
+# users, each with the reason it stays.
+_KEPT_FOR_USERS = {
+    "config_json": "writes the input of `qml stability --config`",
+    "moebius_json": "the encoding the sha256-pinned glued-fiber test hashes",
+    "contract_to_chart": "the chart of one triple on trees with any mark labels",
+    "simplex_maximize": "traced by the benchmark (qmlbench/tracing.py TRACED)",
+    "cross_ratio": "traced by the benchmark (qmlbench/tracing.py TRACED)",
+    "cross_ratio_invariant": "traced by the benchmark (qmlbench/tracing.py TRACED)",
+}
+
 
 def test_no_assert_statements():
     # `python -O` strips assert statements, so invariants raise typed errors
@@ -58,15 +71,26 @@ def test_projline_stores_integers_only():
             assert type(v) is tuple and all(type(x) is int for x in v), (value, v)
 
 
+def _modules_loaded_by(module: str) -> set[str]:
+    """The names in sys.modules after a fresh interpreter imports `module`."""
+    src = str(Path(quivermoduli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout))
+
+
+def test_package_import_loads_no_submodule():
+    # the package re-exports nothing; library code imports from submodules
+    loaded = _modules_loaded_by("quivermoduli")
+    assert sorted(name for name in loaded if name.startswith("quivermoduli.")) == []
+
+
 def test_cli_import_loads_the_traced_modules_only():
     # qmlbench/tracing.py looks these six modules up in sys.modules inside a
     # `qml` child; verify (and generate, which only verify needs) load only
     # for `qml verify`
-    src = str(Path(quivermoduli.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import json, sys, quivermoduli.cli; print(json.dumps(sorted(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = set(json.loads(out.stdout))
+    loaded = _modules_loaded_by("quivermoduli.cli")
     for name in ("projline", "curves", "configs", "lp", "chambers", "serialize"):
         assert f"quivermoduli.{name}" in loaded, name
     assert "quivermoduli.verify" not in loaded
@@ -76,7 +100,7 @@ def test_cli_import_loads_the_traced_modules_only():
 def test_benchmark_traced_names_resolve():
     # qmlbench/tracing.py wraps each (module, attribute) of TRACED; a name
     # deleted from the package would break a traced benchmark run
-    path = Path(__file__).resolve().parent.parent / "qmlbench" / "tracing.py"
+    path = _REPO / "qmlbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("qmlbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -87,3 +111,36 @@ def test_benchmark_traced_names_resolve():
             assert hasattr(obj, part), (module, attr)
             obj = getattr(obj, part)
         assert callable(obj), (module, attr)
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_every_public_name_has_a_use():
+    # a public top-level name of the package that no code in src/ or
+    # qmlbench/ reads, outside its own definition, is dead unless it is kept
+    # for library users; tests do not count as uses
+    package = Path(quivermoduli.__file__).parent
+    defined, used = {}, set()
+    for path in sorted(package.glob("*.py")) + sorted((_REPO / "qmlbench").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            names = _defined_names(node)
+            if path.parent == package:
+                defined.update((name, path.name) for name in names if not name.startswith("_"))
+            reads = {
+                sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) or isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            used |= reads - set(names)
+    unused = {name: module for name, module in defined.items() if name not in used}
+    assert {k: v for k, v in unused.items() if k not in _KEPT_FOR_USERS} == {}
+    # an entry whose name is now used, or gone, leaves the list
+    assert sorted(_KEPT_FOR_USERS.keys() - unused.keys()) == []

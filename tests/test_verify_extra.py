@@ -5,7 +5,6 @@ import json
 import random
 import subprocess
 import sys
-from fractions import Fraction as F
 
 from quivermoduli import cli
 from quivermoduli import configs as configs_mod
@@ -18,7 +17,7 @@ from quivermoduli.configs import (
     Verdict,
     glue_fiber,
 )
-from quivermoduli.curves import Chain, hassett_chart_degree, lm_moduli_coordinates
+from quivermoduli.curves import Chain, _degree_numerator, lm_moduli_coordinates
 from quivermoduli.generate import random_gk_tree
 from quivermoduli.projline import affine
 from quivermoduli import serialize
@@ -65,7 +64,7 @@ def test_suite_reports_witness_on_injected_bug(monkeypatch):
 
 
 def test_hassett_chart_degree_unit_weights():
-    assert hassett_chart_degree([(i,) for i in range(5)], (F(1),) * 5) == 5
+    assert _degree_numerator([(i,) for i in range(5)], (1,) * 5, 1) == 5
 
 
 def test_cli_check_unit_weights_match_gk(tmp_path):
