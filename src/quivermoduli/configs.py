@@ -70,7 +70,7 @@ class QnConfig:
         built on first use and kept outside the fields (so equality, hashing
         and repr ignore it); raises ZeroSectionError on a zero section."""
         pts = [s.ihom for s in _require_points(self)]
-        return tuple(tuple(a0 * b1 - a1 * b0 for b0, b1 in pts) for a0, a1 in pts)
+        return tuple([tuple([a0 * b1 - a1 * b0 for b0, b1 in pts]) for a0, a1 in pts])
 
 
 @dataclass(frozen=True)
@@ -334,26 +334,19 @@ def normalize_chart_qn(config: QnConfig, triple: Sequence[int]) -> QnConfig:
     return QnConfig(tuple(m.apply(s) for s in secs))
 
 
-def _anchor_frame(
-    config: Config, i: Optional[int], j: Optional[int]
-) -> tuple[ProjPoint, ProjPoint, Sequence[int], Sequence[int]]:
-    """Anchors p, q of a chart and rows x[k] = idet(p, s_k), y[k] = idet(q, s_k):
-    a Moebius sending p to (0:1) and q to (1:0) sends s_k to (-x[k] : y[k])
-    up to a diagonal factor.  Star-quiver anchors are the sections i and j,
-    with rows from `dets`; double-star ones are (0:1) and (1:0), i, j omitted."""
-    if isinstance(config, PnConfig):
+def _pn_rows(
+    config_a: PnConfig, config_b: PnConfig, i: Optional[int], j: Optional[int]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The anchor rows (xa, ya, xb, yb) of two double-star charts, whose
+    anchors are (0:1) and (1:0) (so i and j must be omitted): x[k] = -s_k0
+    and y[k] = s_k1.  Validates the first chart, then the second."""
+    rows = []
+    for config in (config_a, config_b):
         secs = _require_points(config)
         if i is not None or j is not None:
             raise ValueError("double-star configurations have fixed anchors; omit i and j")
-        return ZERO_POINT, INF_POINT, [-s.ihom[0] for s in secs], [s.ihom[1] for s in secs]
-    d = config.dets
-    if i is None or j is None or i == j:
-        raise ValueError("two distinct anchor indices are required")
-    if not (0 <= i < len(d) and 0 <= j < len(d)):
-        raise ValueError(f"anchor indices {i} and {j} must lie in range({len(d)})")
-    if not d[i][j]:
-        raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
-    return config.sections[i], config.sections[j], d[i], d[j]
+        rows += [-s.ihom[0] for s in secs], [s.ihom[1] for s in secs]
+    return tuple(rows)
 
 
 def check_limit_equations(
@@ -362,26 +355,49 @@ def check_limit_equations(
     """Whether the two configurations satisfy the cross-chart equations
     for the anchor pair (i, j).
 
-    With x, y the anchor rows of a (x[k] = D_a[i][k], y[k] = D_a[j][k],
-    D_a the determinant table; the implicit anchors for double-star
-    configurations) and x', y' those of b, the equations say that the
-    pairs (x[k] y'[k] : y[k] x'[k]) other than (0, 0) all define one
-    projective value.  Equivalently, after sending section i to (0:1) and
-    section j to (1:0) in both charts, all mark pairs lie on a single
-    diagonal (1,1)-curve through the two anchor corners.
+    With anchors p, q, the anchor rows of a chart are x[k] = idet(p, s_k)
+    and y[k] = idet(q, s_k): a Moebius map sending p to (0:1) and q to
+    (1:0) sends s_k to (-x[k] : y[k]) up to a diagonal factor.  For
+    star-quiver configurations the anchors are sections i and j, and the
+    rows are rows i and j of the determinant table `dets`; double-star
+    configurations have the implicit anchors (0:1) and (1:0).  With x, y
+    the rows of a and x', y' those of b, the equations say that the pairs
+    (x[k] y'[k] : y[k] x'[k]) other than (0, 0) all define one projective
+    value.  Equivalently, after sending section i to (0:1) and section j
+    to (1:0) in both charts, all mark pairs lie on a single diagonal
+    (1,1)-curve through the two anchor corners.
+
+    Checks mode and size first, then the first chart (zero sections,
+    anchor indices, coinciding anchors), then the second.
     """
-    if type(config_a) is not type(config_b) or config_a.n != config_b.n:
+    if type(config_a) is not type(config_b) or len(config_a.sections) != len(config_b.sections):
         raise ValueError("configurations must share a mode and a size")
-    _, _, xa, ya = _anchor_frame(config_a, i, j)
-    _, _, xb, yb = _anchor_frame(config_b, i, j)
-    # a pair (0, 0) passes every comparison; the first other pair fixes r
-    r0 = r1 = 0
-    for p, q, s, t in zip(xa, yb, ya, xb):
-        a, b = p * q, s * t
-        if a * r1 != b * r0:
+    if type(config_a) is PnConfig:
+        xa, ya, xb, yb = _pn_rows(config_a, config_b, i, j)
+    else:
+        da = config_a.dets
+        if i is None or j is None or i == j:
+            raise ValueError("two distinct anchor indices are required")
+        if not (0 <= i < len(da) and 0 <= j < len(da)):
+            raise ValueError(f"anchor indices {i} and {j} must lie in range({len(da)})")
+        if not da[i][j]:
+            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
+        db = config_b.dets
+        if not db[i][j]:
+            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
+        xa, ya, xb, yb = da[i], da[j], db[i], db[j]
+    # the first pair other than (0, 0) fixes the value (r0 : r1); a later
+    # pair (0, 0) passes the comparison
+    pairs = zip(xa, yb, ya, xb)
+    for p, q, s, t in pairs:
+        r0, r1 = p * q, s * t
+        if r0 or r1:
+            break
+    else:
+        return True
+    for p, q, s, t in pairs:
+        if p * q * r1 != s * t * r0:
             return False
-        if not (r0 or r1):
-            r0, r1 = a, b
     return True
 
 
@@ -408,50 +424,69 @@ IRREDUCIBLE = "irreducible"
 TWO_COMPONENTS = "two_components"
 
 
+def _normalizing_matrix(p: ProjPoint, q: ProjPoint, x: int, y: int) -> tuple[int, int, int, int]:
+    """The matrix of `moebius_from_triple(p, q, s)`, unreduced, for a
+    section s with anchor rows x = idet(p, s) and y = idet(q, s): its rows
+    (y p1, -y p0) and (x q1, -x q0) send p, q, s to (0:1), (1:0), (1:1)."""
+    (p0, p1), (q0, q1) = p.ihom, q.ihom
+    return y * p1, -y * p0, x * q1, -x * q0
+
+
 def glue_fiber(
     config_a: Config, config_b: Config, i: Optional[int] = None, j: Optional[int] = None
 ) -> GluedFiber:
     """Glue two equation-compatible charts into their common fiber curve."""
     if not check_limit_equations(config_a, config_b, i, j):
         raise EquationsFailError("configurations are not related by the cross-chart equations")
-    pa, qa, xa, ya = _anchor_frame(config_a, i, j)
-    pb, qb, xb, yb = _anchor_frame(config_b, i, j)
-    n = config_a.n
+    # the rows checked above, read again
+    if type(config_a) is PnConfig:
+        xa, ya, xb, yb = _pn_rows(config_a, config_b, i, j)
+        pa = pb = ZERO_POINT
+        qa = qb = INF_POINT
+    else:
+        da, db = config_a.dets, config_b.dets
+        xa, ya, xb, yb = da[i], da[j], db[i], db[j]
+        pa, qa = config_a.sections[i], config_a.sections[j]
+        pb, qb = config_b.sections[i], config_b.sections[j]
+    n = len(xa)
     k0 = next((k for k in range(n) if xa[k] and ya[k] and xb[k] and yb[k]), None)
     if k0 is not None:
         # the connecting map takes the anchors and one common off-anchor
-        # section of the first chart to those of the second
-        ma = moebius_from_triple(pa, qa, config_a.sections[k0])
-        mb = moebius_from_triple(pb, qb, config_b.sections[k0])
-        m = mb.inverse().compose(ma)
+        # section of the first chart to those of the second: adj(B) A for
+        # the normalizing matrices A of a and B of b
+        f00, f01, f10, f11 = _normalizing_matrix(pa, qa, xa[k0], ya[k0])
+        g00, g01, g10, g11 = _normalizing_matrix(pb, qb, xb[k0], yb[k0])
+        m = Moebius(
+            g11 * f00 - g01 * f10,
+            g11 * f01 - g01 * f11,
+            g00 * f10 - g10 * f00,
+            g00 * f11 - g10 * f01,
+        )
         e00, e01, e10, e11 = m.imat
         for sa, sb in zip(config_a.sections, config_b.sections):
             (a0, a1), (b0, b1) = sa.ihom, sb.ihom
             if (e00 * a0 + e01 * a1) * b1 != (e10 * a0 + e11 * a1) * b0:
                 raise EquationsFailError("the connecting map does not match every section")
         return GluedFiber(IRREDUCIBLE, moebius=m)
-    # the fiber is a chain of two lines with its node at an anchor corner;
-    # the corner orientation is read off where the varying sections of one
-    # chart collapse in the other
-    u = [(-x, y) for x, y in zip(xa, ya)]
-    v = [(-x, y) for x, y in zip(xb, yb)]
-    offs_a = [k for k in range(n) if 0 not in u[k]]
-    offs_b = [k for k in range(n) if 0 not in v[k]]
-    if not offs_a or not offs_b:
+    # the fiber is a chain of two lines with its node at an anchor corner.
+    # The corner is where the sections varying in one chart (both rows
+    # nonzero) sit in the other: a row pair (x, y) with x = 0 is the first
+    # anchor, one with y = 0 the second
+    u = list(zip(xa, ya))
+    v = list(zip(xb, yb))
+    cb_vals = {v[k] for k in range(n) if xa[k] and ya[k]}
+    ca_vals = {u[k] for k in range(n) if xb[k] and yb[k]}
+    if not cb_vals or not ca_vals:
         raise EquationsFailError("fiber undetermined: one chart has only anchored sections")
-    cb_vals = {v[k] for k in offs_a}
-    ca_vals = {u[k] for k in offs_b}
     if len(cb_vals) != 1 or len(ca_vals) != 1:
         raise EquationsFailError("the varying sections collapse to more than one anchor")
-    corner_b = next(iter(cb_vals))
-    corner_a = next(iter(ca_vals))
+    (corner_b,), (corner_a,) = cb_vals, ca_vals
     if corner_a == corner_b:
         raise EquationsFailError("the node corner does not mix the two anchors")
-    # a corner (0 : c) is the image of the first anchor, (c : 0) of the second
     return GluedFiber(
         TWO_COMPONENTS,
-        marks_on_a=frozenset(k for k in range(n) if v[k] == corner_b),
-        marks_on_b=frozenset(k for k in range(n) if u[k] == corner_a),
+        marks_on_a=frozenset([k for k, w in enumerate(v) if w == corner_b]),
+        marks_on_b=frozenset([k for k, w in enumerate(u) if w == corner_a]),
         node_a=qa if corner_a[0] else pa,
         node_b=qb if corner_b[0] else pb,
     )
@@ -489,11 +524,16 @@ def moebius_equivalent(config_a: QnConfig, config_b: QnConfig) -> bool:
     """
     if not (isinstance(config_a, QnConfig) and isinstance(config_b, QnConfig)):
         raise ValueError("Moebius equivalence is defined for star-quiver configurations")
-    if config_a.n != config_b.n:
+    if len(config_a.sections) != len(config_b.sections):
         return False
-    for config in (config_a, config_b):
-        _require_classes(config)
-    da, db = config_a.dets, config_b.dets
+    try:
+        da, db = config_a.dets, config_b.dets
+    except ZeroSectionError:
+        # name the first zero section, of a before b, in the message of
+        # coincidence_partition
+        for config in (config_a, config_b):
+            _require_classes(config)
+        raise
     first = [row.index(0) for row in da]
     if first != [row.index(0) for row in db]:
         return False
@@ -503,4 +543,7 @@ def moebius_equivalent(config_a: QnConfig, config_b: QnConfig) -> bool:
     r1, r2, r3 = leads[:3]
     a1, a2, b1, b2 = da[r1], da[r2], db[r1], db[r2]
     ca, cb = a2[r3] * b1[r3], b2[r3] * a1[r3]
-    return all(x * y * ca == z * w * cb for x, y, z, w in zip(a1, b2, b1, a2))
+    for x, y, z, w in zip(a1, b2, b1, a2):
+        if x * y * ca != z * w * cb:
+            return False
+    return True

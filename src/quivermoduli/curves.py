@@ -319,20 +319,44 @@ def contract_gamma(tree: PointedTree, keep: Iterable[int]) -> PointedTree:
     )
 
 
-def _separating_image(
-    images: dict[str, dict[int, ProjPoint]], triple: Sequence[int]
-) -> Optional[dict[int, ProjPoint]]:
-    """The mark images (a value of `mark_images`) on the one component where
-    the three marks of `triple` separate; None when no component separates
-    them (the chart is undefined at this tree)."""
-    i1, i2, i3 = triple
+def _det_row(pts: Sequence[tuple[int, int]], u: int) -> list[int]:
+    """Row u of the determinant table D[u][v] = idet(x_u, x_v) of the
+    integer pairs x_u of mark images on one component, u and v positions in
+    label order.  Marks u and v coincide on the component exactly when
+    D[u][v] = 0."""
+    a0, a1 = pts[u]
+    return [a0 * b1 - a1 * b0 for b0, b1 in pts]
+
+
+def _det_table(img: dict[int, ProjPoint]) -> list[list[int]]:
+    """The determinant table of one component of `mark_images`."""
+    pts = [p.ihom for p in img.values()]
+    return [_det_row(pts, u) for u in range(len(pts))]
+
+
+def _separating_table(
+    tables: list[list[list[int]]], p: int, q: int, r: int, triple: Sequence[int]
+) -> Optional[list[list[int]]]:
+    """The table of the one component where the marks at positions p, q, r
+    separate (their three entries are nonzero); None when no component
+    separates them (the chart of `triple`, their labels, is undefined)."""
     found = None
-    for img in images.values():
-        if len({img[i1].ihom, img[i2].ihom, img[i3].ihom}) == 3:
+    for d in tables:
+        dp = d[p]
+        if dp[q] and dp[r] and d[q][r]:
             if found is not None:
                 raise ValueError(f"marks {tuple(triple)} separate on more than one component")
-            found = img
+            found = d
     return found
+
+
+def _chart_row(dp: list[int], dq: list[int], r: int) -> tuple[ProjPoint, ...]:
+    """The chart of the ordering (p, q, r) read off rows p and q of a table
+    D.  The Moebius map sending marks p, q, r to (0:1), (1:0), (1:1) sends
+    mark k to (D[p][k] D[q][r] : D[p][r] D[q][k]), the identity of
+    `projline.cross_ratio`; no map is built."""
+    cq, cp = dq[r], dp[r]
+    return tuple([ProjPoint(x * cq, cp * y) for x, y in zip(dp, dq)])
 
 
 def contract_to_chart(
@@ -341,12 +365,14 @@ def contract_to_chart(
     """Contract onto the component where the three chosen marks separate and
     normalize them to (0:1), (1:0), (1:1); None when no component separates
     them (the chart is undefined at this tree)."""
-    img = _separating_image(mark_images(tree), triple)
-    if img is None:
+    labels = tree.labels
+    pos = {lb: k for k, lb in enumerate(labels)}
+    p, q, r = (pos[lb] for lb in triple)
+    tables = [_det_table(img) for img in mark_images(tree).values()]
+    d = _separating_table(tables, p, q, r, triple)
+    if d is None:
         return None
-    i1, i2, i3 = triple
-    m = moebius_from_triple(img[i1], img[i2], img[i3])
-    return {lb: m.apply(p) for lb, p in img.items()}
+    return dict(zip(labels, _chart_row(d[p], d[q], r)))
 
 
 GK = "gk"
@@ -418,17 +444,16 @@ def moduli_coordinates(
     else:
         raise ValueError("tree charts exist in modes 'gk' and 'hassett'")
     n = tree.n
-    images = mark_images(tree)
+    tables = [_det_table(img) for img in mark_images(tree).values()]
     charts: dict[tuple[int, int, int], tuple[ProjPoint, ...]] = {}
     for tset in itertools.combinations(range(n), 3):
-        img = _separating_image(images, tset)
-        if img is None:
+        d = _separating_table(tables, *tset, tset)
+        if d is None:
             if mode == GK:
                 raise AssertionError("charts of a stable tree are total")
             continue
-        for order in itertools.permutations(tset):
-            m = moebius_from_triple(img[order[0]], img[order[1]], img[order[2]])
-            charts[order] = tuple(m.apply(img[k]) for k in range(n))
+        for p, q, r in itertools.permutations(tset):
+            charts[p, q, r] = _chart_row(d[p], d[q], r)
     return LimitFamily(mode, n, charts, aw)
 
 
@@ -847,16 +872,19 @@ def tree_isomorphic(t1: PointedTree, t2: PointedTree) -> bool:
     for e in t1.edges:
         if frozenset(match[x] for x in e.ends) not in e2:
             return False
+    pos = {lb: k for k, lb in enumerate(t1.labels)}
     for c in t1.components:
         blocks = part1[c]
         if len(blocks) < 3:
             return False
-        reps = [b[0] for b in blocks[:3]]
-        m1 = moebius_from_triple(*(img1[c][r] for r in reps))
-        m2 = moebius_from_triple(*(img2[match[c]][r] for r in reps))
-        for lb in t1.labels:
-            if m1.apply(img1[c][lb]) != m2.apply(img2[match[c]][lb]):
-                return False
+        # both components normalized at the first marks of three blocks
+        p, q, r = (pos[b[0]] for b in blocks[:3])
+        rows = []
+        for img in (img1[c], img2[match[c]]):
+            pts = [x.ihom for x in img.values()]
+            rows.append(_chart_row(_det_row(pts, p), _det_row(pts, q), r))
+        if rows[0] != rows[1]:
+            return False
     return True
 
 

@@ -99,6 +99,13 @@ class ProjPoint(_Frozen):
             return NotImplemented
         return self.ihom == other.ihom
 
+    def __ne__(self, other):
+        # the inherited __ne__ calls __eq__ through a slot wrapper, which
+        # costs about twice as much
+        if other.__class__ is not ProjPoint:
+            return NotImplemented
+        return self.ihom != other.ihom
+
     def __hash__(self):
         return hash(self.ihom)
 

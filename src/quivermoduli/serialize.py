@@ -231,6 +231,14 @@ def family_json(f: curves.LimitFamily) -> dict:
     }
 
 
+def _key_label(part: str, key: str) -> int:
+    """One mark label of a chart key: ASCII digits only (int() would also
+    read signs, spaces, underscores and the digits of other scripts)."""
+    if not (part.isascii() and part.isdigit()):
+        raise ParseError(f"chart key {key!r} is not comma-separated labels")
+    return int(part)
+
+
 def parse_family(d) -> curves.LimitFamily:
     try:
         mode = d["mode"]
@@ -241,10 +249,13 @@ def parse_family(d) -> curves.LimitFamily:
         charts = {}
         for key, row in d["charts"].items():
             pts = tuple(parse_point(p) for p in _array(row, "chart row"))
+            labels = tuple(_key_label(part, key) for part in key.split(","))
             if mode == "lm":
-                charts[int(key)] = pts
+                if len(labels) != 1:
+                    raise ParseError(f"chart key {key!r} is not one label")
+                charts[labels[0]] = pts
             else:
-                charts[tuple(int(x) for x in key.split(","))] = pts
+                charts[labels] = pts
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad family: {exc}")
     return curves.LimitFamily(mode, n, charts, a)

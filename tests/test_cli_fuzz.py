@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, reject, settings, strategies
 
 from quivermoduli import cli, serialize, verify
 from quivermoduli.chambers import QnWeight
-from quivermoduli.curves import Chain, GK, HASSETT, moduli_coordinates
+from quivermoduli.curves import Chain, GK, HASSETT, lm_moduli_coordinates, moduli_coordinates
 from quivermoduli.generate import random_gk_tree
 from quivermoduli.projline import affine
 
@@ -66,6 +66,7 @@ _COMMANDS = {
     "tree": ["tree", "check", "--tree"],
     "gk-family": ["tree", "reconstruct", "--family"],
     "hassett-family": ["tree", "reconstruct", "--family"],
+    "lm-family": ["tree", "reconstruct", "--family"],
 }
 
 # a JSON string where the schema has an array, or a non-integer where it has
@@ -82,10 +83,21 @@ _BAD_TYPES = {
     "charts-list.json": ("gk-family", {"charts": []}),
 }
 
+# chart keys renamed to strings that int() reads but that are not ASCII
+# digit labels: unreadable input, exit 3 (the first was read as the triple
+# (0, 1, 20) and exited 5, the others were read as their plain form and
+# exited 0)
+_BAD_KEYS = {
+    "key-underscore.json": ("gk-family", "0,1,2", "0,1,2_0"),
+    "key-space.json": ("gk-family", "0,1,2", "0,1, 2"),
+    "key-arabic-indic.json": ("gk-family", "0,1,2", "\u0660,1,2"),
+    "lm-key-arabic-indic.json": ("lm-family", "1", "\u0661"),
+}
+
 _INPUT_NAMES = (
     "tree.json", "family.json", "chain.json", "weight.json", "bad.json", "empty.json",
     "list.json", "long.json", "untyped.json", "theta.json", "pn-config.json", "missing.json",
-    *_BAD_FAMILIES, *_BAD_ETAS, *_BAD_TYPES, *(f"{kind}-ok.json" for kind in _COMMANDS),
+    *_BAD_FAMILIES, *_BAD_ETAS, *_BAD_TYPES, *_BAD_KEYS, *(f"{kind}-ok.json" for kind in _COMMANDS),
 )
 
 
@@ -117,11 +129,18 @@ def inputs(tmp_path_factory) -> dict[str, str]:
         "tree": _TREE3,
         "gk-family": serialize.family_json(moduli_coordinates(tree3, GK)),
         "hassett-family": serialize.family_json(moduli_coordinates(tree3, HASSETT, (1, 1, 1))),
+        "lm-family": serialize.family_json(
+            lm_moduli_coordinates(Chain((((0, affine(2)),), ((1, affine(5)),))))
+        ),
     }
     for kind, document in documents.items():
         texts[f"{kind}-ok.json"] = json.dumps(document)
     for name, (kind, change) in _BAD_TYPES.items():
         texts[name] = json.dumps({**documents[kind], **change})
+    for name, (kind, key, renamed) in _BAD_KEYS.items():
+        charts = dict(documents[kind]["charts"])
+        charts[renamed] = charts.pop(key)
+        texts[name] = json.dumps({**documents[kind], "charts": charts})
     for name, text in texts.items():
         (root / name).write_text(text)
     return {name: str(root / name) for name in _INPUT_NAMES}
@@ -295,3 +314,16 @@ def test_wrong_json_types_exit_3_with_one_error_line(inputs, name):
     lines = err.splitlines()
     assert got == 3, err
     assert len(lines) == 1 and lines[0].startswith("error: cannot parse "), err
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_KEYS))
+def test_chart_keys_other_than_ascii_digits_exit_3(inputs, name):
+    kind, _, renamed = _BAD_KEYS[name]
+    command = [inputs.get(arg, arg) for arg in _COMMANDS[kind]]
+    got, err = _run([*command, inputs[f"{kind}-ok.json"]])
+    assert got == 0, err
+    got, err = _run([*command, inputs[name]])
+    lines = err.splitlines()
+    assert got == 3, err
+    assert len(lines) == 1 and lines[0].startswith("error: cannot parse "), err
+    assert repr(renamed) in lines[0], err

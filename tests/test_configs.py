@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermoduli import serialize
+from quivermoduli import serialize, verify
 from quivermoduli.chambers import PnWeight, QnWeight, enumerate_chambers
 from quivermoduli.configs import (
     DegeneratePairError,
@@ -32,8 +32,9 @@ from quivermoduli.configs import (
     normalize_chart_qn,
     theta_polytope,
 )
-from quivermoduli.curves import GK, moduli_coordinates
+from quivermoduli.curves import GK, lm_moduli_coordinates, moduli_coordinates
 from quivermoduli.generate import (
+    random_chain,
     random_gk_tree,
     random_points,
     random_vertex_cone_weight,
@@ -369,9 +370,15 @@ def _image(m, p):
     return (m.m00 * p.c0 + m.m01 * p.c1, m.m10 * p.c0 + m.m11 * p.c1)
 
 
+def _ref_frame(c, i, j):
+    """A map sending the anchors of chart c to (0:1) and (1:0)."""
+    if isinstance(c, PnConfig):
+        return moebius_two_point(ZERO_POINT, INF_POINT)
+    return moebius_two_point(c.sections[i], c.sections[j])
+
+
 def _ref_equations(a, b, i, j):
-    fa = moebius_two_point(a.sections[i], a.sections[j])
-    fb = moebius_two_point(b.sections[i], b.sections[j])
+    fa, fb = _ref_frame(a, i, j), _ref_frame(b, i, j)
     ratio = None
     for sa, sb in zip(a.sections, b.sections):
         (u0, u1), (v0, v1) = _image(fa, sa), _image(fb, sb)
@@ -388,8 +395,7 @@ def _ref_equations(a, b, i, j):
 def _ref_glue(a, b, i, j):
     if not _ref_equations(a, b, i, j):
         raise EquationsFailError
-    fa = moebius_two_point(a.sections[i], a.sections[j])
-    fb = moebius_two_point(b.sections[i], b.sections[j])
+    fa, fb = _ref_frame(a, i, j), _ref_frame(b, i, j)
     u = [_image(fa, s) for s in a.sections]
     v = [_image(fb, s) for s in b.sections]
     n = a.n
@@ -493,6 +499,100 @@ def test_cross_chart_tests_match_the_normalizing_reference():
     # every branch is exercised many times
     assert min(seen["equations"]) > 500 and min(seen["equivalent"]) > 100, seen
     assert len(seen["kinds"]) == 3 and min(seen["kinds"].values()) > 100, seen
+
+
+def _double_star_pairs(rng):
+    """Seeded Pn pairs: random draws from a small pool (zero sections and
+    sections on the anchors), torus-rescaled copies, rescaled copies with
+    one section changed, and chart pairs of random chains."""
+    pool = [INF_POINT, ZERO_POINT, ONE_POINT, affine(-1), affine(2), affine(F(1, 2)), affine(F(-3, 2))]
+    pairs = []
+    while len(pairs) < 800:
+        kind = len(pairs) % 4
+        if kind == 3:
+            fam = lm_moduli_coordinates(random_chain(rng, range(rng.randint(2, 5))))
+            pairs.append(tuple(PnConfig(fam.charts[k]) for k in rng.sample(range(fam.n), 2)))
+            continue
+        n = rng.randint(1, 5)
+        a = PnConfig(tuple(rng.choice(pool) for _ in range(n)))
+        if kind == 0:
+            b = PnConfig(tuple(rng.choice(pool) for _ in range(n)))
+        else:
+            scale = Moebius(rng.choice((1, 2, -3)), 0, 0, rng.choice((1, 5, -2)))
+            secs = [scale.apply(s) for s in a.sections]
+            if kind == 2:
+                secs[rng.randrange(n)] = rng.choice(pool)
+            b = PnConfig(tuple(secs))
+        pairs.append((a, b))
+    return pairs
+
+
+def test_double_star_cross_chart_tests_match_the_reference():
+    seen = {"equations": [0, 0], "kinds": {}}
+    for a, b in _double_star_pairs(random.Random(1414)):
+        holds = check_limit_equations(a, b)
+        assert holds == _ref_equations(a, b, None, None), (a, b)
+        seen["equations"][holds] += 1
+        fiber = _outcome(lambda: glue_fiber(a, b))
+        assert fiber == _outcome(lambda: _ref_glue(a, b, None, None)), (a, b)
+        kind = getattr(fiber, "kind", fiber)
+        seen["kinds"][kind] = seen["kinds"].get(kind, 0) + 1
+    assert min(seen["equations"]) > 100, seen
+    assert len(seen["kinds"]) == 3 and min(seen["kinds"].values()) > 50, seen
+
+
+def _error(call):
+    try:
+        call()
+    except Exception as exc:  # the type and message are the result under test
+        return type(exc), str(exc)
+    return None
+
+
+def test_double_star_errors_are_as_before():
+    good = PnConfig((affine(2), affine(3)))
+    zero = PnConfig((affine(2), None))
+    fixed = (ValueError, "double-star configurations have fixed anchors; omit i and j")
+    cases = [
+        ((good, PnConfig((affine(2),))), (ValueError, "configurations must share a mode and a size")),
+        ((good, QnConfig((affine(2), affine(3), ONE_POINT))), (ValueError, "configurations must share a mode and a size")),
+        ((zero, good, 0, 1), (ZeroSectionError, "section 1 is zero")),
+        ((good, zero, 0, 1), fixed),
+        ((good, good, 0), fixed),
+        ((good, good, None, 1), fixed),
+        ((good, zero), (ZeroSectionError, "section 1 is zero")),
+        ((PnConfig((None, None)), zero), (ZeroSectionError, "section 0 is zero")),
+    ]
+    for args, expected in cases:
+        for fn in (check_limit_equations, glue_fiber):
+            assert _error(lambda: fn(*args)) == expected, (fn.__name__, args)
+
+
+def test_glued_map_is_the_composed_normalization():
+    # every irreducible fiber of the limit-equations corpus (small bounds,
+    # every admissible anchor pair): the map is mb^-1 ma, for ma and mb
+    # sending the anchors and the first section off both anchors in both
+    # charts to (0:1), (1:0), (1:1)
+    bounds = {"exhaustive_n": (3, 4, 5), "per_shape": 2, "random": {6: 4, 7: 2}}
+    count = 0
+    for tree in verify._gk_corpus(verify.DEFAULT_SEED, bounds):
+        fam = moduli_coordinates(tree, GK)
+        cfgs = [QnConfig(tuple(fam.charts[t])) for t in fam.active_sets()]
+        for ca, cb in itertools.combinations(cfgs, 2):
+            for i, j in itertools.permutations(range(ca.n), 2):
+                if ca.sections[i] == ca.sections[j] or cb.sections[i] == cb.sections[j]:
+                    continue
+                fiber = glue_fiber(ca, cb, i, j)
+                if fiber.kind != IRREDUCIBLE:
+                    continue
+                k0 = next(
+                    k for k in range(ca.n)
+                    if all(c.sections[k] not in (c.sections[i], c.sections[j]) for c in (ca, cb))
+                )
+                ma, mb = (moebius_from_triple(c.sections[i], c.sections[j], c.sections[k0]) for c in (ca, cb))
+                assert fiber.moebius == mb.inverse().compose(ma), (ca, cb, i, j)
+                count += 1
+    assert count > 10000, count
 
 
 def _partition_equivalent(a, b):

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermoduli import curves, serialize
+from quivermoduli import curves, projline, serialize
 from quivermoduli.chambers import _over_lcm
 from quivermoduli.configs import QnConfig, check_limit_equations, glue_fiber
 from quivermoduli.curves import (
@@ -50,7 +50,7 @@ from quivermoduli.generate import (
     random_hassett_weight,
     tree_from_splits,
 )
-from quivermoduli.projline import INF_POINT, ONE_POINT, ZERO_POINT, affine
+from quivermoduli.projline import INF_POINT, ONE_POINT, ZERO_POINT, affine, moebius_from_triple
 
 
 def single(n=4, last=F(5, 2)):
@@ -363,6 +363,114 @@ def test_chart_layer_output_pinned():
     for mode, a, tree in corpus:
         digest.update(_chart_layer_text(mode, a, tree).encode())
     assert digest.hexdigest() == "f2b6ccd373588c65f3af74c51104d24fd4cb12211c3ef4d30cec3cfc5f793718"
+
+
+def _moebius_reference_charts(tree):
+    """The chart rows built by normalizing each ordering with a Moebius map,
+    applied mark by mark, on the one component where the triple separates."""
+    images = mark_images(tree)
+    charts = {}
+    for tset in itertools.combinations(tree.labels, 3):
+        hits = [img for img in images.values() if len({img[i].ihom for i in tset}) == 3]
+        assert len(hits) <= 1
+        for img in hits:
+            for order in itertools.permutations(tset):
+                m = moebius_from_triple(*(img[i] for i in order))
+                charts[order] = {lb: m.apply(p) for lb, p in img.items()}
+    return charts
+
+
+def _has_coincident_marks(tree):
+    spots = [(comp, p.ihom) for _, comp, p in tree.marks]
+    return len(set(spots)) < len(spots)
+
+
+def test_charts_match_the_moebius_reference():
+    rng = random.Random(1717)
+    corpus = [(GK, None, random_gk_tree(rng, n)) for n in (4, 5, 6, 7) for _ in range(6)]
+    for n in (4, 5, 6):
+        for _ in range(30):
+            a = random_hassett_weight(rng, n)
+            corpus.append((HASSETT, a, random_a_stable_tree(rng, n, a)))
+    coincident = 0
+    for mode, a, tree in corpus:
+        ref = _moebius_reference_charts(tree)
+        fam = moduli_coordinates(tree, mode, a)
+        assert list(fam.charts) == list(ref)
+        assert all(fam.charts[k] == tuple(ref[k].values()) for k in ref)
+        for tset in itertools.combinations(tree.labels, 3):
+            for order in itertools.permutations(tset):
+                assert contract_to_chart(tree, order) == ref.get(order), (tree, order)
+        coincident += _has_coincident_marks(tree)
+    assert coincident >= 10, coincident
+
+
+def test_contract_to_chart_reads_any_labels():
+    # labels other than 0..n-1 (a contraction keeps its marks' labels)
+    rng = random.Random(18)
+    for _ in range(10):
+        tree = contract_gamma(random_gk_tree(rng, 7), [1, 2, 4, 6])
+        ref = _moebius_reference_charts(tree)
+        for order in itertools.permutations(tree.labels, 3):
+            assert contract_to_chart(tree, order) == ref.get(order)
+    with pytest.raises(KeyError):
+        contract_to_chart(tree, (1, 2, 3))
+
+
+def _moved(tree, comp, m):
+    """The tree with every special point of one component moved by m."""
+    edges = tuple(
+        TreeEdge(e.ends, tuple(m.apply(p) if end == comp else p for end, p in zip(e.ends, e.nodes)))
+        for e in tree.edges
+    )
+    marks = tuple((lb, c, m.apply(p) if c == comp else p) for lb, c, p in tree.marks)
+    return PointedTree(tree.components, edges, marks)
+
+
+def test_tree_isomorphic_agrees_with_the_chart_families():
+    # stable trees with the same labels are isomorphic exactly when their
+    # chart families are equal
+    rng = random.Random(21)
+    seen = {True: 0, False: 0}
+    for n in (4, 5, 6, 7):
+        for _ in range(8):
+            tree = random_gk_tree(rng, n)
+            comp = rng.choice(tree.components)
+            moved = _moved(tree, comp, projline.Moebius(3, rng.randint(-3, 3), rng.choice((2, 5)), 1))
+            k = rng.randrange(n)
+            lb, c, _ = tree.marks[k]
+            marks = list(tree.marks)
+            marks[k] = (lb, c, affine(F(rng.randint(100, 999), 7)))
+            changed = PointedTree(tree.components, tree.edges, tuple(marks))
+            fam = moduli_coordinates(tree, GK)
+            for other in (moved, changed):
+                iso = tree_isomorphic(tree, other)
+                assert iso == (moduli_coordinates(other, GK) == fam), (tree, other)
+                seen[iso] += 1
+    assert min(seen.values()) >= 15, seen
+
+
+def test_tree_charts_build_no_moebius_map(monkeypatch):
+    made = []
+    real_init = projline.Moebius.__init__
+
+    def counting_init(self, *entries):
+        made.append(entries)
+        real_init(self, *entries)
+
+    monkeypatch.setattr(projline.Moebius, "__init__", counting_init)
+    rng = random.Random(19)
+    for n in (4, 5, 6, 7):
+        tree = random_gk_tree(rng, n)
+        fam = moduli_coordinates(tree, GK)
+        assert tree_isomorphic(tree, reconstruct_tree(fam))
+        contract_to_chart(tree, (0, 1, 2))
+    a = (F(1), F(1), F(1, 2), F(1, 2))
+    moduli_coordinates(random_a_stable_tree(rng, 4, a), HASSETT, a)
+    assert made == []
+    # the counter sees maps where they are built: the chain charts rescale
+    lm_moduli_coordinates(Chain((((0, affine(2)),), ((1, affine(5)),))))
+    assert made
 
 
 # ---------------------------------------------------------------------------
