@@ -61,13 +61,15 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, neg
+from operator import ge, gt, itemgetter, le, lt, neg
 from typing import Optional, Sequence, Union
 
 from .lp import equality_row, strict_interior_point, strict_row
+from .projline import _Frozen
+
+_set = object.__setattr__
 
 QN = "qn"
 PN = "pn"
@@ -121,25 +123,26 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def _field_hash_once(self) -> int:
-    """The dataclass field hash, computed on first use and kept: weights key
-    the cached stability tables, and hashing Fractions is slow."""
-    h = self.__dict__.get("_hash")
-    if h is None:
-        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
-        object.__setattr__(self, "_hash", h)
-    return h
+    """The field hash, computed on first use and kept: weights key the
+    cached stability tables, and hashing Fractions is slow."""
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(self._astuple(self))
+        _set(self, "_hash", h)
+        return h
 
 
-@dataclass(frozen=True)
-class QnWeight:
+class QnWeight(_Frozen):
     """A point of the hypersimplex: 0 <= theta_i <= 1, sum theta_i = 2."""
 
-    theta: tuple[Fraction, ...]
+    _fields = ("theta",)
+    __slots__ = ("theta", "_hash")
     __hash__ = _field_hash_once
 
-    def __post_init__(self):
-        th = tuple(_rat(v) for v in self.theta)
-        object.__setattr__(self, "theta", th)
+    def __init__(self, theta: tuple[Fraction, ...]):
+        th = tuple(_rat(v) for v in theta)
+        _set(self, "theta", th)
         if len(th) < 3:
             raise ValueError("hypersimplex weights need n >= 3")
         m, nums = _over_lcm(th)
@@ -153,22 +156,20 @@ class QnWeight:
         return len(self.theta)
 
 
-@dataclass(frozen=True)
-class PnWeight:
+class PnWeight(_Frozen):
     """A point of the product of simplices: eta <= 0 with eta1 + eta2 = -1,
     theta >= 0 with sum theta_i = 1."""
 
-    eta1: Fraction
-    eta2: Fraction
-    theta: tuple[Fraction, ...]
+    _fields = ("eta1", "eta2", "theta")
+    __slots__ = ("eta1", "eta2", "theta", "_hash")
     __hash__ = _field_hash_once
 
-    def __post_init__(self):
-        e1, e2 = _rat(self.eta1), _rat(self.eta2)
-        th = tuple(_rat(v) for v in self.theta)
-        object.__setattr__(self, "eta1", e1)
-        object.__setattr__(self, "eta2", e2)
-        object.__setattr__(self, "theta", th)
+    def __init__(self, eta1: Fraction, eta2: Fraction, theta: tuple[Fraction, ...]):
+        e1, e2 = _rat(eta1), _rat(eta2)
+        th = tuple(_rat(v) for v in theta)
+        _set(self, "eta1", e1)
+        _set(self, "eta2", e2)
+        _set(self, "theta", th)
         if len(th) < 1:
             raise ValueError("double-star weights need n >= 1")
         # a Fraction has the sign of its numerator
@@ -191,28 +192,49 @@ class PnWeight:
 Weight = Union[QnWeight, PnWeight]
 
 
-@dataclass(frozen=True, order=True)
-class QnWall:
+def _wall_order(op):
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op((self.n, self.j), (other.n, other.j))
+
+    return compare
+
+
+class _Wall(_Frozen):
+    """The fields of both wall classes, and their order: walls of one class
+    compare by (n, j)."""
+
+    __slots__ = _fields = ("n", "j")
+
+    def __init__(self, n: int, j: tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "j", j)
+
+    __lt__ = _wall_order(lt)
+    __le__ = _wall_order(le)
+    __gt__ = _wall_order(gt)
+    __ge__ = _wall_order(ge)
+
+
+class QnWall(_Wall):
     """Inner wall of the hypersimplex: the locus sum_{i in j} theta_i = 1.
 
     Stored side is the lexicographically smaller of {J, complement}; the two
     sides define the same wall.
     """
 
-    n: int
-    j: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True, order=True)
-class PnWall:
+class PnWall(_Wall):
     """Inner wall of the product of simplices: sum_{i in j} theta_i = -eta1.
 
     The stored subset is the infinity side and is not identified with its
     complement (whose equation involves -eta2 instead).
     """
 
-    n: int
-    j: tuple[int, ...]
+    __slots__ = ()
 
 
 Wall = Union[QnWall, PnWall]
@@ -256,14 +278,22 @@ def wall_value(weight: Weight, wall: Wall) -> Fraction:
     return sum(weight.theta[i] for i in wall.j) + weight.eta1
 
 
-@dataclass(frozen=True)
-class WeightClass:
+class WeightClass(_Frozen):
     """Result of classifying a weight against the wall structure."""
 
-    generic: bool
-    signs: Optional[tuple[int, ...]]
-    inner: tuple[Wall, ...]
-    outer: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("generic", "signs", "inner", "outer")
+
+    def __init__(
+        self,
+        generic: bool,
+        signs: Optional[tuple[int, ...]],
+        inner: tuple[Wall, ...],
+        outer: tuple[tuple[str, int], ...],
+    ):
+        _set(self, "generic", generic)
+        _set(self, "signs", signs)
+        _set(self, "inner", inner)
+        _set(self, "outer", outer)
 
 
 def classify_weight(weight: Weight) -> WeightClass:
@@ -349,12 +379,14 @@ def _wall_row(mode: str, n: int, wall: Wall) -> tuple[tuple[int, ...], int]:
     return (-1, 0) + _indicator(n, wall.j), 0  # -h1 = eta1
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(_Frozen):
     """A realized sign vector together with an interior witness weight."""
 
-    signs: tuple[int, ...]
-    witness: Weight
+    __slots__ = _fields = ("signs", "witness")
+
+    def __init__(self, signs: tuple[int, ...], witness: Weight):
+        _set(self, "signs", signs)
+        _set(self, "witness", witness)
 
 
 class _Arrangement:
@@ -854,8 +886,7 @@ def project_weight_to_pn(w: QnWeight, a: int, b: int) -> PnWeight:
 # Stability polytopes.
 
 
-@dataclass(frozen=True)
-class StabPolytope:
+class StabPolytope(_Frozen):
     """The set of weights for which a fixed configuration is semistable.
 
     For the hypersimplex it is cut out by one inequality per coincidence
@@ -863,31 +894,35 @@ class StabPolytope:
     classes (j0, jinf).
     """
 
-    mode: str
-    n: int
-    partition: tuple[tuple[int, ...], ...] = ()
-    j0: tuple[int, ...] = ()
-    jinf: tuple[int, ...] = ()
+    __slots__ = _fields = ("mode", "n", "partition", "j0", "jinf")
 
-    def __post_init__(self):
-        if self.mode == QN:
-            blocks = tuple(tuple(sorted(b)) for b in self.partition)
-            blocks = tuple(sorted(blocks))
-            object.__setattr__(self, "partition", blocks)
-            flat = [i for b in blocks for i in b]
-            if sorted(flat) != list(range(self.n)):
+    def __init__(
+        self,
+        mode: str,
+        n: int,
+        partition: tuple[tuple[int, ...], ...] = (),
+        j0: tuple[int, ...] = (),
+        jinf: tuple[int, ...] = (),
+    ):
+        _set(self, "mode", mode)
+        _set(self, "n", n)
+        if mode == QN:
+            partition = tuple(sorted(tuple(sorted(b)) for b in partition))
+            flat = [i for b in partition for i in b]
+            if sorted(flat) != list(range(n)):
                 raise ValueError("partition must cover the index range disjointly")
-        elif self.mode == PN:
-            j0 = tuple(sorted(self.j0))
-            jinf = tuple(sorted(self.jinf))
-            object.__setattr__(self, "j0", j0)
-            object.__setattr__(self, "jinf", jinf)
+        elif mode == PN:
+            j0 = tuple(sorted(j0))
+            jinf = tuple(sorted(jinf))
             if set(j0) & set(jinf):
                 raise ValueError("anchor classes must be disjoint")
-            if any(not 0 <= i < self.n for i in j0 + jinf):
+            if any(not 0 <= i < n for i in j0 + jinf):
                 raise ValueError("anchor class index out of range")
         else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"unknown mode {mode!r}")
+        _set(self, "partition", partition)
+        _set(self, "j0", j0)
+        _set(self, "jinf", jinf)
 
 
 def stability_polytope(p: StabPolytope) -> tuple[list[Weight], list[Wall]]:
@@ -933,26 +968,26 @@ def stability_polytope(p: StabPolytope) -> tuple[list[Weight], list[Wall]]:
     return vertices, sorted(set(facets))
 
 
-@dataclass(frozen=True)
-class HassettPolytope:
+class HassettPolytope(_Frozen):
     """The weights below a Hassett weight vector inside the hypersimplex.
 
     `a` is the public Fraction view of the weights; `den` and `nums` hold
     them over their common denominator, a_i = nums[i] / den."""
 
-    a: tuple[Fraction, ...]
+    _fields = ("a",)
+    # den and nums are not fields, so equality, hashing and repr read `a` only
+    __slots__ = ("a", "den", "nums")
 
-    def __post_init__(self):
-        a = tuple(_rat(v) for v in self.a)
-        object.__setattr__(self, "a", a)
+    def __init__(self, a: tuple[Fraction, ...]):
+        a = tuple(_rat(v) for v in a)
+        _set(self, "a", a)
         den, nums = _over_lcm(a)
         if any(v <= 0 or v > den for v in nums):
             raise ValueError("weights must satisfy 0 < a_i <= 1")
         if sum(nums) <= 2 * den:
             raise ValueError("weights must sum to more than 2")
-        # kept outside the fields, so equality, hashing and repr read `a` only
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", tuple(nums))
+        _set(self, "den", den)
+        _set(self, "nums", tuple(nums))
 
     @property
     def n(self) -> int:

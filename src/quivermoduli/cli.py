@@ -2,8 +2,9 @@
 chain operations, and the verification suites, all speaking JSON.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 an enumeration
-bound was exceeded, 3 unreadable input, 4 an input violates a type
-invariant, 5 a chart family fails the functor conditions.
+bound was exceeded, 3 unreadable input, a usage error or an output file
+that cannot be written, 4 an input violates a type invariant, 5 a chart
+family fails the functor conditions.
 """
 from __future__ import annotations
 
@@ -36,8 +37,11 @@ def _emit(args, payload: dict) -> None:
     else:
         text = serialize.dumps(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(EXIT_PARSE, f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -85,6 +89,8 @@ def cmd_stability(args) -> int:
         raise CliError(EXIT_INVARIANT, f"{args.config} is not a configuration")
     try:
         verdict = configs.is_semistable(cfg, weight)
+    except TooLargeError as exc:
+        raise CliError(EXIT_TOO_LARGE, str(exc))
     except ValueError as exc:
         raise CliError(EXIT_INVARIANT, str(exc))
     payload = serialize.verdict_json(verdict)
@@ -225,8 +231,17 @@ def cmd_verify(args) -> int:
     return 0 if all(r["passed"] for r in reports) else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 3, since 2 means an exceeded bound;
+    the subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qml",
         description="Exact quiver stability, wall-and-chamber decompositions, and pointed-curve moduli.",
     )

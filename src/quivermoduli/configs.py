@@ -14,13 +14,12 @@ target, so neither may call the other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .chambers import PnWeight, QnWeight, StabPolytope, PN, QN
+from .chambers import PnWeight, QnWeight, StabPolytope, TooLargeError, PN, QN, max_work
 from .projline import (
     INF_POINT,
     IPoint,
@@ -28,6 +27,7 @@ from .projline import (
     ProjPoint,
     Section,
     ZERO_POINT,
+    _Frozen,
     moebius_from_triple,
     moebius_two_point,
     pp_eq,
@@ -50,37 +50,46 @@ class EquationsFailError(ValueError):
     """The cross-chart equations do not hold."""
 
 
-@dataclass(frozen=True)
-class QnConfig:
+_set = object.__setattr__
+
+
+class QnConfig(_Frozen):
     """n sections, each a point of the line or None for the zero vector."""
 
-    sections: tuple[Section, ...]
+    _fields = ("sections",)
+    __slots__ = ("sections", "_dets")
 
-    def __post_init__(self):
-        if len(self.sections) < 3:
+    def __init__(self, sections: tuple[Section, ...]):
+        _set(self, "sections", sections)
+        if len(sections) < 3:
             raise ValueError("star-quiver configurations need n >= 3")
 
     @property
     def n(self) -> int:
         return len(self.sections)
 
-    @cached_property
+    @property
     def dets(self) -> tuple[tuple[int, ...], ...]:
         """The table dets[i][k] = idet(s_i, s_k) of integer determinants,
         built on first use and kept outside the fields (so equality, hashing
         and repr ignore it); raises ZeroSectionError on a zero section."""
-        pts = [s.ihom for s in _require_points(self)]
-        return tuple([tuple([a0 * b1 - a1 * b0 for b0, b1 in pts]) for a0, a1 in pts])
+        try:
+            return self._dets
+        except AttributeError:
+            pts = [s.ihom for s in _require_points(self)]
+            table = tuple([tuple([a0 * b1 - a1 * b0 for b0, b1 in pts]) for a0, a1 in pts])
+            _set(self, "_dets", table)
+            return table
 
 
-@dataclass(frozen=True)
-class PnConfig:
+class PnConfig(_Frozen):
     """n sections with implicit anchors (0:1) and (1:0) on the line."""
 
-    sections: tuple[Section, ...]
+    __slots__ = _fields = ("sections",)
 
-    def __post_init__(self):
-        if len(self.sections) < 1:
+    def __init__(self, sections: tuple[Section, ...]):
+        _set(self, "sections", sections)
+        if len(sections) < 1:
             raise ValueError("double-star configurations need n >= 1")
 
     @property
@@ -91,14 +100,18 @@ class PnConfig:
 Config = Union[QnConfig, PnConfig]
 
 
-@dataclass(frozen=True)
-class CoincidencePartition:
+class CoincidencePartition(_Frozen):
     """Blocks of pairwise-coinciding sections; for double-star configurations
     also the blocks sitting at the two anchors (possibly empty)."""
 
-    blocks: tuple[tuple[int, ...], ...]
-    j0: tuple[int, ...] = ()
-    jinf: tuple[int, ...] = ()
+    __slots__ = _fields = ("blocks", "j0", "jinf")
+
+    def __init__(
+        self, blocks: tuple[tuple[int, ...], ...], j0: tuple[int, ...] = (), jinf: tuple[int, ...] = ()
+    ):
+        _set(self, "blocks", blocks)
+        _set(self, "j0", j0)
+        _set(self, "jinf", jinf)
 
 
 def _require_classes(config: Config) -> None:
@@ -120,10 +133,12 @@ def coincidence_partition(config: Config) -> CoincidencePartition:
     return CoincidencePartition(blocks)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    witness: object = None
+class Verdict(_Frozen):
+    __slots__ = _fields = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: object = None):
+        _set(self, "kind", kind)
+        _set(self, "witness", witness)
 
     @property
     def semistable(self) -> bool:
@@ -137,7 +152,12 @@ def _scaled_theta(theta: Sequence[Fraction], extra: Sequence[Fraction] = ()) -> 
 
 @lru_cache(maxsize=8192)
 def _weight_tables(weight) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Integer-scaled coordinates and subset-sum table of a weight."""
+    """Integer-scaled coordinates and subset-sum table of a weight.
+
+    The table has 2^n entries, which count against QML_MAX_WORK."""
+    cap = max_work()
+    if 1 << weight.n > cap:
+        raise TooLargeError(f"a stability table of 2^{weight.n} subset sums exceeds QML_MAX_WORK ({cap})")
     if isinstance(weight, QnWeight):
         t, extra, d = _scaled_theta(weight.theta, (Fraction(1),))
     else:
@@ -401,8 +421,7 @@ def check_limit_equations(
     return True
 
 
-@dataclass(frozen=True)
-class GluedFiber:
+class GluedFiber(_Frozen):
     """The fiber curve determined by two chart configurations.
 
     Irreducible: the charts differ by the connecting Moebius map.
@@ -412,12 +431,23 @@ class GluedFiber:
     and indices in both sets sit at the node.
     """
 
-    kind: str  # "irreducible" | "two_components"
-    moebius: Optional[Moebius] = None
-    marks_on_a: Optional[frozenset[int]] = None
-    marks_on_b: Optional[frozenset[int]] = None
-    node_a: Optional[ProjPoint] = None
-    node_b: Optional[ProjPoint] = None
+    __slots__ = _fields = ("kind", "moebius", "marks_on_a", "marks_on_b", "node_a", "node_b")
+
+    def __init__(
+        self,
+        kind: str,  # "irreducible" | "two_components"
+        moebius: Optional[Moebius] = None,
+        marks_on_a: Optional[frozenset[int]] = None,
+        marks_on_b: Optional[frozenset[int]] = None,
+        node_a: Optional[ProjPoint] = None,
+        node_b: Optional[ProjPoint] = None,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "moebius", moebius)
+        _set(self, "marks_on_a", marks_on_a)
+        _set(self, "marks_on_b", marks_on_b)
+        _set(self, "node_a", node_a)
+        _set(self, "node_b", node_b)
 
 
 IRREDUCIBLE = "irreducible"

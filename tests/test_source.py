@@ -95,6 +95,10 @@ def test_cli_import_loads_the_traced_modules_only():
         assert f"quivermoduli.{name}" in loaded, name
     assert "quivermoduli.verify" not in loaded
     assert "quivermoduli.generate" not in loaded
+    # the value classes are built on projline._Frozen; `dataclasses` (which
+    # imports `inspect`) cost each `qml` process about 11 ms at start-up
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
 
 
 def test_benchmark_traced_names_resolve():
