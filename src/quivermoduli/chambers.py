@@ -85,10 +85,6 @@ class SettingError(Exception):
     """An environment variable holds a value the program cannot use."""
 
 
-class BadEpsilonError(ValueError):
-    """The requested chart weight is not generic."""
-
-
 class OutsideConeError(ValueError):
     """Weight outside the cone over the distinguished vertex."""
 
@@ -109,6 +105,14 @@ def max_work() -> int:
     except ValueError:
         pass
     raise SettingError(f"QML_MAX_WORK must be an integer >= 1, got {raw!r}")
+
+
+def check_work(count: int, what: str) -> None:
+    """Raise TooLargeError if a catalogue of `count` items (`what`, a plural
+    noun phrase) exceeds max_work()."""
+    cap = max_work()
+    if count > cap:
+        raise TooLargeError(f"{count} {what} exceed QML_MAX_WORK ({cap})")
 
 
 def _rat(x) -> Fraction:
@@ -818,47 +822,40 @@ def wall_relative_interior_point(mode: str, n: int, wall: Wall) -> Weight:
 # Distinguished chart weights.
 
 
-def chart_weight_qn(n: int, triple: Sequence[int], eps: Optional[Fraction] = None) -> QnWeight:
+def chart_weight_qn(n: int, triple: Sequence[int]) -> QnWeight:
     """The generic weight concentrating 2/3-ish mass on a 3-subset.
 
     Its chamber is characterized by: a configuration is stable iff the three
-    distinguished sections are pairwise distinct.  For n = 3 the barycenter
-    is returned and eps is ignored (there are no spare indices to carry it).
+    distinguished sections are pairwise distinct.  For n = 3 it is the
+    barycenter.  Otherwise, with e = 1/n^2, each mark of the triple weighs
+    (2/3)(1 - e) and each other mark 2e/(n - 3).  No wall sum is 1: with
+    one mark of the triple it lies in [(2/3)(1 - e), (2/3)(1 - e) + 2e],
+    below 1 as e < 1/4; with none it is at most 2e, with two or more above
+    (4/3)(1 - e) > 1.
     """
     t = sorted(triple)
     if len(t) != 3 or len(set(t)) != 3 or t[0] < 0 or t[-1] >= n:
         raise ValueError("triple must be three distinct indices in range")
     if n == 3:
-        w = QnWeight((Fraction(2, 3),) * 3)
-        return w
-    e = _rat(eps) if eps is not None else Fraction(1, n * n)
-    if e <= 0:
-        raise BadEpsilonError("eps must be positive")
+        return QnWeight((Fraction(2, 3),) * 3)
+    e = Fraction(1, n * n)
     heavy = Fraction(2, 3) * (1 - e)
     light = Fraction(2, n - 3) * e
-    theta = tuple(heavy if i in t else light for i in range(n))
-    w = QnWeight(theta)
-    if not classify_weight(w).generic:
-        raise BadEpsilonError(f"eps = {e} puts the chart weight on a wall")
-    return w
+    return QnWeight(tuple(heavy if i in t else light for i in range(n)))
 
 
-def chart_weight_pn(n: int, index: int, eps: Optional[Fraction] = None) -> PnWeight:
+def chart_weight_pn(n: int, index: int) -> PnWeight:
     """The generic double-star weight concentrating theta-mass at one index,
-    with both eta coordinates at -1/2.  For n = 1 eps is ignored."""
+    with both eta coordinates at -1/2.  With e = 1/n^2 the index weighs
+    1 - e and each other mark e/(n - 1), so a wall sum is at least 1 - e or
+    at most e, never 1/2."""
     if not 0 <= index < n:
         raise ValueError("index out of range")
     half = Fraction(-1, 2)
     if n == 1:
         return PnWeight(half, half, (Fraction(1),))
-    e = _rat(eps) if eps is not None else Fraction(1, n * n)
-    if e <= 0:
-        raise BadEpsilonError("eps must be positive")
-    theta = tuple(1 - e if i == index else e / (n - 1) for i in range(n))
-    w = PnWeight(half, half, theta)
-    if not classify_weight(w).generic:
-        raise BadEpsilonError(f"eps = {e} puts the chart weight on a wall")
-    return w
+    e = Fraction(1, n * n)
+    return PnWeight(half, half, tuple(1 - e if i == index else e / (n - 1) for i in range(n)))
 
 
 def project_weight_to_pn(w: QnWeight, a: int, b: int) -> PnWeight:

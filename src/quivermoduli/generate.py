@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import comb, factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .chambers import QnWeight
+from .chambers import QnWeight, check_work
 from .curves import Chain, PointedTree, TreeEdge, is_a_stable, validate_tree
 from .projline import INF_POINT, ProjPoint, affine
 
@@ -71,6 +72,21 @@ def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1 :]
         yield [[first]] + part
+
+
+def _stirling_row(n: int) -> list[int]:
+    """S(n, k) for k = 0..n: the set partitions of n items into k blocks."""
+    row = [1]
+    for _ in range(n):
+        row = [k * a + b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return row
+
+
+def count_set_partitions(n: int, anchored: bool = False) -> int:
+    """How many partitions set_partitions(range(n)) yields; with `anchored`,
+    how many (partition, pn_decorations) pairs, as k blocks take
+    k^2 + k + 1 anchor choices."""
+    return sum(s * (k * k + k + 1 if anchored else 1) for k, s in enumerate(_stirling_row(n)))
 
 
 def pn_decorations(blocks: Sequence[Sequence[int]]):
@@ -135,7 +151,21 @@ def splits_compatible(n: int, a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def enumerate_split_systems(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All pairwise-compatible sets of splits, i.e. all stable tree shapes."""
+    """All pairwise-compatible sets of splits, i.e. all stable tree shapes.
+
+    Their number counts against QML_MAX_WORK.  Rooted at the last mark, a
+    shape is a rooted tree on the other m = n - 1 marks whose inner vertices
+    have two or more children; t[m] counts these trees and f[m] the forests
+    of them.  Splitting off the tree that holds the first mark, with j of
+    the m marks, f[m] = sum over j of C(m-1, j-1) t[j] f[m-j].  For m >= 2
+    the terms with j < m count the forests of two or more trees, which are
+    the top subtrees of the t[m] trees, and the term j = m is t[m] again, so
+    f[m] = 2 t[m]."""
+    t, f = [0, 1], [1, 1]
+    for m in range(2, n):
+        t.append(sum(comb(m - 1, j - 1) * t[j] * f[m - j] for j in range(1, m)))
+        f.append(2 * t[m])
+    check_work(t[max(n - 1, 1)], f"split systems on {n} marks")
     splits = all_splits(n)
     out: list[tuple[tuple[int, ...], ...]] = []
 
@@ -257,8 +287,11 @@ def random_gk_tree(rng: Rng, n: int) -> PointedTree:
 
 
 def enumerate_chain_shapes(labels: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
-    """All ordered set partitions of the labels (chain component contents)."""
+    """All ordered set partitions of the labels (chain component contents);
+    their number counts against QML_MAX_WORK."""
     labels = list(labels)
+    ordered = sum(s * factorial(k) for k, s in enumerate(_stirling_row(len(labels))))
+    check_work(ordered, f"chain shapes on {len(labels)} marks")
     out = []
     for part in set_partitions(labels):
         for perm in itertools.permutations(range(len(part))):

@@ -1,9 +1,11 @@
 """The verification suites: every acceptance property as a runnable check.
 
-Each suite is a pure function of (seed, bounds) returning a report dict with
-a pass flag, a check count, and the first counterexample if any.  All
-randomness is drawn from seeded generators, so reports are reproducible
-byte for byte.
+A suite is a function of (report, seed, bounds).  It counts each check on
+the report with `_Report.expect`; the first failed check records its
+counterexample and ends the suite by raising `_Stop`, which `run_suite`
+catches before it returns the report dict: a pass flag, the check count,
+and the counterexample if any.  All randomness is drawn from seeded
+generators, so reports are reproducible byte for byte.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from .chambers import (
     chamber_second_witness,
     chart_weight_pn,
     chart_weight_qn,
+    check_work,
     classify_weight,
     cover_check,
     enumerate_chambers,
@@ -64,6 +67,7 @@ from .curves import (
 from .generate import (
     chain_from_shape,
     config_points_for_partition,
+    count_set_partitions,
     enumerate_chain_shapes,
     enumerate_split_systems,
     heavy_tree_shapes,
@@ -85,25 +89,22 @@ def _rng(seed: int, tag: str) -> random.Random:
     return random.Random(seed ^ zlib.crc32(tag.encode()))
 
 
+class _Stop(Exception):
+    """A check failed; the suite ends with its report as it stands."""
+
+
 class _Report:
     def __init__(self, suite: str):
         self.suite = suite
         self.checks = 0
         self.counterexample = None
 
-    def ok(self, count: int = 1):
-        self.checks += count
-
-    def fail(self, witness) -> bool:
-        if self.counterexample is None:
-            self.counterexample = witness
-        return False
-
-    def expect(self, condition: bool, witness: Callable[[], object]) -> bool:
+    def expect(self, condition: bool, witness: Callable[[], object]) -> None:
+        """Count one check; if it failed, record witness() and end the suite."""
         self.checks += 1
         if not condition:
-            return self.fail(witness())
-        return True
+            self.counterexample = witness()
+            raise _Stop
 
     def result(self) -> dict:
         return {
@@ -115,6 +116,7 @@ class _Report:
 
 
 def _qn_partition_configs(n: int):
+    check_work(count_set_partitions(n), f"set partitions of {n} marks")
     for part in set_partitions(range(n)):
         blocks = [tuple(sorted(b)) for b in part]
         pts = config_points_for_partition(blocks, n)
@@ -122,6 +124,7 @@ def _qn_partition_configs(n: int):
 
 
 def _pn_partition_configs(n: int):
+    check_work(count_set_partitions(n, anchored=True), f"anchored set partitions of {n} marks")
     for part in set_partitions(range(n)):
         blocks = [tuple(sorted(b)) for b in part]
         for j0, jinf in pn_decorations(blocks):
@@ -166,8 +169,7 @@ def _random_weight(rng: random.Random, mode: str, n: int):
     return PnWeight(e1, -1 - e1, th)
 
 
-def suite_stability_oracle(seed: int, bounds: dict) -> dict:
-    rep = _Report("stability-oracle")
+def suite_stability_oracle(rep: _Report, seed: int, bounds: dict) -> None:
     exhaustive = bounds.get("exhaustive_n", (3, 4, 5))
     for n in exhaustive:
         weights_qn = [c.witness for c in enumerate_chambers(QN, n)]
@@ -176,22 +178,20 @@ def suite_stability_oracle(seed: int, bounds: dict) -> dict:
             for w in weights_qn:
                 va = is_semistable(cfg, w)
                 vb = brute_force_semistable(cfg, w)
-                if not rep.expect(
+                rep.expect(
                     va.kind == vb.kind,
                     lambda: {"mode": QN, "n": n, "partition": blocks, "weight": repr(w.theta), "fast": va.kind, "oracle": vb.kind},
-                ):
-                    return rep.result()
+                )
         weights_pn = [c.witness for c in enumerate_chambers(PN, n)]
         weights_pn += [wall_relative_interior_point(PN, n, w) for w in enumerate_walls(PN, n)]
         for blocks, j0, jinf, cfg in _pn_partition_configs(n):
             for w in weights_pn:
                 va = is_semistable(cfg, w)
                 vb = brute_force_semistable(cfg, w)
-                if not rep.expect(
+                rep.expect(
                     va.kind == vb.kind,
                     lambda: {"mode": PN, "n": n, "partition": blocks, "j0": j0, "jinf": jinf, "fast": va.kind, "oracle": vb.kind},
-                ):
-                    return rep.result()
+                )
     rng = _rng(seed, "stability-oracle")
     total = bounds.get("random_instances", 2000)
     random_n = bounds.get("random_n", (6, 7))
@@ -203,16 +203,13 @@ def suite_stability_oracle(seed: int, bounds: dict) -> dict:
             w = _random_weight(rng, mode, n)
             va = is_semistable(cfg, w)
             vb = brute_force_semistable(cfg, w)
-            if not rep.expect(
+            rep.expect(
                 va.kind == vb.kind,
                 lambda: {"mode": mode, "n": n, "config": repr(cfg), "weight": repr(w), "fast": va.kind, "oracle": vb.kind},
-            ):
-                return rep.result()
-    return rep.result()
+            )
 
 
-def suite_theta_polytope(seed: int, bounds: dict) -> dict:
-    rep = _Report("theta-polytope")
+def suite_theta_polytope(rep: _Report, seed: int, bounds: dict) -> None:
     for n in bounds.get("ns", (4, 5, 6)):
         vertex_weights = {}
         for i, j in itertools.combinations(range(n), 2):
@@ -230,29 +227,40 @@ def suite_theta_polytope(seed: int, bounds: dict) -> dict:
                 for pair, w in vertex_weights.items()
                 if is_semistable(cfg, w).semistable
             }
-            if not rep.expect(
+            rep.expect(
                 got == want,
                 lambda: {"n": n, "partition": blocks, "vertices": sorted(got), "semistable_vertices": sorted(want)},
-            ):
-                return rep.result()
-    return rep.result()
+            )
 
 
-def _qn_grid(n: int, den: int):
-    for combo in itertools.product(range(1, den), repeat=n - 1):
-        last = 2 * den - sum(combo)
-        if not 0 < last < den:
-            continue
-        yield combo + (last,)
-
-
-def _pn_grid(n: int, den: int):
-    for h in range(1, den):
+def _grid(mode: str, n: int, den: int):
+    """Every point of a plan's grid as (threshold, point), the key of its
+    sign lookup.  The point is theta times den, each coordinate strictly
+    between 0 and den; it sums to 2 * den for the hypersimplex and to den
+    for the double star, whose threshold h = den * h1 runs over 1..den-1."""
+    total = den if mode == PN else 2 * den
+    for h in range(1, den) if mode == PN else (den,):
         for combo in itertools.product(range(1, den), repeat=n - 1):
-            last = den - sum(combo)
-            if not 0 < last < den:
-                continue
-            yield h, combo + (last,)
+            last = total - sum(combo)
+            if 0 < last < den:
+                yield h, combo + (last,)
+
+
+def _grid_moves(mode: str, key):
+    """The keys two grid units from `key`: two units of theta move from one
+    coordinate to another; for the double star h may also move by two, or
+    by one while one unit of theta moves."""
+    h, pt = key
+    if mode == PN:
+        yield h + 2, pt
+        yield h - 2, pt
+    steps = ((0, 2), (1, 1), (-1, 1)) if mode == PN else ((0, 2),)
+    for i, j in itertools.permutations(range(len(pt)), 2):
+        for dh, step in steps:
+            q = list(pt)
+            q[i] += step
+            q[j] -= step
+            yield h + dh, tuple(q)
 
 
 def _grid_signs(point: tuple[int, ...], walls, threshold: int):
@@ -269,14 +277,13 @@ def _grid_signs(point: tuple[int, ...], walls, threshold: int):
     return tuple(out)
 
 
-def _distinguishing_partition(mode: str, n: int, wall):
-    if mode == QN:
-        blocks = [tuple(sorted(wall.j))] + [(i,) for i in range(n) if i not in wall.j]
-        pts = config_points_for_partition(blocks, n)
-        return blocks, QnConfig(tuple(pts))
+def _distinguishing_config(mode: str, n: int, wall):
+    """The configuration with the wall's marks at one point (the pn anchor
+    infinity) and every other mark alone."""
     blocks = [tuple(sorted(wall.j))] + [(i,) for i in range(n) if i not in wall.j]
-    pts = config_points_for_partition(blocks, n, j0=(), jinf=tuple(sorted(wall.j)))
-    return blocks, PnConfig(tuple(pts))
+    if mode == QN:
+        return QnConfig(tuple(config_points_for_partition(blocks, n)))
+    return PnConfig(tuple(config_points_for_partition(blocks, n, j0=(), jinf=blocks[0])))
 
 
 def _crosses_one_wall(a, b, walls) -> bool:
@@ -303,43 +310,39 @@ def _crosses_one_wall(a, b, walls) -> bool:
     return signs == [0 if i == k else s for i, s in enumerate(a.signs)]
 
 
-def suite_chambers_vs_grid(seed: int, bounds: dict) -> dict:
-    rep = _Report("chambers-vs-grid")
+def suite_chambers_vs_grid(rep: _Report, seed: int, bounds: dict) -> None:
     plans = bounds.get(
         "plans", ((QN, 4, 8), (QN, 5, 12), (PN, 2, 8), (PN, 3, 8))
     )
     for mode, n, den in plans:
+        # (den - 1)^(n - 1) candidates, and den - 1 values of h for pn
+        check_work(max(den - 1, 0) ** (n if mode == PN else n - 1), f"grid candidates of plan {[mode, n, den]}")
         walls = enumerate_walls(mode, n)
         chs = enumerate_chambers(mode, n)
+        check_work(len(chs) * (len(chs) - 1) // 2, f"chamber pairs of {mode} n = {n}")
         sign_set = {c.signs for c in chs}
-        buckets: dict[tuple[int, ...], tuple] = {}
-        if mode == QN:
-            for pt in _qn_grid(n, den):
-                sg = _grid_signs(pt, walls, den)
-                if sg is not None:
-                    buckets.setdefault(sg, pt)
-        else:
-            for h, pt in _pn_grid(n, den):
-                sg = _grid_signs(pt, walls, h)
-                if sg is not None:
-                    buckets.setdefault(sg, (h, pt))
+        lookup = {}
+        for h, pt in _grid(mode, n, den):
+            sg = _grid_signs(pt, walls, h)
+            if sg is not None:
+                lookup[h, pt] = sg
+        met = set(lookup.values())
         # every grid chamber must be enumerated; a grid too coarse to meet
         # an enumerated chamber leaves that chamber to its own witness,
         # which classify_weight must place inside it
         unmet = [
             c.signs for c in chs
-            if c.signs not in buckets and classify_weight(c.witness).signs != c.signs
+            if c.signs not in met and classify_weight(c.witness).signs != c.signs
         ]
-        if not rep.expect(
-            set(buckets) <= sign_set and not unmet,
+        rep.expect(
+            met <= sign_set and not unmet,
             lambda: {
                 "mode": mode,
                 "n": n,
-                "grid_only": sorted(set(buckets) - sign_set)[:3],
+                "grid_only": sorted(met - sign_set)[:3],
                 "enumerated_only": sorted(unmet)[:3],
             },
-        ):
-            return rep.result()
+        )
         # adjacency: grid steps crossing exactly one wall versus the exact test
         pairs = chamber_adjacency(mode, n, chs)
         adj = {frozenset((chs[i].signs, chs[k].signs)) for i, k in pairs}
@@ -348,60 +351,24 @@ def suite_chambers_vs_grid(seed: int, bounds: dict) -> dict:
         # across, and a jump changing exactly one sign crosses exactly that
         # wall in its relative interior (two walls at once would change two)
         grid_adj = set()
-        if mode == QN:
-            lookup = {}
-            for pt in _qn_grid(n, den):
-                sg = _grid_signs(pt, walls, den)
-                if sg is not None:
-                    lookup[pt] = sg
-            for pt, sg in lookup.items():
-                for i, j in itertools.permutations(range(n), 2):
-                    q = list(pt)
-                    q[i] += 2
-                    q[j] -= 2
-                    sg2 = lookup.get(tuple(q))
-                    if sg2 is not None and sg2 != sg:
-                        if sum(1 for a, b in zip(sg, sg2) if a != b) == 1:
-                            grid_adj.add(frozenset((sg, sg2)))
-        else:
-            lookup = {}
-            for h, pt in _pn_grid(n, den):
-                sg = _grid_signs(pt, walls, h)
-                if sg is not None:
-                    lookup[(h, pt)] = sg
-            for (h, pt), sg in lookup.items():
-                moves = [(h + 2, pt), (h - 2, pt)]
-                for i, j in itertools.permutations(range(n), 2):
-                    q = list(pt)
-                    q[i] += 2
-                    q[j] -= 2
-                    moves.append((h, tuple(q)))
-                    q = list(pt)
-                    q[i] += 1
-                    q[j] -= 1
-                    moves.append((h + 1, tuple(q)))
-                    moves.append((h - 1, tuple(q)))
-                for key in moves:
-                    sg2 = lookup.get(key)
-                    if sg2 is not None and sg2 != sg:
-                        if sum(1 for a, b in zip(sg, sg2) if a != b) == 1:
-                            grid_adj.add(frozenset((sg, sg2)))
+        for key, sg in lookup.items():
+            for move in _grid_moves(mode, key):
+                sg2 = lookup.get(move)
+                if sg2 is not None and sum(a != b for a, b in zip(sg, sg2)) == 1:
+                    grid_adj.add(frozenset((sg, sg2)))
         # an exact edge the grid steps over needs a crossing point instead
         unmet_edges = [
             (i, k) for i, k in pairs
             if frozenset((chs[i].signs, chs[k].signs)) not in grid_adj
             and not _crosses_one_wall(chs[i], chs[k], walls)
         ]
-        if not rep.expect(
+        rep.expect(
             grid_adj <= adj and not unmet_edges,
             lambda: {"mode": mode, "n": n, "grid_edges": len(grid_adj), "exact_edges": len(adj)},
-        ):
-            return rep.result()
+        )
         # witness equivalence within a chamber, difference across chambers
         if mode == QN:
-            partition_data = [
-                (blocks, cfg) for blocks, cfg in _qn_partition_configs(n)
-            ]
+            partition_data = list(_qn_partition_configs(n))
         else:
             partition_data = [
                 (blocks + [("j0", j0), ("jinf", jinf)], cfg)
@@ -409,36 +376,38 @@ def suite_chambers_vs_grid(seed: int, bounds: dict) -> dict:
             ]
         for c in chs:
             w2 = chamber_second_witness(mode, n, c)
-            if not rep.expect(
-                classify_weight(w2).generic and classify_weight(w2).signs == c.signs,
+            cls = classify_weight(w2)
+            rep.expect(
+                cls.generic and cls.signs == c.signs,
                 lambda: {"mode": mode, "n": n, "signs": c.signs, "issue": "second witness leaves the chamber"},
-            ):
-                return rep.result()
+            )
             for blocks, cfg in partition_data:
-                if not rep.expect(
+                rep.expect(
                     is_semistable(cfg, c.witness).kind == is_semistable(cfg, w2).kind,
                     lambda: {"mode": mode, "n": n, "signs": c.signs, "partition": blocks},
-                ):
-                    return rep.result()
+                )
         for ci, ck in itertools.combinations(range(len(chs)), 2):
             diffs = [
                 t for t in range(len(walls)) if chs[ci].signs[t] != chs[ck].signs[t]
             ]
             wall = walls[diffs[0]]
-            _, cfg = _distinguishing_partition(mode, n, wall)
+            cfg = _distinguishing_config(mode, n, wall)
             va = is_semistable(cfg, chs[ci].witness).kind
             vb = is_semistable(cfg, chs[ck].witness).kind
-            if not rep.expect(
+            rep.expect(
                 va != vb,
                 lambda: {"mode": mode, "n": n, "pair": (ci, ck), "wall": list(wall.j)},
-            ):
-                return rep.result()
-    return rep.result()
+            )
 
 
-def suite_chart_stability(seed: int, bounds: dict) -> dict:
-    rep = _Report("chart-stability")
+def suite_chart_stability(rep: _Report, seed: int, bounds: dict) -> None:
     max_n = bounds.get("max_n", 6)
+    # the whole catalogue, before its small sizes run
+    check_work(
+        sum(count_set_partitions(n) for n in range(3, max_n + 1))
+        + sum(count_set_partitions(n, anchored=True) for n in range(1, max_n + 1)),
+        f"set partitions of up to {max_n} marks",
+    )
     for n in range(3, max_n + 1):
         for blocks, cfg in _qn_partition_configs(n):
             block_of = {}
@@ -449,11 +418,10 @@ def suite_chart_stability(seed: int, bounds: dict) -> dict:
                 w = chart_weight_qn(n, t)
                 stable = is_semistable(cfg, w).kind == configs.STABLE
                 distinct = len({block_of[i] for i in t}) == 3
-                if not rep.expect(
+                rep.expect(
                     stable == distinct,
                     lambda: {"n": n, "partition": blocks, "triple": t, "stable": stable},
-                ):
-                    return rep.result()
+                )
     for n in range(1, max_n + 1):
         seen: dict[tuple, dict[int, str]] = {}
         for blocks, j0, jinf, cfg in _pn_partition_configs(n):
@@ -471,25 +439,21 @@ def suite_chart_stability(seed: int, bounds: dict) -> dict:
                     if sum(w.theta[k] for k in jinf) < h1 and sum(w.theta[k] for k in j0) < h2
                     else configs.STRICTLY_SEMISTABLE
                 )
-                if not rep.expect(
+                rep.expect(
                     v.kind == expected,
                     lambda: {"n": n, "j0": j0, "jinf": jinf, "chart": i, "got": v.kind, "want": expected},
-                ):
-                    return rep.result()
-                if not rep.expect(
+                )
+                rep.expect(
                     not (v.kind == configs.STABLE and i in set(j0) | set(jinf)),
                     lambda: {"n": n, "issue": "chart stable although its section sits at an anchor", "chart": i},
-                ):
-                    return rep.result()
+                )
             if key in seen:
-                if not rep.expect(
+                rep.expect(
                     seen[key] == verdicts,
                     lambda: {"n": n, "key": key, "issue": "verdict depends on more than the anchor classes"},
-                ):
-                    return rep.result()
+                )
             else:
                 seen[key] = verdicts
-    return rep.result()
 
 
 def _gk_corpus(seed: int, bounds: dict):
@@ -509,26 +473,21 @@ def _gk_corpus(seed: int, bounds: dict):
             yield random_gk_tree(rng, int(n))
 
 
-def suite_roundtrip_gk(seed: int, bounds: dict) -> dict:
-    rep = _Report("roundtrip-gk")
+def suite_roundtrip_gk(rep: _Report, seed: int, bounds: dict) -> None:
     for tree in _gk_corpus(seed, bounds):
         fam = moduli_coordinates(tree, GK)
         rebuilt = reconstruct_tree(fam)
-        if not rep.expect(
+        rep.expect(
             tree_isomorphic(tree, rebuilt),
             lambda: {"n": tree.n, "tree": repr(tree)},
-        ):
-            return rep.result()
-        if not rep.expect(
+        )
+        rep.expect(
             moduli_coordinates(rebuilt, GK) == fam,
             lambda: {"n": tree.n, "issue": "family not reproduced", "tree": repr(tree)},
-        ):
-            return rep.result()
-    return rep.result()
+        )
 
 
-def suite_roundtrip_lm(seed: int, bounds: dict) -> dict:
-    rep = _Report("roundtrip-lm")
+def suite_roundtrip_lm(rep: _Report, seed: int, bounds: dict) -> None:
     rng = _rng(seed, "lm-corpus")
     per_shape = bounds.get("per_shape", 3)
     for n in bounds.get("exhaustive_n", (1, 2, 3, 4, 5)):
@@ -537,27 +496,23 @@ def suite_roundtrip_lm(seed: int, bounds: dict) -> dict:
                 chain = chain_from_shape(shape, rng if k else None, coincide=k == 2)
                 fam = lm_moduli_coordinates(chain)
                 reports = verify_functor_conditions(fam)
-                if not rep.expect(
+                rep.expect(
                     family_passes(reports),
                     lambda: {"n": n, "shape": shape, "failed": [r.name for r in reports if not r.passed]},
-                ):
-                    return rep.result()
+                )
                 rebuilt = reconstruct_tree(fam)
-                if not rep.expect(
+                rep.expect(
                     chain_isomorphic(chain, rebuilt) and lm_moduli_coordinates(rebuilt) == fam,
                     lambda: {"n": n, "shape": shape},
-                ):
-                    return rep.result()
+                )
     for _ in range(bounds.get("random_n6", 300)):
         chain = random_chain(rng, list(range(6)))
         fam = lm_moduli_coordinates(chain)
         rebuilt = reconstruct_tree(fam)
-        if not rep.expect(
+        rep.expect(
             chain_isomorphic(chain, rebuilt),
             lambda: {"n": 6, "chain": repr(chain)},
-        ):
-            return rep.result()
-    return rep.result()
+        )
 
 
 def _hassett_corpus(seed: int, bounds: dict):
@@ -569,34 +524,30 @@ def _hassett_corpus(seed: int, bounds: dict):
                 yield a, random_a_stable_tree(rng, n, a)
 
 
-def suite_roundtrip_hassett(seed: int, bounds: dict) -> dict:
-    rep = _Report("roundtrip-hassett")
+def suite_roundtrip_hassett(rep: _Report, seed: int, bounds: dict) -> None:
     rng = _rng(seed, "hassett-mutations")
     for a, tree in _hassett_corpus(seed, bounds):
         fam = moduli_coordinates(tree, HASSETT, a)
         reports = verify_functor_conditions(fam)
-        if not rep.expect(
+        rep.expect(
             family_passes(reports),
             lambda: {"a": [str(v) for v in a], "failed": [r.name for r in reports if not r.passed]},
-        ):
-            return rep.result()
+        )
         rebuilt = reconstruct_tree(fam)
-        if not rep.expect(
+        rep.expect(
             tree_isomorphic(tree, rebuilt) and moduli_coordinates(rebuilt, HASSETT, a) == fam,
             lambda: {"a": [str(v) for v in a], "tree": repr(tree)},
-        ):
-            return rep.result()
+        )
         # deleting one active chart set must be detected
         tset = rng.choice(fam.active_sets())
         pruned = {
             lbl: row for lbl, row in fam.charts.items() if tuple(sorted(lbl)) != tset
         }
         broken = LimitFamily(HASSETT, fam.n, pruned, fam.a)
-        if not rep.expect(
+        rep.expect(
             not family_passes(verify_functor_conditions(broken)),
             lambda: {"a": [str(v) for v in a], "dropped": tset, "issue": "deletion not detected"},
-        ):
-            return rep.result()
+        )
         # perturbing one section must be detected
         label = rng.choice(sorted(fam.charts))
         row = list(fam.charts[label])
@@ -606,16 +557,13 @@ def suite_roundtrip_hassett(seed: int, bounds: dict) -> dict:
         charts2 = dict(fam.charts)
         charts2[label] = tuple(row)
         mutated = LimitFamily(HASSETT, fam.n, charts2, fam.a)
-        if not rep.expect(
+        rep.expect(
             not family_passes(verify_functor_conditions(mutated)),
             lambda: {"a": [str(v) for v in a], "label": label, "index": idx, "issue": "perturbation not detected"},
-        ):
-            return rep.result()
-    return rep.result()
+        )
 
 
-def suite_hassett_special(seed: int, bounds: dict) -> dict:
-    rep = _Report("hassett-special")
+def suite_hassett_special(rep: _Report, seed: int, bounds: dict) -> None:
     rng = _rng(seed, "hassett-special")
     per_shape = bounds.get("per_shape", 5)
     for n in bounds.get("ns", (3, 4, 5)):
@@ -623,53 +571,46 @@ def suite_hassett_special(seed: int, bounds: dict) -> dict:
         for splits in enumerate_split_systems(n):
             for k in range(per_shape):
                 tree = tree_from_splits(n, splits, rng if k else None)
-                if not rep.expect(
+                rep.expect(
                     is_a_stable(tree, ones) == is_gk_stable(tree),
                     lambda: {"n": n, "splits": splits},
-                ):
-                    return rep.result()
+                )
         # coincident marks: never stable for unit weights, never classically
         pts = random_points(rng, n - 1)
         secs = [(0, "c0", pts[0]), (1, "c0", pts[0])] + [
             (k, "c0", pts[k - 1]) for k in range(2, n)
         ]
         tree = curves.PointedTree(("c0",), (), tuple(secs))
-        if not rep.expect(
+        rep.expect(
             is_a_stable(tree, ones) == is_gk_stable(tree) == False,
             lambda: {"n": n, "issue": "coincident marks accepted"},
-        ):
-            return rep.result()
+        )
         # chains versus weighted trees with two heavy marks
         a_lm = lm_specialization_weights(n)
         for shape in heavy_tree_shapes(n):
             for k in range(per_shape):
                 chain = chain_from_shape(shape, rng if k else None, coincide=k == 2)
                 tree = tree_from_chain(chain, n)
-                if not rep.expect(
+                rep.expect(
                     is_a_stable(tree, a_lm),
                     lambda: {"n": n, "shape": shape, "issue": "heavy tree unstable"},
-                ):
-                    return rep.result()
+                )
                 back = chain_from_tree(tree)
-                if not rep.expect(
+                rep.expect(
                     chain_isomorphic(chain, back),
                     lambda: {"n": n, "shape": shape, "issue": "chain not recovered"},
-                ):
-                    return rep.result()
+                )
         for _ in range(10):
             tree = random_a_stable_tree(rng, n, a_lm)
             chain = chain_from_tree(tree)
             again = tree_from_chain(chain, n)
-            if not rep.expect(
+            rep.expect(
                 tree_isomorphic(tree, again),
                 lambda: {"n": n, "tree": repr(tree)},
-            ):
-                return rep.result()
-    return rep.result()
+            )
 
 
-def suite_qn2_pn(seed: int, bounds: dict) -> dict:
-    rep = _Report("qn2-pn")
+def suite_qn2_pn(rep: _Report, seed: int, bounds: dict) -> None:
     rng = _rng(seed, "qn2-pn")
     for _ in range(bounds.get("instances", 500)):
         n = rng.randint(1, bounds.get("pn_max", 5))
@@ -681,27 +622,24 @@ def suite_qn2_pn(seed: int, bounds: dict) -> dict:
         sa, sb = cfg.sections[a], cfg.sections[b]
         degenerate = sa is None or sb is None or (sa == sb)
         if degenerate:
-            if not rep.expect(
+            rep.expect(
                 vq.kind == configs.UNSTABLE,
                 lambda: {"n": n, "issue": "degenerate anchors but not unstable", "verdict": vq.kind},
-            ):
-                return rep.result()
+            )
             continue
         w2 = project_weight_to_pn(w, a, b)
         cfg2 = map_config_qn2_pn(cfg, a, b)
         vp = is_semistable(cfg2, w2)
-        if not rep.expect(
+        rep.expect(
             vq.kind == vp.kind,
             lambda: {"n": n, "a": a, "b": b, "qn": vq.kind, "pn": vp.kind, "config": repr(cfg)},
-        ):
-            return rep.result()
+        )
         vqo = brute_force_semistable(cfg, w)
         vpo = brute_force_semistable(cfg2, w2)
-        if not rep.expect(
+        rep.expect(
             vqo.kind == vq.kind and vpo.kind == vp.kind,
             lambda: {"n": n, "issue": "oracle disagrees", "config": repr(cfg)},
-        ):
-            return rep.result()
+        )
     # wall correspondence: relative interior points map onto the matching wall
     for n in range(1, bounds.get("pn_max", 5) + 1):
         n2 = n + 2
@@ -722,18 +660,15 @@ def suite_qn2_pn(seed: int, bounds: dict) -> dict:
                 expect_wall = chambers.canonical_qn_wall(
                     n2, tuple(sorted({a} | {k for k in range(n2) if k not in (a, b) and idx[k] in wall.j}))
                 )
-                if not rep.expect(
+                rep.expect(
                     cls.inner == (expect_wall,) and not cls.outer,
                     lambda: {"n": n, "wall": list(wall.j), "lifted": repr(qw.theta), "classified": repr(cls)},
-                ):
-                    return rep.result()
+                )
                 back = project_weight_to_pn(qw, a, b)
-                if not rep.expect(
+                rep.expect(
                     classify_weight(back).inner == (wall,),
                     lambda: {"n": n, "wall": list(wall.j), "issue": "projection leaves the wall"},
-                ):
-                    return rep.result()
-    return rep.result()
+                )
 
 
 def _admissible_anchor_pairs(cfg_a: QnConfig, cfg_b: QnConfig):
@@ -746,8 +681,7 @@ def _admissible_anchor_pairs(cfg_a: QnConfig, cfg_b: QnConfig):
             yield i, j
 
 
-def suite_limit_equations(seed: int, bounds: dict) -> dict:
-    rep = _Report("limit-equations")
+def suite_limit_equations(rep: _Report, seed: int, bounds: dict) -> None:
     corpus_bounds = bounds.get("corpus", {"exhaustive_n": (3, 4, 5), "per_shape": 200, "random": {6: 300, 7: 200}})
     for tree in _gk_corpus(seed, corpus_bounds):
         fam = moduli_coordinates(tree, GK)
@@ -760,32 +694,27 @@ def suite_limit_equations(seed: int, bounds: dict) -> dict:
         for ta, tb in itertools.combinations(active, 2):
             ca, cb = cfgs[ta], cfgs[tb]
             pairs = list(_admissible_anchor_pairs(ca, cb))
-            if not rep.expect(bool(pairs), lambda: {"n": tree.n, "pair": (ta, tb), "issue": "no admissible anchors"}):
-                return rep.result()
+            rep.expect(bool(pairs), lambda: {"n": tree.n, "pair": (ta, tb), "issue": "no admissible anchors"})
             for i, j in pairs:
-                if not rep.expect(
+                rep.expect(
                     check_limit_equations(ca, cb, i, j),
                     lambda: {"n": tree.n, "charts": (ta, tb), "anchors": (i, j)},
-                ):
-                    return rep.result()
+                )
             i, j = pairs[0]
             fiber = glue_fiber(ca, cb, i, j)
             equivalent = moebius_equivalent(ca, cb)
-            if not rep.expect(
+            rep.expect(
                 (fiber.kind == configs.IRREDUCIBLE) == equivalent,
                 lambda: {"n": tree.n, "charts": (ta, tb), "kind": fiber.kind, "equivalent": equivalent},
-            ):
-                return rep.result()
+            )
             if fiber.kind == configs.TWO_COMPONENTS:
                 full = frozenset(range(tree.n))
                 for side in (fiber.marks_on_b, fiber.marks_on_a):
                     ok = side in splits or full - side in splits
-                    if not rep.expect(
+                    rep.expect(
                         ok,
                         lambda: {"n": tree.n, "charts": (ta, tb), "side": sorted(side), "issue": "collapse side is not a tree split"},
-                    ):
-                        return rep.result()
-    return rep.result()
+                    )
 
 
 def _edge_sides(tree):
@@ -808,8 +737,7 @@ def _edge_sides(tree):
         yield side
 
 
-def suite_five_term(seed: int, bounds: dict) -> dict:
-    rep = _Report("five-term")
+def suite_five_term(rep: _Report, seed: int, bounds: dict) -> None:
     rng = _rng(seed, "five-term")
     for _ in range(bounds.get("instances", 1000)):
         pts = random_points(rng, 5)
@@ -819,22 +747,18 @@ def suite_five_term(seed: int, bounds: dict) -> dict:
             charts[order] = normalize_chart_qn(cfg, order).sections
         fam = LimitFamily(GK, 5, charts)
         reports = verify_functor_conditions(fam)
-        if not rep.expect(
+        rep.expect(
             family_passes(reports),
             lambda: {"points": repr(pts), "failed": [r.name for r in reports if not r.passed]},
-        ):
-            return rep.result()
-    return rep.result()
+        )
 
 
-def suite_covering(seed: int, bounds: dict) -> dict:
-    rep = _Report("covering")
+def suite_covering(rep: _Report, seed: int, bounds: dict) -> None:
     corpus_bounds = bounds.get("corpus", {"exhaustive_n": (3, 4, 5), "per_shape": 200, "random": {6: 300, 7: 200}})
     for tree in _gk_corpus(seed, corpus_bounds):
         fam = moduli_coordinates(tree, GK)
         covered, witness = charts_cover_hypersimplex(fam)
-        if not rep.expect(covered, lambda: {"n": tree.n, "uncovered_triple": witness}):
-            return rep.result()
+        rep.expect(covered, lambda: {"n": tree.n, "uncovered_triple": witness})
     # exact arrangement decision on the small exhaustive shapes
     for n in bounds.get("lp_ns", (3, 4, 5)):
         for splits in enumerate_split_systems(n):
@@ -845,11 +769,10 @@ def suite_covering(seed: int, bounds: dict) -> dict:
                 for t in fam.active_sets()
             ]
             covered, witness = cover_check(polys, QN, n)
-            if not rep.expect(
+            rep.expect(
                 covered,
                 lambda: {"n": n, "splits": splits, "witness": repr(witness)},
-            ):
-                return rep.result()
+            )
     # weighted targets
     for a, tree in _hassett_corpus(seed, bounds.get("hassett", {"ns": (3, 4, 5), "weights_per_n": 20, "trees_per_weight": 3})):
         fam = moduli_coordinates(tree, HASSETT, a)
@@ -858,22 +781,19 @@ def suite_covering(seed: int, bounds: dict) -> dict:
             for t in fam.active_sets()
         ]
         covered, witness = cover_check(polys, QN, tree.n, a)
-        if not rep.expect(
+        rep.expect(
             covered,
             lambda: {"n": tree.n, "a": [str(v) for v in a], "witness": repr(witness)},
-        ):
-            return rep.result()
+        )
         # the weighted polytopes need not cover the whole hypersimplex: a
         # two-component tree never does
         if len(tree.components) > 1:
             covered_all, _ = cover_check(polys, QN, tree.n)
             coverable, _ = charts_cover_hypersimplex(fam)
-            if not rep.expect(
+            rep.expect(
                 covered_all == coverable,
                 lambda: {"n": tree.n, "issue": "combinatorial and arrangement covering disagree"},
-            ):
-                return rep.result()
-    return rep.result()
+            )
 
 
 SUITES = {
@@ -991,4 +911,9 @@ def check_bounds(bounds) -> None:
 def run_suite(name: str, seed: int = DEFAULT_SEED, bounds: Optional[dict] = None) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed, bounds or {})
+    rep = _Report(name)
+    try:
+        SUITES[name](rep, seed, bounds or {})
+    except _Stop:
+        pass
+    return rep.result()

@@ -12,7 +12,6 @@ from quivermoduli import chambers, cli, configs, curves, generate, lp, serialize
 from quivermoduli.chambers import (
     DEFAULT_WORK_BOUND,
     ApexError,
-    BadEpsilonError,
     Chamber,
     HassettPolytope,
     OutsideConeError,
@@ -212,22 +211,30 @@ def test_chamber_bound():
 
 
 def test_chart_weight_qn_examples():
-    w = chart_weight_qn(5, (0, 1, 2), F(1, 25))
+    w = chart_weight_qn(5, (0, 1, 2))
     assert w.theta == (F(16, 25), F(16, 25), F(16, 25), F(1, 25), F(1, 25))
     assert sum(w.theta) == 2
     assert classify_weight(chart_weight_qn(5, (0, 1, 2))).generic
-    w4 = chart_weight_qn(4, (0, 1, 2), F(1, 16))
+    w4 = chart_weight_qn(4, (0, 1, 2))
     assert w4.theta[3] == 2 * F(1, 16)
-    with pytest.raises(BadEpsilonError):
-        chart_weight_qn(6, (0, 1, 2), F(-1, 4))
 
 
 def test_chart_weight_pn_examples():
-    w = chart_weight_pn(3, 0, F(1, 9))
+    w = chart_weight_pn(3, 0)
     assert (w.eta1, w.eta2) == (F(-1, 2), F(-1, 2))
     assert w.theta == (F(8, 9), F(1, 18), F(1, 18))
     assert classify_weight(chart_weight_pn(3, 0)).generic
     assert chart_weight_pn(1, 0).theta == (F(1),)
+
+
+def test_chart_weights_are_generic():
+    # e = 1/n^2 keeps every chart weight off the walls
+    for n in range(3, 10):
+        for t in itertools.combinations(range(n), 3):
+            assert classify_weight(chart_weight_qn(n, t)).generic, (n, t)
+    for n in range(1, 10):
+        for i in range(n):
+            assert classify_weight(chart_weight_pn(n, i)).generic, (n, i)
 
 
 def test_max_work_reads_a_positive_integer(monkeypatch):

@@ -10,7 +10,10 @@ dropped.
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from unittest import mock
 
@@ -374,15 +377,51 @@ def test_stability_tables_over_the_work_bound_exit_2(tmp_path, monkeypatch, n, c
     if cap is not None:
         monkeypatch.setenv("QML_MAX_WORK", cap)
     configs._weight_tables.cache_clear()  # a table built earlier is not rebuilt
-    for argv in (
-        ["stability", *_star_files(tmp_path, n)],
-        ["stability", *_star_files(tmp_path, n), "--oracle"],
-        ["verify", "--suite", "theta-polytope", "--bounds", json.dumps({"ns": [n]})],
+    table = "error: a stability table of 2^"
+    for argv, head, tail in (
+        (["stability", *_star_files(tmp_path, n)], table, ""),
+        (["stability", *_star_files(tmp_path, n), "--oracle"], table, ""),
+        # the suite refuses its set partitions before it builds a table
+        (["verify", "--suite", "theta-polytope", "--bounds", json.dumps({"ns": [n]})], "error: ",
+         f" set partitions of {n} marks exceed QML_MAX_WORK ({cap or 10**6})"),
     ):
         code, err = _run(argv)
         lines = err.splitlines()
         assert code == 2, (argv, err)
-        assert len(lines) == 1 and lines[0].startswith("error: a stability table of 2^"), err
+        assert len(lines) == 1 and lines[0].startswith(head) and lines[0].endswith(tail), err
     if cap is not None:
         # 2^6 entries fit a bound of 64
         assert _run(["stability", *_star_files(tmp_path, n - 1), "--oracle"])[0] == 0
+
+
+def _qml(*argv, env=None):
+    return subprocess.run(
+        [sys.executable, "-m", "quivermoduli.cli", *argv], capture_output=True, text=True,
+        env=env, timeout=20,
+    )
+
+
+@pytest.mark.parametrize("suite, bounds", [
+    ("theta-polytope", {"ns": [13]}),
+    ("chart-stability", {"max_n": 13}),
+    ("roundtrip-lm", {"exhaustive_n": [9]}),
+    ("chambers-vs-grid", {"plans": [["qn", 4, 3000]]}),
+    ("chambers-vs-grid", {"plans": [["qn", 7, 2]]}),
+])
+def test_suite_catalogues_over_the_work_bound_exit_2(suite, bounds):
+    # millions of partitions or chain shapes, or billions of grid candidates
+    # or chamber pairs: each run went on past any timeout
+    r = _qml("verify", "--suite", suite, "--bounds", json.dumps(bounds))
+    lines = r.stderr.splitlines()
+    assert r.returncode == 2 and r.stdout == "", r.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    assert lines[0].endswith(" exceed QML_MAX_WORK (1000000)"), r.stderr
+
+
+def test_default_suite_follows_the_work_bound():
+    # the default chambers-vs-grid walks 14641 grid candidates at qn 5
+    r = _qml("verify", "--suite", "chambers-vs-grid", env=dict(os.environ, QML_MAX_WORK="1000"))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == "error: 14641 grid candidates of plan ['qn', 5, 12] exceed QML_MAX_WORK (1000)\n"
+    r = _qml("verify", "--suite", "chambers-vs-grid", env=dict(os.environ, QML_MAX_WORK=str(10**6)))
+    assert r.returncode == 0 and r.stderr == "", r.stderr

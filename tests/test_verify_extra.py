@@ -6,10 +6,12 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from quivermoduli import cli
 from quivermoduli import configs as configs_mod
 from quivermoduli import verify
-from quivermoduli.chambers import Chamber
+from quivermoduli.chambers import Chamber, TooLargeError
 from quivermoduli.configs import (
     IRREDUCIBLE,
     PnConfig,
@@ -18,7 +20,14 @@ from quivermoduli.configs import (
     glue_fiber,
 )
 from quivermoduli.curves import Chain, _degree_numerator, lm_moduli_coordinates
-from quivermoduli.generate import random_gk_tree
+from quivermoduli.generate import (
+    count_set_partitions,
+    enumerate_chain_shapes,
+    enumerate_split_systems,
+    pn_decorations,
+    random_gk_tree,
+    set_partitions,
+)
 from quivermoduli.projline import affine
 from quivermoduli import serialize
 
@@ -136,3 +145,21 @@ def test_chambers_vs_grid_catches_a_bogus_chamber_or_edge_on_a_coarse_grid(monke
     for plan in (("qn", 4, 5), ("qn", 4, 8)):
         rc, report = _grid_suite(capsys, plan)
         assert rc == 1 and "exact_edges" in report["counterexample"], (plan, report)
+
+
+def test_catalogue_counts_match_their_enumerations(monkeypatch):
+    for n in range(8):
+        parts = list(set_partitions(range(n)))
+        assert count_set_partitions(n) == len(parts)
+        assert count_set_partitions(n, anchored=True) == sum(len(list(pn_decorations(p))) for p in parts)
+    # an enumeration runs at a work bound of its size and is refused one below
+    cases = [(enumerate_split_systems, n) for n in range(4, 8)]
+    cases += [(lambda n: enumerate_chain_shapes(range(n)), n) for n in range(2, 7)]
+    for enumerate_, n in cases:
+        size = len(enumerate_(n))
+        monkeypatch.setenv("QML_MAX_WORK", str(size))
+        assert len(enumerate_(n)) == size
+        monkeypatch.setenv("QML_MAX_WORK", str(size - 1))
+        with pytest.raises(TooLargeError, match=f"^{size} .* on {n} marks exceed QML_MAX_WORK"):
+            enumerate_(n)
+        monkeypatch.delenv("QML_MAX_WORK")
