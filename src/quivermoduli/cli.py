@@ -181,7 +181,8 @@ def cmd_tree(args) -> int:
             payload = serialize.chain_json(obj)
         else:
             payload = serialize.tree_json(obj)
-        # reconstruct_tree raises "round-trip" unless obj's charts are fam
+        # reconstruct_tree raises "round-trip" unless obj's charts, compared
+        # on integers without building them, are fam
         payload["round_trip"] = True
         _emit(args, payload)
         return 0

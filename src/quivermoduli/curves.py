@@ -352,13 +352,41 @@ def _separating_table(
     return found
 
 
-def _chart_row(dp: list[int], dq: list[int], r: int) -> tuple[ProjPoint, ...]:
+def _chart_row(dp: list[int], dq: list[int], r: int) -> list[tuple[int, int]]:
     """The chart of the ordering (p, q, r) read off rows p and q of a table
-    D.  The Moebius map sending marks p, q, r to (0:1), (1:0), (1:1) sends
-    mark k to (D[p][k] D[q][r] : D[p][r] D[q][k]), the identity of
-    `projline.cross_ratio`; no map is built."""
+    D, as integer pairs.  The Moebius map sending marks p, q, r to (0:1),
+    (1:0), (1:1) sends mark k to (x0 : x1) = (D[p][k] D[q][r] : D[p][r] D[q][k]),
+    the identity of `projline.cross_ratio`; no map is built."""
     cq, cp = dq[r], dp[r]
-    return tuple([ProjPoint(x * cq, cp * y) for x, y in zip(dp, dq)])
+    return [(x * cq, cp * y) for x, y in zip(dp, dq)]
+
+
+def _points(pairs: list[tuple[int, int]]) -> tuple[ProjPoint, ...]:
+    """The points of nonzero integer pairs; a pair with a zero entry is the
+    shared ZERO_POINT or INF_POINT, every other one a new ProjPoint."""
+    return tuple([ProjPoint(a, b) if a and b else INF_POINT if a else ZERO_POINT for a, b in pairs])
+
+
+def _chart_pairs(tree: PointedTree, mode: str):
+    """(ordering, integer pairs) of every chart of a tree labelled 0..n-1,
+    triple by triple, each triple's orderings in `itertools.permutations`
+    order.  For p < q < r only the row (x0 : x1) of (p, q, r) is read off
+    the table; the other five orderings are its images under the anharmonic
+    S3 action on P1, integer unimodular maps of each pair."""
+    tables = [_det_table(img) for img in mark_images(tree).values()]
+    for p, q, r in itertools.combinations(range(tree.n), 3):
+        d = _separating_table(tables, p, q, r, (p, q, r))
+        if d is None:
+            if mode == GK:
+                raise AssertionError("charts of a stable tree are total")
+            continue
+        xs = _chart_row(d[p], d[q], r)
+        yield (p, q, r), xs
+        yield (p, r, q), [(x0, x0 - x1) for x0, x1 in xs]
+        yield (q, p, r), [(x1, x0) for x0, x1 in xs]
+        yield (q, r, p), [(x1, x1 - x0) for x0, x1 in xs]
+        yield (r, p, q), [(x0 - x1, x0) for x0, x1 in xs]
+        yield (r, q, p), [(x1 - x0, x1) for x0, x1 in xs]
 
 
 def contract_to_chart(
@@ -374,7 +402,7 @@ def contract_to_chart(
     d = _separating_table(tables, p, q, r, triple)
     if d is None:
         return None
-    return dict(zip(labels, _chart_row(d[p], d[q], r)))
+    return dict(zip(labels, _points(_chart_row(d[p], d[q], r))))
 
 
 GK = "gk"
@@ -435,36 +463,36 @@ class LimitFamily(_Frozen):
         return sorted({tuple(sorted(k)) for k in self.charts})
 
 
-def moduli_coordinates(
-    tree: PointedTree, mode: str = GK, a: Optional[Sequence[Fraction]] = None
-) -> LimitFamily:
-    """All chart coordinates of a stable pointed tree."""
+def _chart_weights(tree: PointedTree, mode: str, a) -> Optional[tuple[Fraction, ...]]:
+    """The weights a family of `tree` in `mode` carries, after its stability
+    test (UnstableInputError)."""
     if tree.labels != tuple(range(tree.n)):
         raise ValueError("chart families require mark labels 0..n-1")
     if mode == GK:
         if not is_gk_stable(tree):
             raise UnstableInputError("tree is not stable")
-        aw = None
-    elif mode == HASSETT:
-        if a is None:
-            raise ValueError("weighted mode needs a weight vector")
-        aw = HassettPolytope(tuple(a)).a
-        if not is_a_stable(tree, aw):
-            raise UnstableInputError("tree is not stable for the given weights")
-    else:
+        return None
+    if mode != HASSETT:
         raise ValueError("tree charts exist in modes 'gk' and 'hassett'")
-    n = tree.n
-    tables = [_det_table(img) for img in mark_images(tree).values()]
-    charts: dict[tuple[int, int, int], tuple[ProjPoint, ...]] = {}
-    for tset in itertools.combinations(range(n), 3):
-        d = _separating_table(tables, *tset, tset)
-        if d is None:
-            if mode == GK:
-                raise AssertionError("charts of a stable tree are total")
-            continue
-        for p, q, r in itertools.permutations(tset):
-            charts[p, q, r] = _chart_row(d[p], d[q], r)
-    return LimitFamily(mode, n, charts, aw)
+    if a is None:
+        raise ValueError("weighted mode needs a weight vector")
+    aw = HassettPolytope(tuple(a)).a
+    if not is_a_stable(tree, aw):
+        raise UnstableInputError("tree is not stable for the given weights")
+    return aw
+
+
+def moduli_coordinates(
+    tree: PointedTree, mode: str = GK, a: Optional[Sequence[Fraction]] = None
+) -> LimitFamily:
+    """All chart coordinates of a stable pointed tree.
+
+    Each unordered triple that separates on a component gives one integer
+    row; its six orderings come from that row (`_chart_pairs`), and points
+    at 0 and infinity are the shared ZERO_POINT and INF_POINT."""
+    aw = _chart_weights(tree, mode, a)
+    charts = {key: _points(pairs) for key, pairs in _chart_pairs(tree, mode)}
+    return LimitFamily(mode, tree.n, charts, aw)
 
 
 def lm_moduli_coordinates(chain: Chain) -> LimitFamily:
@@ -731,7 +759,11 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     Charts are grouped by Moebius equivalence of their configurations (one
     group per component), adjacency is read off complementary coincidence
     blocks, and node coordinates are the block positions.  The result
-    reproduces the family exactly.
+    reproduces the family exactly: after the stability test ("stability"),
+    the family is compared with the rebuilt tree's integer chart rows by
+    cross-multiplication, without building a second family, and
+    "round-trip" is raised exactly when `moduli_coordinates` of the tree
+    would differ from the family.
     """
     reports = verify_functor_conditions(family)
     for r in reports:
@@ -790,12 +822,31 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     except ValueError as exc:
         raise InconsistentFamilyError("tree-shape", str(exc))
     try:
-        rebuilt = moduli_coordinates(tree, family.mode, family.a)
+        aw = _chart_weights(tree, family.mode, family.a)
     except UnstableInputError:
         raise InconsistentFamilyError("stability", None)
-    if rebuilt != family:
+    if aw != family.a or not _charts_match(family.charts, _chart_pairs(tree, family.mode)):
         raise InconsistentFamilyError("round-trip", None)
     return tree
+
+
+def _charts_match(charts: Mapping, rows) -> bool:
+    """Whether `charts` has the keys of the (ordering, integer pairs) `rows`
+    and for each a tuple of ProjPoints equal to the pairs by
+    cross-multiplication; the row-shape condition checked the lengths."""
+    count = 0
+    for key, pairs in rows:
+        row = charts.get(key)
+        if not isinstance(row, tuple):
+            return False
+        for pt, (a, b) in zip(row, pairs):
+            if not isinstance(pt, ProjPoint):
+                return False
+            x0, x1 = pt.ihom
+            if x0 * b != x1 * a:
+                return False
+        count += 1
+    return count == len(charts)
 
 
 def _diag_rescale(row: Sequence[ProjPoint], index: int) -> Optional[tuple[ProjPoint, ...]]:
@@ -894,7 +945,7 @@ def tree_isomorphic(t1: PointedTree, t2: PointedTree) -> bool:
         rows = []
         for img in (img1[c], img2[match[c]]):
             pts = [x.ihom for x in img.values()]
-            rows.append(_chart_row(_det_row(pts, p), _det_row(pts, q), r))
+            rows.append(_points(_chart_row(_det_row(pts, p), _det_row(pts, q), r)))
         if rows[0] != rows[1]:
             return False
     return True

@@ -150,22 +150,27 @@ def splits_compatible(n: int, a: Sequence[int], b: Sequence[int]) -> bool:
     return sa <= sb or sb <= sa or not (sa & sb) or sa | sb == set(range(n))
 
 
-def enumerate_split_systems(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All pairwise-compatible sets of splits, i.e. all stable tree shapes.
+def count_split_systems(n: int) -> int:
+    """How many split systems enumerate_split_systems(n) yields.
 
-    Their number counts against QML_MAX_WORK.  Rooted at the last mark, a
-    shape is a rooted tree on the other m = n - 1 marks whose inner vertices
-    have two or more children; t[m] counts these trees and f[m] the forests
-    of them.  Splitting off the tree that holds the first mark, with j of
-    the m marks, f[m] = sum over j of C(m-1, j-1) t[j] f[m-j].  For m >= 2
-    the terms with j < m count the forests of two or more trees, which are
-    the top subtrees of the t[m] trees, and the term j = m is t[m] again, so
-    f[m] = 2 t[m]."""
+    Rooted at the last mark, a shape is a rooted tree on the other
+    m = n - 1 marks whose inner vertices have two or more children; t[m]
+    counts these trees and f[m] the forests of them.  Splitting off the tree
+    that holds the first mark, with j of the m marks,
+    f[m] = sum over j of C(m-1, j-1) t[j] f[m-j].  For m >= 2 the terms with
+    j < m count the forests of two or more trees, which are the top subtrees
+    of the t[m] trees, and the term j = m is t[m] again, so f[m] = 2 t[m]."""
     t, f = [0, 1], [1, 1]
     for m in range(2, n):
         t.append(sum(comb(m - 1, j - 1) * t[j] * f[m - j] for j in range(1, m)))
         f.append(2 * t[m])
-    check_work(t[max(n - 1, 1)], f"split systems on {n} marks")
+    return t[max(n - 1, 1)]
+
+
+def enumerate_split_systems(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All pairwise-compatible sets of splits, i.e. all stable tree shapes;
+    their number counts against QML_MAX_WORK."""
+    check_work(count_split_systems(n), f"split systems on {n} marks")
     splits = all_splits(n)
     out: list[tuple[tuple[int, ...], ...]] = []
 
@@ -286,12 +291,17 @@ def random_gk_tree(rng: Rng, n: int) -> PointedTree:
 # Chains.
 
 
+def count_chain_shapes(n: int) -> int:
+    """How many shapes enumerate_chain_shapes yields on n labels: the
+    ordered set partitions."""
+    return sum(s * factorial(k) for k, s in enumerate(_stirling_row(n)))
+
+
 def enumerate_chain_shapes(labels: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
     """All ordered set partitions of the labels (chain component contents);
     their number counts against QML_MAX_WORK."""
     labels = list(labels)
-    ordered = sum(s * factorial(k) for k, s in enumerate(_stirling_row(len(labels))))
-    check_work(ordered, f"chain shapes on {len(labels)} marks")
+    check_work(count_chain_shapes(len(labels)), f"chain shapes on {len(labels)} marks")
     out = []
     for part in set_partitions(labels):
         for perm in itertools.permutations(range(len(part))):

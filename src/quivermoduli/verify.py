@@ -67,7 +67,9 @@ from .curves import (
 from .generate import (
     chain_from_shape,
     config_points_for_partition,
+    count_chain_shapes,
     count_set_partitions,
+    count_split_systems,
     enumerate_chain_shapes,
     enumerate_split_systems,
     heavy_tree_shapes,
@@ -456,12 +458,20 @@ def suite_chart_stability(rep: _Report, seed: int, bounds: dict) -> None:
                 seen[key] = verdicts
 
 
+def _check_drawn(per_shape: int, shapes: list[int], what: str, shape: str, ns) -> None:
+    """Count `per_shape` instances of each of the shapes of every size in
+    `ns` against the work cap, before the first instance is drawn."""
+    check_work(per_shape * sum(shapes), f"{what} ({per_shape} per {shape} on {list(ns)} marks)")
+
+
 def _gk_corpus(seed: int, bounds: dict):
     """Deterministic catalogue of stable trees: exhaustive shapes for small n
     with seeded coordinates, plus random larger trees."""
     rng = _rng(seed, "gk-corpus")
     per_shape = bounds.get("per_shape", 200)
-    for n in bounds.get("exhaustive_n", (3, 4, 5)):
+    ns = bounds.get("exhaustive_n", (3, 4, 5))
+    _check_drawn(per_shape, [count_split_systems(n) for n in ns], "trees", "split system", ns)
+    for n in ns:
         for splits in enumerate_split_systems(n):
             for k in range(per_shape):
                 if k == 0:
@@ -490,7 +500,9 @@ def suite_roundtrip_gk(rep: _Report, seed: int, bounds: dict) -> None:
 def suite_roundtrip_lm(rep: _Report, seed: int, bounds: dict) -> None:
     rng = _rng(seed, "lm-corpus")
     per_shape = bounds.get("per_shape", 3)
-    for n in bounds.get("exhaustive_n", (1, 2, 3, 4, 5)):
+    ns = bounds.get("exhaustive_n", (1, 2, 3, 4, 5))
+    _check_drawn(per_shape, [count_chain_shapes(n) for n in ns], "chains", "chain shape", ns)
+    for n in ns:
         for shape in enumerate_chain_shapes(list(range(n))):
             for k in range(per_shape):
                 chain = chain_from_shape(shape, rng if k else None, coincide=k == 2)
@@ -566,7 +578,15 @@ def suite_roundtrip_hassett(rep: _Report, seed: int, bounds: dict) -> None:
 def suite_hassett_special(rep: _Report, seed: int, bounds: dict) -> None:
     rng = _rng(seed, "hassett-special")
     per_shape = bounds.get("per_shape", 5)
-    for n in bounds.get("ns", (3, 4, 5)):
+    ns = bounds.get("ns", (3, 4, 5))
+    _check_drawn(
+        per_shape,
+        [count_split_systems(n) + count_chain_shapes(n - 2) for n in ns],
+        "trees and chains",
+        "split system or heavy chain shape",
+        ns,
+    )
+    for n in ns:
         ones = (Fraction(1),) * n
         for splits in enumerate_split_systems(n):
             for k in range(per_shape):

@@ -405,6 +405,12 @@ def _qml(*argv, env=None):
     ("theta-polytope", {"ns": [13]}),
     ("chart-stability", {"max_n": 13}),
     ("roundtrip-lm", {"exhaustive_n": [9]}),
+    # 660032 split systems or 545835 chain shapes fit, the instances drawn
+    # per shape do not
+    ("roundtrip-gk", {"exhaustive_n": [9]}),
+    ("covering", {"corpus": {"exhaustive_n": [9]}}),
+    ("roundtrip-lm", {"exhaustive_n": [8]}),
+    ("hassett-special", {"ns": [9]}),
     ("chambers-vs-grid", {"plans": [["qn", 4, 3000]]}),
     ("chambers-vs-grid", {"plans": [["qn", 7, 2]]}),
 ])
@@ -425,3 +431,11 @@ def test_default_suite_follows_the_work_bound():
     assert r.stderr == "error: 14641 grid candidates of plan ['qn', 5, 12] exceed QML_MAX_WORK (1000)\n"
     r = _qml("verify", "--suite", "chambers-vs-grid", env=dict(os.environ, QML_MAX_WORK=str(10**6)))
     assert r.returncode == 0 and r.stderr == "", r.stderr
+
+
+def test_trees_per_shape_follow_the_work_bound():
+    # 236 split systems on 6 marks fit a bound of 1000, 200 trees of each do not
+    bounds = json.dumps({"roundtrip-gk": {"exhaustive_n": [6], "random": {}}})
+    r = _qml("verify", "--suite", "roundtrip-gk", "--bounds", bounds, env=dict(os.environ, QML_MAX_WORK="1000"))
+    assert r.returncode == 2 and r.stdout == "", r.stderr
+    assert r.stderr == "error: 47200 trees (200 per split system on [6] marks) exceed QML_MAX_WORK (1000)\n"

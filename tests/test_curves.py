@@ -50,7 +50,7 @@ from quivermoduli.generate import (
     random_hassett_weight,
     tree_from_splits,
 )
-from quivermoduli.projline import INF_POINT, ONE_POINT, ZERO_POINT, affine, moebius_from_triple
+from quivermoduli.projline import INF_POINT, ONE_POINT, ZERO_POINT, ProjPoint, affine, moebius_from_triple
 
 
 def single(n=4, last=F(5, 2)):
@@ -209,6 +209,45 @@ def test_reconstruct_detects_mutation():
     broken = LimitFamily(GK, 5, charts)
     with pytest.raises(InconsistentFamilyError):
         reconstruct_tree(broken)
+
+
+def _failure(fam):
+    try:
+        reconstruct_tree(fam)
+    except InconsistentFamilyError as exc:
+        return exc.condition
+    return None
+
+
+def test_reconstruct_failure_names(monkeypatch):
+    gk = moduli_coordinates(random_gk_tree(random.Random(4), 5), GK)
+    hassett = _hassett_family()
+    # a GK family carrying weights is not the family of its tree
+    assert _failure(LimitFamily(GK, 5, gk.charts, (F(1),) * 5)) == "round-trip"
+    # nor is a family with one row given as a list
+    for fam in (gk, hassett):
+        charts = dict(fam.charts)
+        key = next(iter(charts))
+        charts[key] = list(charts[key])
+        assert _failure(LimitFamily(fam.mode, fam.n, charts, fam.a)) == "round-trip"
+    # unit weights given as ints equal the family's Fractions
+    ones = moduli_coordinates(random_gk_tree(random.Random(4), 5), HASSETT, (F(1),) * 5)
+    assert _failure(LimitFamily(HASSETT, 5, ones.charts, (1,) * 5)) is None
+    # marks 2 and 3 coincide; weights above 1 on them leave the tree
+    # unstable, which the covering condition finds before reconstruction
+    pts = (ZERO_POINT, INF_POINT, affine(5), affine(5))
+    tree = PointedTree(("c0",), (), tuple((k, "c0", pts[k]) for k in range(4)))
+    light = moduli_coordinates(tree, HASSETT, (F(1), F(1), F(1, 2), F(1, 2)))
+    assert _failure(light) is None
+    for a in ((F(1),) * 4, (F(1), F(1), F(3, 4), F(3, 4))):
+        assert _failure(LimitFamily(HASSETT, 4, light.charts, a)) == "covering"
+    # the stability test of the rebuilt tree is the last guard
+    monkeypatch.setattr(curves, "is_a_stable", lambda tree, a: False)
+    assert _failure(LimitFamily(HASSETT, 4, light.charts, light.a)) == "stability"
+    # No family passes every functor condition with tuple rows of the right
+    # weights and yet belongs to another tree: the tree is read off the
+    # family's own rows, and the conditions are the equations whose
+    # solutions are the chart families of stable trees.
 
 
 def test_roundtrip_exhaustive_n4():
@@ -385,24 +424,53 @@ def _has_coincident_marks(tree):
     return len(set(spots)) < len(spots)
 
 
+def _coincident_at_anchors(tree, fam):
+    """How many (chart, mark) pairs put a mark outside the chart's triple at
+    its 0 or infinity because it coincides with the triple's first or second
+    mark on the tree."""
+    spot = {lb: (comp, p.ihom) for lb, comp, p in tree.marks}
+    return sum(
+        1
+        for p, q, r in fam.charts
+        for k in tree.labels
+        if k not in (p, q, r) and spot[k] in (spot[p], spot[q])
+    )
+
+
 def test_charts_match_the_moebius_reference():
     rng = random.Random(1717)
-    corpus = [(GK, None, random_gk_tree(rng, n)) for n in (4, 5, 6, 7) for _ in range(6)]
+    corpus = [(GK, None, random_gk_tree(rng, n)) for n in (3, 4, 5, 6, 7, 8) for _ in range(6)]
     for n in (4, 5, 6):
         for _ in range(30):
             a = random_hassett_weight(rng, n)
             corpus.append((HASSETT, a, random_a_stable_tree(rng, n, a)))
-    coincident = 0
+    # clusters of light marks, which sit at the 0 or infinity of every chart
+    # whose first or second mark they hold
+    h, t, q = F(1, 2), F(1, 3), F(1, 4)
+    for a, splits, clusters in (
+        ((1, 1, h, h), [], [[2, 3]]),
+        ((1, 1, t, t, t), [], [[2, 3, 4]]),
+        ((1, 1, t, t, t), [(0, 2, 3)], [[2, 3]]),
+        ((1, 1, q, q, q, q), [], [[2, 3], [4, 5]]),
+        ((1, 1, q, q, q, q), [(0, 2, 3)], [[2, 3], [4, 5]]),
+    ):
+        for _ in range(3):
+            corpus.append((HASSETT, a, tree_from_splits(len(a), splits, rng, clusters=clusters)))
+    coincident = at_anchors = 0
     for mode, a, tree in corpus:
         ref = _moebius_reference_charts(tree)
         fam = moduli_coordinates(tree, mode, a)
         assert list(fam.charts) == list(ref)
         assert all(fam.charts[k] == tuple(ref[k].values()) for k in ref)
+        # every point is in the normal form its constructor gives
+        assert all(p == ProjPoint(*p.ihom) for row in fam.charts.values() for p in row)
         for tset in itertools.combinations(tree.labels, 3):
             for order in itertools.permutations(tset):
                 assert contract_to_chart(tree, order) == ref.get(order), (tree, order)
         coincident += _has_coincident_marks(tree)
-    assert coincident >= 10, coincident
+        at_anchors += _coincident_at_anchors(tree, fam)
+    assert coincident >= 20, coincident
+    assert at_anchors >= 500, at_anchors
 
 
 def test_contract_to_chart_reads_any_labels():

@@ -133,7 +133,9 @@ def test_cli_tree_round_trip(tmp_path):
     assert r.returncode == 5
 
 
-def test_cli_reconstruct_builds_the_charts_once(tmp_path, monkeypatch):
+def test_cli_reconstruct_builds_no_charts(tmp_path, monkeypatch):
+    # the round trip compares the family with the rebuilt tree's integer
+    # rows, so reconstruction calls moduli_coordinates not at all
     fam_file = tmp_path / "f.json"
     fam = moduli_coordinates(random_gk_tree(random.Random(3), 5), GK)
     fam_file.write_text(serialize.dumps(serialize.family_json(fam)))
@@ -148,7 +150,7 @@ def test_cli_reconstruct_builds_the_charts_once(tmp_path, monkeypatch):
     out = tmp_path / "t.json"
     assert cli.main(["tree", "reconstruct", "--family", str(fam_file), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["round_trip"] is True
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_cli_verify_seeded_reproducible(tmp_path):
