@@ -364,7 +364,8 @@ def _chart_row(dp: list[int], dq: list[int], r: int) -> list[tuple[int, int]]:
 def _points(pairs: list[tuple[int, int]]) -> tuple[ProjPoint, ...]:
     """The points of nonzero integer pairs; a pair with a zero entry is the
     shared ZERO_POINT or INF_POINT, every other one a new ProjPoint."""
-    return tuple([ProjPoint(a, b) if a and b else INF_POINT if a else ZERO_POINT for a, b in pairs])
+    return tuple([ProjPoint(a, b) if a and b else INF_POINT if a else ZERO_POINT
+                  for a, b in pairs])
 
 
 def _chart_pairs(tree: PointedTree, mode: str):

@@ -458,19 +458,17 @@ def suite_chart_stability(rep: _Report, seed: int, bounds: dict) -> None:
                 seen[key] = verdicts
 
 
-def _check_drawn(per_shape: int, shapes: list[int], what: str, shape: str, ns) -> None:
-    """Count `per_shape` instances of each of the shapes of every size in
-    `ns` against the work cap, before the first instance is drawn."""
-    check_work(per_shape * sum(shapes), f"{what} ({per_shape} per {shape} on {list(ns)} marks)")
-
-
 def _gk_corpus(seed: int, bounds: dict):
     """Deterministic catalogue of stable trees: exhaustive shapes for small n
     with seeded coordinates, plus random larger trees."""
     rng = _rng(seed, "gk-corpus")
     per_shape = bounds.get("per_shape", 200)
     ns = bounds.get("exhaustive_n", (3, 4, 5))
-    _check_drawn(per_shape, [count_split_systems(n) for n in ns], "trees", "split system", ns)
+    # every tree drawn counts, before the first is built
+    check_work(
+        per_shape * sum(map(count_split_systems, ns)),
+        f"trees ({per_shape} per split system on {list(ns)} marks)",
+    )
     for n in ns:
         for splits in enumerate_split_systems(n):
             for k in range(per_shape):
@@ -501,7 +499,10 @@ def suite_roundtrip_lm(rep: _Report, seed: int, bounds: dict) -> None:
     rng = _rng(seed, "lm-corpus")
     per_shape = bounds.get("per_shape", 3)
     ns = bounds.get("exhaustive_n", (1, 2, 3, 4, 5))
-    _check_drawn(per_shape, [count_chain_shapes(n) for n in ns], "chains", "chain shape", ns)
+    check_work(
+        per_shape * sum(map(count_chain_shapes, ns)),
+        f"chains ({per_shape} per chain shape on {list(ns)} marks)",
+    )
     for n in ns:
         for shape in enumerate_chain_shapes(list(range(n))):
             for k in range(per_shape):
@@ -579,12 +580,10 @@ def suite_hassett_special(rep: _Report, seed: int, bounds: dict) -> None:
     rng = _rng(seed, "hassett-special")
     per_shape = bounds.get("per_shape", 5)
     ns = bounds.get("ns", (3, 4, 5))
-    _check_drawn(
-        per_shape,
-        [count_split_systems(n) + count_chain_shapes(n - 2) for n in ns],
-        "trees and chains",
-        "split system or heavy chain shape",
-        ns,
+    check_work(
+        per_shape * sum(count_split_systems(n) + count_chain_shapes(n - 2) for n in ns),
+        f"trees and chains ({per_shape} per split system or heavy chain shape"
+        f" on {list(ns)} marks)",
     )
     for n in ns:
         ones = (Fraction(1),) * n
