@@ -233,21 +233,29 @@ def test_reconstruct_failure_names(monkeypatch):
     # unit weights given as ints equal the family's Fractions
     ones = moduli_coordinates(random_gk_tree(random.Random(4), 5), HASSETT, (F(1),) * 5)
     assert _failure(LimitFamily(HASSETT, 5, ones.charts, (1,) * 5)) is None
-    # marks 2 and 3 coincide; weights above 1 on them leave the tree
-    # unstable, which the covering condition finds before reconstruction
-    pts = (ZERO_POINT, INF_POINT, affine(5), affine(5))
-    tree = PointedTree(("c0",), (), tuple((k, "c0", pts[k]) for k in range(4)))
-    light = moduli_coordinates(tree, HASSETT, (F(1), F(1), F(1, 2), F(1, 2)))
-    assert _failure(light) is None
+    # marks 2 and 3 of the Hassett family coincide; weights above 1 on them
+    # leave the tree unstable, which the covering condition finds before
+    # reconstruction
+    assert _failure(hassett) is None
     for a in ((F(1),) * 4, (F(1), F(1), F(3, 4), F(3, 4))):
-        assert _failure(LimitFamily(HASSETT, 4, light.charts, a)) == "covering"
+        assert _failure(LimitFamily(HASSETT, 4, hassett.charts, a)) == "covering"
     # the stability test of the rebuilt tree is the last guard
     monkeypatch.setattr(curves, "is_a_stable", lambda tree, a: False)
-    assert _failure(LimitFamily(HASSETT, 4, light.charts, light.a)) == "stability"
+    assert _failure(LimitFamily(HASSETT, 4, hassett.charts, hassett.a)) == "stability"
     # No family passes every functor condition with tuple rows of the right
     # weights and yet belongs to another tree: the tree is read off the
     # family's own rows, and the conditions are the equations whose
     # solutions are the chart families of stable trees.
+
+
+def test_round_trip_comparison_refuses_extra_charts():
+    # no family that passes the functor conditions has a chart its rebuilt
+    # tree lacks, so reconstruction cannot show this
+    tree = random_gk_tree(random.Random(4), 5)
+    charts = moduli_coordinates(tree, GK).charts
+    assert curves._charts_match(charts, curves._chart_pairs(tree, GK))
+    extra = {**charts, (0, 1, 5): charts[0, 1, 2]}
+    assert not curves._charts_match(extra, curves._chart_pairs(tree, GK))
 
 
 def test_roundtrip_exhaustive_n4():
