@@ -405,14 +405,14 @@ def _qml(*argv, env=None):
     ("theta-polytope", {"ns": [13]}),
     ("chart-stability", {"max_n": 13}),
     ("roundtrip-lm", {"exhaustive_n": [9]}),
+    ("chambers-vs-grid", {"plans": [["qn", 4, 3000]]}),
+    ("chambers-vs-grid", {"plans": [["qn", 7, 2]]}),
     # 660032 split systems or 545835 chain shapes fit, the instances drawn
     # per shape do not
     ("roundtrip-gk", {"exhaustive_n": [9]}),
     ("covering", {"corpus": {"exhaustive_n": [9]}}),
     ("roundtrip-lm", {"exhaustive_n": [8]}),
     ("hassett-special", {"ns": [9]}),
-    ("chambers-vs-grid", {"plans": [["qn", 4, 3000]]}),
-    ("chambers-vs-grid", {"plans": [["qn", 7, 2]]}),
 ])
 def test_suite_catalogues_over_the_work_bound_exit_2(suite, bounds):
     # millions of partitions or chain shapes, or billions of grid candidates
