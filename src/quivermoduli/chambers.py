@@ -62,12 +62,12 @@ import functools
 import itertools
 import os
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import ge, gt, itemgetter, le, lt, neg
 from typing import Optional, Sequence, Union
 
 from .lp import equality_row, strict_interior_point, strict_row
-from .projline import _Frozen
+from .projline import _Frozen, _rat, _scaled
 
 _set = object.__setattr__
 
@@ -107,23 +107,13 @@ def max_work() -> int:
     raise SettingError(f"QML_MAX_WORK must be an integer >= 1, got {raw!r}")
 
 
-def check_work(count: int, what: str) -> None:
+def check_work(count, what: str) -> None:
     """Raise TooLargeError if a catalogue of `count` items (`what`, a plural
-    noun phrase) exceeds max_work()."""
+    noun phrase) exceeds max_work(); an early-stopped (inf) or huge count reads "more than" it."""
     cap = max_work()
     if count > cap:
-        raise TooLargeError(f"{count} {what} exceed QML_MAX_WORK ({cap})")
-
-
-def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(m, nums): the lcm m of the denominators and each value times m, so
-    that the weight checks compare and add integers, not Fractions."""
-    m = lcm(*(v.denominator for v in values))
-    return m, [v.numerator * (m // v.denominator) for v in values]
+        shown = f"more than {cap}" if count >= cap << 64 else count
+        raise TooLargeError(f"{shown} {what} exceed QML_MAX_WORK ({cap})")
 
 
 def _field_hash_once(self) -> int:
@@ -149,7 +139,7 @@ class QnWeight(_Frozen):
         _set(self, "theta", th)
         if len(th) < 3:
             raise ValueError("hypersimplex weights need n >= 3")
-        m, nums = _over_lcm(th)
+        m, nums = _scaled(th)
         if any(a < 0 or a > m for a in nums):
             raise ValueError("coordinates must lie in [0, 1]")
         if sum(nums) != 2 * m:
@@ -179,12 +169,12 @@ class PnWeight(_Frozen):
         # a Fraction has the sign of its numerator
         if e1.numerator > 0 or e2.numerator > 0:
             raise ValueError("eta coordinates must be <= 0")
-        m, (a1, a2) = _over_lcm((e1, e2))
+        m, (a1, a2) = _scaled((e1, e2))
         if a1 + a2 != -m:
             raise ValueError("eta coordinates must sum to -1")
         if any(v.numerator < 0 for v in th):
             raise ValueError("theta coordinates must be >= 0")
-        m, nums = _over_lcm(th)
+        m, nums = _scaled(th)
         if sum(nums) != m:
             raise ValueError("theta coordinates must sum to 1")
 
@@ -500,7 +490,7 @@ def _row_signs(rows, x) -> tuple[int, ...]:
     """The sign (1, 0 or -1) of coeffs . x - rhs for each row, read off
     integers: over the common denominator m of x, m times the value is
     coeffs . (m x) - m rhs, an integer for integer rows."""
-    m, xs = _over_lcm(x)
+    m, xs = _scaled(x)
     signs = []
     for coeffs, rhs in rows:
         v = sum(c * xi for c, xi in zip(coeffs, xs)) - rhs * m
@@ -553,13 +543,13 @@ def _hyperplane_classes(eqs, hyps) -> list[list[int]]:
         return v
 
     for coeffs, rhs in eqs:
-        v = reduce(_over_lcm((*coeffs, -rhs))[1])
+        v = reduce(_scaled((*coeffs, -rhs))[1])
         p = next((k for k, a in enumerate(v) if a), None)
         if p is not None:
             basis.append((p, v))
     classes: dict[tuple, list[int]] = {}
     for k, (coeffs, rhs) in enumerate(hyps):
-        v = reduce(_over_lcm((*coeffs, -rhs))[1])
+        v = reduce(_scaled((*coeffs, -rhs))[1])
         if any(v[:-1]):
             g = gcd(*v)
             if next(a for a in v if a) < 0:
@@ -978,7 +968,7 @@ class HassettPolytope(_Frozen):
     def __init__(self, a: tuple[Fraction, ...]):
         a = tuple(_rat(v) for v in a)
         _set(self, "a", a)
-        den, nums = _over_lcm(a)
+        den, nums = _scaled(a)
         if any(v <= 0 or v > den for v in nums):
             raise ValueError("weights must satisfy 0 < a_i <= 1")
         if sum(nums) <= 2 * den:

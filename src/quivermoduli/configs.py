@@ -13,22 +13,23 @@ target, so neither may call the other.
 """
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional, Sequence, Union
 
 from .chambers import PnWeight, QnWeight, StabPolytope, TooLargeError, PN, QN, max_work
 from .projline import (
     INF_POINT,
+    DegenerateTripleError,
     IPoint,
     Moebius,
     ProjPoint,
     Section,
     ZERO_POINT,
+    _chart_row,
+    _det_row,
     _Frozen,
-    moebius_from_triple,
+    _points,
+    _scaled,
     moebius_two_point,
     pp_eq,
 )
@@ -77,7 +78,7 @@ class QnConfig(_Frozen):
             return self._dets
         except AttributeError:
             pts = [s.ihom for s in _require_points(self)]
-            table = tuple([tuple([a0 * b1 - a1 * b0 for b0, b1 in pts]) for a0, a1 in pts])
+            table = tuple([tuple(_det_row(a, pts)) for a in pts])
             _set(self, "_dets", table)
             return table
 
@@ -145,11 +146,6 @@ class Verdict(_Frozen):
         return self.kind != UNSTABLE
 
 
-def _scaled_theta(theta: Sequence[Fraction], extra: Sequence[Fraction] = ()) -> tuple[list[int], list[int], int]:
-    d = lcm(*(f.denominator for f in itertools.chain(theta, extra)))
-    return [int(f * d) for f in theta], [int(f * d) for f in extra], d
-
-
 @lru_cache(maxsize=8192)
 def _weight_tables(weight) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Integer-scaled coordinates and subset-sum table of a weight.
@@ -158,11 +154,11 @@ def _weight_tables(weight) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int,
     cap = max_work()
     if 1 << weight.n > cap:
         raise TooLargeError(f"a stability table of 2^{weight.n} subset sums exceeds QML_MAX_WORK ({cap})")
-    if isinstance(weight, QnWeight):
-        t, extra, d = _scaled_theta(weight.theta, (Fraction(1),))
-    else:
-        t, extra, d = _scaled_theta(weight.theta, (-weight.eta1, -weight.eta2, Fraction(1)))
-    n = len(t)
+    # the extra values end in 1, which scales to the common denominator
+    extra = (1,) if isinstance(weight, QnWeight) else (-weight.eta1, -weight.eta2, 1)
+    n = weight.n
+    _, nums = _scaled((*weight.theta, *extra))
+    t, extra = nums[:n], nums[n:]
     pre = [0] * (1 << n)
     for i in range(n):
         bit = 1 << i
@@ -346,27 +342,56 @@ def _require_points(config: Config) -> tuple[ProjPoint, ...]:
 
 
 def normalize_chart_qn(config: QnConfig, triple: Sequence[int]) -> QnConfig:
-    """Apply the Moebius sending the three chosen sections to (0:1), (1:0),
-    (1:1); all other sections are transformed along."""
-    secs = _require_points(config)
+    """The sections with the three chosen ones sent to (0:1), (1:0), (1:1):
+    the chart rule `projline._chart_row` on two rows of `dets`, no map built."""
+    d = config.dets
     i1, i2, i3 = triple
-    m = moebius_from_triple(secs[i1], secs[i2], secs[i3])
-    return QnConfig(tuple(m.apply(s) for s in secs))
+    for a, b in ((i1, i2), (i1, i3), (i2, i3)):
+        if not d[a][b]:
+            raise DegenerateTripleError(f"reference points coincide: {config.sections[a]}")
+    return QnConfig(_points(_chart_row(d[i1], d[i2], i3)))
 
 
-def _pn_rows(
-    config_a: PnConfig, config_b: PnConfig, i: Optional[int], j: Optional[int]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The anchor rows (xa, ya, xb, yb) of two double-star charts, whose
-    anchors are (0:1) and (1:0) (so i and j must be omitted): x[k] = -s_k0
-    and y[k] = s_k1.  Validates the first chart, then the second."""
-    rows = []
-    for config in (config_a, config_b):
-        secs = _require_points(config)
-        if i is not None or j is not None:
-            raise ValueError("double-star configurations have fixed anchors; omit i and j")
-        rows += [-s.ihom[0] for s in secs], [s.ihom[1] for s in secs]
-    return tuple(rows)
+def _agreeing_rows(
+    config_a: Config, config_b: Config, i: Optional[int], j: Optional[int]
+) -> Optional[tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]]:
+    """The anchor rows (xa, ya, xb, yb) of `check_limit_equations`, checked
+    in the order its docstring gives, if they satisfy the equations."""
+    if type(config_a) is not type(config_b) or len(config_a.sections) != len(config_b.sections):
+        raise ValueError("configurations must share a mode and a size")
+    if type(config_a) is PnConfig:
+        rows = []
+        for config in (config_a, config_b):
+            pts = [s.ihom for s in _require_points(config)]
+            if i is not None or j is not None:
+                raise ValueError("double-star configurations have fixed anchors; omit i and j")
+            rows += _det_row(ZERO_POINT.ihom, pts), _det_row(INF_POINT.ihom, pts)
+        xa, ya, xb, yb = rows
+    else:
+        da = config_a.dets
+        if i is None or j is None or i == j:
+            raise ValueError("two distinct anchor indices are required")
+        if not (0 <= i < len(da) and 0 <= j < len(da)):
+            raise ValueError(f"anchor indices {i} and {j} must lie in range({len(da)})")
+        if not da[i][j]:
+            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
+        db = config_b.dets
+        if not db[i][j]:
+            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
+        xa, ya, xb, yb = da[i], da[j], db[i], db[j]
+    # the first pair other than (0, 0) fixes the value (r0 : r1); a later
+    # pair (0, 0) passes the comparison
+    pairs = zip(xa, yb, ya, xb)
+    for p, q, s, t in pairs:
+        r0, r1 = p * q, s * t
+        if r0 or r1:
+            break
+    else:
+        return xa, ya, xb, yb
+    for p, q, s, t in pairs:
+        if p * q * r1 != s * t * r0:
+            return None
+    return xa, ya, xb, yb
 
 
 def check_limit_equations(
@@ -390,35 +415,7 @@ def check_limit_equations(
     Checks mode and size first, then the first chart (zero sections,
     anchor indices, coinciding anchors), then the second.
     """
-    if type(config_a) is not type(config_b) or len(config_a.sections) != len(config_b.sections):
-        raise ValueError("configurations must share a mode and a size")
-    if type(config_a) is PnConfig:
-        xa, ya, xb, yb = _pn_rows(config_a, config_b, i, j)
-    else:
-        da = config_a.dets
-        if i is None or j is None or i == j:
-            raise ValueError("two distinct anchor indices are required")
-        if not (0 <= i < len(da) and 0 <= j < len(da)):
-            raise ValueError(f"anchor indices {i} and {j} must lie in range({len(da)})")
-        if not da[i][j]:
-            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
-        db = config_b.dets
-        if not db[i][j]:
-            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
-        xa, ya, xb, yb = da[i], da[j], db[i], db[j]
-    # the first pair other than (0, 0) fixes the value (r0 : r1); a later
-    # pair (0, 0) passes the comparison
-    pairs = zip(xa, yb, ya, xb)
-    for p, q, s, t in pairs:
-        r0, r1 = p * q, s * t
-        if r0 or r1:
-            break
-    else:
-        return True
-    for p, q, s, t in pairs:
-        if p * q * r1 != s * t * r0:
-            return False
-    return True
+    return _agreeing_rows(config_a, config_b, i, j) is not None
 
 
 class GluedFiber(_Frozen):
@@ -465,17 +462,16 @@ def _normalizing_matrix(p: ProjPoint, q: ProjPoint, x: int, y: int) -> tuple[int
 def glue_fiber(
     config_a: Config, config_b: Config, i: Optional[int] = None, j: Optional[int] = None
 ) -> GluedFiber:
-    """Glue two equation-compatible charts into their common fiber curve."""
-    if not check_limit_equations(config_a, config_b, i, j):
+    """Glue two equation-compatible charts into their common fiber curve;
+    EquationsFailError where `check_limit_equations` is False."""
+    rows = _agreeing_rows(config_a, config_b, i, j)
+    if rows is None:
         raise EquationsFailError("configurations are not related by the cross-chart equations")
-    # the rows checked above, read again
+    xa, ya, xb, yb = rows
     if type(config_a) is PnConfig:
-        xa, ya, xb, yb = _pn_rows(config_a, config_b, i, j)
         pa = pb = ZERO_POINT
         qa = qb = INF_POINT
     else:
-        da, db = config_a.dets, config_b.dets
-        xa, ya, xb, yb = da[i], da[j], db[i], db[j]
         pa, qa = config_a.sections[i], config_a.sections[j]
         pb, qb = config_b.sections[i], config_b.sections[j]
     n = len(xa)

@@ -11,10 +11,13 @@ component).
 
 Every stable object is encoded by its chart coordinates: contract the tree
 onto the unique component where three chosen marks stay distinct and
-normalize those marks to (0:1), (1:0), (1:1).  The resulting family of
-normalized configurations satisfies exact polynomial identities, and the
-tree can be rebuilt from the family alone; `reconstruct_tree` inverts
-`moduli_coordinates` exactly.
+normalize those marks to (0:1), (1:0), (1:1); a chain's chart normalizes
+the two anchors and one mark.  Both are read off integer determinant rows by
+the one chart rule `projline._chart_row`, with no Moebius map.  The
+resulting family of normalized configurations satisfies exact polynomial
+identities, and the tree can be rebuilt from the family alone;
+`reconstruct_tree` inverts `moduli_coordinates` and `lm_moduli_coordinates`
+exactly.
 """
 from __future__ import annotations
 
@@ -35,8 +38,10 @@ from .projline import (
     ONE_POINT,
     ZERO_POINT,
     ProjPoint,
+    _chart_row,
+    _det_row,
     _Frozen,
-    moebius_from_triple,
+    _points,
     moebius_two_point,
 )
 
@@ -321,19 +326,11 @@ def contract_gamma(tree: PointedTree, keep: Iterable[int]) -> PointedTree:
     )
 
 
-def _det_row(pts: Sequence[tuple[int, int]], u: int) -> list[int]:
-    """Row u of the determinant table D[u][v] = idet(x_u, x_v) of the
-    integer pairs x_u of mark images on one component, u and v positions in
-    label order.  Marks u and v coincide on the component exactly when
-    D[u][v] = 0."""
-    a0, a1 = pts[u]
-    return [a0 * b1 - a1 * b0 for b0, b1 in pts]
-
-
 def _det_table(img: dict[int, ProjPoint]) -> list[list[int]]:
-    """The determinant table of one component of `mark_images`."""
+    """The table D[u][v] = idet(x_u, x_v) of the mark images x_u on one
+    component of `mark_images`, which is 0 where marks u and v coincide."""
     pts = [p.ihom for p in img.values()]
-    return [_det_row(pts, u) for u in range(len(pts))]
+    return [_det_row(a, pts) for a in pts]
 
 
 def _separating_table(
@@ -352,28 +349,13 @@ def _separating_table(
     return found
 
 
-def _chart_row(dp: list[int], dq: list[int], r: int) -> list[tuple[int, int]]:
-    """The chart of the ordering (p, q, r) read off rows p and q of a table
-    D, as integer pairs.  The Moebius map sending marks p, q, r to (0:1),
-    (1:0), (1:1) sends mark k to (x0 : x1) = (D[p][k] D[q][r] : D[p][r] D[q][k]),
-    the identity of `projline.cross_ratio`; no map is built."""
-    cq, cp = dq[r], dp[r]
-    return [(x * cq, cp * y) for x, y in zip(dp, dq)]
-
-
-def _points(pairs: list[tuple[int, int]]) -> tuple[ProjPoint, ...]:
-    """The points of nonzero integer pairs; a pair with a zero entry is the
-    shared ZERO_POINT or INF_POINT, every other one a new ProjPoint."""
-    return tuple([ProjPoint(a, b) if a and b else INF_POINT if a else ZERO_POINT
-                  for a, b in pairs])
-
-
 def _chart_pairs(tree: PointedTree, mode: str):
     """(ordering, integer pairs) of every chart of a tree labelled 0..n-1,
     triple by triple, each triple's orderings in `itertools.permutations`
     order.  For p < q < r only the row (x0 : x1) of (p, q, r) is read off
-    the table; the other five orderings are its images under the anharmonic
-    S3 action on P1, integer unimodular maps of each pair."""
+    the table, by `_chart_row` from rows p and q; the other five orderings
+    are its images under the anharmonic S3 action on P1, integer unimodular
+    maps of each pair."""
     tables = [_det_table(img) for img in mark_images(tree).values()]
     for p, q, r in itertools.combinations(range(tree.n), 3):
         d = _separating_table(tables, p, q, r, (p, q, r))
@@ -496,6 +478,23 @@ def moduli_coordinates(
     return LimitFamily(mode, tree.n, charts, aw)
 
 
+def _diagonal_row(pts: Sequence[tuple[int, int]], r: int) -> list[tuple[int, int]]:
+    """The chart rule for the anchors (0:1), (1:0) and c = pts[r], whose
+    determinant rows are (-x0) and (x1): the diagonal map x -> (x0 c1 : c0 x1)."""
+    return _chart_row(_det_row(ZERO_POINT.ihom, pts), _det_row(INF_POINT.ihom, pts), r)
+
+
+def _lm_chart_pairs(chain: Chain):
+    """(label, integer pairs) of every chart of a chain labelled 0..n-1, in
+    label order.  The chart of mark i contracts the chain onto the component
+    of i, where marks of earlier components sit at (0:1) and marks of later
+    ones at (1:0), and sends i to (1:1) by `_diagonal_row`."""
+    places = sorted((lb, ci, p.ihom) for ci, comp in enumerate(chain.components) for lb, p in comp)
+    for i, ci, _ in places:
+        pts = [(0, 1) if cj < ci else (1, 0) if cj > ci else x for _, cj, x in places]
+        yield i, _diagonal_row(pts, i)
+
+
 def lm_moduli_coordinates(chain: Chain) -> LimitFamily:
     """Chart coordinates of a stable chain: contract onto the component of
     each mark, collapsing earlier components to (0:1) and later ones to
@@ -504,28 +503,8 @@ def lm_moduli_coordinates(chain: Chain) -> LimitFamily:
         raise UnstableInputError("chain is not stable")
     if chain.labels != tuple(range(chain.n)):
         raise ValueError("chart families require mark labels 0..n-1")
-    n = chain.n
-    comp_of = {}
-    point_of = {}
-    for ci, comp in enumerate(chain.components):
-        for lb, p in comp:
-            comp_of[lb] = ci
-            point_of[lb] = p
-    charts: dict[int, tuple[ProjPoint, ...]] = {}
-    for i in range(n):
-        ci = comp_of[i]
-        scale = moebius_from_triple(ZERO_POINT, INF_POINT, point_of[i])
-        row = []
-        for j in range(n):
-            cj = comp_of[j]
-            if cj < ci:
-                row.append(ZERO_POINT)
-            elif cj > ci:
-                row.append(INF_POINT)
-            else:
-                row.append(scale.apply(point_of[j]))
-        charts[i] = tuple(row)
-    return LimitFamily(LM, n, charts)
+    charts = {i: _points(pairs) for i, pairs in _lm_chart_pairs(chain)}
+    return LimitFamily(LM, chain.n, charts)
 
 
 def _degree_numerator(blocks: Iterable[Iterable[int]], nums: Sequence[int], den: int) -> int:
@@ -832,8 +811,8 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
 
 
 def _charts_match(charts: Mapping, rows) -> bool:
-    """Whether `charts` has the keys of the (ordering, integer pairs) `rows`
-    and for each a tuple of ProjPoints equal to the pairs by
+    """Whether `charts` has the keys of the (key, integer pairs) `rows` and
+    for each a tuple of ProjPoints equal to the pairs by
     cross-multiplication; the row-shape condition checked the lengths."""
     count = 0
     for key, pairs in rows:
@@ -850,54 +829,40 @@ def _charts_match(charts: Mapping, rows) -> bool:
     return count == len(charts)
 
 
-def _diag_rescale(row: Sequence[ProjPoint], index: int) -> Optional[tuple[ProjPoint, ...]]:
-    s = row[index]
-    if s == ZERO_POINT or s == INF_POINT:
-        return None
-    m = moebius_from_triple(ZERO_POINT, INF_POINT, s)
-    return tuple(m.apply(p) for p in row)
+def _same_component(rep: Sequence[ProjPoint], row: Sequence[ProjPoint], i: int) -> bool:
+    """Whether `row`, the chart of mark i, is `rep` rescaled by `_diagonal_row`
+    to put i at (1:1), by cross-multiplication (never if rep[i] is 0 or inf)."""
+    c0, c1 = rep[i].ihom
+    pairs = _diagonal_row([x.ihom for x in rep], i)
+    return bool(c0 and c1) and all(a * y.ihom[1] == b * y.ihom[0] for (a, b), y in zip(pairs, row))
 
 
 def _reconstruct_chain(family: LimitFamily) -> Chain:
     n = family.n
     groups: list[list[int]] = []
     for i in range(n):
-        placed = False
         for g in groups:
-            rescaled = _diag_rescale(family.charts[g[0]], i)
-            if rescaled is not None and rescaled == family.charts[i]:
+            if _same_component(family.charts[g[0]], family.charts[i], i):
                 g.append(i)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([i])
     # order groups from the zero end: a group earlier than this one shows up
     # at (0:1) in this group's chart
-    before_counts = []
-    for gi in range(len(groups)):
-        cnt = 0
-        for gj in range(len(groups)):
-            if gi != gj and family.charts[groups[gi][0]][groups[gj][0]] == ZERO_POINT:
-                cnt += 1
-        before_counts.append(cnt)
+    leads = [g[0] for g in groups]
+    before_counts = [sum(j != i and family.charts[i][j] == ZERO_POINT for j in leads) for i in leads]
     if sorted(before_counts) != list(range(len(groups))):
         raise InconsistentFamilyError("chain-order", tuple(before_counts))
-    order = sorted(range(len(groups)), key=lambda gi: before_counts[gi])
-    comps = []
-    for gi in order:
-        g = sorted(groups[gi])
-        rep = family.charts[g[0]]
-        comps.append(tuple((lb, rep[lb]) for lb in g))
-    chain = Chain(tuple(comps))
+    # each group lists its marks in increasing order, its lead first
+    ordered = sorted(zip(before_counts, groups))
+    chain = Chain(tuple(tuple((lb, family.charts[g[0]][lb]) for lb in g) for _, g in ordered))
     try:
         validate_chain(chain)
     except ValueError as exc:
         raise InconsistentFamilyError("chain-shape", str(exc))
-    try:
-        rebuilt = lm_moduli_coordinates(chain)
-    except UnstableInputError:
+    if not is_lm_stable(chain):
         raise InconsistentFamilyError("stability", None)
-    if rebuilt != family:
+    if family.a is not None or not _charts_match(family.charts, _lm_chart_pairs(chain)):
         raise InconsistentFamilyError("round-trip", None)
     return chain
 
@@ -946,18 +911,20 @@ def tree_isomorphic(t1: PointedTree, t2: PointedTree) -> bool:
         rows = []
         for img in (img1[c], img2[match[c]]):
             pts = [x.ihom for x in img.values()]
-            rows.append(_points(_chart_row(_det_row(pts, p), _det_row(pts, q), r)))
+            rows.append(_points(_chart_row(_det_row(pts[p], pts), _det_row(pts[q], pts), r)))
         if rows[0] != rows[1]:
             return False
     return True
 
 
 def chain_canonical(chain: Chain) -> Chain:
-    """Rescale each component so its least mark sits at (1:1)."""
+    """Rescale each component so its least mark sits at (1:1)
+    (`_diagonal_row`); a chain that `validate_chain` refuses raises."""
+    validate_chain(chain)
     comps = []
     for comp in chain.components:
-        m = moebius_from_triple(ZERO_POINT, INF_POINT, comp[0][1])
-        comps.append(tuple((lb, m.apply(p)) for lb, p in comp))
+        pts = _points(_diagonal_row([p.ihom for _, p in comp], 0))
+        comps.append(tuple(zip((lb for lb, _ in comp), pts)))
     return Chain(tuple(comps))
 
 

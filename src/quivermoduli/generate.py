@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .chambers import QnWeight, check_work
+from .chambers import QnWeight, check_work, max_work
 from .curves import Chain, PointedTree, TreeEdge, is_a_stable, validate_tree
 from .projline import INF_POINT, ProjPoint, affine
 
@@ -74,19 +74,23 @@ def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
         yield [[first]] + part
 
 
-def _stirling_row(n: int) -> list[int]:
-    """S(n, k) for k = 0..n: the set partitions of n items into k blocks."""
+def _partition_count(n: int, weight, cap: Optional[int]):
+    """The sum over k of S(n, k) weight(k), S(n, k) the partitions of n items
+    into k blocks.  With weight positive and growing in k the sum grows with
+    n (add a singleton block), so once it passes `cap` at fewer items, inf."""
     row = [1]
     for _ in range(n):
+        if cap is not None and sum(s * weight(k) for k, s in enumerate(row)) > cap:
+            return inf
         row = [k * a + b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
-    return row
+    return sum(s * weight(k) for k, s in enumerate(row))
 
 
-def count_set_partitions(n: int, anchored: bool = False) -> int:
+def count_set_partitions(n: int, anchored: bool = False, cap: Optional[int] = None):
     """How many partitions set_partitions(range(n)) yields; with `anchored`,
     how many (partition, pn_decorations) pairs, as k blocks take
-    k^2 + k + 1 anchor choices."""
-    return sum(s * (k * k + k + 1 if anchored else 1) for k, s in enumerate(_stirling_row(n)))
+    k^2 + k + 1 anchor choices.  With `cap`, see `_partition_count`."""
+    return _partition_count(n, (lambda k: k * k + k + 1) if anchored else (lambda k: 1), cap)
 
 
 def pn_decorations(blocks: Sequence[Sequence[int]]):
@@ -150,8 +154,9 @@ def splits_compatible(n: int, a: Sequence[int], b: Sequence[int]) -> bool:
     return sa <= sb or sb <= sa or not (sa & sb) or sa | sb == set(range(n))
 
 
-def count_split_systems(n: int) -> int:
-    """How many split systems enumerate_split_systems(n) yields.
+def count_split_systems(n: int, cap: Optional[int] = None):
+    """How many split systems enumerate_split_systems(n) yields; with `cap`,
+    inf once t[m] passes it for some m < n - 1 (t grows with m).
 
     Rooted at the last mark, a shape is a rooted tree on the other
     m = n - 1 marks whose inner vertices have two or more children; t[m]
@@ -162,6 +167,8 @@ def count_split_systems(n: int) -> int:
     of the t[m] trees, and the term j = m is t[m] again, so f[m] = 2 t[m]."""
     t, f = [0, 1], [1, 1]
     for m in range(2, n):
+        if cap is not None and t[m - 1] > cap:
+            return inf
         t.append(sum(comb(m - 1, j - 1) * t[j] * f[m - j] for j in range(1, m)))
         f.append(2 * t[m])
     return t[max(n - 1, 1)]
@@ -170,7 +177,7 @@ def count_split_systems(n: int) -> int:
 def enumerate_split_systems(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """All pairwise-compatible sets of splits, i.e. all stable tree shapes;
     their number counts against QML_MAX_WORK."""
-    check_work(count_split_systems(n), f"split systems on {n} marks")
+    check_work(count_split_systems(n, max_work()), f"split systems on {n} marks")
     splits = all_splits(n)
     out: list[tuple[tuple[int, ...], ...]] = []
 
@@ -291,17 +298,17 @@ def random_gk_tree(rng: Rng, n: int) -> PointedTree:
 # Chains.
 
 
-def count_chain_shapes(n: int) -> int:
+def count_chain_shapes(n: int, cap: Optional[int] = None):
     """How many shapes enumerate_chain_shapes yields on n labels: the
-    ordered set partitions."""
-    return sum(s * factorial(k) for k, s in enumerate(_stirling_row(n)))
+    ordered set partitions.  With `cap`, see `_partition_count`."""
+    return _partition_count(n, factorial, cap)
 
 
 def enumerate_chain_shapes(labels: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
     """All ordered set partitions of the labels (chain component contents);
     their number counts against QML_MAX_WORK."""
     labels = list(labels)
-    check_work(count_chain_shapes(len(labels)), f"chain shapes on {len(labels)} marks")
+    check_work(count_chain_shapes(len(labels), max_work()), f"chain shapes on {len(labels)} marks")
     out = []
     for part in set_partitions(labels):
         for perm in itertools.permutations(range(len(part))):

@@ -57,9 +57,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from numbers import Rational
 from typing import Optional, Sequence
+
+from .projline import _scaled
 
 ZERO = Fraction(0)
 
@@ -227,12 +228,9 @@ class TableauRow(tuple):
 
 def _prepare(coeffs, rhs, slack) -> TableauRow:
     """The row of coeffs . x (<= or =) rhs; `slack` is 1 or 0.  All-integer
-    rows keep their entries, and a row holding a Fraction is scaled by the
-    lcm of its denominators."""
-    row = (*coeffs, rhs)
-    if Fraction in map(type, row):
-        m = lcm(*(v.denominator for v in row))
-        row = tuple(v.numerator * (m // v.denominator) for v in row)
+    rows keep their entries, and a row holding a Fraction is scaled to
+    integers over its least common denominator."""
+    _, row = _scaled((*coeffs, rhs))
     if row[-1] < 0:
         return TableauRow((*(-v for v in row[:-1]), -slack, -row[-1]))
     return TableauRow((*row[:-1], slack, row[-1]))
@@ -343,9 +341,8 @@ def _solve(c, ub, eq, support=None, unique=None):
                     tab.pivot(i, min(nonzero, key=cols.__getitem__))
         tab.drop_from(first_art)
 
-    mden = lcm(*(v.denominator for v in c)) if c else 1
-    cost = [v.numerator * (mden // v.denominator) for v in c] + [0] * len(ub)
-    tab.set_objective(cost)
+    mden, cost = _scaled(c)
+    tab.set_objective(cost + [0] * len(ub))
     status = tab.optimize()
     if status != OPTIMAL:
         return UNBOUNDED, None, None

@@ -9,6 +9,10 @@ read-only view (`c0`, `c1`, `m00` ... `m11`) for printing and serializing.
 All values are immutable and all operations are pure; the operations and the
 hot loops elsewhere compute on the integers, the latter through the small
 integer toolkit at the end.
+
+The toolkit holds the one chart rule `_chart_row`, which every chart in the
+package reads instead of building a map, and the one exact rational `_rat`
+with its scaling to integers `_scaled`.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ class IndeterminateError(ValueError):
 
 
 def _rat(x) -> Fraction:
+    """x as a Fraction: only an int, a Fraction or a string of one is exact."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
@@ -34,13 +39,20 @@ def _rat(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {x!r}")
 
 
-def _int_row(values) -> list[int]:
-    """Exact rationals as integers with one positive common factor."""
-    if all(type(v) is int for v in values):
-        return list(values)
-    rats = [_rat(v) for v in values]
-    den = lcm(*(r.denominator for r in rats))
-    return [r.numerator * (den // r.denominator) for r in rats]
+_INT = {int}
+_INT_OR_FRACTION = {int, Fraction}
+
+
+def _scaled(values: Sequence) -> tuple[int, list[int]]:
+    """(den, nums): exact rationals as integers nums over their least common
+    denominator den; ints are their own numerators over 1."""
+    types = {*map(type, values)}
+    if types == _INT:
+        return 1, list(values)
+    if not types <= _INT_OR_FRACTION:
+        values = [_rat(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 _ZERO = Fraction(0)
@@ -144,7 +156,7 @@ class ProjPoint(_Frozen):
     def __post_init__(self):
         x0, x1 = self.ihom
         if type(x0) is not int or type(x1) is not int:
-            x0, x1 = _int_row((x0, x1))
+            _, (x0, x1) = _scaled((x0, x1))
         g = gcd(x0, x1)
         if not g:
             raise ValueError("(0:0) is not a projective point")
@@ -220,7 +232,7 @@ class Moebius(_Frozen):
     def __init__(self, m00, m01, m10, m11):
         e = (m00, m01, m10, m11)
         if not (type(m00) is int and type(m01) is int and type(m10) is int and type(m11) is int):
-            e = _int_row(e)
+            _, e = _scaled(e)
         i00, i01, i10, i11 = e
         if i00 * i11 - i01 * i10 == 0:
             raise ValueError("singular matrix does not define a Moebius transformation")
@@ -346,3 +358,27 @@ IPoint = tuple[int, int]
 
 def idet(a: IPoint, b: IPoint) -> int:
     return a[0] * b[1] - a[1] * b[0]
+
+
+def _det_row(a: IPoint, pts: Sequence[IPoint]) -> list[int]:
+    """The row [idet(a, x) for x in pts]; x coincides with a exactly where it
+    is 0.  For pts[u] as a it is row u of the determinant table of pts, and
+    for the anchors (0:1) and (1:0) it is (-x0) and (x1)."""
+    a0, a1 = a
+    return [a0 * b1 - a1 * b0 for b0, b1 in pts]
+
+
+def _chart_row(dp: Sequence[int], dq: Sequence[int], r: int) -> list[tuple[int, int]]:
+    """The chart rule: from the determinant rows dp and dq of points p and q,
+    the map sending p, q and point r to (0:1), (1:0), (1:1) sends point k to
+    (dp[k] dq[r] : dp[r] dq[k]), as integer pairs (the identity of
+    `cross_ratio`).  The pairs are nonzero when p, q, r are distinct."""
+    cq, cp = dq[r], dp[r]
+    return [(x * cq, cp * y) for x, y in zip(dp, dq)]
+
+
+def _points(pairs: Sequence[tuple[int, int]]) -> tuple[ProjPoint, ...]:
+    """The points of nonzero integer pairs; a pair with a zero entry is the
+    shared ZERO_POINT or INF_POINT, every other one a new ProjPoint."""
+    return tuple([ProjPoint(a, b) if a and b else INF_POINT if a else ZERO_POINT
+                  for a, b in pairs])

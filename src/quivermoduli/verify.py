@@ -13,6 +13,7 @@ import itertools
 import random
 import zlib
 from fractions import Fraction
+from math import inf
 from typing import Callable, Optional
 
 from . import chambers, configs, curves, generate
@@ -30,6 +31,7 @@ from .chambers import (
     cover_check,
     enumerate_chambers,
     enumerate_walls,
+    max_work,
     project_weight_to_pn,
     wall_relative_interior_point,
     wall_value,
@@ -118,15 +120,14 @@ class _Report:
 
 
 def _qn_partition_configs(n: int):
-    check_work(count_set_partitions(n), f"set partitions of {n} marks")
-    for part in set_partitions(range(n)):
-        blocks = [tuple(sorted(b)) for b in part]
-        pts = config_points_for_partition(blocks, n)
-        yield blocks, QnConfig(tuple(pts))
+    # not a generator, so the work check runs on the call
+    check_work(count_set_partitions(n, cap=max_work()), f"set partitions of {n} marks")
+    parts = ([tuple(sorted(b)) for b in part] for part in set_partitions(range(n)))
+    return ((blocks, QnConfig(tuple(config_points_for_partition(blocks, n)))) for blocks in parts)
 
 
 def _pn_partition_configs(n: int):
-    check_work(count_set_partitions(n, anchored=True), f"anchored set partitions of {n} marks")
+    check_work(count_set_partitions(n, anchored=True, cap=max_work()), f"anchored set partitions of {n} marks")
     for part in set_partitions(range(n)):
         blocks = [tuple(sorted(b)) for b in part]
         for j0, jinf in pn_decorations(blocks):
@@ -213,12 +214,13 @@ def suite_stability_oracle(rep: _Report, seed: int, bounds: dict) -> None:
 
 def suite_theta_polytope(rep: _Report, seed: int, bounds: dict) -> None:
     for n in bounds.get("ns", (4, 5, 6)):
+        partition_configs = _qn_partition_configs(n)
         vertex_weights = {}
         for i, j in itertools.combinations(range(n), 2):
             theta = [Fraction(0)] * n
             theta[i] = theta[j] = Fraction(1)
             vertex_weights[(i, j)] = QnWeight(tuple(theta))
-        for blocks, cfg in _qn_partition_configs(n):
+        for blocks, cfg in partition_configs:
             poly = theta_polytope(cfg)
             verts, _ = chambers.stability_polytope(poly)
             got = {
@@ -317,8 +319,11 @@ def suite_chambers_vs_grid(rep: _Report, seed: int, bounds: dict) -> None:
         "plans", ((QN, 4, 8), (QN, 5, 12), (PN, 2, 8), (PN, 3, 8))
     )
     for mode, n, den in plans:
-        # (den - 1)^(n - 1) candidates, and den - 1 values of h for pn
-        check_work(max(den - 1, 0) ** (n if mode == PN else n - 1), f"grid candidates of plan {[mode, n, den]}")
+        # (den - 1)^(n - 1) candidates, and den - 1 values of h for pn; a
+        # power of 2^64 times the cap or more (base >= 2^(bits - 1)) is not computed
+        base, exp = max(den - 1, 0), n if mode == PN else n - 1
+        far = base > 1 and exp * (base.bit_length() - 1) >= max_work().bit_length() + 64
+        check_work(inf if far else base ** exp, f"grid candidates of plan {[mode, n, den]}")
         walls = enumerate_walls(mode, n)
         chs = enumerate_chambers(mode, n)
         check_work(len(chs) * (len(chs) - 1) // 2, f"chamber pairs of {mode} n = {n}")
@@ -404,12 +409,14 @@ def suite_chambers_vs_grid(rep: _Report, seed: int, bounds: dict) -> None:
 
 def suite_chart_stability(rep: _Report, seed: int, bounds: dict) -> None:
     max_n = bounds.get("max_n", 6)
-    # the whole catalogue, before its small sizes run
-    check_work(
-        sum(count_set_partitions(n) for n in range(3, max_n + 1))
-        + sum(count_set_partitions(n, anchored=True) for n in range(1, max_n + 1)),
-        f"set partitions of up to {max_n} marks",
-    )
+    # the whole catalogue, before its small sizes run; the counts grow with
+    # n, so the first one past the cap ends the sum
+    total, cap = 0, max_work()
+    for n in range(1, max_n + 1):
+        total += count_set_partitions(n, anchored=True, cap=cap) + (count_set_partitions(n, cap=cap) if n >= 3 else 0)
+        if total == inf:
+            break
+    check_work(total, f"set partitions of up to {max_n} marks")
     for n in range(3, max_n + 1):
         for blocks, cfg in _qn_partition_configs(n):
             block_of = {}
@@ -466,7 +473,7 @@ def _gk_corpus(seed: int, bounds: dict):
     ns = bounds.get("exhaustive_n", (3, 4, 5))
     # every tree drawn counts, before the first is built
     check_work(
-        per_shape * sum(map(count_split_systems, ns)),
+        per_shape * sum(count_split_systems(n, max_work()) for n in ns),
         f"trees ({per_shape} per split system on {list(ns)} marks)",
     )
     for n in ns:
@@ -500,7 +507,7 @@ def suite_roundtrip_lm(rep: _Report, seed: int, bounds: dict) -> None:
     per_shape = bounds.get("per_shape", 3)
     ns = bounds.get("exhaustive_n", (1, 2, 3, 4, 5))
     check_work(
-        per_shape * sum(map(count_chain_shapes, ns)),
+        per_shape * sum(count_chain_shapes(n, max_work()) for n in ns),
         f"chains ({per_shape} per chain shape on {list(ns)} marks)",
     )
     for n in ns:
@@ -581,7 +588,7 @@ def suite_hassett_special(rep: _Report, seed: int, bounds: dict) -> None:
     per_shape = bounds.get("per_shape", 5)
     ns = bounds.get("ns", (3, 4, 5))
     check_work(
-        per_shape * sum(count_split_systems(n) + count_chain_shapes(n - 2) for n in ns),
+        per_shape * sum(count_split_systems(n, max_work()) + count_chain_shapes(n - 2, max_work()) for n in ns),
         f"trees and chains ({per_shape} per split system or heavy chain shape"
         f" on {list(ns)} marks)",
     )
@@ -701,8 +708,7 @@ def _admissible_anchor_pairs(cfg_a: QnConfig, cfg_b: QnConfig):
 
 
 def suite_limit_equations(rep: _Report, seed: int, bounds: dict) -> None:
-    corpus_bounds = bounds.get("corpus", {"exhaustive_n": (3, 4, 5), "per_shape": 200, "random": {6: 300, 7: 200}})
-    for tree in _gk_corpus(seed, corpus_bounds):
+    for tree in _gk_corpus(seed, bounds.get("corpus", {})):
         fam = moduli_coordinates(tree, GK)
         active = fam.active_sets()
         cfgs = {t: QnConfig(tuple(fam.charts[tuple(t)])) for t in active}
@@ -773,8 +779,7 @@ def suite_five_term(rep: _Report, seed: int, bounds: dict) -> None:
 
 
 def suite_covering(rep: _Report, seed: int, bounds: dict) -> None:
-    corpus_bounds = bounds.get("corpus", {"exhaustive_n": (3, 4, 5), "per_shape": 200, "random": {6: 300, 7: 200}})
-    for tree in _gk_corpus(seed, corpus_bounds):
+    for tree in _gk_corpus(seed, bounds.get("corpus", {})):
         fam = moduli_coordinates(tree, GK)
         covered, witness = charts_cover_hypersimplex(fam)
         rep.expect(covered, lambda: {"n": tree.n, "uncovered_triple": witness})
@@ -793,7 +798,7 @@ def suite_covering(rep: _Report, seed: int, bounds: dict) -> None:
                 lambda: {"n": n, "splits": splits, "witness": repr(witness)},
             )
     # weighted targets
-    for a, tree in _hassett_corpus(seed, bounds.get("hassett", {"ns": (3, 4, 5), "weights_per_n": 20, "trees_per_weight": 3})):
+    for a, tree in _hassett_corpus(seed, bounds.get("hassett", {})):
         fam = moduli_coordinates(tree, HASSETT, a)
         polys = [
             theta_polytope(QnConfig(tuple(fam.charts[tuple(t)])))

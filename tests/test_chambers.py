@@ -44,6 +44,7 @@ from quivermoduli.chambers import (
     _wall_row,
 )
 from quivermoduli.generate import pn_decorations, set_partitions
+from quivermoduli.projline import ProjPoint
 
 
 def test_weight_invariants():
@@ -53,6 +54,22 @@ def test_weight_invariants():
         QnWeight((F(1, 2),) * 3)
     with pytest.raises(ValueError):
         PnWeight(F(-1, 2), F(-1, 2), (F(1, 2), F(1, 4)))
+
+
+def test_weights_refuse_binary_floats():
+    # as a float, 0.1 is 3602879701896397/36028797018963968; weights take
+    # the exact rationals that points take
+    for make, args in (
+        (QnWeight, ((0.5, 0.5, 1.0),)),
+        (PnWeight, (-0.5, -0.5, (F(1),))),
+        (PnWeight, (F(-1, 2), F(-1, 2), (0.5, 0.5))),
+        (HassettPolytope, ((0.1, 1, 1, 1),)),
+        (ProjPoint, (0.5, 1)),
+    ):
+        with pytest.raises(TypeError, match="^expected an exact rational, got -?0\\.[15]$"):
+            make(*args)
+    assert QnWeight(("1/2", 1, F(1, 2))) == QnWeight((F(1, 2), F(1), F(1, 2)))
+    assert HassettPolytope(("1/10", 1, 1, 1)).a == (F(1, 10), F(1), F(1), F(1))
 
 
 def _verdict(make, *args):

@@ -413,6 +413,18 @@ def _qml(*argv, env=None):
     ("covering", {"corpus": {"exhaustive_n": [9]}}),
     ("roundtrip-lm", {"exhaustive_n": [8]}),
     ("hassett-special", {"ns": [9]}),
+    # counts too large to compute, or a grid count too long to print: each
+    # count stops once a partial count passes the bound
+    ("roundtrip-gk", {"exhaustive_n": [3000]}),
+    ("theta-polytope", {"ns": [100000]}),
+    ("roundtrip-lm", {"exhaustive_n": [100000]}),
+    ("chart-stability", {"max_n": 5000}),
+    ("chambers-vs-grid", {"plans": [["qn", 100000, 3]]}),
+    ("hassett-special", {"ns": [3000]}),
+    # 3^(10^8) would take minutes to compute, and so would ten million
+    # capped counts
+    ("chambers-vs-grid", {"plans": [["qn", 10**8 + 1, 4]]}),
+    ("chart-stability", {"max_n": 10**7}),
 ])
 def test_suite_catalogues_over_the_work_bound_exit_2(suite, bounds):
     # millions of partitions or chain shapes, or billions of grid candidates
@@ -422,6 +434,9 @@ def test_suite_catalogues_over_the_work_bound_exit_2(suite, bounds):
     assert r.returncode == 2 and r.stdout == "", r.stderr
     assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
     assert lines[0].endswith(" exceed QML_MAX_WORK (1000000)"), r.stderr
+    # a count is printed in digits only below 2^64 times the bound
+    count = lines[0].split()[1]
+    assert count == "more" or int(count) < 10**6 << 64, r.stderr
 
 
 def test_default_suite_follows_the_work_bound():

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -41,6 +42,7 @@ from quivermoduli.generate import (
 )
 from quivermoduli.projline import (
     INF_POINT,
+    DegenerateTripleError,
     Moebius,
     ONE_POINT,
     ProjPoint,
@@ -177,6 +179,18 @@ def test_normalize_chart_qn():
     assert out.sections[0] == cross_ratio(
         cfg.sections[1], cfg.sections[2], cfg.sections[3], cfg.sections[0]
     )
+    # the errors of moebius_from_triple, checked pair by pair in its order
+    for vals, triple, point in (
+        ((1, 1, 2), (0, 1, 2), "(1:1)"),
+        ((1, 2, 1), (0, 1, 2), "(1:1)"),
+        ((2, 1, 1), (0, 1, 2), "(1:1)"),
+        ((1, 1, 1), (2, 0, 1), "(1:1)"),
+        ((0, "inf", "inf"), (2, 1, 0), "(1:0)"),
+    ):
+        with pytest.raises(DegenerateTripleError, match=re.escape(f"reference points coincide: {point}") + "$"):
+            normalize_chart_qn(qn(*vals), triple)
+    with pytest.raises(ZeroSectionError, match="^section 1 is zero$"):
+        normalize_chart_qn(qn(0, None, 1, 1), (0, 2, 3))
 
 
 def test_check_limit_equations_identity_and_diagonal():

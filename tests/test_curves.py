@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermoduli import curves, projline, serialize
-from quivermoduli.chambers import _over_lcm
-from quivermoduli.configs import QnConfig, check_limit_equations, glue_fiber
+from quivermoduli.configs import QnConfig, check_limit_equations, glue_fiber, normalize_chart_qn
 from quivermoduli.curves import (
     Chain,
     GK,
     HASSETT,
     InconsistentFamilyError,
+    LM,
     LimitFamily,
     PointedTree,
     TreeEdge,
@@ -44,13 +44,16 @@ from quivermoduli.curves import (
     verify_functor_conditions,
 )
 from quivermoduli.generate import (
+    chain_from_shape,
+    enumerate_chain_shapes,
     enumerate_split_systems,
     random_a_stable_tree,
     random_gk_tree,
+    random_chain,
     random_hassett_weight,
     tree_from_splits,
 )
-from quivermoduli.projline import INF_POINT, ONE_POINT, ZERO_POINT, ProjPoint, affine, moebius_from_triple
+from quivermoduli.projline import INF_POINT, ONE_POINT, ZERO_POINT, ProjPoint, _scaled, affine, moebius_from_triple
 
 
 def single(n=4, last=F(5, 2)):
@@ -481,6 +484,61 @@ def test_charts_match_the_moebius_reference():
     assert at_anchors >= 500, at_anchors
 
 
+def _moebius_reference_chain_charts(chain):
+    """The chart rows of a chain built with a Moebius map per mark: marks of
+    earlier components at (0:1), of later ones at (1:0), and the mark's own
+    component rescaled to put the mark at (1:1)."""
+    place = [None] * chain.n
+    for ci, comp in enumerate(chain.components):
+        for lb, p in comp:
+            place[lb] = (ci, p)
+    charts = {}
+    for i, (ci, c) in enumerate(place):
+        m = moebius_from_triple(ZERO_POINT, INF_POINT, c)
+        charts[i] = tuple(ZERO_POINT if cj < ci else INF_POINT if cj > ci else m.apply(p) for cj, p in place)
+    return charts
+
+
+def test_chain_charts_match_the_moebius_reference():
+    rng = random.Random(2021)
+    corpus = []
+    for n in (1, 2, 3, 4):
+        for shape in enumerate_chain_shapes(range(n)):
+            corpus += [chain_from_shape(shape), chain_from_shape(shape, rng, coincide=True)]
+    corpus += [random_chain(rng, range(n)) for n in (5, 6, 7) for _ in range(20)]
+    coincident = 0
+    for chain in corpus:
+        ref = _moebius_reference_chain_charts(chain)
+        fam = lm_moduli_coordinates(chain)
+        assert fam.charts == ref and list(fam.charts) == list(ref)
+        assert all(p == ProjPoint(*p.ihom) for row in fam.charts.values() for p in row)
+        canon = chain_canonical(chain)
+        for comp, got in zip(chain.components, canon.components):
+            m = moebius_from_triple(ZERO_POINT, INF_POINT, comp[0][1])
+            assert got == tuple((lb, m.apply(p)) for lb, p in comp)
+        coincident += any(len({p for _, p in comp}) < len(comp) for comp in chain.components)
+    assert coincident >= 20, coincident
+    # a chain with a mark at an anchor has no canonical form
+    for anchor in (ZERO_POINT, INF_POINT):
+        with pytest.raises(ValueError, match="^mark 0 sits on an anchor or node point$"):
+            chain_canonical(Chain((((0, anchor), (1, affine(2))),)))
+
+
+def test_chain_reconstruct_failure_names(monkeypatch):
+    chain = Chain((((0, affine(2)), (1, affine(3))), ((2, affine(5)), (3, affine(7))), ((4, affine(-1)),)))
+    fam = lm_moduli_coordinates(chain)
+    assert _failure(fam) is None
+    # a family carrying weights, or with a row given as a list, is not the
+    # family of its chain
+    assert _failure(LimitFamily(LM, 5, fam.charts, (F(1),) * 5)) == "round-trip"
+    for i in range(5):
+        charts = dict(fam.charts)
+        charts[i] = list(charts[i])
+        assert _failure(LimitFamily(LM, 5, charts)) == "round-trip", i
+    monkeypatch.setattr(curves, "is_lm_stable", lambda chain: False)
+    assert _failure(fam) == "stability"
+
+
 def test_contract_to_chart_reads_any_labels():
     # labels other than 0..n-1 (a contraction keeps its marks' labels)
     rng = random.Random(18)
@@ -527,6 +585,8 @@ def test_tree_isomorphic_agrees_with_the_chart_families():
 
 
 def test_tree_charts_build_no_moebius_map(monkeypatch):
+    # tree charts, chain charts, their reconstructions and the normalized
+    # charts of configurations all read the integer chart rule
     made = []
     real_init = projline.Moebius.__init__
 
@@ -543,9 +603,15 @@ def test_tree_charts_build_no_moebius_map(monkeypatch):
         contract_to_chart(tree, (0, 1, 2))
     a = (F(1), F(1), F(1, 2), F(1, 2))
     moduli_coordinates(random_a_stable_tree(rng, 4, a), HASSETT, a)
+    for n in (1, 3, 5, 6):
+        chain = random_chain(rng, range(n))
+        assert chain_isomorphic(chain, reconstruct_tree(lm_moduli_coordinates(chain)))
+    cfg = QnConfig(tuple(affine(k) for k in range(5)))
+    for order in itertools.permutations(range(5), 3):
+        normalize_chart_qn(cfg, order)
     assert made == []
-    # the counter sees maps where they are built: the chain charts rescale
-    lm_moduli_coordinates(Chain((((0, affine(2)),), ((1, affine(5)),))))
+    # the counter sees maps where they are built
+    projline.moebius_from_triple(ZERO_POINT, INF_POINT, affine(2))
     assert made
 
 
@@ -768,7 +834,7 @@ def test_chart_degree_matches_the_fraction_reference(a, seed):
     rng.shuffle(labels)
     cuts = sorted(rng.sample(range(1, len(a)), rng.randint(0, len(a) - 1))) if len(a) > 1 else []
     blocks = [labels[i:j] for i, j in zip([0, *cuts], [*cuts, len(a)])]
-    den, nums = _over_lcm(a)
+    den, nums = _scaled(a)
     got = curves._degree_numerator(blocks, nums, den)
     assert type(got) is int and got == den * _degree_reference(blocks, a)
 

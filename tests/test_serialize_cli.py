@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -161,6 +162,18 @@ def test_cli_verify_seeded_reproducible(tmp_path):
     assert r1.stdout == r2.stdout
     d = json.loads(r1.stdout)
     assert d["reports"][0]["passed"] is True
+
+
+@pytest.mark.parametrize("suite, digest", [
+    ("roundtrip-lm", "65718a4c91cff4152220df8204b746cf2b0f6edba3b132f00afbc8dd6c1a29bf"),
+    ("five-term", "70d32c1976951cf2a8ad48625bd7db0ee8c47a82b06df287aa321dd0dabfebde"),
+])
+def test_cli_chart_suites_output_pinned(suite, digest):
+    # sha256 of the default output, taken while chain charts and normalized
+    # configuration charts were still built with Moebius maps
+    r = run_cli("verify", "--suite", suite)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
 def test_cli_bad_bounds_exit_3():

@@ -21,6 +21,7 @@ _KEPT_FOR_USERS = {
     "moebius_json": "the encoding the sha256-pinned glued-fiber test hashes",
     "contract_to_chart": "the chart of one triple on trees with any mark labels",
     "simplex_maximize": "traced by the benchmark (qmlbench/tracing.py TRACED)",
+    "moebius_from_triple": "traced by the benchmark (qmlbench/tracing.py TRACED)",
     "cross_ratio": "traced by the benchmark (qmlbench/tracing.py TRACED)",
     "cross_ratio_invariant": "traced by the benchmark (qmlbench/tracing.py TRACED)",
 }
