@@ -5,6 +5,12 @@ Exit codes: 0 success, 1 a verification suite failed, 2 an enumeration
 bound was exceeded, 3 unreadable input, a usage error or an output file
 that cannot be written, 4 an input violates a type invariant, 5 a chart
 family fails the functor conditions.
+
+Commands let errors escape, and `main` alone turns one into an exit code
+and one `error:` line, by the table `_EXITS`.  The few handlers elsewhere
+re-raise as `CliError` to name the path, flag or bounds text at fault.
+`verify` feeds no user document to the library, so a `ValueError` escaping
+a suite is a program fault and keeps its traceback.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import chambers, configs, curves, serialize
+from . import configs, curves, serialize
 from .chambers import SettingError, TooLargeError
 from .curves import InconsistentFamilyError
 from .serialize import ParseError
@@ -31,6 +37,20 @@ class CliError(Exception):
         self.code = code
 
 
+# main's exit code for an error escaping a command: that of the first row
+# whose class it is an instance of, a CliError carrying its own; only the
+# first _VERIFY_ROWS rows hold for `verify`
+_EXITS = (
+    (CliError, None),
+    (TooLargeError, EXIT_TOO_LARGE),
+    (SettingError, EXIT_PARSE),
+    (ParseError, EXIT_PARSE),
+    (InconsistentFamilyError, EXIT_INCONSISTENT),
+    (ValueError, EXIT_INVARIANT),
+)
+_VERIFY_ROWS = 3
+
+
 def _emit(args, payload: dict) -> None:
     if args.format == "text":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -46,7 +66,17 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str):
+# what a command that reads documents of `kinds` says of one of another kind
+_NOT_OF_KIND = {
+    (configs.QnConfig, configs.PnConfig): "{path} is not a configuration",
+    (curves.PointedTree,): "input is not a tree",
+    (curves.Chain, curves.PointedTree): "input is neither a tree nor a chain",
+    (curves.LimitFamily,): "input is not a chart family",
+}
+
+
+def _load(path: str, *kinds):
+    """The document at `path`; given `kinds`, one of those or exit 4."""
     try:
         with open(path) as fh:
             raw = serialize.loads(fh.read())
@@ -55,11 +85,14 @@ def _load(path: str):
     except ParseError as exc:
         raise CliError(EXIT_PARSE, f"cannot parse {path}: {exc}")
     try:
-        return serialize.parse_any(raw)
+        obj = serialize.parse_any(raw)
     except ParseError as exc:
         raise CliError(EXIT_PARSE, f"cannot parse {path}: {exc}")
     except (ValueError, TypeError) as exc:
         raise CliError(EXIT_INVARIANT, f"{path}: {exc}")
+    if kinds and not isinstance(obj, kinds):
+        raise CliError(EXIT_INVARIANT, _NOT_OF_KIND[kinds].format(path=path))
+    return obj
 
 
 def _parse_hassett(text: str) -> tuple[Fraction, ...]:
@@ -70,29 +103,14 @@ def _parse_hassett(text: str) -> tuple[Fraction, ...]:
 
 
 def cmd_chambers(args) -> int:
-    try:
-        payload = serialize.chamber_complex_json(
-            args.mode, args.n, with_adjacency=not args.no_adjacency
-        )
-    except TooLargeError as exc:
-        raise CliError(EXIT_TOO_LARGE, str(exc))
-    except ValueError as exc:
-        raise CliError(EXIT_INVARIANT, str(exc))
-    _emit(args, payload)
+    _emit(args, serialize.chamber_complex_json(args.mode, args.n, with_adjacency=not args.no_adjacency))
     return 0
 
 
 def cmd_stability(args) -> int:
-    cfg = _load(args.config)
+    cfg = _load(args.config, configs.QnConfig, configs.PnConfig)
     weight = _load(args.weight)
-    if not isinstance(cfg, (configs.QnConfig, configs.PnConfig)):
-        raise CliError(EXIT_INVARIANT, f"{args.config} is not a configuration")
-    try:
-        verdict = configs.is_semistable(cfg, weight)
-    except TooLargeError as exc:
-        raise CliError(EXIT_TOO_LARGE, str(exc))
-    except ValueError as exc:
-        raise CliError(EXIT_INVARIANT, str(exc))
+    verdict = configs.is_semistable(cfg, weight)
     payload = serialize.verdict_json(verdict)
     payload["schema"] = serialize.SCHEMA
     if args.oracle:
@@ -113,81 +131,54 @@ def _needed(args, *flags: str) -> str:
     raise CliError(EXIT_PARSE, f"tree {args.subcommand} needs {' or '.join(flags)}")
 
 
+def _tree_check(args) -> dict:
+    obj = _load(_needed(args, "--tree", "--chain"), curves.Chain, curves.PointedTree)
+    if isinstance(obj, curves.Chain):
+        stable, mode = curves.is_lm_stable(obj), "lm"
+    elif args.hassett:
+        stable, mode = curves.is_a_stable(obj, _parse_hassett(args.hassett)), "hassett"
+    else:
+        stable, mode = curves.is_gk_stable(obj), "gk"
+    return {"stable": stable, "mode": mode, "schema": serialize.SCHEMA}
+
+
+def _tree_contract(args) -> dict:
+    tree = _load(_needed(args, "--tree"), curves.PointedTree)
+    keep_text = _needed(args, "--keep")
+    try:
+        keep = [int(x) for x in keep_text.split(",")]
+    except ValueError:
+        raise CliError(EXIT_PARSE, f"bad mark list {keep_text!r}")
+    return serialize.tree_json(curves.contract_gamma(tree, keep))
+
+
+def _tree_coords(args) -> dict:
+    obj = _load(_needed(args, "--tree", "--chain"), curves.Chain, curves.PointedTree)
+    if isinstance(obj, curves.Chain):
+        fam = curves.lm_moduli_coordinates(obj)
+    elif args.hassett:
+        fam = curves.moduli_coordinates(obj, curves.HASSETT, _parse_hassett(args.hassett))
+    else:
+        fam = curves.moduli_coordinates(obj, curves.GK)
+    return serialize.family_json(fam)
+
+
+def _tree_reconstruct(args) -> dict:
+    obj = curves.reconstruct_tree(_load(_needed(args, "--family"), curves.LimitFamily))
+    payload = serialize.chain_json(obj) if isinstance(obj, curves.Chain) else serialize.tree_json(obj)
+    # reconstruct_tree raises "round-trip" unless obj's charts, compared
+    # on integers without building them, are the family
+    payload["round_trip"] = True
+    return payload
+
+
+_TREE_COMMANDS = {"check": _tree_check, "contract": _tree_contract, "coords": _tree_coords,
+                  "reconstruct": _tree_reconstruct}
+
+
 def cmd_tree(args) -> int:
-    if args.subcommand == "check":
-        obj = _load(_needed(args, "--tree", "--chain"))
-        if isinstance(obj, curves.Chain):
-            result = {"stable": curves.is_lm_stable(obj), "mode": "lm"}
-        elif isinstance(obj, curves.PointedTree):
-            try:
-                curves.validate_tree(obj)
-            except ValueError as exc:
-                raise CliError(EXIT_INVARIANT, str(exc))
-            if args.hassett:
-                a = _parse_hassett(args.hassett)
-                try:
-                    result = {"stable": curves.is_a_stable(obj, a), "mode": "hassett"}
-                except ValueError as exc:
-                    raise CliError(EXIT_INVARIANT, str(exc))
-            else:
-                result = {"stable": curves.is_gk_stable(obj), "mode": "gk"}
-        else:
-            raise CliError(EXIT_INVARIANT, "input is neither a tree nor a chain")
-        result["schema"] = serialize.SCHEMA
-        _emit(args, result)
-        return 0
-
-    if args.subcommand == "contract":
-        tree = _load(_needed(args, "--tree"))
-        if not isinstance(tree, curves.PointedTree):
-            raise CliError(EXIT_INVARIANT, "input is not a tree")
-        keep_text = _needed(args, "--keep")
-        try:
-            keep = [int(x) for x in keep_text.split(",")]
-        except ValueError:
-            raise CliError(EXIT_PARSE, f"bad mark list {keep_text!r}")
-        try:
-            out = curves.contract_gamma(tree, keep)
-        except ValueError as exc:
-            raise CliError(EXIT_INVARIANT, str(exc))
-        _emit(args, serialize.tree_json(out))
-        return 0
-
-    if args.subcommand == "coords":
-        obj = _load(_needed(args, "--tree", "--chain"))
-        if not isinstance(obj, (curves.Chain, curves.PointedTree)):
-            raise CliError(EXIT_INVARIANT, "input is neither a tree nor a chain")
-        try:
-            if isinstance(obj, curves.Chain):
-                fam = curves.lm_moduli_coordinates(obj)
-            elif args.hassett:
-                fam = curves.moduli_coordinates(obj, curves.HASSETT, _parse_hassett(args.hassett))
-            else:
-                fam = curves.moduli_coordinates(obj, curves.GK)
-        except (ValueError, curves.UnstableInputError) as exc:
-            raise CliError(EXIT_INVARIANT, str(exc))
-        _emit(args, serialize.family_json(fam))
-        return 0
-
-    if args.subcommand == "reconstruct":
-        fam = _load(_needed(args, "--family"))
-        if not isinstance(fam, curves.LimitFamily):
-            raise CliError(EXIT_INVARIANT, "input is not a chart family")
-        try:
-            obj = curves.reconstruct_tree(fam)
-        except InconsistentFamilyError as exc:
-            raise CliError(EXIT_INCONSISTENT, f"inconsistent family: {exc.condition}")
-        if isinstance(obj, curves.Chain):
-            payload = serialize.chain_json(obj)
-        else:
-            payload = serialize.tree_json(obj)
-        # reconstruct_tree raises "round-trip" unless obj's charts, compared
-        # on integers without building them, are fam
-        payload["round_trip"] = True
-        _emit(args, payload)
-        return 0
-
-    raise CliError(EXIT_PARSE, f"unknown tree subcommand {args.subcommand!r}")
+    _emit(args, _TREE_COMMANDS[args.subcommand](args))
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -264,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("tree", help="pointed tree and chain operations", parents=[common])
-    p.add_argument("subcommand", choices=("check", "contract", "coords", "reconstruct"))
+    p.add_argument("subcommand", choices=tuple(_TREE_COMMANDS))
     p.add_argument("--tree")
     p.add_argument("--chain")
     p.add_argument("--family")
@@ -281,19 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except SettingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except Exception as exc:
+        rows = _EXITS[:_VERIFY_ROWS] if args.command == "verify" else _EXITS
+        for kind, code in rows:
+            if isinstance(exc, kind):
+                break
+        else:
+            raise
+        message = f"inconsistent family: {exc.condition}" if isinstance(exc, InconsistentFamilyError) else exc
+        print(f"error: {message}", file=sys.stderr)
+        return exc.code if code is None else code
 
 
 if __name__ == "__main__":

@@ -142,6 +142,11 @@ def canonical_split(n: int, j: Iterable[int]) -> tuple[int, ...]:
 
 
 def all_splits(n: int) -> list[tuple[int, ...]]:
+    """Every split of n marks with two or more on each side, in canonical
+    form.  Their number 2^(n-1) - n - 1 counts against QML_MAX_WORK, and is
+    not computed when n puts it past 2^64 times the cap."""
+    cap = max_work()
+    check_work(inf if n > cap.bit_length() + 66 else max(0, 2 ** (n - 1) - n - 1), f"splits on {n} marks")
     seen = set()
     for k in range(2, n - 1):
         for j in itertools.combinations(range(n), k):
@@ -340,7 +345,7 @@ def chain_from_shape(
     return Chain(tuple(comps))
 
 
-def random_chain(rng: Rng, labels: Sequence[int], coincide: bool = True) -> Chain:
+def random_chain(rng: Rng, labels: Sequence[int]) -> Chain:
     labels = list(labels)
     m = rng.randint(1, len(labels))
     blocks: list[list[int]] = [[] for _ in range(m)]
@@ -348,7 +353,7 @@ def random_chain(rng: Rng, labels: Sequence[int], coincide: bool = True) -> Chai
         blocks[rng.randrange(m)].append(lb)
     blocks = [b for b in blocks if b]
     rng.shuffle(blocks)
-    return chain_from_shape([tuple(sorted(b)) for b in blocks], rng, coincide=coincide)
+    return chain_from_shape([tuple(sorted(b)) for b in blocks], rng, coincide=True)
 
 
 # ---------------------------------------------------------------------------

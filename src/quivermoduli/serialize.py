@@ -189,6 +189,10 @@ def parse_tree(d) -> curves.PointedTree:
             marks.append((_integer(lb, "mark label"), comp, parse_point(p)))
     except (KeyError, TypeError, IndexError) as exc:
         raise ParseError(f"bad tree: {exc}")
+    # names are hashed: strings and numbers are names, arrays and objects not
+    for name in (*comps, *(end for e in edges for end in e.ends), *(m[1] for m in marks)):
+        if isinstance(name, (list, dict)):
+            raise ParseError(f"bad tree: name {name!r} is an array or an object")
     return curves.PointedTree(comps, tuple(edges), tuple(marks))
 
 
@@ -261,21 +265,17 @@ def parse_family(d) -> curves.LimitFamily:
     return curves.LimitFamily(mode, n, charts, a)
 
 
+_PARSERS = {"config": parse_config, "weight": parse_weight, "tree": parse_tree, "chain": parse_chain,
+            "family": parse_family}
+
+
 def parse_any(d):
     if not isinstance(d, dict) or "type" not in d:
         raise ParseError("expected an object with a 'type' field")
-    t = d["type"]
-    if t == "config":
-        return parse_config(d)
-    if t == "weight":
-        return parse_weight(d)
-    if t == "tree":
-        return parse_tree(d)
-    if t == "chain":
-        return parse_chain(d)
-    if t == "family":
-        return parse_family(d)
-    raise ParseError(f"unknown type {t!r}")
+    parse = _PARSERS.get(d["type"]) if isinstance(d["type"], str) else None
+    if parse is None:
+        raise ParseError(f"unknown type {d['type']!r}")
+    return parse(d)
 
 
 def dumps(obj: dict) -> str:

@@ -20,10 +20,12 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
-from quivermoduli import cli, configs, serialize, verify
-from quivermoduli.chambers import QnWeight
+from quivermoduli import chambers, cli, configs, serialize, verify
+from quivermoduli.chambers import QnWeight, SettingError, TooLargeError
 from quivermoduli.configs import QnConfig
-from quivermoduli.curves import Chain, GK, HASSETT, lm_moduli_coordinates, moduli_coordinates
+from quivermoduli.curves import (
+    Chain, GK, HASSETT, InconsistentFamilyError, lm_moduli_coordinates, moduli_coordinates,
+)
 from quivermoduli.generate import random_gk_tree
 from quivermoduli.projline import affine
 
@@ -57,6 +59,13 @@ _BAD_ETAS = {
     "eta-long.json": ["-1/2", "-1/2", "0"],
 }
 
+# chains that validate_chain refuses: (components, the text of the one error
+# line); `tree check --chain` ended in a ValueError traceback on each
+_BAD_CHAINS = {
+    "chain-label-twice.json": ([[[0, ["1/1", "1/1"]], [0, ["1/1", "2/1"]]]], "mark labels must be distinct"),
+    "chain-mark-on-anchor.json": ([[[0, ["0/1", "1/1"]]]], "mark 0 sits on an anchor or node point"),
+}
+
 # a stable tree with one component and three marks
 _TREE3 = {
     "type": "tree",
@@ -86,6 +95,13 @@ _BAD_TYPES = {
     "a-string.json": ("hassett-family", {"a": "111"}),
     "n-float.json": ("gk-family", {"n": 3.9}),
     "charts-list.json": ("gk-family", {"charts": []}),
+    # names are hashed: an array or object as a component name, an edge end
+    # or a mark's component was an "unhashable type" traceback
+    "component-array.json": ("tree", {"components": [["a"]]}),
+    "edge-end-array.json": ("tree", {
+        "components": ["a", "b"], "edges": [{"ends": [["a"], "b"], "nodes": [["0", "1"], ["0", "1"]]}],
+    }),
+    "mark-component-object.json": ("tree", {"marks": [[0, {"x": 1}, ["0", "1"]], *_TREE3["marks"][1:]]}),
 }
 
 # chart keys renamed to strings that int() reads but that are not ASCII
@@ -102,7 +118,7 @@ _BAD_KEYS = {
 _INPUT_NAMES = (
     "tree.json", "family.json", "chain.json", "weight.json", "bad.json", "empty.json",
     "list.json", "long.json", "untyped.json", "theta.json", "pn-config.json", "missing.json",
-    *_BAD_FAMILIES, *_BAD_ETAS, *_BAD_TYPES, *_BAD_KEYS, *(f"{kind}-ok.json" for kind in _COMMANDS),
+    *_BAD_FAMILIES, *_BAD_ETAS, *_BAD_CHAINS, *_BAD_TYPES, *_BAD_KEYS, *(f"{kind}-ok.json" for kind in _COMMANDS),
 )
 
 
@@ -128,6 +144,8 @@ def inputs(tmp_path_factory) -> dict[str, str]:
         texts[name] = json.dumps({"type": "family", **body})
     for name, eta in _BAD_ETAS.items():
         texts[name] = json.dumps({"type": "weight", "mode": "pn", "eta": eta, "theta": ["1"]})
+    for name, (components, _) in _BAD_CHAINS.items():
+        texts[name] = json.dumps({"type": "chain", "components": components})
     tree3 = serialize.parse_tree(_TREE3)
     documents = {
         "weight": {"type": "weight", "mode": "pn", "eta": ["-1/2", "-1/2"], "theta": ["1"]},
@@ -268,14 +286,19 @@ def _guarded_run_suite(name, seed=verify.DEFAULT_SEED, bounds=None):
     return _run_suite(name, seed=seed, bounds=bounds)
 
 
-def _run(argv):
+def _run_with_output(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse: usage errors and --help
             code = 0 if exc.code is None else exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(argv):
+    code, _, err = _run_with_output(argv)
+    return code, err
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -309,6 +332,13 @@ def test_bad_etas_exit_3_with_one_error_line(inputs, name):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "bad weight" in lines[0], err
 
 
+@pytest.mark.parametrize("subcommand", ["check", "coords"])
+@pytest.mark.parametrize("name", sorted(_BAD_CHAINS))
+def test_chains_that_do_not_validate_exit_4(inputs, name, subcommand):
+    _, message = _BAD_CHAINS[name]
+    assert _run(["tree", subcommand, "--chain", inputs[name]]) == (4, f"error: {message}\n")
+
+
 @pytest.mark.parametrize("name", sorted(_BAD_TYPES))
 def test_wrong_json_types_exit_3_with_one_error_line(inputs, name):
     kind, _ = _BAD_TYPES[name]
@@ -319,6 +349,24 @@ def test_wrong_json_types_exit_3_with_one_error_line(inputs, name):
     lines = err.splitlines()
     assert got == 3, err
     assert len(lines) == 1 and lines[0].startswith("error: cannot parse "), err
+
+
+@pytest.mark.parametrize("name", ["component-array.json", "edge-end-array.json", "mark-component-object.json"])
+def test_array_and_object_names_exit_3_from_coords(inputs, name):
+    # test_wrong_json_types_exit_3_with_one_error_line runs `tree check` on each
+    code, err = _run(["tree", "coords", "--tree", inputs[name]])
+    lines = err.splitlines()
+    assert code == 3, err
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot parse {inputs[name]}: bad tree: name "), err
+
+
+def test_numbers_stay_names(tmp_path):
+    # names are refused as arrays or objects only: a component named 7 is read
+    tree = {**_TREE3, "components": [7], "marks": [[lb, 7, p] for lb, _, p in _TREE3["marks"]]}
+    (tmp_path / "t.json").write_text(json.dumps(tree))
+    code, err = _run(["tree", "coords", "--tree", str(tmp_path / "t.json")])
+    assert code == 0 and err == "", err
+    assert _run(["tree", "check", "--tree", str(tmp_path / "t.json")]) == (0, "")
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_KEYS))
@@ -332,6 +380,86 @@ def test_chart_keys_other_than_ascii_digits_exit_3(inputs, name):
     assert got == 3, err
     assert len(lines) == 1 and lines[0].startswith("error: cannot parse "), err
     assert repr(renamed) in lines[0], err
+
+
+# documents the pinned commands below read, by file name
+_PINNED_DOCUMENTS = {
+    "qn3-config.json": {"type": "config", "mode": "qn", "sections": [["0", "1"], ["1", "0"], ["1", "1"]]},
+    "qn4-weight.json": {"type": "weight", "mode": "qn", "theta": ["1", "1", "0", "0"]},
+    "star40-config.json": serialize.config_json(QnConfig(tuple(affine(k) for k in range(40)))),
+    "star40-weight.json": serialize.weight_json(QnWeight((F(1, 20),) * 40)),
+    "tree.json": _TREE3,
+    "labels-twice.json": {**_TREE3, "marks": [[0, "a", ["0", "1"]], [0, "a", ["1", "0"]], [2, "a", ["1", "1"]]]},
+    "two-marks.json": {**_TREE3, "marks": _TREE3["marks"][:2]},
+    "negative-weight.json": {"type": "family", **_BAD_FAMILIES["weights-negative.json"][0]},
+    "type-array.json": {"type": ["tree"]},
+}
+
+
+# one input per command and error class, with the exact output that the
+# exit-code table of cli.main keeps: (argv, QML_MAX_WORK or None, exit code,
+# the one error line, where {dir} is the documents' directory)
+@pytest.mark.parametrize("argv, cap, code, line", [
+    (["chambers", "--mode", "qn", "--n", "2"], None, 4, "hypersimplex walls need n >= 3"),
+    (["chambers", "--mode", "qn", "--n", "13"], None, 2, "wall enumeration capped at n <= 12"),
+    (["chambers", "--mode", "qn", "--n", "3"], "x", 3, "QML_MAX_WORK must be an integer >= 1, got 'x'"),
+    (["stability", "--config", "qn3-config.json", "--weight", "qn4-weight.json"], None, 4,
+     "configuration and weight do not match"),
+    (["stability", "--config", "star40-config.json", "--weight", "star40-weight.json"], None, 2,
+     "a stability table of 2^40 subset sums exceeds QML_MAX_WORK (1000000)"),
+    (["tree", "check", "--tree", "labels-twice.json"], None, 4, "mark labels must be distinct"),
+    (["tree", "contract", "--tree", "labels-twice.json", "--keep", "0,1"], None, 4,
+     "at least three marks must be kept"),
+    (["tree", "coords", "--tree", "labels-twice.json"], None, 4, "chart families require mark labels 0..n-1"),
+    (["tree", "contract", "--tree", "tree.json", "--keep", "0,1,5"], None, 4, "unknown mark labels"),
+    (["tree", "coords", "--tree", "two-marks.json"], None, 4, "tree is not stable"),
+    (["tree", "reconstruct", "--family", "negative-weight.json"], None, 5, "inconsistent family: weight-data"),
+    # documents of another kind than the command reads, or of none
+    (["stability", "--config", "tree.json", "--weight", "qn4-weight.json"], None, 4,
+     "{dir}/tree.json is not a configuration"),
+    (["tree", "check", "--tree", "qn3-config.json"], None, 4, "input is neither a tree nor a chain"),
+    (["tree", "contract", "--tree", "negative-weight.json", "--keep", "0,1,2"], None, 4, "input is not a tree"),
+    (["tree", "coords", "--chain", "qn4-weight.json"], None, 4, "input is neither a tree nor a chain"),
+    (["tree", "reconstruct", "--family", "tree.json"], None, 4, "input is not a chart family"),
+    (["tree", "check", "--tree", "type-array.json"], None, 3, "cannot parse {dir}/type-array.json: unknown type ['tree']"),
+])
+def test_error_exits_are_pinned(tmp_path, monkeypatch, argv, cap, code, line):
+    for name, document in _PINNED_DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(document))
+    if cap is not None:
+        monkeypatch.setenv("QML_MAX_WORK", cap)
+        # the bound is read when chambers are enumerated, not when an
+        # earlier test's are read back from the cache
+        monkeypatch.setattr(chambers, "_chamber_cache", {})
+    argv = [str(tmp_path / arg) if arg in _PINNED_DOCUMENTS else arg for arg in argv]
+    assert _run_with_output(argv) == (code, "", f"error: {line.format(dir=tmp_path)}\n")
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (TooLargeError("too large"), 2, "too large"),
+    (SettingError("a setting"), 3, "a setting"),
+    (serialize.ParseError("unreadable"), 3, "unreadable"),
+    (InconsistentFamilyError("round-trip"), 5, "inconsistent family: round-trip"),
+    (ValueError("invalid"), 4, "invalid"),
+])
+def test_main_maps_each_error_class_to_its_exit_code(monkeypatch, error, code, line):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(serialize, "chamber_complex_json", failing)
+    assert _run_with_output(["chambers", "--mode", "qn", "--n", "3"]) == (code, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("error", [ValueError("a fault"), serialize.ParseError("a fault")])
+def test_errors_escaping_a_suite_keep_their_traceback(monkeypatch, error):
+    # verify feeds no user document to the library, so these are program
+    # faults, not bad input that exits 3 or 4
+    def broken(rep, seed, bounds):
+        raise error
+
+    monkeypatch.setitem(verify.SUITES, "five-term", broken)
+    with pytest.raises(type(error), match="a fault"):
+        cli.main(["verify", "--suite", "five-term"])
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -425,6 +553,12 @@ def _qml(*argv, env=None):
     # capped counts
     ("chambers-vs-grid", {"plans": [["qn", 10**8 + 1, 4]]}),
     ("chart-stability", {"max_n": 10**7}),
+    # a random tree draws from the list of every split of its marks,
+    # 2^(n-1) - n - 1 of them, which is counted before it is built
+    ("roundtrip-gk", {"exhaustive_n": [], "random": {"24": 1}}),
+    ("roundtrip-gk", {"exhaustive_n": [], "random": {"30": 1}}),
+    ("roundtrip-hassett", {"ns": [30], "weights_per_n": 1, "trees_per_weight": 1}),
+    ("roundtrip-gk", {"exhaustive_n": [], "random": {str(10**9): 1}}),
 ])
 def test_suite_catalogues_over_the_work_bound_exit_2(suite, bounds):
     # millions of partitions or chain shapes, or billions of grid candidates

@@ -37,6 +37,29 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_cli_maps_errors_to_exit_codes_in_main_only():
+    # a handler elsewhere in cli.py only re-raises as CliError, adding the
+    # path, flag or bounds text; main alone picks exit codes by its table
+    module = ast.parse((Path(quivermoduli.__file__).parent / "cli.py").read_text())
+    main = next(node for node in module.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)}
+    others = [node for node in ast.walk(module) if isinstance(node, ast.ExceptHandler) and id(node) not in in_main]
+    assert in_main and others
+
+    def raises_cli_error(handler) -> bool:
+        return any(
+            isinstance(s, ast.Raise) and isinstance(s.exc, ast.Call) and getattr(s.exc.func, "id", None) == "CliError"
+            for s in handler.body
+        )
+
+    def names(handler) -> set[str]:
+        return {node.id for node in ast.walk(handler.type or ast.Pass()) if isinstance(node, ast.Name)}
+
+    assert [h.lineno for h in others if not raises_cli_error(h)] == []
+    policy = {"TooLargeError", "SettingError", "InconsistentFamilyError"}
+    assert [h.lineno for h in others if names(h) & policy] == []
+
+
 def _stored_values(obj):
     names = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
     return [getattr(obj, name) for name in names] + list(getattr(obj, "__dict__", {}).values())

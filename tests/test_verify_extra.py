@@ -21,6 +21,7 @@ from quivermoduli.configs import (
 )
 from quivermoduli.curves import Chain, _degree_numerator, lm_moduli_coordinates
 from quivermoduli.generate import (
+    all_splits,
     count_set_partitions,
     enumerate_chain_shapes,
     enumerate_split_systems,
@@ -163,3 +164,18 @@ def test_catalogue_counts_match_their_enumerations(monkeypatch):
         with pytest.raises(TooLargeError, match=f"^{size} .* on {n} marks exceed QML_MAX_WORK"):
             enumerate_(n)
         monkeypatch.delenv("QML_MAX_WORK")
+
+
+def test_splits_count_against_the_work_bound(monkeypatch):
+    # a random tree draws from the list of every split of its marks, which
+    # is built at a work bound of its size and refused one below
+    for n in range(3, 10):
+        size = 2 ** (n - 1) - n - 1
+        assert len(all_splits(n)) == size
+        if size > 1:
+            monkeypatch.setenv("QML_MAX_WORK", str(size))
+            assert len(all_splits(n)) == size
+            monkeypatch.setenv("QML_MAX_WORK", str(size - 1))
+            with pytest.raises(TooLargeError, match=f"^{size} splits on {n} marks exceed QML_MAX_WORK"):
+                random_gk_tree(random.Random(0), n)
+            monkeypatch.delenv("QML_MAX_WORK")
