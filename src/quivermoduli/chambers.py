@@ -242,6 +242,13 @@ def canonical_qn_wall(n: int, j) -> QnWall:
     return QnWall(n, min(side, comp))
 
 
+def _qn_wall_sides(n: int) -> list[tuple[int, ...]]:
+    """The stored side of every hypersimplex wall on n marks, in sorted
+    order: the splits {J, complement} with two or more marks on each side,
+    each as its lexicographically smaller side, the one that holds mark 0."""
+    return sorted((0, *rest) for k in range(1, n - 2) for rest in itertools.combinations(range(1, n), k))
+
+
 def enumerate_walls(mode: str, n: int) -> list[Wall]:
     """All inner walls, each exactly once, in sorted order."""
     if n > 12:
@@ -249,11 +256,7 @@ def enumerate_walls(mode: str, n: int) -> list[Wall]:
     if mode == QN:
         if n < 3:
             raise ValueError("hypersimplex walls need n >= 3")
-        seen = set()
-        for k in range(2, n - 1):
-            for j in itertools.combinations(range(n), k):
-                seen.add(canonical_qn_wall(n, j))
-        return sorted(seen)
+        return [QnWall(n, j) for j in _qn_wall_sides(n)]
     if mode == PN:
         if n < 1:
             raise ValueError("double-star walls need n >= 1")
@@ -734,7 +737,6 @@ def _symmetry(mode: str, n: int, walls: Sequence[Wall]):
 
 
 _CHAMBER_BOUNDS = {QN: 7, PN: 6}
-_chamber_cache: dict[tuple[str, int], tuple[Chamber, ...]] = {}
 
 
 @functools.cache
@@ -757,13 +759,8 @@ def enumerate_chambers(mode: str, n: int) -> list[Chamber]:
         raise TooLargeError(
             f"chamber enumeration for mode {mode} is capped at n <= {_CHAMBER_BOUNDS[mode]}"
         )
-    key = (mode, n)
-    if key not in _chamber_cache:
-        _, decode, arr = _arrangement(mode, n)
-        _chamber_cache[key] = tuple(
-            Chamber(signs, decode(x)) for signs, x in _enumerate_regions(arr)
-        )
-    return list(_chamber_cache[key])
+    _, decode, arr = _arrangement(mode, n)
+    return [Chamber(signs, decode(x)) for signs, x in _enumerate_regions(arr)]
 
 
 def chamber_second_witness(mode: str, n: int, chamber: Chamber) -> Weight:

@@ -9,6 +9,12 @@ needs node count plus resident weight above 2), and the chain version
 (path-shaped trees glued 0-to-infinity with at least one mark per
 component).
 
+Contracting a tree onto one component sends its marks to a star-quiver
+configuration (`configs.QnConfig`), and `mark_images` gives one per
+component.  The chart layer reads their determinant tables
+(`QnConfig.dets`), and `tree_isomorphic` their coincidence partitions and
+Moebius equivalence.
+
 Every stable object is encoded by its chart coordinates: contract the tree
 onto the unique component where three chosen marks stay distinct and
 normalize those marks to (0:1), (1:0), (1:1); a chain's chart normalizes
@@ -155,37 +161,26 @@ def _adjacency(tree: PointedTree) -> dict[str, list[TreeEdge]]:
     return adj
 
 
-def mark_images(tree: PointedTree) -> dict[str, dict[int, ProjPoint]]:
-    """For each component, the image of every mark under contraction onto
-    that component: resident marks keep their point, marks in a neighboring
-    subtree land on the node point in that direction."""
+def mark_images(tree: PointedTree) -> dict[str, QnConfig]:
+    """For each component, the star-quiver configuration of the marks'
+    images under contraction onto that component, sections in label order:
+    resident marks keep their point, marks in a neighboring subtree land on
+    the node point in that direction.  A tree with fewer than three marks
+    has no configurations (ValueError)."""
     adj = _adjacency(tree)
-    # component -> component -> first edge on the path
-    first_edge: dict[str, dict[str, TreeEdge]] = {}
+    images: dict[str, QnConfig] = {}
     for c in tree.components:
-        fe: dict[str, TreeEdge] = {}
-        stack = [(c, None)]
-        order = [(c, None)]
-        seen = {c}
+        # component -> the point of c its marks land on
+        toward: dict[str, Optional[ProjPoint]] = {c: None}
+        stack = [c]
         while stack:
-            cur, via = stack.pop()
+            cur = stack.pop()
             for e in adj[cur]:
                 d = e.other(cur)
-                if d not in seen:
-                    seen.add(d)
-                    entry = via if via is not None else e
-                    fe[d] = entry
-                    stack.append((d, entry))
-        first_edge[c] = fe
-    images: dict[str, dict[int, ProjPoint]] = {}
-    for c in tree.components:
-        table: dict[int, ProjPoint] = {}
-        for label, comp, p in tree.marks:
-            if comp == c:
-                table[label] = p
-            else:
-                table[label] = first_edge[c][comp].node_at(c)
-        images[c] = table
+                if d not in toward:
+                    toward[d] = e.node_at(c) if cur == c else toward[cur]
+                    stack.append(d)
+        images[c] = QnConfig(tuple(p if comp == c else toward[comp] for _, comp, p in tree.marks))
     return images
 
 
@@ -280,12 +275,14 @@ def is_lm_stable(chain: Chain) -> bool:
 def contract_gamma(tree: PointedTree, keep: Iterable[int]) -> PointedTree:
     """Forget the marks outside `keep`, then contract components that drop
     below three special points; a contracted leaf deposits its residual mark
-    on the attachment point of its neighbor."""
+    on the attachment point of its neighbor.  The kept labels are checked
+    first, then the tree (`validate_tree`)."""
     keep_set = sorted(set(keep))
     if len(keep_set) < 3:
         raise ValueError("at least three marks must be kept")
     if not set(keep_set) <= set(tree.labels):
         raise ValueError("unknown mark labels")
+    validate_tree(tree)
     comps = list(tree.components)
     edges = [(e.ends[0], e.ends[1], e.nodes[0], e.nodes[1]) for e in tree.edges]
     marks = {lb: (comp, p) for lb, comp, p in tree.marks if lb in set(keep_set)}
@@ -326,19 +323,13 @@ def contract_gamma(tree: PointedTree, keep: Iterable[int]) -> PointedTree:
     )
 
 
-def _det_table(img: dict[int, ProjPoint]) -> list[list[int]]:
-    """The table D[u][v] = idet(x_u, x_v) of the mark images x_u on one
-    component of `mark_images`, which is 0 where marks u and v coincide."""
-    pts = [p.ihom for p in img.values()]
-    return [_det_row(a, pts) for a in pts]
-
-
 def _separating_table(
-    tables: list[list[list[int]]], p: int, q: int, r: int, triple: Sequence[int]
-) -> Optional[list[list[int]]]:
-    """The table of the one component where the marks at positions p, q, r
-    separate (their three entries are nonzero); None when no component
-    separates them (the chart of `triple`, their labels, is undefined)."""
+    tables: list[tuple[tuple[int, ...], ...]], p: int, q: int, r: int, triple: Sequence[int]
+) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The determinant table (`QnConfig.dets`) of the one component of
+    `mark_images` where the marks at positions p, q, r separate (their three
+    entries are nonzero); None when no component separates them (the chart
+    of `triple`, their labels, is undefined)."""
     found = None
     for d in tables:
         dp = d[p]
@@ -356,7 +347,7 @@ def _chart_pairs(tree: PointedTree, mode: str):
     the table, by `_chart_row` from rows p and q; the other five orderings
     are its images under the anharmonic S3 action on P1, integer unimodular
     maps of each pair."""
-    tables = [_det_table(img) for img in mark_images(tree).values()]
+    tables = [cfg.dets for cfg in mark_images(tree).values()]
     for p, q, r in itertools.combinations(range(tree.n), 3):
         d = _separating_table(tables, p, q, r, (p, q, r))
         if d is None:
@@ -381,7 +372,7 @@ def contract_to_chart(
     labels = tree.labels
     pos = {lb: k for k, lb in enumerate(labels)}
     p, q, r = (pos[lb] for lb in triple)
-    tables = [_det_table(img) for img in mark_images(tree).values()]
+    tables = [cfg.dets for cfg in mark_images(tree).values()]
     d = _separating_table(tables, p, q, r, triple)
     if d is None:
         return None
@@ -871,22 +862,20 @@ def _reconstruct_chain(family: LimitFamily) -> Chain:
 # Isomorphism tests and weighted/chain correspondences.
 
 
-def _image_partition(images: Mapping[int, ProjPoint]) -> tuple[tuple[int, ...], ...]:
-    groups: dict[tuple[int, int], list[int]] = {}
-    for lb, p in images.items():
-        groups.setdefault(p.ihom, []).append(lb)
-    return tuple(sorted(tuple(sorted(v)) for v in groups.values()))
-
-
 def tree_isomorphic(t1: PointedTree, t2: PointedTree) -> bool:
     """Equality of marked trees up to relabelling components and a Moebius
-    map on each component; marks must match exactly."""
-    if t1.labels != t2.labels:
+    map on each component; marks must match exactly.
+
+    Components are matched by the coincidence partitions of their
+    `mark_images` and compared by `moebius_equivalent`; a component with
+    fewer than three distinct image points, or a tree with fewer than three
+    marks, is never isomorphic to anything."""
+    if t1.labels != t2.labels or t1.n < 3:
         return False
     img1 = mark_images(t1)
     img2 = mark_images(t2)
-    part1 = {c: _image_partition(img1[c]) for c in t1.components}
-    part2 = {c: _image_partition(img2[c]) for c in t2.components}
+    part1 = {c: coincidence_partition(cfg).blocks for c, cfg in img1.items()}
+    part2 = {c: coincidence_partition(cfg).blocks for c, cfg in img2.items()}
     if len(set(part1.values())) != len(part1) or len(set(part2.values())) != len(part2):
         raise ValueError("components of a stable tree have distinct image partitions")
     by_part = {p: c for c, p in part2.items()}
@@ -901,18 +890,9 @@ def tree_isomorphic(t1: PointedTree, t2: PointedTree) -> bool:
     for e in t1.edges:
         if frozenset(match[x] for x in e.ends) not in e2:
             return False
-    pos = {lb: k for k, lb in enumerate(t1.labels)}
-    for c in t1.components:
-        blocks = part1[c]
-        if len(blocks) < 3:
-            return False
-        # both components normalized at the first marks of three blocks
-        p, q, r = (pos[b[0]] for b in blocks[:3])
-        rows = []
-        for img in (img1[c], img2[match[c]]):
-            pts = [x.ihom for x in img.values()]
-            rows.append(_points(_chart_row(_det_row(pts[p], pts), _det_row(pts[q], pts), r)))
-        if rows[0] != rows[1]:
+    for c, cfg in img1.items():
+        # moebius_equivalent accepts two or fewer distinct points
+        if len(part1[c]) < 3 or not moebius_equivalent(cfg, img2[match[c]]):
             return False
     return True
 

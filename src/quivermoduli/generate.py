@@ -12,9 +12,9 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial, inf
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .chambers import QnWeight, check_work, max_work
+from .chambers import QnWeight, _qn_wall_sides, check_work, max_work
 from .curves import Chain, PointedTree, TreeEdge, is_a_stable, validate_tree
 from .projline import INF_POINT, ProjPoint, affine
 
@@ -135,23 +135,14 @@ def config_points_for_partition(
 # Split systems and tree shapes.
 
 
-def canonical_split(n: int, j: Iterable[int]) -> tuple[int, ...]:
-    side = tuple(sorted(j))
-    comp = tuple(i for i in range(n) if i not in set(side))
-    return min(side, comp)
-
-
 def all_splits(n: int) -> list[tuple[int, ...]]:
-    """Every split of n marks with two or more on each side, in canonical
-    form.  Their number 2^(n-1) - n - 1 counts against QML_MAX_WORK, and is
-    not computed when n puts it past 2^64 times the cap."""
+    """Every split of n marks with two or more on each side, as the side
+    that holds mark 0: the sides of the hypersimplex walls.  Their number
+    2^(n-1) - n - 1 counts against QML_MAX_WORK, and is not computed when n
+    puts it past 2^64 times the cap."""
     cap = max_work()
     check_work(inf if n > cap.bit_length() + 66 else max(0, 2 ** (n - 1) - n - 1), f"splits on {n} marks")
-    seen = set()
-    for k in range(2, n - 1):
-        for j in itertools.combinations(range(n), k):
-            seen.add(canonical_split(n, j))
-    return sorted(seen)
+    return _qn_wall_sides(n)
 
 
 def splits_compatible(n: int, a: Sequence[int], b: Sequence[int]) -> bool:
@@ -403,7 +394,7 @@ def random_a_stable_tree(rng: Rng, n: int, a: Sequence[Fraction]) -> PointedTree
                     pool = pool[1:]
         try:
             tree = tree_from_splits(n, splits, rng, clusters=clusters)
-        except (ValueError, AssertionError):
+        except ValueError:
             continue
         if is_a_stable(tree, aw):
             return tree

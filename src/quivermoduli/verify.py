@@ -6,6 +6,10 @@ counterexample and ends the suite by raising `_Stop`, which `run_suite`
 catches before it returns the report dict: a pass flag, the check count,
 and the counterexample if any.  All randomness is drawn from seeded
 generators, so reports are reproducible byte for byte.
+
+A tree's edge splits are read off its mark images (`curves.mark_images`):
+the split of an edge is the set of marks whose image on one end of the
+edge sits at its node there.
 """
 from __future__ import annotations
 
@@ -707,15 +711,22 @@ def _admissible_anchor_pairs(cfg_a: QnConfig, cfg_b: QnConfig):
             yield i, j
 
 
+def _edge_splits(tree) -> list[frozenset[int]]:
+    """The split of each edge of a tree labelled 0..n-1, in edge order: the
+    marks whose image on the edge's first end sits at its node there."""
+    images = curves.mark_images(tree)
+    return [
+        frozenset(k for k, s in enumerate(images[e.ends[0]].sections) if s == e.nodes[0])
+        for e in tree.edges
+    ]
+
+
 def suite_limit_equations(rep: _Report, seed: int, bounds: dict) -> None:
     for tree in _gk_corpus(seed, bounds.get("corpus", {})):
         fam = moduli_coordinates(tree, GK)
         active = fam.active_sets()
         cfgs = {t: QnConfig(tuple(fam.charts[tuple(t)])) for t in active}
-        splits = {
-            frozenset(lb for lb, comp, _ in tree.marks if comp in side)
-            for side in _edge_sides(tree)
-        }
+        splits = set(_edge_splits(tree))
         for ta, tb in itertools.combinations(active, 2):
             ca, cb = cfgs[ta], cfgs[tb]
             pairs = list(_admissible_anchor_pairs(ca, cb))
@@ -740,26 +751,6 @@ def suite_limit_equations(rep: _Report, seed: int, bounds: dict) -> None:
                         ok,
                         lambda: {"n": tree.n, "charts": (ta, tb), "side": sorted(side), "issue": "collapse side is not a tree split"},
                     )
-
-
-def _edge_sides(tree):
-    adj = {c: [] for c in tree.components}
-    for e in tree.edges:
-        adj[e.ends[0]].append(e)
-        adj[e.ends[1]].append(e)
-    for e in tree.edges:
-        side = {e.ends[0]}
-        stack = [e.ends[0]]
-        while stack:
-            c = stack.pop()
-            for f in adj[c]:
-                if f is e:
-                    continue
-                d = f.other(c)
-                if d not in side:
-                    side.add(d)
-                    stack.append(d)
-        yield side
 
 
 def suite_five_term(rep: _Report, seed: int, bounds: dict) -> None:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from quivermoduli.verify import BOUNDS, SUITES, check_bounds, run_suite
+from quivermoduli.verify import BOUNDS, DEFAULT_SEED, SUITES, check_bounds, run_suite
 
 SEED = 20260810
 
@@ -57,6 +57,25 @@ ACCEPTANCE_BOUNDS = {
     },
 }
 
+# the check count of each suite at SEED and ACCEPTANCE_BOUNDS, which are
+# the defaults of `qml verify`: with every suite passing, these counts fix
+# its default output, so a change in a corpus draw or in what a suite checks
+# shows here and not only in that output's digest
+CHECKS = {
+    "stability-oracle": 2266302,
+    "theta-polytope": 270,
+    "chambers-vs-grid": 7929,
+    "chart-stability": 55063,
+    "roundtrip-gk": 13400,
+    "roundtrip-lm": 4098,
+    "roundtrip-hassett": 720,
+    "hassett-special": 358,
+    "qn2-pn": 994,
+    "limit-equations": 5213729,
+    "five-term": 1000,
+    "covering": 6975,
+}
+
 CRITERIA = [
     (1, "stability-oracle"),
     (2, "theta-polytope"),
@@ -81,8 +100,16 @@ def test_acceptance(number, suite):
     status = "PASS" if report["passed"] else "FAIL"
     print(f"{status} criterion {number:2d} [{suite}] checks={report['checks']} time={elapsed:.1f}s")
     assert report["passed"], f"criterion {number} ({suite}) failed: {report['counterexample']}"
+    assert report["checks"] == CHECKS[suite], f"criterion {number} ({suite}): {report['checks']} checks"
 
 
 def test_acceptance_bounds_pass_the_bounds_check():
     assert set(BOUNDS) == set(SUITES) == set(ACCEPTANCE_BOUNDS)
     check_bounds(ACCEPTANCE_BOUNDS)
+
+
+def test_acceptance_runs_the_default_verification():
+    # `qml verify` with no --seed or --bounds runs every suite at
+    # DEFAULT_SEED with its built-in bounds, which ACCEPTANCE_BOUNDS repeat
+    assert SEED == DEFAULT_SEED
+    assert set(CHECKS) == set(SUITES)

@@ -734,10 +734,8 @@ def test_uncertified_orbits_get_one_lp_per_member(monkeypatch):
         return x
 
     monkeypatch.setattr(chambers, "strict_interior_point", uncertified)
-    monkeypatch.setattr(chambers, "_chamber_cache", {})
     _assert_complex_output_is_pinned()
     feasible.clear()
-    chambers._chamber_cache.clear()
     assert len(enumerate_chambers("qn", 6)) == 1678
     assert feasible[True] >= 1678
 
@@ -796,7 +794,6 @@ def test_max_work_fires_inside_an_orbit(monkeypatch, capsys):
         add(arr, regions, *args)
 
     monkeypatch.setattr(chambers, "_add_orbit", recorded)
-    monkeypatch.setattr(chambers, "_chamber_cache", {})
     monkeypatch.setenv("QML_MAX_WORK", "5")
     with pytest.raises(TooLargeError, match="QML_MAX_WORK"):
         enumerate_chambers("qn", 5)
@@ -818,7 +815,6 @@ def _count_lps(monkeypatch):
         return x
 
     monkeypatch.setattr(chambers, "strict_interior_point", counted)
-    monkeypatch.setattr(chambers, "_chamber_cache", {})
     return calls
 
 
@@ -856,7 +852,6 @@ def _count_pivots(monkeypatch):
         pivot(self, r, s)
 
     monkeypatch.setattr(lp._Tableau, "pivot", counted)
-    monkeypatch.setattr(chambers, "_chamber_cache", {})
     return counts
 
 

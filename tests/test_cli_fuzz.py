@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
-from quivermoduli import chambers, cli, configs, serialize, verify
+from quivermoduli import cli, configs, serialize, verify
 from quivermoduli.chambers import QnWeight, SettingError, TooLargeError
 from quivermoduli.configs import QnConfig
 from quivermoduli.curves import (
@@ -74,6 +74,27 @@ _TREE3 = {
     "marks": [[0, "a", ["0", "1"]], [1, "a", ["1", "0"]], [2, "a", ["1", "1"]]],
 }
 
+# trees that validate_tree refuses: (document, the text of the one error
+# line); `tree contract` ended in a KeyError and an AssertionError traceback
+# on the first two and printed a contraction of the third
+_BAD_TREES = {
+    "mark-off-components.json": (
+        {**_TREE3, "marks": [*_TREE3["marks"][:2], [2, "b", ["1", "1"]]]}, "mark on an undeclared component",
+    ),
+    "components-unjoined.json": (
+        {**_TREE3, "components": ["a", "b"]}, "edge count must be component count minus one",
+    ),
+    "mark-on-node.json": (
+        {
+            "type": "tree",
+            "components": ["a", "b"],
+            "edges": [{"ends": ["a", "b"], "nodes": [["9", "1"], ["4", "1"]]}],
+            "marks": [[0, "a", ["9", "1"]], [1, "a", ["1", "1"]], [2, "b", ["2", "1"]], [3, "b", ["3", "1"]]],
+        },
+        "mark 0 sits on a node of component a",
+    ),
+}
+
 # a well-formed document of each kind, and the command that reads it
 _COMMANDS = {
     "weight": ["stability", "--config", "pn-config.json", "--weight"],
@@ -118,7 +139,7 @@ _BAD_KEYS = {
 _INPUT_NAMES = (
     "tree.json", "family.json", "chain.json", "weight.json", "bad.json", "empty.json",
     "list.json", "long.json", "untyped.json", "theta.json", "pn-config.json", "missing.json",
-    *_BAD_FAMILIES, *_BAD_ETAS, *_BAD_CHAINS, *_BAD_TYPES, *_BAD_KEYS, *(f"{kind}-ok.json" for kind in _COMMANDS),
+    *_BAD_FAMILIES, *_BAD_ETAS, *_BAD_CHAINS, *_BAD_TREES, *_BAD_TYPES, *_BAD_KEYS, *(f"{kind}-ok.json" for kind in _COMMANDS),
 )
 
 
@@ -146,6 +167,8 @@ def inputs(tmp_path_factory) -> dict[str, str]:
         texts[name] = json.dumps({"type": "weight", "mode": "pn", "eta": eta, "theta": ["1"]})
     for name, (components, _) in _BAD_CHAINS.items():
         texts[name] = json.dumps({"type": "chain", "components": components})
+    for name, (document, _) in _BAD_TREES.items():
+        texts[name] = json.dumps(document)
     tree3 = serialize.parse_tree(_TREE3)
     documents = {
         "weight": {"type": "weight", "mode": "pn", "eta": ["-1/2", "-1/2"], "theta": ["1"]},
@@ -393,6 +416,7 @@ _PINNED_DOCUMENTS = {
     "two-marks.json": {**_TREE3, "marks": _TREE3["marks"][:2]},
     "negative-weight.json": {"type": "family", **_BAD_FAMILIES["weights-negative.json"][0]},
     "type-array.json": {"type": ["tree"]},
+    **{name: document for name, (document, _) in _BAD_TREES.items()},
 }
 
 
@@ -422,17 +446,34 @@ _PINNED_DOCUMENTS = {
     (["tree", "coords", "--chain", "qn4-weight.json"], None, 4, "input is neither a tree nor a chain"),
     (["tree", "reconstruct", "--family", "tree.json"], None, 4, "input is not a chart family"),
     (["tree", "check", "--tree", "type-array.json"], None, 3, "cannot parse {dir}/type-array.json: unknown type ['tree']"),
+    # the tree is validated after the kept labels
+    (["tree", "contract", "--tree", "mark-off-components.json", "--keep", "0,1,2"], None, 4,
+     "mark on an undeclared component"),
+    (["tree", "contract", "--tree", "components-unjoined.json", "--keep", "0,1,2"], None, 4,
+     "edge count must be component count minus one"),
+    (["tree", "check", "--tree", "mark-off-components.json"], None, 4, "mark on an undeclared component"),
+    (["tree", "check", "--tree", "components-unjoined.json"], None, 4,
+     "edge count must be component count minus one"),
+    (["tree", "contract", "--tree", "mark-on-node.json", "--keep", "0,1,2"], None, 4,
+     "mark 0 sits on a node of component a"),
 ])
 def test_error_exits_are_pinned(tmp_path, monkeypatch, argv, cap, code, line):
     for name, document in _PINNED_DOCUMENTS.items():
         (tmp_path / name).write_text(json.dumps(document))
     if cap is not None:
         monkeypatch.setenv("QML_MAX_WORK", cap)
-        # the bound is read when chambers are enumerated, not when an
-        # earlier test's are read back from the cache
-        monkeypatch.setattr(chambers, "_chamber_cache", {})
     argv = [str(tmp_path / arg) if arg in _PINNED_DOCUMENTS else arg for arg in argv]
     assert _run_with_output(argv) == (code, "", f"error: {line.format(dir=tmp_path)}\n")
+
+
+def test_the_work_bound_is_read_again_for_a_size_enumerated_before(monkeypatch):
+    # chambers are enumerated afresh on every call, so a bound set after an
+    # earlier enumeration of the same size in the process is still read
+    assert _run_with_output(["chambers", "--mode", "qn", "--n", "3"])[0] == 0
+    monkeypatch.setenv("QML_MAX_WORK", "x")
+    assert _run_with_output(["chambers", "--mode", "qn", "--n", "3"]) == (
+        3, "", "error: QML_MAX_WORK must be an integer >= 1, got 'x'\n"
+    )
 
 
 @pytest.mark.parametrize("error, code, line", [

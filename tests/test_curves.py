@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermoduli import curves, projline, serialize
-from quivermoduli.configs import QnConfig, check_limit_equations, glue_fiber, normalize_chart_qn
+from quivermoduli.configs import QnConfig, check_limit_equations, glue_fiber, moebius_equivalent, normalize_chart_qn
 from quivermoduli.curves import (
     Chain,
     GK,
@@ -127,8 +127,39 @@ def test_lm_stability():
 
 def test_mark_images_two_components():
     imgs = mark_images(two_comp())
-    assert imgs["a"][2] == affine(9) and imgs["a"][3] == affine(9)
-    assert imgs["b"][0] == affine(-4) and imgs["b"][1] == affine(-4)
+    assert imgs["a"] == QnConfig((affine(0), affine(1), affine(9), affine(9)))
+    assert imgs["b"] == QnConfig((affine(-4), affine(-4), affine(2), INF_POINT))
+
+
+def _walked_images(tree):
+    """component -> configuration of the mark images, sections in label
+    order, by a breadth-first walk from each component: a mark elsewhere
+    lands on the node of the first edge of the path toward it."""
+    out = {}
+    for c in tree.components:
+        first = {c: None}
+        queue = [c]
+        for cur in queue:
+            for e in tree.edges:
+                if cur in e.ends and e.other(cur) not in first:
+                    first[e.other(cur)] = e if cur == c else first[cur]
+                    queue.append(e.other(cur))
+        out[c] = QnConfig(tuple(p if comp == c else first[comp].node_at(c) for _, comp, p in tree.marks))
+    return out
+
+
+def test_mark_images_match_a_walk_of_the_tree():
+    rng = random.Random(23)
+    trees = [random_gk_tree(rng, n) for n in (3, 4, 5, 6, 7, 8) for _ in range(6)]
+    for n in (4, 5, 6):
+        for _ in range(6):
+            trees.append(random_a_stable_tree(rng, n, random_hassett_weight(rng, n)))
+    # labels other than 0..n-1 keep their sections in label order
+    trees += [contract_gamma(t, [0, 2, 3, 5]) for t in trees if t.n >= 6]
+    assert sum(len(t.components) > 2 for t in trees) >= 10
+    assert any(_has_coincident_marks(t) for t in trees)
+    for tree in trees:
+        assert mark_images(tree) == _walked_images(tree), tree
 
 
 def test_contract_gamma_identity_and_example():
@@ -283,6 +314,42 @@ def test_tree_isomorphic_rejects_different_coordinates():
     assert tree_isomorphic(m, m)
 
 
+def test_tree_isomorphic_needs_three_image_points_and_three_marks():
+    # a component whose marks land on two distinct points is isomorphic to
+    # nothing, itself included, though its configuration is Moebius
+    # equivalent to itself
+    leaf = PointedTree(
+        ("a", "b"),
+        (TreeEdge(("a", "b"), (affine(9), affine(-4))),),
+        ((0, "a", affine(0)), (1, "a", affine(1)), (2, "a", affine(2)), (3, "b", affine(3))),
+    )
+    dup = PointedTree(("c",), (), ((0, "c", affine(1)), (1, "c", affine(1)), (2, "c", affine(2))))
+    for tree in (leaf, dup):
+        images = mark_images(tree)
+        assert any(len({s.ihom for s in cfg.sections}) == 2 for cfg in images.values())
+        assert all(moebius_equivalent(cfg, cfg) for cfg in images.values())
+        assert not tree_isomorphic(tree, tree)
+    # fewer than three marks: no configurations, and never isomorphic, even
+    # where two components repeat an image partition (the third tree)
+    small = [
+        PointedTree(("c",), (), ()),
+        PointedTree(("c",), (), ((0, "c", affine(1)), (1, "c", affine(2)))),
+        PointedTree(("a", "b"), two_comp().edges, ((0, "a", affine(0)), (1, "b", affine(2)))),
+    ]
+    for tree in small:
+        with pytest.raises(ValueError, match="n >= 3"):
+            mark_images(tree)
+        assert not tree_isomorphic(tree, tree)
+    # with three marks or more, a repeated image partition still raises
+    path = PointedTree(
+        ("a", "b", "c"),
+        (TreeEdge(("a", "b"), (affine(1), affine(2))), TreeEdge(("b", "c"), (affine(3), affine(4)))),
+        ((0, "a", affine(5)), (1, "c", affine(6)), (2, "c", affine(7))),
+    )
+    with pytest.raises(ValueError, match="distinct image partitions"):
+        tree_isomorphic(path, path)
+
+
 def test_lm_coordinates_and_identities():
     ch = Chain((
         ((0, affine(2)),),
@@ -418,10 +485,10 @@ def test_chart_layer_output_pinned():
 def _moebius_reference_charts(tree):
     """The chart rows built by normalizing each ordering with a Moebius map,
     applied mark by mark, on the one component where the triple separates."""
-    images = mark_images(tree)
+    images = [dict(zip(tree.labels, cfg.sections)) for cfg in mark_images(tree).values()]
     charts = {}
     for tset in itertools.combinations(tree.labels, 3):
-        hits = [img for img in images.values() if len({img[i].ihom for i in tset}) == 3]
+        hits = [img for img in images if len({img[i].ihom for i in tset}) == 3]
         assert len(hits) <= 1
         for img in hits:
             for order in itertools.permutations(tset):

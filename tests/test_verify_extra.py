@@ -11,7 +11,7 @@ import pytest
 from quivermoduli import cli
 from quivermoduli import configs as configs_mod
 from quivermoduli import verify
-from quivermoduli.chambers import Chamber, TooLargeError
+from quivermoduli.chambers import Chamber, TooLargeError, enumerate_walls
 from quivermoduli.configs import (
     IRREDUCIBLE,
     PnConfig,
@@ -26,7 +26,9 @@ from quivermoduli.generate import (
     enumerate_chain_shapes,
     enumerate_split_systems,
     pn_decorations,
+    random_a_stable_tree,
     random_gk_tree,
+    random_hassett_weight,
     set_partitions,
 )
 from quivermoduli.projline import affine
@@ -179,3 +181,57 @@ def test_splits_count_against_the_work_bound(monkeypatch):
             with pytest.raises(TooLargeError, match=f"^{size} splits on {n} marks exceed QML_MAX_WORK"):
                 random_gk_tree(random.Random(0), n)
             monkeypatch.delenv("QML_MAX_WORK")
+
+
+def test_splits_are_the_hypersimplex_wall_sides():
+    # one enumerator: the split of a tree edge and the stored side of a
+    # hypersimplex wall are the same object, the side that holds mark 0
+    for n in range(3, 13):
+        assert all_splits(n) == [w.j for w in enumerate_walls("qn", n)]
+    for n in range(1, 11):
+        brute = set()
+        for k in range(2, n - 1):
+            for side in itertools.combinations(range(n), k):
+                rest = tuple(i for i in range(n) if i not in side)
+                brute.add(min(side, rest))
+        assert all_splits(n) == sorted(brute), n
+
+
+def _walked_edge_sides(tree):
+    """For each edge, the components on the side of its first end, by a
+    walk of the tree that does not cross the edge."""
+    adj = {c: [] for c in tree.components}
+    for e in tree.edges:
+        adj[e.ends[0]].append(e)
+        adj[e.ends[1]].append(e)
+    for e in tree.edges:
+        side = {e.ends[0]}
+        stack = [e.ends[0]]
+        while stack:
+            c = stack.pop()
+            for f in adj[c]:
+                if f is e:
+                    continue
+                d = f.other(c)
+                if d not in side:
+                    side.add(d)
+                    stack.append(d)
+        yield side
+
+
+def test_edge_splits_read_off_mark_images_match_a_walk_of_the_tree():
+    # the marks landing on an edge's node at its first end are the marks
+    # beyond the edge; coinciding marks (Hassett clusters) change nothing
+    rng = random.Random(29)
+    trees = [random_gk_tree(rng, n) for n in range(4, 9) for _ in range(10)]
+    for n in (4, 5, 6):
+        for _ in range(8):
+            trees.append(random_a_stable_tree(rng, n, random_hassett_weight(rng, n)))
+    assert sum(len(t.edges) for t in trees) >= 60
+    assert any(len({(c, p.ihom) for _, c, p in t.marks}) < t.n for t in trees)
+    for tree in trees:
+        full = frozenset(range(tree.n))
+        walked = [
+            full - {lb for lb, comp, _ in tree.marks if comp in side} for side in _walked_edge_sides(tree)
+        ]
+        assert verify._edge_splits(tree) == walked, tree
