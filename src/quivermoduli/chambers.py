@@ -63,7 +63,7 @@ import itertools
 import os
 from fractions import Fraction
 from math import gcd
-from operator import ge, gt, itemgetter, le, lt, neg
+from operator import itemgetter, neg
 from typing import Optional, Sequence, Union
 
 from .lp import equality_row, strict_interior_point, strict_row
@@ -186,29 +186,14 @@ class PnWeight(_Frozen):
 Weight = Union[QnWeight, PnWeight]
 
 
-def _wall_order(op):
-    def compare(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return op((self.n, self.j), (other.n, other.j))
-
-    return compare
-
-
 class _Wall(_Frozen):
-    """The fields of both wall classes, and their order: walls of one class
-    compare by (n, j)."""
+    """The fields of both wall classes."""
 
     __slots__ = _fields = ("n", "j")
 
     def __init__(self, n: int, j: tuple[int, ...]):
         _set(self, "n", n)
         _set(self, "j", j)
-
-    __lt__ = _wall_order(lt)
-    __le__ = _wall_order(le)
-    __gt__ = _wall_order(gt)
-    __ge__ = _wall_order(ge)
 
 
 class QnWall(_Wall):
@@ -250,7 +235,7 @@ def _qn_wall_sides(n: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_walls(mode: str, n: int) -> list[Wall]:
-    """All inner walls, each exactly once, in sorted order."""
+    """All inner walls, each exactly once, ordered by their stored sides."""
     if n > 12:
         raise TooLargeError("wall enumeration capped at n <= 12")
     if mode == QN:
@@ -260,11 +245,8 @@ def enumerate_walls(mode: str, n: int) -> list[Wall]:
     if mode == PN:
         if n < 1:
             raise ValueError("double-star walls need n >= 1")
-        walls = []
-        for k in range(1, n):
-            for j in itertools.combinations(range(n), k):
-                walls.append(PnWall(n, j))
-        return sorted(walls)
+        sides = sorted(j for k in range(1, n) for j in itertools.combinations(range(n), k))
+        return [PnWall(n, j) for j in sides]
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -909,15 +891,11 @@ class StabPolytope(_Frozen):
         _set(self, "jinf", jinf)
 
 
-def stability_polytope(p: StabPolytope) -> tuple[list[Weight], list[Wall]]:
-    """Vertex set and bounding inner walls of a stability polytope.
-
-    Vertices are the ambient polytope vertices satisfying the class
-    inequalities; facets are the class walls of inner-wall size.
-    """
+def stability_polytope(p: StabPolytope) -> list[Weight]:
+    """The vertices of a stability polytope: the ambient polytope vertices
+    satisfying the class inequalities."""
     n = p.n
     vertices: list[Weight] = []
-    facets: list[Wall] = []
     if p.mode == QN:
         block_of = {}
         for bi, b in enumerate(p.partition):
@@ -929,9 +907,6 @@ def stability_polytope(p: StabPolytope) -> tuple[list[Weight], list[Wall]]:
                 theta[i] = Fraction(1)
                 theta[j] = Fraction(1)
                 vertices.append(QnWeight(tuple(theta)))
-        for b in p.partition:
-            if 2 <= len(b) <= n - 2:
-                facets.append(canonical_qn_wall(n, b))
     else:
         s0, sinf = set(p.j0), set(p.jinf)
         for i in range(n):
@@ -944,12 +919,7 @@ def stability_polytope(p: StabPolytope) -> tuple[list[Weight], list[Wall]]:
                 theta = [Fraction(0)] * n
                 theta[i] = Fraction(1)
                 vertices.append(PnWeight(Fraction(0), Fraction(-1), tuple(theta)))
-        comp0 = tuple(sorted(set(range(n)) - s0))
-        if 1 <= len(comp0) <= n - 1:
-            facets.append(PnWall(n, comp0))
-        if 1 <= len(p.jinf) <= n - 1:
-            facets.append(PnWall(n, p.jinf))
-    return vertices, sorted(set(facets))
+    return vertices
 
 
 class HassettPolytope(_Frozen):

@@ -7,9 +7,11 @@ vector, which chart operations reject).  Double-star representations are the
 same with two implicit anchor points (0:1) and (1:0).
 
 Stability verdicts come in two independent implementations: the fast rule
-driven by the coincidence partition, and a definition-level oracle that
-enumerates every coordinate subrepresentation.  Their agreement is a test
-target, so neither may call the other.
+driven by the coincidence classes, and a definition-level oracle that
+enumerates every coordinate subrepresentation.  There is one loop per
+kernel for both quivers; the quiver supplies its tests or subspaces.  Their
+agreement is a test target, so neither may call the other, and the only
+helper they share is the weight table.
 """
 from __future__ import annotations
 
@@ -115,14 +117,15 @@ class CoincidencePartition(_Frozen):
         _set(self, "jinf", jinf)
 
 
-def _require_classes(config: Config) -> None:
+def _require_points(config: Config) -> tuple[ProjPoint, ...]:
     for i, s in enumerate(config.sections):
         if s is None:
-            raise ZeroSectionError(f"section {i} is zero and has no projective class")
+            raise ZeroSectionError(f"section {i} is zero")
+    return config.sections  # type: ignore[return-value]
 
 
 def coincidence_partition(config: Config) -> CoincidencePartition:
-    _require_classes(config)
+    _require_points(config)
     groups: dict[IPoint, list[int]] = {}
     for i, s in enumerate(config.sections):
         groups.setdefault(s.ihom, []).append(i)
@@ -169,67 +172,58 @@ def _weight_tables(weight) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int,
 
 
 def is_semistable(config: Config, weight) -> Verdict:
-    """Stability from the coincidence partition (plus boundary rules).
+    """Stability from the coincidence classes (plus boundary rules).
 
-    A zero section with positive weight destabilizes outright; on the
-    boundary of the weight polytope nothing is stable, because dropping a
-    source vertex or a sink summand yields a subrepresentation of value zero.
-    Sums are evaluated on cached integer tables of the weight.
+    The quiver supplies the classes to test, each against the weight of
+    the sink it could span: for the star quiver every class against the
+    2-dimensional sink, for the double-star quiver the classes at (1:0)
+    and (0:1) against h1 and h2.  A zero section with positive weight
+    destabilizes outright; on the boundary of the weight polytope nothing
+    is stable, because dropping a source vertex or a sink summand yields a
+    subrepresentation of value zero.  Sums are evaluated on cached integer
+    tables of the weight.
     """
-    if isinstance(config, QnConfig):
-        if not isinstance(weight, QnWeight) or weight.n != config.n:
-            raise ValueError("configuration and weight do not match")
-        t, extra, pre = _weight_tables(weight)
-        d = extra[0]
-        zeros = [i for i, s in enumerate(config.sections) if s is None]
-        for i in zeros:
-            if t[i] > 0:
-                return Verdict(UNSTABLE, ("zero_section", i))
-        groups: dict[IPoint, int] = {}
-        for i, s in enumerate(config.sections):
-            if s is not None:
-                groups[s.ihom] = groups.get(s.ihom, 0) | (1 << i)
-        tie = None
-        for mask in sorted(groups.values()):
-            v = pre[mask]
-            if v > d:
-                return Verdict(UNSTABLE, _mask_set(mask))
-            if v == d and tie is None:
-                tie = _mask_set(mask)
-        if tie is not None:
-            return Verdict(STRICTLY_SEMISTABLE, tie)
-        for i, v in enumerate(t):
-            if v == 0:
-                return Verdict(STRICTLY_SEMISTABLE, ("drop_source", i))
-        if zeros:
-            return Verdict(STRICTLY_SEMISTABLE, ("zero_section", zeros[0]))
-        return Verdict(STABLE, None)
-
-    if not isinstance(weight, PnWeight) or weight.n != config.n:
+    star = isinstance(config, QnConfig)
+    if not isinstance(weight, QnWeight if star else PnWeight) or weight.n != config.n:
         raise ValueError("configuration and weight do not match")
     t, extra, pre = _weight_tables(weight)
-    h1, h2, _d = extra
     zeros = []
-    m0 = minf = 0
-    for i, s in enumerate(config.sections):
-        if s is None:
-            zeros.append(i)
-            if t[i] > 0:
-                return Verdict(UNSTABLE, ("zero_section", i))
-        elif s.ihom == (0, 1):
-            m0 |= 1 << i
-        elif s.ihom == (1, 0):
-            minf |= 1 << i
-    vinf = pre[minf]
-    v0 = pre[m0]
-    if vinf > h1:
-        return Verdict(UNSTABLE, ("inf_anchor", _mask_set(minf)))
-    if v0 > h2:
-        return Verdict(UNSTABLE, ("zero_anchor", _mask_set(m0)))
-    if vinf == h1:
-        return Verdict(STRICTLY_SEMISTABLE, ("inf_anchor", _mask_set(minf)))
-    if v0 == h2:
-        return Verdict(STRICTLY_SEMISTABLE, ("zero_anchor", _mask_set(m0)))
+    # the class masks the quiver tests, the sink weight each must not
+    # exceed, and the witness tags (None: the class alone)
+    if star:
+        classes: dict[IPoint, int] = {}
+        for i, s in enumerate(config.sections):
+            if s is None:
+                zeros.append(i)
+            else:
+                classes[s.ihom] = classes.get(s.ihom, 0) | 1 << i
+        masks = sorted(classes.values())
+        bounds = (extra[0],) * len(masks)
+        tags = None
+    else:
+        minf = m0 = 0
+        for i, s in enumerate(config.sections):
+            if s is None:
+                zeros.append(i)
+            elif s.ihom == (1, 0):
+                minf |= 1 << i
+            elif s.ihom == (0, 1):
+                m0 |= 1 << i
+        masks = minf, m0
+        bounds = extra  # (h1, h2, d)
+        tags = "inf_anchor", "zero_anchor"
+    for i in zeros:
+        if t[i] > 0:
+            return Verdict(UNSTABLE, ("zero_section", i))
+    tie = None
+    for k, mask in enumerate(masks):
+        v = pre[mask] - bounds[k]
+        if v > 0:
+            return Verdict(UNSTABLE, _class_witness(tags, k, mask))
+        if v == 0 and tie is None:
+            tie = k
+    if tie is not None:
+        return Verdict(STRICTLY_SEMISTABLE, _class_witness(tags, tie, masks[tie]))
     for i, v in enumerate(t):
         if v == 0:
             return Verdict(STRICTLY_SEMISTABLE, ("drop_source", i))
@@ -238,23 +232,32 @@ def is_semistable(config: Config, weight) -> Verdict:
     return Verdict(STABLE, None)
 
 
-def _mask_set(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+def _class_witness(tags: Optional[tuple[str, ...]], k: int, mask: int) -> object:
+    members = frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return members if tags is None else (tags[k], members)
 
 
 def brute_force_semistable(config: Config, weight) -> Verdict:
     """Definition-level oracle: enumerate every coordinate subrepresentation,
     evaluate its weight, and apply the definition directly.
 
-    Integer arithmetic over a common denominator keeps this fast enough to
-    run in bulk; the enumeration itself stays exhaustive.
+    The quiver supplies its sink subspaces, each with the weight it adds
+    and the sources it admits: for the star quiver 0, each line through a
+    section and the whole plane (a line through none admits only zero
+    sections, which weigh d less there than over 0), for the double-star
+    quiver the four products of 0 or all over the two sinks.  Integer arithmetic over a common denominator keeps
+    this fast enough to run in bulk; the enumeration itself stays
+    exhaustive.
     """
+    star = isinstance(config, QnConfig)
     n = config.n
+    if not isinstance(weight, QnWeight if star else PnWeight) or weight.n != n:
+        raise ValueError("configuration and weight do not match")
+    _, extra, pre = _weight_tables(weight)
     full = (1 << n) - 1
-    if isinstance(config, QnConfig):
-        if not isinstance(weight, QnWeight) or weight.n != n:
-            raise ValueError("configuration and weight do not match")
-        _, extra, pre = _weight_tables(weight)
+    # (witness label, weight of the sink subspace, eligible source mask,
+    # the source mask that makes the subrepresentation 0 or everything)
+    if star:
         d = extra[0]
         zero_mask = 0
         lines: dict[IPoint, int] = {}
@@ -262,62 +265,34 @@ def brute_force_semistable(config: Config, weight) -> Verdict:
             if s is None:
                 zero_mask |= 1 << i
             else:
-                lines[s.ihom] = lines.get(s.ihom, 0) | (1 << i)
-        for axis in ((0, 1), (1, 0)):
-            lines.setdefault(axis, 0)
-        # (dim of the sink subspace, eligible source mask)
-        cands = [(0, zero_mask), (2, full)]
-        for key in sorted(lines):
-            cands.append((1, lines[key] | zero_mask))
-        found_zero = None
-        for dim, elig in cands:
-            base = -dim * d
-            whole = full if dim == 2 else -1
-            trivial = 0 if dim == 0 else -1
-            smask = elig
-            while True:
-                if smask != whole and smask != trivial:
-                    v = base + pre[smask]
-                    if v > 0:
-                        return Verdict(UNSTABLE, ("subrep", dim, smask))
-                    if v == 0 and found_zero is None:
-                        found_zero = ("subrep", dim, smask)
-                if smask == 0:
-                    break
-                smask = (smask - 1) & elig
-        if found_zero is not None:
-            return Verdict(STRICTLY_SEMISTABLE, found_zero)
-        return Verdict(STABLE, None)
-
-    if not isinstance(weight, PnWeight) or weight.n != n:
-        raise ValueError("configuration and weight do not match")
-    _, extra, pre = _weight_tables(weight)
-    h1, h2, _d = extra
-    allow1 = 0  # sources whose first coordinate vanishes
-    allow2 = 0
-    for i, s in enumerate(config.sections):
-        if s is None:
-            allow1 |= 1 << i
-            allow2 |= 1 << i
-        else:
-            if s.ihom[0] == 0:
+                lines[s.ihom] = lines.get(s.ihom, 0) | 1 << i
+        subspaces = [(0, 0, zero_mask, 0), (2, -2 * d, full, full)]
+        subspaces += [(1, -d, lines[key] | zero_mask, -1) for key in sorted(lines)]
+    else:
+        h1, h2, _ = extra
+        # sources whose first, respectively second, coordinate vanishes
+        allow1 = allow2 = 0
+        for i, s in enumerate(config.sections):
+            if s is None or not s.ihom[0]:
                 allow1 |= 1 << i
-            if s.ihom[1] == 0:
+            if s is None or not s.ihom[1]:
                 allow2 |= 1 << i
+        subspaces = (
+            ((0, 0), 0, allow1 & allow2, 0),
+            ((0, 1), -h2, allow1, -1),
+            ((1, 0), -h1, allow2, -1),
+            ((1, 1), -h1 - h2, full, full),
+        )
     found_zero = None
-    for b1, b2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        elig = (full if b1 else allow1) & (full if b2 else allow2)
-        base = -b1 * h1 - b2 * h2
-        whole = full if b1 and b2 else -1
-        trivial = 0 if not (b1 or b2) else -1
+    for label, base, elig, trivial in subspaces:
         smask = elig
         while True:
-            if smask != whole and smask != trivial:
+            if smask != trivial:
                 v = base + pre[smask]
                 if v > 0:
-                    return Verdict(UNSTABLE, ("subrep", (b1, b2), smask))
+                    return Verdict(UNSTABLE, ("subrep", label, smask))
                 if v == 0 and found_zero is None:
-                    found_zero = ("subrep", (b1, b2), smask)
+                    found_zero = ("subrep", label, smask)
             if smask == 0:
                 break
             smask = (smask - 1) & elig
@@ -332,13 +307,6 @@ def theta_polytope(config: Config) -> StabPolytope:
     if isinstance(config, QnConfig):
         return StabPolytope(QN, config.n, partition=part.blocks)
     return StabPolytope(PN, config.n, j0=part.j0, jinf=part.jinf)
-
-
-def _require_points(config: Config) -> tuple[ProjPoint, ...]:
-    for i, s in enumerate(config.sections):
-        if s is None:
-            raise ZeroSectionError(f"section {i} is zero")
-    return config.sections  # type: ignore[return-value]
 
 
 def normalize_chart_qn(config: QnConfig, triple: Sequence[int]) -> QnConfig:
@@ -552,14 +520,7 @@ def moebius_equivalent(config_a: QnConfig, config_b: QnConfig) -> bool:
         raise ValueError("Moebius equivalence is defined for star-quiver configurations")
     if len(config_a.sections) != len(config_b.sections):
         return False
-    try:
-        da, db = config_a.dets, config_b.dets
-    except ZeroSectionError:
-        # name the first zero section, of a before b, in the message of
-        # coincidence_partition
-        for config in (config_a, config_b):
-            _require_classes(config)
-        raise
+    da, db = config_a.dets, config_b.dets
     first = [row.index(0) for row in da]
     if first != [row.index(0) for row in db]:
         return False

@@ -226,7 +226,7 @@ def suite_theta_polytope(rep: _Report, seed: int, bounds: dict) -> None:
             vertex_weights[(i, j)] = QnWeight(tuple(theta))
         for blocks, cfg in partition_configs:
             poly = theta_polytope(cfg)
-            verts, _ = chambers.stability_polytope(poly)
+            verts = chambers.stability_polytope(poly)
             got = {
                 tuple(k for k, v in enumerate(w.theta) if v == 1) for w in verts
             }

@@ -60,6 +60,30 @@ def test_cli_maps_errors_to_exit_codes_in_main_only():
     assert [h.lineno for h in others if names(h) & policy] == []
 
 
+def test_stability_kernels_read_neither_each_other_nor_the_partition():
+    # the fast rule and the subrepresentation oracle are checked against
+    # each other, so neither may reach the other, the coincidence partition
+    # or the polytope built on it, and the only function of `configs` that
+    # both reach is the weight table; reads are followed through the
+    # module's own functions
+    module = ast.parse((Path(quivermoduli.__file__).parent / "configs.py").read_text())
+    functions = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
+
+    def reached(name: str) -> set[str]:
+        seen, todo = set(), [name]
+        while todo:
+            for sub in ast.walk(functions[todo.pop()]):
+                if isinstance(sub, ast.Name) and sub.id in functions and sub.id not in seen:
+                    seen.add(sub.id)
+                    todo.append(sub.id)
+        return seen - {name}
+
+    fast, oracle = reached("is_semistable"), reached("brute_force_semistable")
+    assert "brute_force_semistable" not in fast and "is_semistable" not in oracle
+    assert (fast | oracle) & {"coincidence_partition", "theta_polytope"} == set()
+    assert fast & oracle == {"_weight_tables"}
+
+
 def _stored_values(obj):
     names = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
     return [getattr(obj, name) for name in names] + list(getattr(obj, "__dict__", {}).values())

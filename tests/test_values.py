@@ -116,18 +116,6 @@ def test_distinct_values_are_unequal():
             assert u != v and not u == v, (u, v)
 
 
-def test_walls_order_within_a_class_only():
-    walls = [QnWall(5, (1, 2)), QnWall(4, (0, 3)), QnWall(4, (0, 1)), QnWall(5, (0, 4))]
-    assert sorted(walls) == [QnWall(4, (0, 1)), QnWall(4, (0, 3)), QnWall(5, (0, 4)), QnWall(5, (1, 2))]
-    a, b = PnWall(3, (0,)), PnWall(3, (0, 1))
-    assert a < b and a <= b and b > a and b >= a and a <= a and a >= a and not a < a
-    assert QnWall(3, (0, 1)) != PnWall(3, (0, 1))
-    with pytest.raises(TypeError):
-        QnWall(3, (0, 1)) < PnWall(3, (0, 1))
-    with pytest.raises(TypeError):
-        QnWall(3, (0, 1)) < (3, (0, 1))
-
-
 @_values
 def test_assignment_and_deletion_raise(value, names, text):
     for name in names + ("other",):
