@@ -16,6 +16,7 @@ helper they share is the weight table.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .chambers import PnWeight, QnWeight, StabPolytope, TooLargeError, PN, QN, max_work
@@ -60,7 +61,7 @@ class QnConfig(_Frozen):
     """n sections, each a point of the line or None for the zero vector."""
 
     _fields = ("sections",)
-    __slots__ = ("sections", "_dets")
+    __slots__ = ("sections", "_dets", "_normal_form")
 
     def __init__(self, sections: tuple[Section, ...]):
         _set(self, "sections", sections)
@@ -83,6 +84,44 @@ class QnConfig(_Frozen):
             table = tuple([tuple(_det_row(a, pts)) for a in pts])
             _set(self, "_dets", table)
             return table
+
+    @property
+    def normal_form(self) -> tuple[tuple[int, ...], Optional[tuple[IPoint, ...]]]:
+        """The Moebius normal form (first, values), built on first use and
+        kept outside the fields like `dets`; raises ZeroSectionError on a
+        zero section.
+
+        first[k] is the first index whose section coincides with section k,
+        which is `row.index(0)` of row k of `dets`.  With r1, r2, r3 the
+        first three distinct sections (the k with first[k] == k), values[k]
+        is (D[r1][k] D[r2][r3] : D[r2][k] D[r1][r3]) as a coprime pair with
+        positive leading entry: the image of section k under the Moebius map
+        sending r1, r2, r3 to (0:1), (1:0), (1:1), read by the chart rule
+        `projline._chart_row`.  With fewer than three distinct sections
+        values is None.  Two configurations of one size are Moebius
+        equivalent, respecting indices, exactly when their normal forms are
+        equal."""
+        try:
+            return self._normal_form
+        except AttributeError:
+            pts = [s.ihom for s in _require_points(self)]
+            leads: dict[IPoint, int] = {}
+            first = tuple([leads.setdefault(p, k) for k, p in enumerate(pts)])
+            values = None
+            if len(leads) >= 3:
+                r1, r2, r3 = list(leads.values())[:3]
+                values = []
+                for x, y in _chart_row(_det_row(pts[r1], pts), _det_row(pts[r2], pts), r3):
+                    # never (0, 0): section k coincides with at most one of
+                    # r1 and r2
+                    g = gcd(x, y)
+                    if x < 0 or not x and y < 0:
+                        g = -g
+                    values.append((x // g, y // g))
+                values = tuple(values)
+            form = (first, values)
+            _set(self, "_normal_form", form)
+            return form
 
 
 class PnConfig(_Frozen):
@@ -182,6 +221,10 @@ def is_semistable(config: Config, weight) -> Verdict:
     is stable, because dropping a source vertex or a sink summand yields a
     subrepresentation of value zero.  Sums are evaluated on cached integer
     tables of the weight.
+
+    A zero section never reaches the STABLE verdict: every coordinate of a
+    validated weight is at least 0, so a zero section weighs more than 0
+    (UNSTABLE) or exactly 0, and then the `drop_source` loop returns first.
     """
     star = isinstance(config, QnConfig)
     if not isinstance(weight, QnWeight if star else PnWeight) or weight.n != config.n:
@@ -227,8 +270,6 @@ def is_semistable(config: Config, weight) -> Verdict:
     for i, v in enumerate(t):
         if v == 0:
             return Verdict(STRICTLY_SEMISTABLE, ("drop_source", i))
-    if zeros:
-        return Verdict(STRICTLY_SEMISTABLE, ("zero_section", zeros[0]))
     return Verdict(STABLE, None)
 
 
@@ -324,7 +365,19 @@ def _agreeing_rows(
     config_a: Config, config_b: Config, i: Optional[int], j: Optional[int]
 ) -> Optional[tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]]:
     """The anchor rows (xa, ya, xb, yb) of `check_limit_equations`, checked
-    in the order its docstring gives, if they satisfy the equations."""
+    in the order its docstring gives, if they satisfy the equations.
+
+    Star-quiver charts read the cached `_dets` slots, with the `dets`
+    property as the fallback that builds them.  After every check, charts
+    with equal `QnConfig.normal_form` are Moebius equivalent and satisfy
+    the equations at every anchor pair, so their rows are returned without
+    the loop.  Proof: if g a_k = l_k b_k for every k, with G an integer
+    matrix of g and the l_k nonzero rationals, then for the integer
+    representatives det(b_p, b_k) = det(G) det(a_p, a_k) / (l_p l_k).  So
+    xa[k] yb[k] = da[i][k] db[j][k] = da[i][k] da[j][k] det(G) / (l_j l_k)
+    and ya[k] xb[k] = da[j][k] da[i][k] det(G) / (l_i l_k), and every pair
+    other than (0, 0) is (l_i : l_j), one value.
+    """
     if type(config_a) is not type(config_b) or len(config_a.sections) != len(config_b.sections):
         raise ValueError("configurations must share a mode and a size")
     if type(config_a) is PnConfig:
@@ -336,17 +389,29 @@ def _agreeing_rows(
             rows += _det_row(ZERO_POINT.ihom, pts), _det_row(INF_POINT.ihom, pts)
         xa, ya, xb, yb = rows
     else:
-        da = config_a.dets
+        try:
+            da = config_a._dets
+        except AttributeError:
+            da = config_a.dets
         if i is None or j is None or i == j:
             raise ValueError("two distinct anchor indices are required")
         if not (0 <= i < len(da) and 0 <= j < len(da)):
             raise ValueError(f"anchor indices {i} and {j} must lie in range({len(da)})")
         if not da[i][j]:
             raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
-        db = config_b.dets
+        try:
+            db = config_b._dets
+        except AttributeError:
+            db = config_b.dets
         if not db[i][j]:
             raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
         xa, ya, xb, yb = da[i], da[j], db[i], db[j]
+        try:
+            same = config_a._normal_form == config_b._normal_form
+        except AttributeError:
+            same = config_a.normal_form == config_b.normal_form
+        if same:
+            return xa, ya, xb, yb
     # the first pair other than (0, 0) fixes the value (r0 : r1); a later
     # pair (0, 0) passes the comparison
     pairs = zip(xa, yb, ya, xb)
@@ -381,7 +446,10 @@ def check_limit_equations(
     (1,1)-curve through the two anchor corners.
 
     Checks mode and size first, then the first chart (zero sections,
-    anchor indices, coinciding anchors), then the second.
+    anchor indices, coinciding anchors), then the second.  Star-quiver
+    charts with equal `QnConfig.normal_form` are Moebius equivalent and
+    pass at once (the proof is in `_agreeing_rows`); only the other pairs
+    are compared row by row.
     """
     return _agreeing_rows(config_a, config_b, i, j) is not None
 
@@ -506,7 +574,8 @@ def map_config_qn2_pn(config: QnConfig, a: int, b: int) -> PnConfig:
 
 def moebius_equivalent(config_a: QnConfig, config_b: QnConfig) -> bool:
     """Whether one star-quiver configuration is a Moebius transform of the
-    other, respecting indices.
+    other, respecting indices: configurations of one size whose
+    `QnConfig.normal_form`s are equal.
 
     Sections i and k coincide iff D[i][k] = 0, D the determinant table, so
     the first zero of row k names the first section coinciding with k, and
@@ -514,23 +583,12 @@ def moebius_equivalent(config_a: QnConfig, config_b: QnConfig) -> bool:
     r3 the first three sections that coincide with no earlier one, the
     Moebius sending them to (0:1), (1:0), (1:1) sends section k to
     (D[r1][k] D[r2][r3] : D[r2][k] D[r1][r3]); the configurations are
-    equivalent when these values agree for every k.
+    equivalent when these values agree for every k, or when there are at
+    most two distinct points on each side.  A zero section of the first
+    configuration is named before one of the second.
     """
     if not (isinstance(config_a, QnConfig) and isinstance(config_b, QnConfig)):
         raise ValueError("Moebius equivalence is defined for star-quiver configurations")
     if len(config_a.sections) != len(config_b.sections):
         return False
-    da, db = config_a.dets, config_b.dets
-    first = [row.index(0) for row in da]
-    if first != [row.index(0) for row in db]:
-        return False
-    leads = [k for k, i in enumerate(first) if i == k]
-    if len(leads) <= 2:
-        return True  # at most two distinct points on each side
-    r1, r2, r3 = leads[:3]
-    a1, a2, b1, b2 = da[r1], da[r2], db[r1], db[r2]
-    ca, cb = a2[r3] * b1[r3], b2[r3] * a1[r3]
-    for x, y, z, w in zip(a1, b2, b1, a2):
-        if x * y * ca != z * w * cb:
-            return False
-    return True
+    return config_a.normal_form == config_b.normal_form

@@ -12,8 +12,9 @@ component).
 Contracting a tree onto one component sends its marks to a star-quiver
 configuration (`configs.QnConfig`), and `mark_images` gives one per
 component.  The chart layer reads their determinant tables
-(`QnConfig.dets`), and `tree_isomorphic` their coincidence partitions and
-Moebius equivalence.
+(`QnConfig.dets`), and `tree_isomorphic` their Moebius normal forms
+(`QnConfig.normal_form`), as `reconstruct_tree` does for chart
+configurations.
 
 Every stable object is encoded by its chart coordinates: contract the tree
 onto the unique component where three chosen marks stay distinct and
@@ -36,7 +37,6 @@ from .chambers import QN, HassettPolytope, cover_check
 from .configs import (
     QnConfig,
     coincidence_partition,
-    moebius_equivalent,
     theta_polytope,
 )
 from .projline import (
@@ -728,8 +728,11 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     reconstructing it runs them (and the covering test) once.
 
     Charts are grouped by Moebius equivalence of their configurations (one
-    group per component), adjacency is read off complementary coincidence
-    blocks, and node coordinates are the block positions.  The result
+    group per component) in one pass keyed by `QnConfig.normal_form`; key
+    equality is an equivalence relation, so the groups and their order are
+    those of a first-fit pass comparing each chart with every group.
+    Adjacency is read off complementary coincidence blocks, and node
+    coordinates are the block positions.  The result
     reproduces the family exactly: after the stability test ("stability"),
     the family is compared with the rebuilt tree's integer chart rows by
     cross-multiplication, without building a second family, and
@@ -745,14 +748,10 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     n = family.n
     active = family.active_sets()
     configs = {t: QnConfig(tuple(family.charts[t])) for t in active}
-    groups: list[list[tuple[int, ...]]] = []
+    by_form: dict[tuple, list[tuple[int, ...]]] = {}
     for t in active:
-        for g in groups:
-            if moebius_equivalent(configs[g[0]], configs[t]):
-                g.append(t)
-                break
-        else:
-            groups.append([t])
+        by_form.setdefault(configs[t].normal_form, []).append(t)
+    groups = list(by_form.values())
     comp_names = tuple(f"c{k}" for k in range(len(groups)))
     rep_cfg = [configs[g[0]] for g in groups]
     parts = [coincidence_partition(cfg).blocks for cfg in rep_cfg]
@@ -866,33 +865,33 @@ def tree_isomorphic(t1: PointedTree, t2: PointedTree) -> bool:
     """Equality of marked trees up to relabelling components and a Moebius
     map on each component; marks must match exactly.
 
-    Components are matched by the coincidence partitions of their
-    `mark_images` and compared by `moebius_equivalent`; a component with
-    fewer than three distinct image points, or a tree with fewer than three
-    marks, is never isomorphic to anything."""
+    Components are matched by the first-zero patterns of the
+    `QnConfig.normal_form`s of their `mark_images` (the coincidence
+    partitions of the images), and matched components must have equal
+    normal forms; a component with fewer than three distinct image points,
+    or a tree with fewer than three marks, is never isomorphic to
+    anything."""
     if t1.labels != t2.labels or t1.n < 3:
         return False
-    img1 = mark_images(t1)
-    img2 = mark_images(t2)
-    part1 = {c: coincidence_partition(cfg).blocks for c, cfg in img1.items()}
-    part2 = {c: coincidence_partition(cfg).blocks for c, cfg in img2.items()}
-    if len(set(part1.values())) != len(part1) or len(set(part2.values())) != len(part2):
+    form1 = {c: cfg.normal_form for c, cfg in mark_images(t1).items()}
+    form2 = {c: cfg.normal_form for c, cfg in mark_images(t2).items()}
+    by_first = {first: c for c, (first, _) in form2.items()}
+    if len({first for first, _ in form1.values()}) != len(form1) or len(by_first) != len(form2):
         raise ValueError("components of a stable tree have distinct image partitions")
-    by_part = {p: c for c, p in part2.items()}
     match = {}
-    for c, p in part1.items():
-        if p not in by_part:
+    for c, (first, _) in form1.items():
+        if first not in by_first:
             return False
-        match[c] = by_part[p]
+        match[c] = by_first[first]
     if len(t1.edges) != len(t2.edges):
         return False
     e2 = {frozenset(e.ends) for e in t2.edges}
     for e in t1.edges:
         if frozenset(match[x] for x in e.ends) not in e2:
             return False
-    for c, cfg in img1.items():
-        # moebius_equivalent accepts two or fewer distinct points
-        if len(part1[c]) < 3 or not moebius_equivalent(cfg, img2[match[c]]):
+    for c, (_, values) in form1.items():
+        # values is None for fewer than three distinct image points
+        if values is None or values != form2[match[c]][1]:
             return False
     return True
 

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermoduli import serialize, verify
+from quivermoduli import configs as configs_module, serialize, verify
 from quivermoduli.chambers import (
     PN,
     QN,
@@ -742,3 +742,202 @@ def test_moebius_equivalent_matches_the_partition_reference():
         moebius_equivalent(a, b)
     with pytest.raises(ZeroSectionError, match=r"^section 0 is zero$"):
         moebius_equivalent(b, a)
+
+
+# Reference for the normal form: the row step and `moebius_equivalent` as
+# they were before `QnConfig.normal_form`, when every anchor pair went
+# through the row loop.
+
+
+def _looped_agreeing_rows(config_a, config_b, i, j):
+    if type(config_a) is not type(config_b) or len(config_a.sections) != len(config_b.sections):
+        raise ValueError("configurations must share a mode and a size")
+    da = config_a.dets
+    if i is None or j is None or i == j:
+        raise ValueError("two distinct anchor indices are required")
+    if not (0 <= i < len(da) and 0 <= j < len(da)):
+        raise ValueError(f"anchor indices {i} and {j} must lie in range({len(da)})")
+    if not da[i][j]:
+        raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
+    db = config_b.dets
+    if not db[i][j]:
+        raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
+    xa, ya, xb, yb = da[i], da[j], db[i], db[j]
+    pairs = zip(xa, yb, ya, xb)
+    for p, q, s, t in pairs:
+        r0, r1 = p * q, s * t
+        if r0 or r1:
+            break
+    else:
+        return xa, ya, xb, yb
+    for p, q, s, t in pairs:
+        if p * q * r1 != s * t * r0:
+            return None
+    return xa, ya, xb, yb
+
+
+def _looped_equivalent(config_a, config_b):
+    if len(config_a.sections) != len(config_b.sections):
+        return False
+    da, db = config_a.dets, config_b.dets
+    first = [row.index(0) for row in da]
+    if first != [row.index(0) for row in db]:
+        return False
+    leads = [k for k, i in enumerate(first) if i == k]
+    if len(leads) <= 2:
+        return True
+    r1, r2, r3 = leads[:3]
+    a1, a2, b1, b2 = da[r1], da[r2], db[r1], db[r2]
+    ca, cb = a2[r3] * b1[r3], b2[r3] * a1[r3]
+    return all(x * y * ca == z * w * cb for x, y, z, w in zip(a1, b2, b1, a2))
+
+
+def _result(call):
+    try:
+        return call()
+    except ValueError as exc:  # the type and message are the result under test
+        return type(exc), str(exc)
+
+
+def _moved(rng, cfg):
+    while True:
+        e = [rng.randint(-4, 4) for _ in range(4)]
+        if e[0] * e[3] != e[1] * e[2]:
+            break
+    m = Moebius(*e)
+    return QnConfig(tuple(None if s is None else m.apply(s) for s in cfg.sections))
+
+
+def _normal_form_pairs(rng):
+    """Random configurations (coincident sections from a small pool) with
+    Moebius images, images with one section changed, and unrelated draws;
+    every chart pair of GK trees with two or three components."""
+    pool = [INF_POINT, ZERO_POINT, ONE_POINT, affine(-1), affine(2), affine(F(1, 3)), affine(F(-5, 2))]
+    pairs = []
+    for step in range(240):
+        n = rng.randint(3, 7)
+        if step % 2:
+            a = QnConfig(tuple(rng.choice(pool) for _ in range(n)))
+        else:
+            a = QnConfig(tuple(random_points(rng, n)))
+        b = _moved(rng, a)
+        if step % 3 == 1:
+            secs = list(b.sections)
+            secs[rng.randrange(n)] = rng.choice(pool)
+            b = QnConfig(tuple(secs))
+        elif step % 3 == 2:
+            b = QnConfig(tuple(rng.choice(pool) for _ in range(n)))
+        pairs.append((a, b))
+    trees = 0
+    while trees < 6:
+        tree = random_gk_tree(rng, rng.randint(4, 6))
+        if len(tree.components) not in (2, 3):
+            continue
+        trees += 1
+        fam = moduli_coordinates(tree, GK)
+        cfgs = [QnConfig(tuple(fam.charts[t])) for t in fam.active_sets()]
+        pairs += itertools.combinations(cfgs, 2)
+    return pairs
+
+
+def _answers(a, b, anchors):
+    return [
+        (
+            _result(lambda: check_limit_equations(a, b, i, j)),
+            _result(lambda: _outcome(lambda: glue_fiber(a, b, i, j))),
+        )
+        for i, j in anchors
+    ]
+
+
+def test_normal_form_answers_as_the_row_loop(monkeypatch):
+    # at every anchor pair (i, j), in range or not, the equations, the glued
+    # fiber (kind and map) and Moebius equivalence agree with the row loop,
+    # errors by type and message
+    seen = {"equivalent": [0, 0], "holds": [0, 0], "kinds": {}, "errors": set()}
+    for a, b in _normal_form_pairs(random.Random(2525)):
+        n = a.n
+        anchors = [(i, j) for i in range(-1, n + 1) for j in range(-1, n + 1)] + [(None, 1), (0, None)]
+        for x, y in ((a, b), (b, a)):
+            eq = _result(lambda: moebius_equivalent(x, y))
+            assert eq == _result(lambda: _looped_equivalent(x, y)), (x, y)
+            if isinstance(eq, bool):
+                seen["equivalent"][eq] += 1
+            got = _answers(x, y, anchors)
+            with monkeypatch.context() as patch:
+                patch.setattr(configs_module, "_agreeing_rows", _looped_agreeing_rows)
+                want = _answers(x, y, anchors)
+            for (i, j), g, w in zip(anchors, got, want):
+                assert g == w, (x, y, i, j)
+                holds, fiber = g
+                if isinstance(holds, bool):
+                    seen["holds"][holds] += 1
+                    kind = getattr(fiber, "kind", fiber)
+                    seen["kinds"][kind] = seen["kinds"].get(kind, 0) + 1
+                else:
+                    seen["errors"].add(holds)
+    assert min(seen["equivalent"]) > 300 and min(seen["holds"]) > 3000, seen
+    assert len(seen["kinds"]) == 3 and min(seen["kinds"].values()) > 3000, seen["kinds"]
+    assert {msg.split()[0] for _, msg in seen["errors"]} == {"two", "anchor"}, seen["errors"]
+
+
+def test_normal_form_errors_keep_their_order():
+    good = qn(0, "inf", 1, 7)
+    zero_a, zero_b = qn(0, None, 1, 7), qn(None, "inf", 1, 7)
+    degen_a, degen_b = qn(0, 0, 1, 7), qn(2, 5, 5, 7)
+    two = (ValueError, "two distinct anchor indices are required")
+    cases = [
+        ((zero_a, zero_b, 0, 2), (ZeroSectionError, "section 1 is zero")),
+        ((good, zero_b, 0, 2), (ZeroSectionError, "section 0 is zero")),
+        ((zero_a, good, 2, 2), (ZeroSectionError, "section 1 is zero")),
+        ((good, zero_b, 2, 2), two),
+        ((good, good, 3, 3), two),
+        ((degen_a, good, 1, 1), two),
+        ((good, good, 0, 4), (ValueError, "anchor indices 0 and 4 must lie in range(4)")),
+        ((degen_a, degen_b, 0, -1), (ValueError, "anchor indices 0 and -1 must lie in range(4)")),
+        ((degen_a, degen_b, 0, 1), (DegeneratePairError, "anchor sections 0 and 1 coincide")),
+        ((degen_a, zero_b, 0, 1), (DegeneratePairError, "anchor sections 0 and 1 coincide")),
+        ((good, degen_b, 1, 2), (DegeneratePairError, "anchor sections 1 and 2 coincide")),
+        ((degen_b, degen_a, 1, 0), (DegeneratePairError, "anchor sections 1 and 0 coincide")),
+    ]
+    for args, expected in cases:
+        for fn in (check_limit_equations, glue_fiber):
+            assert _result(lambda: fn(*args)) == expected, (fn.__name__, args)
+        assert _result(lambda: _looped_agreeing_rows(*args)) == expected, args
+    for x, y, expected in ((zero_a, zero_b, "section 1 is zero"), (zero_b, zero_a, "section 0 is zero")):
+        assert _result(lambda: moebius_equivalent(x, y)) == (ZeroSectionError, expected)
+        assert _result(lambda: _looped_equivalent(x, y)) == (ZeroSectionError, expected)
+    # sizes are compared before any section is read
+    assert moebius_equivalent(zero_a, qn(None, 1, 2)) is False
+
+
+def test_normal_form_is_a_moebius_invariant():
+    rng = random.Random(2526)
+    pool = [INF_POINT, ZERO_POINT, ONE_POINT, affine(3), affine(F(-1, 2))]
+    moved_class = 0
+    for step in range(400):
+        n = rng.randint(3, 7)
+        if step % 2:
+            cfg = QnConfig(tuple(rng.choice(pool) for _ in range(n)))
+        else:
+            cfg = QnConfig(tuple(random_points(rng, n)))
+        form = cfg.normal_form
+        assert cfg.normal_form is form
+        assert _moved(rng, cfg).normal_form == form, cfg
+        p, q = rng.sample(range(n), 2)
+        secs = list(cfg.sections)
+        secs[p], secs[q] = secs[q], secs[p]
+        swapped = QnConfig(tuple(secs))
+        same = _looped_equivalent(cfg, swapped)
+        assert (swapped.normal_form == form) == same, (cfg, p, q)
+        moved_class += not same
+    assert moved_class > 150, moved_class
+    # the form is invisible to equality, hashing and repr, and a failed build
+    # is not cached
+    cfg, twin = qn(0, "inf", 1, 7), qn(0, "inf", 1, 7)
+    cfg.normal_form
+    assert (cfg == twin, hash(cfg), repr(cfg)) == (True, hash(twin), repr(twin))
+    zero = qn(0, None, 1)
+    for _ in range(2):
+        with pytest.raises(ZeroSectionError, match="^section 1 is zero$"):
+            zero.normal_form

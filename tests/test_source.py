@@ -84,6 +84,35 @@ def test_stability_kernels_read_neither_each_other_nor_the_partition():
     assert fast & oracle == {"_weight_tables"}
 
 
+def test_glue_fiber_reads_no_normal_form():
+    # the row step that glue_fiber shares with check_limit_equations may
+    # answer from the Moebius normal form, but glue_fiber and every other
+    # function of `configs` it reaches read no normal form: its check of the
+    # connecting map against every section stays an independent oracle of
+    # the form
+    module = ast.parse((Path(quivermoduli.__file__).parent / "configs.py").read_text())
+    functions = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
+    form = {"normal_form", "_normal_form", "moebius_equivalent"}
+
+    def names(name: str) -> set[str]:
+        return {
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(functions[name])
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        }
+
+    seen, todo = {"glue_fiber"}, ["glue_fiber"]
+    while todo:
+        for sub in names(todo.pop()) & (functions.keys() - seen - {"_agreeing_rows"}):
+            seen.add(sub)
+            todo.append(sub)
+    assert "_agreeing_rows" in names("glue_fiber")
+    assert {name: sorted(names(name) & form) for name in sorted(seen) if names(name) & form} == {}
+    # the form is read where it is meant to be, so the check above is not
+    # vacuous
+    assert names("_agreeing_rows") & form and names("moebius_equivalent") & form
+
+
 def _stored_values(obj):
     names = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
     return [getattr(obj, name) for name in names] + list(getattr(obj, "__dict__", {}).values())
