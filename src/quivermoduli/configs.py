@@ -34,7 +34,6 @@ from .projline import (
     _points,
     _scaled,
     moebius_two_point,
-    pp_eq,
 )
 
 STABLE = "stable"
@@ -100,7 +99,13 @@ class QnConfig(_Frozen):
         `projline._chart_row`.  With fewer than three distinct sections
         values is None.  Two configurations of one size are Moebius
         equivalent, respecting indices, exactly when their normal forms are
-        equal."""
+        equal.
+
+        Each built form passes through `_canonical_form`, a bounded identity
+        map, so equal forms built while it holds the first of them are one
+        object: `_agreeing_rows` tests them with `is`.  Identity is only a
+        sufficient test; after an eviction two equal forms are two objects,
+        and every other reader compares forms with `==`."""
         try:
             return self._normal_form
         except AttributeError:
@@ -119,9 +124,17 @@ class QnConfig(_Frozen):
                         g = -g
                     values.append((x // g, y // g))
                 values = tuple(values)
-            form = (first, values)
+            form = _canonical_form((first, values))
             _set(self, "_normal_form", form)
             return form
+
+
+@lru_cache(maxsize=256)
+def _canonical_form(form: tuple) -> tuple:
+    """The kept form equal to `form`, or `form` itself, which is then kept:
+    a bounded identity map, so equal forms are usually one object (see
+    `QnConfig.normal_form`)."""
+    return form
 
 
 class PnConfig(_Frozen):
@@ -367,20 +380,50 @@ def _agreeing_rows(
     """The anchor rows (xa, ya, xb, yb) of `check_limit_equations`, checked
     in the order its docstring gives, if they satisfy the equations.
 
-    Star-quiver charts read the cached `_dets` slots, with the `dets`
-    property as the fallback that builds them.  After every check, charts
-    with equal `QnConfig.normal_form` are Moebius equivalent and satisfy
-    the equations at every anchor pair, so their rows are returned without
-    the loop.  Proof: if g a_k = l_k b_k for every k, with G an integer
-    matrix of g and the l_k nonzero rationals, then for the integer
-    representatives det(b_p, b_k) = det(G) det(a_p, a_k) / (l_p l_k).  So
-    xa[k] yb[k] = da[i][k] db[j][k] = da[i][k] da[j][k] det(G) / (l_j l_k)
-    and ya[k] xb[k] = da[j][k] da[i][k] det(G) / (l_i l_k), and every pair
-    other than (0, 0) is (l_i : l_j), one value.
+    The star-quiver branch comes first and reads each row of the cached
+    `_dets` slots once, with the `dets` property as the fallback that builds
+    them.  After every check, charts whose `QnConfig.normal_form` is one
+    object (equal forms usually are, see `_canonical_form`) are Moebius
+    equivalent and satisfy the equations at every anchor pair, so their rows
+    are returned without the loop; any other pair, equivalent or not, goes
+    through the loop, which gives the same answer.  Proof: if g a_k = l_k b_k
+    for every k, with G an integer matrix of g and the l_k nonzero
+    rationals, then for the integer representatives det(b_p, b_k) =
+    det(G) det(a_p, a_k) / (l_p l_k).  So xa[k] yb[k] = da[i][k] db[j][k] =
+    da[i][k] da[j][k] det(G) / (l_j l_k) and ya[k] xb[k] = da[j][k] da[i][k]
+    det(G) / (l_i l_k), and every pair other than (0, 0) is (l_i : l_j), one
+    value.
     """
     if type(config_a) is not type(config_b) or len(config_a.sections) != len(config_b.sections):
         raise ValueError("configurations must share a mode and a size")
-    if type(config_a) is PnConfig:
+    if type(config_a) is not PnConfig:
+        try:
+            da = config_a._dets
+        except AttributeError:
+            da = config_a.dets
+        if i is None or j is None or i == j:
+            raise ValueError("two distinct anchor indices are required")
+        n = len(da)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"anchor indices {i} and {j} must lie in range({n})")
+        xa = da[i]
+        if not xa[j]:
+            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
+        try:
+            db = config_b._dets
+        except AttributeError:
+            db = config_b.dets
+        xb = db[i]
+        if not xb[j]:
+            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
+        ya, yb = da[j], db[j]
+        try:
+            same = config_a._normal_form is config_b._normal_form
+        except AttributeError:
+            same = config_a.normal_form is config_b.normal_form
+        if same:
+            return xa, ya, xb, yb
+    else:
         rows = []
         for config in (config_a, config_b):
             pts = [s.ihom for s in _require_points(config)]
@@ -388,30 +431,6 @@ def _agreeing_rows(
                 raise ValueError("double-star configurations have fixed anchors; omit i and j")
             rows += _det_row(ZERO_POINT.ihom, pts), _det_row(INF_POINT.ihom, pts)
         xa, ya, xb, yb = rows
-    else:
-        try:
-            da = config_a._dets
-        except AttributeError:
-            da = config_a.dets
-        if i is None or j is None or i == j:
-            raise ValueError("two distinct anchor indices are required")
-        if not (0 <= i < len(da) and 0 <= j < len(da)):
-            raise ValueError(f"anchor indices {i} and {j} must lie in range({len(da)})")
-        if not da[i][j]:
-            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
-        try:
-            db = config_b._dets
-        except AttributeError:
-            db = config_b.dets
-        if not db[i][j]:
-            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
-        xa, ya, xb, yb = da[i], da[j], db[i], db[j]
-        try:
-            same = config_a._normal_form == config_b._normal_form
-        except AttributeError:
-            same = config_a.normal_form == config_b.normal_form
-        if same:
-            return xa, ya, xb, yb
     # the first pair other than (0, 0) fixes the value (r0 : r1); a later
     # pair (0, 0) passes the comparison
     pairs = zip(xa, yb, ya, xb)
@@ -447,9 +466,9 @@ def check_limit_equations(
 
     Checks mode and size first, then the first chart (zero sections,
     anchor indices, coinciding anchors), then the second.  Star-quiver
-    charts with equal `QnConfig.normal_form` are Moebius equivalent and
-    pass at once (the proof is in `_agreeing_rows`); only the other pairs
-    are compared row by row.
+    charts sharing one `QnConfig.normal_form` object are Moebius equivalent
+    and pass at once (the proof is in `_agreeing_rows`); only the other
+    pairs are compared row by row.
     """
     return _agreeing_rows(config_a, config_b, i, j) is not None
 
@@ -510,48 +529,56 @@ def glue_fiber(
     else:
         pa, qa = config_a.sections[i], config_a.sections[j]
         pb, qb = config_b.sections[i], config_b.sections[j]
-    n = len(xa)
-    k0 = next((k for k in range(n) if xa[k] and ya[k] and xb[k] and yb[k]), None)
-    if k0 is not None:
-        # the connecting map takes the anchors and one common off-anchor
-        # section of the first chart to those of the second: adj(B) A for
-        # the normalizing matrices A of a and B of b
-        f00, f01, f10, f11 = _normalizing_matrix(pa, qa, xa[k0], ya[k0])
-        g00, g01, g10, g11 = _normalizing_matrix(pb, qb, xb[k0], yb[k0])
-        m = Moebius(
-            g11 * f00 - g01 * f10,
-            g11 * f01 - g01 * f11,
-            g00 * f10 - g10 * f00,
-            g00 * f11 - g10 * f01,
+    # one pass over the rows: it stops at the first section off both
+    # anchors in both charts, where the fiber is irreducible, and until then
+    # collects, for each section varying in one chart (both rows nonzero),
+    # where it sits in the other
+    corners_b, corners_a = set(), set()
+    for x, y, u, v in zip(xa, ya, xb, yb):
+        if x and y:
+            if u and v:
+                break
+            corners_b.add((u, v))
+        elif u and v:
+            corners_a.add((x, y))
+    else:
+        # the fiber is a chain of two lines with its node at the anchor
+        # corner where the varying sections of the other chart sit: a row
+        # pair (x, y) with x = 0 is the first anchor, one with y = 0 the
+        # second.  A section sits at an anchor exactly where that anchor's
+        # row is 0, and its other entry is then the determinant of the two
+        # anchors, so the pairs equal to a corner are the zeros of one row
+        if not corners_b or not corners_a:
+            raise EquationsFailError("fiber undetermined: one chart has only anchored sections")
+        if len(corners_b) != 1 or len(corners_a) != 1:
+            raise EquationsFailError("the varying sections collapse to more than one anchor")
+        (corner_b,), (corner_a,) = corners_b, corners_a
+        if corner_a == corner_b:
+            raise EquationsFailError("the node corner does not mix the two anchors")
+        return GluedFiber(
+            TWO_COMPONENTS,
+            marks_on_a=frozenset([k for k, w in enumerate(yb if corner_b[0] else xb) if not w]),
+            marks_on_b=frozenset([k for k, w in enumerate(ya if corner_a[0] else xa) if not w]),
+            node_a=qa if corner_a[0] else pa,
+            node_b=qb if corner_b[0] else pb,
         )
-        e00, e01, e10, e11 = m.imat
-        for sa, sb in zip(config_a.sections, config_b.sections):
-            (a0, a1), (b0, b1) = sa.ihom, sb.ihom
-            if (e00 * a0 + e01 * a1) * b1 != (e10 * a0 + e11 * a1) * b0:
-                raise EquationsFailError("the connecting map does not match every section")
-        return GluedFiber(IRREDUCIBLE, moebius=m)
-    # the fiber is a chain of two lines with its node at an anchor corner.
-    # The corner is where the sections varying in one chart (both rows
-    # nonzero) sit in the other: a row pair (x, y) with x = 0 is the first
-    # anchor, one with y = 0 the second
-    u = list(zip(xa, ya))
-    v = list(zip(xb, yb))
-    cb_vals = {v[k] for k in range(n) if xa[k] and ya[k]}
-    ca_vals = {u[k] for k in range(n) if xb[k] and yb[k]}
-    if not cb_vals or not ca_vals:
-        raise EquationsFailError("fiber undetermined: one chart has only anchored sections")
-    if len(cb_vals) != 1 or len(ca_vals) != 1:
-        raise EquationsFailError("the varying sections collapse to more than one anchor")
-    (corner_b,), (corner_a,) = cb_vals, ca_vals
-    if corner_a == corner_b:
-        raise EquationsFailError("the node corner does not mix the two anchors")
-    return GluedFiber(
-        TWO_COMPONENTS,
-        marks_on_a=frozenset([k for k, w in enumerate(v) if w == corner_b]),
-        marks_on_b=frozenset([k for k, w in enumerate(u) if w == corner_a]),
-        node_a=qa if corner_a[0] else pa,
-        node_b=qb if corner_b[0] else pb,
+    # the connecting map takes the anchors and the common off-anchor section
+    # of the first chart to those of the second: adj(B) A for the
+    # normalizing matrices A of a and B of b
+    f00, f01, f10, f11 = _normalizing_matrix(pa, qa, x, y)
+    g00, g01, g10, g11 = _normalizing_matrix(pb, qb, u, v)
+    m = Moebius(
+        g11 * f00 - g01 * f10,
+        g11 * f01 - g01 * f11,
+        g00 * f10 - g10 * f00,
+        g00 * f11 - g10 * f01,
     )
+    e00, e01, e10, e11 = m.imat
+    for sa, sb in zip(config_a.sections, config_b.sections):
+        (a0, a1), (b0, b1) = sa.ihom, sb.ihom
+        if (e00 * a0 + e01 * a1) * b1 != (e10 * a0 + e11 * a1) * b0:
+            raise EquationsFailError("the connecting map does not match every section")
+    return GluedFiber(IRREDUCIBLE, moebius=m)
 
 
 def map_config_qn2_pn(config: QnConfig, a: int, b: int) -> PnConfig:
@@ -561,7 +588,7 @@ def map_config_qn2_pn(config: QnConfig, a: int, b: int) -> PnConfig:
     sa, sb = config.sections[a], config.sections[b]
     if sa is None or sb is None:
         raise DegeneratePairError("anchor sections must be nonzero")
-    if pp_eq(sa, sb):
+    if sa == sb:
         raise DegeneratePairError("anchor sections coincide")
     m = moebius_two_point(sb, sa)
     out = tuple(

@@ -340,13 +340,11 @@ def _separating_table(
     return found
 
 
-def _chart_pairs(tree: PointedTree, mode: str):
-    """(ordering, integer pairs) of every chart of a tree labelled 0..n-1,
-    triple by triple, each triple's orderings in `itertools.permutations`
-    order.  For p < q < r only the row (x0 : x1) of (p, q, r) is read off
-    the table, by `_chart_row` from rows p and q; the other five orderings
-    are its images under the anharmonic S3 action on P1, integer unimodular
-    maps of each pair."""
+def _base_rows(tree: PointedTree, mode: str):
+    """(triple, integer pairs) of the chart of every triple p < q < r of a
+    tree labelled 0..n-1 that separates on a component, in
+    `itertools.combinations` order: the row (x0 : x1) of the ordering
+    (p, q, r), read off the table by `_chart_row` from rows p and q."""
     tables = [cfg.dets for cfg in mark_images(tree).values()]
     for p, q, r in itertools.combinations(range(tree.n), 3):
         d = _separating_table(tables, p, q, r, (p, q, r))
@@ -354,7 +352,16 @@ def _chart_pairs(tree: PointedTree, mode: str):
             if mode == GK:
                 raise AssertionError("charts of a stable tree are total")
             continue
-        xs = _chart_row(d[p], d[q], r)
+        yield (p, q, r), _chart_row(d[p], d[q], r)
+
+
+def _chart_pairs(tree: PointedTree, mode: str):
+    """(ordering, integer pairs) of every chart of a tree labelled 0..n-1,
+    triple by triple, each triple's orderings in `itertools.permutations`
+    order.  Only the row of (p, q, r), p < q < r, is read off the table
+    (`_base_rows`); the other five orderings are its images under the
+    anharmonic S3 action on P1, integer unimodular maps of each pair."""
+    for (p, q, r), xs in _base_rows(tree, mode):
         yield (p, q, r), xs
         yield (p, r, q), [(x0, x0 - x1) for x0, x1 in xs]
         yield (q, p, r), [(x1, x0) for x0, x1 in xs]
@@ -526,56 +533,63 @@ def _check_anchor_rows(charts: dict):
     return None
 
 
-def _check_permutation_identities(charts: dict, n: int):
-    for (i1, i2, i3), row in charts.items():
-        swapped = charts.get((i2, i1, i3))
-        flipped = charts.get((i3, i2, i1))
+# The permutation, exchange and five-term checks read the family's integer
+# row table {key: [p.ihom for p in row]}, built once in `_functor_reports`.
+# None of them reads an anchor position of a row.
+
+
+def _check_permutation_identities(table: dict, n: int):
+    for key, row in table.items():
+        i1, i2, i3 = key
+        swapped = table.get((i2, i1, i3))
+        flipped = table.get((i3, i2, i1))
         for i4 in range(n):
-            if i4 in (i1, i2, i3):
+            if i4 in key:
                 continue
-            x0, x1 = row[i4].ihom
+            x0, x1 = row[i4]
             if swapped is not None:
-                y0, y1 = swapped[i4].ihom
+                y0, y1 = swapped[i4]
                 if y0 * x0 != y1 * x1:
-                    return ((i1, i2, i3), i4, "swap01")
+                    return (key, i4, "swap01")
             if flipped is not None:
-                z0, z1 = flipped[i4].ihom
+                z0, z1 = flipped[i4]
                 if z0 * x1 != z1 * (x1 - x0):
-                    return ((i1, i2, i3), i4, "swap0last")
+                    return (key, i4, "swap0last")
     return None
 
 
-def _check_exchange_identity(charts: dict, n: int):
-    for (i1, i2, i3), row in charts.items():
+def _check_exchange_identity(table: dict, n: int):
+    for key, row in table.items():
+        i1, i2, i3 = key
         for i4 in range(n):
-            if i4 in (i1, i2, i3):
+            if i4 in key:
                 continue
-            other = charts.get((i1, i2, i4))
+            other = table.get((i1, i2, i4))
             if other is None:
                 continue
-            x0, x1 = row[i4].ihom
-            y0, y1 = other[i3].ihom
+            x0, x1 = row[i4]
+            y0, y1 = other[i3]
             if x0 * y0 != x1 * y1:
-                return ((i1, i2, i3), i4)
+                return (key, i4)
     return None
 
 
-def _check_five_term(charts: dict, n: int):
-    for (i1, i2, i3), row in charts.items():
-        for i4 in range(n):
-            if i4 in (i1, i2, i3):
-                continue
-            other = charts.get((i1, i2, i4))
+def _check_five_term(table: dict, n: int):
+    for key, row in table.items():
+        i1, i2, _ = key
+        free = [k for k in range(n) if k not in key]
+        for i4 in free:
+            other = table.get((i1, i2, i4))
             if other is None:
                 continue
-            a0, a1 = row[i4].ihom
-            for i5 in range(n):
-                if i5 in (i1, i2, i3, i4):
+            a0, a1 = row[i4]
+            for i5 in free:
+                if i5 == i4:
                     continue
-                b0, b1 = row[i5].ihom
-                c0, c1 = other[i5].ihom
+                b0, b1 = row[i5]
+                c0, c1 = other[i5]
                 if a0 * b1 * c0 != a1 * b0 * c1:
-                    return ((i1, i2, i3), i4, i5)
+                    return (key, i4, i5)
     return None
 
 
@@ -669,9 +683,10 @@ def _functor_reports(family: LimitFamily) -> list[ConditionReport]:
     if bad_row is not None:
         return reports
     add("anchor-normalization", _check_anchor_rows(charts))
-    add("permutation-identities", _check_permutation_identities(charts, n))
-    add("exchange-identity", _check_exchange_identity(charts, n))
-    add("five-term-identity", _check_five_term(charts, n))
+    table = {key: [p.ihom for p in row] for key, row in charts.items()}
+    add("permutation-identities", _check_permutation_identities(table, n))
+    add("exchange-identity", _check_exchange_identity(table, n))
+    add("five-term-identity", _check_five_term(table, n))
 
     if family.mode == HASSETT:
         try:
@@ -737,7 +752,10 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     the family is compared with the rebuilt tree's integer chart rows by
     cross-multiplication, without building a second family, and
     "round-trip" is raised exactly when `moduli_coordinates` of the tree
-    would differ from the family.
+    would differ from the family.  Only the row of the ordering p < q < r
+    of each triple is compared (`_base_rows`); the functor conditions that
+    have passed determine the other five from it (the proof is in
+    `_charts_match`).
     """
     reports = verify_functor_conditions(family)
     for r in reports:
@@ -795,28 +813,51 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
         aw = _chart_weights(tree, family.mode, family.a)
     except UnstableInputError:
         raise InconsistentFamilyError("stability", None)
-    if aw != family.a or not _charts_match(family.charts, _chart_pairs(tree, family.mode)):
+    if aw != family.a or not _charts_match(family.charts, _base_rows(tree, family.mode), 6):
         raise InconsistentFamilyError("round-trip", None)
     return tree
 
 
-def _charts_match(charts: Mapping, rows) -> bool:
-    """Whether `charts` has the keys of the (key, integer pairs) `rows` and
-    for each a tuple of ProjPoints equal to the pairs by
-    cross-multiplication; the row-shape condition checked the lengths."""
+def _charts_match(charts: Mapping, rows, orderings: int) -> bool:
+    """Whether every row of `charts` is a tuple of ProjPoints, `charts` has
+    the keys of the (key, integer pairs) `rows`, each row equal to its
+    pairs by cross-multiplication, and `orderings` charts per given row;
+    the row-shape condition checked the lengths.
+
+    Chains give every chart (`orderings` 1).  Trees give only the row of
+    the ordering p < q < r of each triple (`_base_rows`, `orderings` 6),
+    which decides the whole family once the functor conditions have passed.
+    Proof: the family has every ordering of each of its triples
+    (charts-complete or ordering-closure), so with the count it has exactly
+    the orderings of the rebuilt tree's triples.  By anchor-normalization
+    the anchor positions of every row are fixed.  By the permutation
+    identities every other position of the row of (i2, i1, i3) is the image
+    of the same position of (i1, i2, i3) under swap01, (x0 : x1) ->
+    (x1 : x0), and that of (i3, i2, i1) its image under swap0last,
+    (x0 : x1) -> (x1 - x0 : x1); both are involutions on P1.  The two
+    transpositions generate S3, so each of the other five rows of a triple
+    is determined exactly by its base row.  The rebuilt tree's family
+    satisfies the same identities (its five rows are the images
+    `_chart_pairs` gives), so the two families are equal exactly when their
+    base rows are.
+    """
+    for row in charts.values():
+        if not isinstance(row, tuple):
+            return False
+        for pt in row:
+            if not isinstance(pt, ProjPoint):
+                return False
     count = 0
     for key, pairs in rows:
         row = charts.get(key)
-        if not isinstance(row, tuple):
+        if row is None:
             return False
         for pt, (a, b) in zip(row, pairs):
-            if not isinstance(pt, ProjPoint):
-                return False
             x0, x1 = pt.ihom
             if x0 * b != x1 * a:
                 return False
         count += 1
-    return count == len(charts)
+    return orderings * count == len(charts)
 
 
 def _same_component(rep: Sequence[ProjPoint], row: Sequence[ProjPoint], i: int) -> bool:
@@ -852,7 +893,7 @@ def _reconstruct_chain(family: LimitFamily) -> Chain:
         raise InconsistentFamilyError("chain-shape", str(exc))
     if not is_lm_stable(chain):
         raise InconsistentFamilyError("stability", None)
-    if family.a is not None or not _charts_match(family.charts, _lm_chart_pairs(chain)):
+    if family.a is not None or not _charts_match(family.charts, _lm_chart_pairs(chain), 1):
         raise InconsistentFamilyError("round-trip", None)
     return chain
 

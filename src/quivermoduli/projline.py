@@ -211,12 +211,6 @@ def affine(x) -> ProjPoint:
     return ProjPoint(r.numerator, r.denominator)
 
 
-def pp_eq(p: ProjPoint, q: ProjPoint) -> bool:
-    """Projective equality; the unique integer form makes it a comparison of
-    `ihom`."""
-    return p.ihom == q.ihom
-
-
 class Moebius(_Frozen):
     """An invertible 2x2 matrix class up to scale, given by any exact
     rational representative (m00, m01, m10, m11) in row-major order.
@@ -293,7 +287,7 @@ def moebius_two_point(p_zero: ProjPoint, p_inf: ProjPoint) -> Moebius:
     choice must normalize a third point.  The choice made is the matrix
     with rows (c1, -c0) of p_zero and (-c1, c0) of p_inf.
     """
-    if pp_eq(p_zero, p_inf):
+    if p_zero == p_inf:
         raise DegenerateTripleError(f"anchor points coincide: {p_zero}")
     # ihom is (c0 : c1) times its first entry, or (c0 : c1) itself at (0:1)
     z0, z1 = p_zero.ihom
@@ -305,7 +299,7 @@ def moebius_two_point(p_zero: ProjPoint, p_inf: ProjPoint) -> Moebius:
 def moebius_from_triple(p0: ProjPoint, pinf: ProjPoint, p1: ProjPoint) -> Moebius:
     """The Moebius sending (p0, pinf, p1) to ((0:1), (1:0), (1:1))."""
     for a, b in ((p0, pinf), (p0, p1), (pinf, p1)):
-        if pp_eq(a, b):
+        if a == b:
             raise DegenerateTripleError(f"reference points coincide: {a}")
     a0, a1 = p0.ihom
     b0, b1 = pinf.ihom

@@ -62,7 +62,6 @@ from quivermoduli.projline import (
     idet,
     moebius_from_triple,
     moebius_two_point,
-    pp_eq,
 )
 
 HALF = F(1, 2)
@@ -314,8 +313,8 @@ def test_glue_fiber_two_components():
     assert fiber.marks_on_b == frozenset({2, 3})
     # the collapse points: in chart a everything beyond sits at the merged
     # point, in chart b at the merged point of the other side
-    assert pp_eq(fiber.node_a, a.sections[2])
-    assert pp_eq(fiber.node_b, b.sections[0])
+    assert fiber.node_a == a.sections[2]
+    assert fiber.node_b == b.sections[0]
 
 
 def test_map_config_qn2_pn():
@@ -941,3 +940,80 @@ def test_normal_form_is_a_moebius_invariant():
     for _ in range(2):
         with pytest.raises(ZeroSectionError, match="^section 1 is zero$"):
             zero.normal_form
+
+
+# Canonical normal forms: each built form passes through a bounded identity
+# map, so equal forms are usually one object.  Reference: the form as it was
+# built before, reduced here by the ProjPoint constructor.
+
+
+def _built_normal_form(cfg):
+    pts = [s.ihom for s in cfg.sections]
+    leads = {}
+    first = tuple([leads.setdefault(p, k) for k, p in enumerate(pts)])
+    if len(leads) < 3:
+        return first, None
+    r1, r2, r3 = list(leads.values())[:3]
+    d1 = [idet(pts[r1], p) for p in pts]
+    d2 = [idet(pts[r2], p) for p in pts]
+    return first, tuple(ProjPoint(x * d2[r3], d1[r3] * y).ihom for x, y in zip(d1, d2))
+
+
+def _equivalent_configs(rng, count):
+    """Random configurations (coincident sections from a small pool every
+    other time), each with a Moebius image, built independently."""
+    pool = [INF_POINT, ZERO_POINT, ONE_POINT, affine(-1), affine(2), affine(F(1, 3)), affine(F(-5, 2))]
+    out = []
+    for step in range(count):
+        n = rng.randint(3, 7)
+        if step % 2:
+            a = QnConfig(tuple(rng.choice(pool) for _ in range(n)))
+        else:
+            a = QnConfig(tuple(random_points(rng, n)))
+        out.append((a, _moved(rng, a)))
+    return out
+
+
+def test_equal_normal_forms_are_one_object():
+    for a, b in _equivalent_configs(random.Random(2603), 300):
+        form = a.normal_form
+        assert form == _built_normal_form(a), a
+        assert b.normal_form is form, (a, b)
+    # charts of one component share their form, those of two do not
+    rng = random.Random(2604)
+    for _ in range(6):
+        fam = moduli_coordinates(random_gk_tree(rng, rng.randint(4, 7)), GK)
+        cfgs = [QnConfig(tuple(fam.charts[t])) for t in fam.active_sets()]
+        for a, b in itertools.combinations(cfgs, 2):
+            assert (a.normal_form is b.normal_form) == (a.normal_form == b.normal_form)
+
+
+def test_evicted_forms_answer_as_the_row_loop(monkeypatch):
+    # equal forms built with more distinct forms than the map holds in
+    # between are two objects: the equations and the glued fiber then come
+    # from the row loop and agree with it, and Moebius equivalence compares
+    # the forms by value
+    rng = random.Random(2605)
+    pairs = _equivalent_configs(rng, 60)
+    while len(pairs) < 90:
+        fam = moduli_coordinates(random_gk_tree(rng, rng.randint(4, 6)), GK)
+        cfgs = [QnConfig(tuple(fam.charts[t])) for t in fam.active_sets()]
+        pairs += [(a, b) for a, b in itertools.combinations(cfgs, 2) if a.normal_form == b.normal_form][:5]
+    pairs = [(QnConfig(a.sections), QnConfig(b.sections)) for a, b in pairs]
+    for a, _ in pairs:
+        a.normal_form
+    held = configs_module._canonical_form.cache_info().maxsize
+    flood = {QnConfig((ZERO_POINT, INF_POINT, ONE_POINT, affine(k + 2))).normal_form for k in range(held + 1)}
+    assert len(flood) == held + 1
+    holds = 0
+    for a, b in pairs:
+        assert b.normal_form == a.normal_form and b.normal_form is not a.normal_form, (a, b)
+        assert moebius_equivalent(a, b) and moebius_equivalent(b, a)
+        anchors = [(i, j) for i in range(a.n) for j in range(a.n)]
+        for x, y in ((a, b), (b, a)):
+            got = _answers(x, y, anchors)
+            with monkeypatch.context() as patch:
+                patch.setattr(configs_module, "_agreeing_rows", _looped_agreeing_rows)
+                assert _answers(x, y, anchors) == got, (x, y)
+            holds += sum(verdict is True for verdict, _ in got)
+    assert holds > 3000, holds

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import math
 import pickle
 import random
 import re
@@ -287,9 +288,9 @@ def test_round_trip_comparison_refuses_extra_charts():
     # tree lacks, so reconstruction cannot show this
     tree = random_gk_tree(random.Random(4), 5)
     charts = moduli_coordinates(tree, GK).charts
-    assert curves._charts_match(charts, curves._chart_pairs(tree, GK))
+    assert curves._charts_match(charts, curves._base_rows(tree, GK), 6)
     extra = {**charts, (0, 1, 5): charts[0, 1, 2]}
-    assert not curves._charts_match(extra, curves._chart_pairs(tree, GK))
+    assert not curves._charts_match(extra, curves._base_rows(tree, GK), 6)
 
 
 def test_roundtrip_exhaustive_n4():
@@ -920,3 +921,201 @@ def test_a_stability_matches_the_fraction_reference(n, a, seed):
                 is_a_stable(tree, weights)
         else:
             assert is_a_stable(tree, weights) is expected
+
+
+# ---------------------------------------------------------------------------
+# The round trip compares one ordering per triple, and the functor checks
+# read integer row tables.  References: the comparison and the three checks
+# as they were before, on every ordering and on the ProjPoints of the rows.
+
+
+def _all_orderings_match(charts, rows):
+    count = 0
+    for key, pairs in rows:
+        row = charts.get(key)
+        if not isinstance(row, tuple):
+            return False
+        for pt, (a, b) in zip(row, pairs):
+            if not isinstance(pt, ProjPoint):
+                return False
+            x0, x1 = pt.ihom
+            if x0 * b != x1 * a:
+                return False
+        count += 1
+    return count == len(charts)
+
+
+class _Duck:
+    """Not a ProjPoint, but with the integer pair of one."""
+
+    def __init__(self, ihom):
+        self.ihom = ihom
+
+
+def _reconstruct_outcome(fam):
+    try:
+        reconstruct_tree(LimitFamily(fam.mode, fam.n, fam.charts, fam.a))
+    except InconsistentFamilyError as exc:
+        return InconsistentFamilyError, exc.condition
+    except (AttributeError, ValueError) as exc:  # the type is the result under test
+        return type(exc), None
+    return None
+
+
+def _all_orderings_outcome(fam, monkeypatch):
+    """`_reconstruct_outcome` with the round trip comparing every ordering
+    of every triple of the rebuilt tree."""
+    trees = []
+    base_rows = curves._base_rows
+
+    def spy(tree, mode):
+        trees.append(tree)
+        return base_rows(tree, mode)
+
+    def match(charts, rows, orderings):
+        assert orderings == 6
+        list(rows)
+        return _all_orderings_match(charts, curves._chart_pairs(trees[0], fam.mode))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(curves, "_base_rows", spy)
+        patch.setattr(curves, "_charts_match", match)
+        return _reconstruct_outcome(fam)
+
+
+def _round_trip_families(rng):
+    """GK families at n = 4-7 and at least three Hassett families at n = 4-5,
+    one of them with inactive triples (charts missing)."""
+    fams = [moduli_coordinates(random_gk_tree(rng, n), GK) for n in (4, 5, 6, 7) for _ in range(2)]
+    hassett = []
+    while len(hassett) < 3 or all(len(f.active_sets()) == math.comb(f.n, 3) for f in hassett):
+        n = rng.randint(4, 5)
+        a = random_hassett_weight(rng, n)
+        hassett.append(moduli_coordinates(random_a_stable_tree(rng, n, a), HASSETT, a))
+    return fams + hassett
+
+
+def test_one_ordering_round_trip_answers_as_all_six(monkeypatch):
+    # each of the six orderings of a triple in turn: a moved point off the
+    # anchors, the row as a list, a non-point off the anchors (with and
+    # without an integer pair) and one on an anchor
+    rng = random.Random(2601)
+    seen = {}
+    for fam in _round_trip_families(rng):
+        assert _reconstruct_outcome(fam) is None
+        assert _all_orderings_outcome(fam, monkeypatch) is None
+        triple = rng.choice(fam.active_sets())
+        for order in itertools.permutations(triple):
+            row = fam.charts[order]
+            k = rng.choice([k for k in range(fam.n) if k not in order])
+            anchor = rng.choice(order)
+            corrupt = []
+            for at, value in (
+                (k, affine(F(rng.randint(100, 999), 7))),
+                (k, _Duck(row[k].ihom)),
+                (k, None),
+                (anchor, _Duck(row[anchor].ihom)),
+            ):
+                changed = list(row)
+                changed[at] = value
+                corrupt.append(tuple(changed))
+            corrupt.append(list(row))
+            for changed in corrupt:
+                charts = {**fam.charts, order: changed}
+                broken = LimitFamily(fam.mode, fam.n, charts, fam.a)
+                got = _reconstruct_outcome(broken)
+                assert got == _all_orderings_outcome(broken, monkeypatch), (fam.mode, order, changed)
+                seen[got] = seen.get(got, 0) + 1
+    assert seen.keys() == {
+        (InconsistentFamilyError, "round-trip"),
+        (InconsistentFamilyError, "permutation-identities"),
+        (InconsistentFamilyError, "anchor-normalization"),
+        (AttributeError, None),
+    }, seen
+    assert seen[InconsistentFamilyError, "round-trip"] >= 100, seen
+
+
+def _point_permutation_identities(charts, n):
+    for (i1, i2, i3), row in charts.items():
+        swapped = charts.get((i2, i1, i3))
+        flipped = charts.get((i3, i2, i1))
+        for i4 in range(n):
+            if i4 in (i1, i2, i3):
+                continue
+            x0, x1 = row[i4].ihom
+            if swapped is not None:
+                y0, y1 = swapped[i4].ihom
+                if y0 * x0 != y1 * x1:
+                    return ((i1, i2, i3), i4, "swap01")
+            if flipped is not None:
+                z0, z1 = flipped[i4].ihom
+                if z0 * x1 != z1 * (x1 - x0):
+                    return ((i1, i2, i3), i4, "swap0last")
+    return None
+
+
+def _point_exchange_identity(charts, n):
+    for (i1, i2, i3), row in charts.items():
+        for i4 in range(n):
+            if i4 in (i1, i2, i3):
+                continue
+            other = charts.get((i1, i2, i4))
+            if other is None:
+                continue
+            x0, x1 = row[i4].ihom
+            y0, y1 = other[i3].ihom
+            if x0 * y0 != x1 * y1:
+                return ((i1, i2, i3), i4)
+    return None
+
+
+def _point_five_term(charts, n):
+    for (i1, i2, i3), row in charts.items():
+        for i4 in range(n):
+            if i4 in (i1, i2, i3):
+                continue
+            other = charts.get((i1, i2, i4))
+            if other is None:
+                continue
+            a0, a1 = row[i4].ihom
+            for i5 in range(n):
+                if i5 in (i1, i2, i3, i4):
+                    continue
+                b0, b1 = row[i5].ihom
+                c0, c1 = other[i5].ihom
+                if a0 * b1 * c0 != a1 * b0 * c1:
+                    return ((i1, i2, i3), i4, i5)
+    return None
+
+
+def test_functor_witnesses_match_the_point_loops():
+    # corrupted GK and Hassett families, some Hassett ones with charts
+    # removed: the row-table checks return the first witness of the loops
+    # over ProjPoints
+    rng = random.Random(2602)
+    checks = (
+        (_point_permutation_identities, curves._check_permutation_identities),
+        (_point_exchange_identity, curves._check_exchange_identity),
+        (_point_five_term, curves._check_five_term),
+    )
+    seen = {}
+    for fam in _round_trip_families(rng):
+        n = fam.n
+        for trial in range(12):
+            charts = dict(fam.charts)
+            keys = sorted(charts)
+            for _ in range(trial % 3):
+                key = rng.choice(keys)
+                row = list(charts[key])
+                # anchors included: no check reads them
+                row[rng.randrange(n)] = affine(F(rng.randint(-30, 30), rng.randint(1, 4)))
+                charts[key] = tuple(row)
+            if fam.mode == HASSETT and trial % 2:
+                for key in rng.sample(keys, rng.randint(1, 3)):
+                    del charts[key]
+            table = {key: [p.ihom for p in row] for key, row in charts.items()}
+            for old, new in checks:
+                want = old(charts, n)
+                assert new(table, n) == want, (old.__name__, charts)
+                seen[old.__name__, want is None] = seen.get((old.__name__, want is None), 0) + 1
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen

@@ -17,7 +17,6 @@ from quivermoduli.projline import (
     idet,
     moebius_from_triple,
     moebius_two_point,
-    pp_eq,
 )
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -43,10 +42,10 @@ def test_scale_invariance(p, s):
     assert ProjPoint(p.c0 * s, p.c1 * s) == p
 
 
-def test_pp_eq_examples():
-    assert pp_eq(ZERO_POINT, ZERO_POINT)
-    assert pp_eq(ProjPoint(1, 2), ProjPoint(2, 4))
-    assert not pp_eq(INF_POINT, ZERO_POINT)
+def test_point_equality_examples():
+    assert ZERO_POINT == ZERO_POINT
+    assert ProjPoint(1, 2) == ProjPoint(2, 4)
+    assert not INF_POINT == ZERO_POINT
 
 
 def test_zero_point_rejected():
