@@ -6,6 +6,11 @@ configuration stores an optional ProjPoint per index (None encodes the zero
 vector, which chart operations reject).  Double-star representations are the
 same with two implicit anchor points (0:1) and (1:0).
 
+The coincidence partition of a star configuration is `QnConfig.first`,
+for each section the first index whose section coincides with it; the
+stability polytope, the chart tests of `curves` and the normal form read
+it, and a double-star polytope reads its anchor classes off the sections.
+
 Stability verdicts come in two independent implementations: the fast rule
 driven by the coincidence classes, and a definition-level oracle that
 enumerates every coordinate subrepresentation.  There is one loop per
@@ -60,7 +65,7 @@ class QnConfig(_Frozen):
     """n sections, each a point of the line or None for the zero vector."""
 
     _fields = ("sections",)
-    __slots__ = ("sections", "_dets", "_normal_form")
+    __slots__ = ("sections", "_dets", "_first", "_normal_form")
 
     def __init__(self, sections: tuple[Section, ...]):
         _set(self, "sections", sections)
@@ -85,14 +90,29 @@ class QnConfig(_Frozen):
             return table
 
     @property
+    def first(self) -> tuple[int, ...]:
+        """The coincidence partition: first[k] is the first index whose
+        section coincides with section k, so the blocks are the index sets
+        of equal entries and their first indices are the k with first[k] ==
+        k.  Built on first use and kept outside the fields like `dets`;
+        raises ZeroSectionError on a zero section."""
+        try:
+            return self._first
+        except AttributeError:
+            leads: dict[IPoint, int] = {}
+            first = tuple([leads.setdefault(s.ihom, k) for k, s in enumerate(_require_points(self))])
+            _set(self, "_first", first)
+            return first
+
+    @property
     def normal_form(self) -> tuple[tuple[int, ...], Optional[tuple[IPoint, ...]]]:
         """The Moebius normal form (first, values), built on first use and
         kept outside the fields like `dets`; raises ZeroSectionError on a
         zero section.
 
-        first[k] is the first index whose section coincides with section k,
-        which is `row.index(0)` of row k of `dets`.  With r1, r2, r3 the
-        first three distinct sections (the k with first[k] == k), values[k]
+        first is the coincidence partition `QnConfig.first` (first[k] is
+        `row.index(0)` of row k of `dets`).  With r1, r2, r3 the first three
+        distinct sections (the k with first[k] == k), values[k]
         is (D[r1][k] D[r2][r3] : D[r2][k] D[r1][r3]) as a coprime pair with
         positive leading entry: the image of section k under the Moebius map
         sending r1, r2, r3 to (0:1), (1:0), (1:1), read by the chart rule
@@ -109,12 +129,12 @@ class QnConfig(_Frozen):
         try:
             return self._normal_form
         except AttributeError:
-            pts = [s.ihom for s in _require_points(self)]
-            leads: dict[IPoint, int] = {}
-            first = tuple([leads.setdefault(p, k) for k, p in enumerate(pts)])
+            first = self.first
+            pts = [s.ihom for s in self.sections]
+            leads = [k for k, f in enumerate(first) if f == k]
             values = None
             if len(leads) >= 3:
-                r1, r2, r3 = list(leads.values())[:3]
+                r1, r2, r3 = leads[:3]
                 values = []
                 for x, y in _chart_row(_det_row(pts[r1], pts), _det_row(pts[r2], pts), r3):
                     # never (0, 0): section k coincides with at most one of
@@ -155,38 +175,11 @@ class PnConfig(_Frozen):
 Config = Union[QnConfig, PnConfig]
 
 
-class CoincidencePartition(_Frozen):
-    """Blocks of pairwise-coinciding sections; for double-star configurations
-    also the blocks sitting at the two anchors (possibly empty)."""
-
-    __slots__ = _fields = ("blocks", "j0", "jinf")
-
-    def __init__(
-        self, blocks: tuple[tuple[int, ...], ...], j0: tuple[int, ...] = (), jinf: tuple[int, ...] = ()
-    ):
-        _set(self, "blocks", blocks)
-        _set(self, "j0", j0)
-        _set(self, "jinf", jinf)
-
-
 def _require_points(config: Config) -> tuple[ProjPoint, ...]:
     for i, s in enumerate(config.sections):
         if s is None:
             raise ZeroSectionError(f"section {i} is zero")
     return config.sections  # type: ignore[return-value]
-
-
-def coincidence_partition(config: Config) -> CoincidencePartition:
-    _require_points(config)
-    groups: dict[IPoint, list[int]] = {}
-    for i, s in enumerate(config.sections):
-        groups.setdefault(s.ihom, []).append(i)
-    blocks = tuple(sorted(tuple(v) for v in groups.values()))
-    if isinstance(config, PnConfig):
-        j0 = tuple(groups.get(ZERO_POINT.ihom, ()))
-        jinf = tuple(groups.get(INF_POINT.ihom, ()))
-        return CoincidencePartition(blocks, j0, jinf)
-    return CoincidencePartition(blocks)
 
 
 class Verdict(_Frozen):
@@ -355,12 +348,26 @@ def brute_force_semistable(config: Config, weight) -> Verdict:
     return Verdict(STABLE, None)
 
 
+def _blocks(first: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The blocks of a coincidence partition `QnConfig.first`, each in
+    increasing order, ordered by their first indices (so sorted)."""
+    blocks: dict[int, list[int]] = {}
+    for k, f in enumerate(first):
+        blocks.setdefault(f, []).append(k)
+    return tuple([tuple(b) for b in blocks.values()])
+
+
 def theta_polytope(config: Config) -> StabPolytope:
-    """The stability polytope of a configuration, via its partition."""
-    part = coincidence_partition(config)
+    """The stability polytope of a configuration: for the star quiver the
+    blocks of its coincidence partition `QnConfig.first`, for the
+    double-star quiver the sections at the anchors (0:1) and (1:0); raises
+    ZeroSectionError on a zero section."""
     if isinstance(config, QnConfig):
-        return StabPolytope(QN, config.n, partition=part.blocks)
-    return StabPolytope(PN, config.n, j0=part.j0, jinf=part.jinf)
+        return StabPolytope(QN, config.n, partition=_blocks(config.first))
+    pts = [s.ihom for s in _require_points(config)]
+    j0 = tuple([k for k, p in enumerate(pts) if p == ZERO_POINT.ihom])
+    jinf = tuple([k for k, p in enumerate(pts) if p == INF_POINT.ihom])
+    return StabPolytope(PN, config.n, j0=j0, jinf=jinf)
 
 
 def normalize_chart_qn(config: QnConfig, triple: Sequence[int]) -> QnConfig:

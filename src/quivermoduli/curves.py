@@ -34,11 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .chambers import QN, HassettPolytope, cover_check
-from .configs import (
-    QnConfig,
-    coincidence_partition,
-    theta_polytope,
-)
+from .configs import QnConfig, _blocks, theta_polytope
 from .projline import (
     INF_POINT,
     ONE_POINT,
@@ -702,8 +698,7 @@ def _functor_reports(family: LimitFamily) -> list[ConditionReport]:
         cfgs = [QnConfig(tuple(charts[t])) for t in active]
         w = None
         for tset, cfg in zip(active, cfgs):
-            blocks = coincidence_partition(cfg).blocks
-            if _degree_numerator(blocks, target.nums, target.den) <= 2 * target.den:
+            if _degree_numerator(_blocks(cfg.first), target.nums, target.den) <= 2 * target.den:
                 w = (tset,)
                 break
         add("chart-degree", w)
@@ -712,10 +707,10 @@ def _functor_reports(family: LimitFamily) -> list[ConditionReport]:
         add("covering", None if covered else (uncovered,))
         w = None
         active_set = set(active)
-        for tset in active:
-            row = charts[tset]
+        for tset, cfg in zip(active, cfgs):
+            f = cfg.first
             for other in itertools.combinations(range(n), 3):
-                if len({row[other[0]].ihom, row[other[1]].ihom, row[other[2]].ihom}) == 3:
+                if len({f[other[0]], f[other[1]], f[other[2]]}) == 3:
                     if other not in active_set:
                         w = (tset, other)
                         break
@@ -746,8 +741,9 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     group per component) in one pass keyed by `QnConfig.normal_form`; key
     equality is an equivalence relation, so the groups and their order are
     those of a first-fit pass comparing each chart with every group.
-    Adjacency is read off complementary coincidence blocks, and node
-    coordinates are the block positions.  The result
+    Adjacency is read off complementary blocks of the coincidence
+    partitions `QnConfig.first`, and node coordinates are the block
+    positions.  The result
     reproduces the family exactly: after the stability test ("stability"),
     the family is compared with the rebuilt tree's integer chart rows by
     cross-multiplication, without building a second family, and
@@ -772,10 +768,12 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     groups = list(by_form.values())
     comp_names = tuple(f"c{k}" for k in range(len(groups)))
     rep_cfg = [configs[g[0]] for g in groups]
-    parts = [coincidence_partition(cfg).blocks for cfg in rep_cfg]
+    firsts = [cfg.first for cfg in rep_cfg]
+    parts = [_blocks(f) for f in firsts]
     full = frozenset(range(n))
     edges = []
-    direction_blocks: dict[int, set[tuple[int, ...]]] = {k: set() for k in range(len(groups))}
+    # per component, the first indices of the blocks facing an edge
+    directions: list[set[int]] = [set() for _ in groups]
     for gi, gj in itertools.combinations(range(len(groups)), 2):
         pairs = [
             (p, r)
@@ -791,15 +789,11 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
         node_i = rep_cfg[gi].sections[p[0]]
         node_j = rep_cfg[gj].sections[r[0]]
         edges.append(TreeEdge((comp_names[gi], comp_names[gj]), (node_i, node_j)))
-        direction_blocks[gi].add(p)
-        direction_blocks[gj].add(r)
+        directions[gi].add(p[0])
+        directions[gj].add(r[0])
     marks = []
     for k in range(n):
-        homes = []
-        for gi in range(len(groups)):
-            block = next(b for b in parts[gi] if k in b)
-            if block not in direction_blocks[gi]:
-                homes.append(gi)
+        homes = [gi for gi, f in enumerate(firsts) if f[k] not in directions[gi]]
         if len(homes) != 1:
             raise InconsistentFamilyError("mark-residence", (k, homes))
         gi = homes[0]
@@ -1029,23 +1023,11 @@ def charts_cover_hypersimplex(family: LimitFamily) -> tuple[bool, Optional[tuple
     polytopes of distinct components meet only along walls, and any
     full-dimensional uncovered region would contain the chart weight of some
     triple, so covering holds iff for every 3-subset some active chart keeps
-    it separated (at most one index per coincidence class).
+    it separated: its three entries of the chart's coincidence partition
+    `QnConfig.first` are distinct.
     """
-    n = family.n
-    active = family.active_sets()
-    blockmaps = []
-    for t in active:
-        bm = {}
-        for b in coincidence_partition(QnConfig(tuple(family.charts[t]))).blocks:
-            for i in b:
-                bm[i] = b
-        blockmaps.append(bm)
-    for trip in itertools.combinations(range(n), 3):
-        ok = False
-        for bm in blockmaps:
-            if len({bm[trip[0]], bm[trip[1]], bm[trip[2]]}) == 3:
-                ok = True
-                break
-        if not ok:
-            return False, trip
+    firsts = [QnConfig(tuple(family.charts[t])).first for t in family.active_sets()]
+    for a, b, c in itertools.combinations(range(family.n), 3):
+        if not any(len({f[a], f[b], f[c]}) == 3 for f in firsts):
+            return False, (a, b, c)
     return True, None

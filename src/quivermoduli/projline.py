@@ -373,6 +373,7 @@ def _chart_row(dp: Sequence[int], dq: Sequence[int], r: int) -> list[tuple[int, 
 
 def _points(pairs: Sequence[tuple[int, int]]) -> tuple[ProjPoint, ...]:
     """The points of nonzero integer pairs; a pair with a zero entry is the
-    shared ZERO_POINT or INF_POINT, every other one a new ProjPoint."""
-    return tuple([ProjPoint(a, b) if a and b else INF_POINT if a else ZERO_POINT
+    shared ZERO_POINT or INF_POINT, one with equal entries the shared
+    ONE_POINT, every other one a new ProjPoint."""
+    return tuple([(ProjPoint(a, b) if a != b else ONE_POINT) if a and b else INF_POINT if a else ZERO_POINT
                   for a, b in pairs])

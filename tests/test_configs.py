@@ -16,6 +16,7 @@ from quivermoduli.chambers import (
     QN,
     PnWeight,
     QnWeight,
+    StabPolytope,
     enumerate_chambers,
     enumerate_walls,
     wall_relative_interior_point,
@@ -34,7 +35,6 @@ from quivermoduli.configs import (
     ZeroSectionError,
     brute_force_semistable,
     check_limit_equations,
-    coincidence_partition,
     glue_fiber,
     is_semistable,
     map_config_qn2_pn,
@@ -80,18 +80,67 @@ def qn(*vals):
     return QnConfig(tuple(secs))
 
 
+def _ref_blocks(cfg):
+    """The coincidence blocks of a configuration, grouped here by comparing
+    sections with `==` (the reference for `QnConfig.first`)."""
+    blocks = []
+    for k, s in enumerate(cfg.sections):
+        if s is None:
+            raise ZeroSectionError(f"section {k} is zero")
+        for b in blocks:
+            if cfg.sections[b[0]] == s:
+                b.append(k)
+                break
+        else:
+            blocks.append([k])
+    return tuple(sorted(tuple(b) for b in blocks))
+
+
 def test_coincidence_partition():
-    cfg = qn(1, 1, 2, 3)
-    part = coincidence_partition(cfg)
-    assert part.blocks == ((0, 1), (2,), (3,))
-    with pytest.raises(ZeroSectionError):
-        coincidence_partition(qn(1, None, 2, 3))
+    cfg = qn(1, 1, 2, 3, 1, "inf", 2)
+    assert cfg.first == (0, 0, 2, 3, 0, 5, 2)
+    assert cfg.first is cfg.first
+    assert theta_polytope(cfg).partition == ((0, 1, 4), (2, 6), (3,), (5,))
+    assert qn(1, 2, 3).first == (0, 1, 2) and qn(5, 5, 5).first == (0, 0, 0)
+    for call in (lambda c: c.first, theta_polytope):
+        with pytest.raises(ZeroSectionError, match="^section 1 is zero$"):
+            call(qn(1, None, 2, None))
 
 
 def test_coincidence_partition_pn_anchors():
-    cfg = PnConfig((ZERO_POINT, affine(2), INF_POINT))
-    part = coincidence_partition(cfg)
-    assert part.j0 == (0,) and part.jinf == (2,)
+    cfg = PnConfig((ZERO_POINT, affine(2), INF_POINT, ProjPoint(0, 5), ProjPoint(-3, 0), affine(2)))
+    p = theta_polytope(cfg)
+    assert (p.mode, p.n, p.partition, p.j0, p.jinf) == (PN, 6, (), (0, 3), (2, 4))
+    p = theta_polytope(PnConfig((affine(2),)))
+    assert (p.j0, p.jinf) == ((), ())
+    with pytest.raises(ZeroSectionError, match="^section 2 is zero$"):
+        theta_polytope(PnConfig((ZERO_POINT, affine(2), None)))
+
+
+def test_theta_polytope_matches_a_grouping_reference():
+    # coincidences are drawn from a small pool, so most configurations have
+    # blocks of several sections and points at the anchors
+    rng = random.Random(2701)
+    pool = [INF_POINT, ZERO_POINT, ONE_POINT, affine(-1), affine(2), ProjPoint(F(1, 3), 1)]
+    multi = anchored = 0
+    for step in range(600):
+        if step % 2:
+            n = rng.randint(3, 7)
+            cfg = QnConfig(tuple(rng.choice(pool) for _ in range(n)))
+            blocks = _ref_blocks(cfg)
+            p = theta_polytope(cfg)
+            assert (p.mode, p.n, p.partition, p.j0, p.jinf) == (QN, n, blocks, (), ()), cfg
+            assert cfg.first == tuple(next(b[0] for b in blocks if k in b) for k in range(n)), cfg
+            multi += len(blocks) < n
+        else:
+            n = rng.randint(1, 6)
+            cfg = PnConfig(tuple(rng.choice(pool) for _ in range(n)))
+            j0 = tuple(k for k, s in enumerate(cfg.sections) if s == ZERO_POINT)
+            jinf = tuple(k for k, s in enumerate(cfg.sections) if s == INF_POINT)
+            p = theta_polytope(cfg)
+            assert (p.mode, p.n, p.partition, p.j0, p.jinf) == (PN, n, (), j0, jinf), cfg
+            anchored += bool(j0 and jinf)
+    assert multi > 200 and anchored > 50, (multi, anchored)
 
 
 def test_is_semistable_examples():
@@ -229,10 +278,12 @@ def test_git_class_invariance_qn4():
 
 
 def test_theta_polytope_delegates():
-    p = theta_polytope(qn(1, 1, 2, 3))
-    assert p.partition == ((0, 1), (2,), (3,))
+    cfg = qn(1, 1, 2, 3)
+    p = theta_polytope(cfg)
+    assert p == StabPolytope(QN, 4, partition=((0, 1), (2,), (3,)))
+    assert cfg.first == (0, 0, 2, 3)
     pp = theta_polytope(PnConfig((ZERO_POINT, affine(3))))
-    assert pp.j0 == (0,) and pp.jinf == ()
+    assert pp == StabPolytope(PN, 2, j0=(0,))
 
 
 def test_normalize_chart_qn():
@@ -505,8 +556,8 @@ def _ref_glue(a, b, i, j):
 
 
 def _ref_equivalent(a, b):
-    blocks = coincidence_partition(a).blocks
-    if blocks != coincidence_partition(b).blocks:
+    blocks = _ref_blocks(a)
+    if blocks != _ref_blocks(b):
         return False
     if len(blocks) <= 2:
         return True
@@ -680,12 +731,12 @@ def _partition_equivalent(a, b):
     partitions and took r1, r2, r3 as the first indices of the first three."""
     if a.n != b.n:
         return False
-    pa, pb = coincidence_partition(a), coincidence_partition(b)
-    if pa.blocks != pb.blocks:
+    blocks = _ref_blocks(a)
+    if blocks != _ref_blocks(b):
         return False
-    if len(pa.blocks) <= 2:
+    if len(blocks) <= 2:
         return True
-    r1, r2, r3 = (block[0] for block in pa.blocks[:3])
+    r1, r2, r3 = (block[0] for block in blocks[:3])
     da, db = a.dets, b.dets
     return all(
         da[r1][k] * da[r2][r3] * db[r2][k] * db[r1][r3]
@@ -940,6 +991,25 @@ def test_normal_form_is_a_moebius_invariant():
     for _ in range(2):
         with pytest.raises(ZeroSectionError, match="^section 1 is zero$"):
             zero.normal_form
+
+
+def test_coincidence_partition_is_invisible_and_the_form_pattern():
+    rng = random.Random(2702)
+    pool = [INF_POINT, ZERO_POINT, ONE_POINT, affine(4), affine(F(-2, 3))]
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        cfg = QnConfig(tuple(rng.choice(pool) for _ in range(n)))
+        twin = QnConfig(cfg.sections)
+        first = cfg.first
+        assert (cfg == twin, twin == cfg, hash(cfg), repr(cfg)) == (True, True, hash(twin), repr(twin))
+        assert cfg.normal_form[0] == first == tuple(row.index(0) for row in cfg.dets), cfg
+    # a failed build keeps nothing, so every read raises again
+    zero = qn(0, 1, None, 2)
+    for _ in range(2):
+        with pytest.raises(ZeroSectionError, match="^section 2 is zero$"):
+            zero.first
+    with pytest.raises(AttributeError):
+        zero._first
 
 
 # Canonical normal forms: each built form passes through a bounded identity

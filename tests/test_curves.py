@@ -376,6 +376,14 @@ def test_hassett_chart_degree():
     nums = (3,) * 5
     assert curves._degree_numerator([(0, 1), (2,), (3,), (4,)], nums, 5) == 14
     assert curves._degree_numerator([(0, 1, 2, 3, 4)], nums, 5) == 5
+    # a family's test reads each chart's coincidence classes: marks 2 and 3
+    # of `two_comp` meet at the node in the chart of (0, 1, 2), so their
+    # weights count once there, and only there
+    charts = moduli_coordinates(two_comp(), GK).charts
+    half = F(1, 2)
+    for a, witness in (((half, half, 1, 1), ((0, 1, 2),)), ((1, 1, half, half), ((0, 2, 3),)), ((F(3, 4),) * 4, None)):
+        (report,) = [r for r in verify_functor_conditions(LimitFamily(HASSETT, 4, charts, a)) if r.name == "chart-degree"]
+        assert (report.passed, report.witness) == (witness is None, witness), a
 
 
 class _NoDraws(random.Random):

@@ -63,9 +63,10 @@ def test_cli_maps_errors_to_exit_codes_in_main_only():
 def test_stability_kernels_read_neither_each_other_nor_the_partition():
     # the fast rule and the subrepresentation oracle are checked against
     # each other, so neither may reach the other, the coincidence partition
-    # or the polytope built on it, and the only function of `configs` that
-    # both reach is the weight table; reads are followed through the
-    # module's own functions
+    # (`QnConfig.first`, its blocks and the normal form that reads it) or the
+    # polytope built on it, and the only function of `configs` that both
+    # reach is the weight table; reads are followed through the module's own
+    # functions
     module = ast.parse((Path(quivermoduli.__file__).parent / "configs.py").read_text())
     functions = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
 
@@ -80,8 +81,54 @@ def test_stability_kernels_read_neither_each_other_nor_the_partition():
 
     fast, oracle = reached("is_semistable"), reached("brute_force_semistable")
     assert "brute_force_semistable" not in fast and "is_semistable" not in oracle
-    assert (fast | oracle) & {"coincidence_partition", "theta_polytope"} == set()
+    assert (fast | oracle) & {"_blocks", "theta_polytope"} == set()
     assert fast & oracle == {"_weight_tables"}
+    attributes = {
+        sub.attr
+        for name in fast | oracle | {"is_semistable", "brute_force_semistable"}
+        for sub in ast.walk(functions[name])
+        if isinstance(sub, ast.Attribute)
+    }
+    assert attributes & {"first", "_first", "normal_form", "_normal_form"} == set()
+    # the names checked above exist, so the check is not vacuous
+    assert {"_blocks", "theta_polytope"} <= functions.keys()
+    assert {"first", "_first", "normal_form"} <= {
+        sub.attr for sub in ast.walk(module) if isinstance(sub, ast.Attribute)
+    }
+
+
+def _ihom_keyed_dicts(path: Path) -> set[str]:
+    """The functions of a module (as `Class.method` for methods) that key a
+    dict by a section's integer pair: `.setdefault(x.ihom, ...)`,
+    `.get(x.ihom, ...)` or `[x.ihom]`."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        key = None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args:
+            if node.func.attr in ("setdefault", "get"):
+                key = node.args[0]
+        elif isinstance(node, ast.Subscript):
+            key = node.slice
+        if isinstance(key, ast.Attribute) and key.attr == "ihom":
+            found.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+def test_one_coincidence_partition_builder():
+    # sections are grouped by their integer pairs in one place, the
+    # coincidence partition `QnConfig.first`; every other reader of the
+    # partition reads it, and the two stability kernels keep their own
+    # grouping because they are checked against each other
+    package = Path(quivermoduli.__file__).parent
+    found = {f"{name}:{scope}" for name in ("configs", "curves") for scope in _ihom_keyed_dicts(package / f"{name}.py")}
+    assert found == {"configs:QnConfig.first", "configs:is_semistable", "configs:brute_force_semistable"}
 
 
 def test_glue_fiber_reads_no_normal_form():
