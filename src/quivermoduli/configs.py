@@ -4,12 +4,12 @@ A star-quiver representation at a point is a tuple of n plane vectors; up to
 the group action a nonzero vector is a point of the projective line, so a
 configuration stores an optional ProjPoint per index (None encodes the zero
 vector, which chart operations reject).  Double-star representations are the
-same with two implicit anchor points (0:1) and (1:0).
+same with two implicit anchor points (0:1) and (1:0), which `PnConfig.star` appends.
 
 The coincidence partition of a star configuration is `QnConfig.first`,
 for each section the first index whose section coincides with it; the
 stability polytope, the chart tests of `curves` and the normal form read
-it, and a double-star polytope reads its anchor classes off the sections.
+it, and a double-star configuration reads all of these off its `star`.
 
 Stability verdicts come in two independent implementations: the fast rule
 driven by the coincidence classes, and a definition-level oracle that
@@ -160,7 +160,8 @@ def _canonical_form(form: tuple) -> tuple:
 class PnConfig(_Frozen):
     """n sections with implicit anchors (0:1) and (1:0) on the line."""
 
-    __slots__ = _fields = ("sections",)
+    _fields = ("sections",)
+    __slots__ = ("sections", "_star")
 
     def __init__(self, sections: tuple[Section, ...]):
         _set(self, "sections", sections)
@@ -170,6 +171,20 @@ class PnConfig(_Frozen):
     @property
     def n(self) -> int:
         return len(self.sections)
+
+    @property
+    def star(self) -> QnConfig:
+        """The sections, then the anchors (0:1) and (1:0) at indices n and
+        n + 1, as a star configuration kept outside the fields like
+        `QnConfig.dets`.  Its `first`, `dets` and `normal_form` are the
+        anchor classes, anchor rows and torus normal form: a Moebius map
+        respecting indices fixes indices n and n + 1, so it fixes 0 and
+        infinity and is a rescaling (x0 : x1) -> (l x0 : x1)."""
+        try:
+            return self._star
+        except AttributeError:
+            _set(self, "_star", QnConfig((*self.sections, ZERO_POINT, INF_POINT)))
+            return self._star
 
 
 Config = Union[QnConfig, PnConfig]
@@ -360,14 +375,13 @@ def _blocks(first: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 def theta_polytope(config: Config) -> StabPolytope:
     """The stability polytope of a configuration: for the star quiver the
     blocks of its coincidence partition `QnConfig.first`, for the
-    double-star quiver the sections at the anchors (0:1) and (1:0); raises
-    ZeroSectionError on a zero section."""
+    double-star quiver the sections in the anchor blocks of `PnConfig.star`;
+    raises ZeroSectionError on a zero section."""
     if isinstance(config, QnConfig):
         return StabPolytope(QN, config.n, partition=_blocks(config.first))
-    pts = [s.ihom for s in _require_points(config)]
-    j0 = tuple([k for k, p in enumerate(pts) if p == ZERO_POINT.ihom])
-    jinf = tuple([k for k, p in enumerate(pts) if p == INF_POINT.ihom])
-    return StabPolytope(PN, config.n, j0=j0, jinf=jinf)
+    *first, f0, finf = config.star.first
+    j0 = tuple([k for k, f in enumerate(first) if f == f0])
+    return StabPolytope(PN, config.n, j0=j0, jinf=tuple([k for k, f in enumerate(first) if f == finf]))
 
 
 def normalize_chart_qn(config: QnConfig, triple: Sequence[int]) -> QnConfig:
@@ -387,12 +401,13 @@ def _agreeing_rows(
     """The anchor rows (xa, ya, xb, yb) of `check_limit_equations`, checked
     in the order its docstring gives, if they satisfy the equations.
 
-    The star-quiver branch comes first and reads each row of the cached
-    `_dets` slots once, with the `dets` property as the fallback that builds
-    them.  After every check, charts whose `QnConfig.normal_form` is one
-    object (equal forms usually are, see `_canonical_form`) are Moebius
-    equivalent and satisfy the equations at every anchor pair, so their rows
-    are returned without the loop; any other pair, equivalent or not, goes
+    A double-star pair is read as its `PnConfig.star`s at anchors (n, n + 1),
+    whose entries pair to (0, 0).  Each row of the cached `_dets` slots is
+    read once, with the `dets` property as the fallback that builds them.
+    After every check, charts whose `QnConfig.normal_form` is one object
+    (equal forms usually are, see `_canonical_form`) are Moebius equivalent
+    and satisfy the equations at every anchor pair, so their rows are
+    returned without the loop; any other pair, equivalent or not, goes
     through the loop, which gives the same answer.  Proof: if g a_k = l_k b_k
     for every k, with G an integer matrix of g and the l_k nonzero
     rationals, then for the integer representatives det(b_p, b_k) =
@@ -403,41 +418,39 @@ def _agreeing_rows(
     """
     if type(config_a) is not type(config_b) or len(config_a.sections) != len(config_b.sections):
         raise ValueError("configurations must share a mode and a size")
-    if type(config_a) is not PnConfig:
-        try:
-            da = config_a._dets
-        except AttributeError:
-            da = config_a.dets
-        if i is None or j is None or i == j:
-            raise ValueError("two distinct anchor indices are required")
-        n = len(da)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"anchor indices {i} and {j} must lie in range({n})")
-        xa = da[i]
-        if not xa[j]:
-            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
-        try:
-            db = config_b._dets
-        except AttributeError:
-            db = config_b.dets
-        xb = db[i]
-        if not xb[j]:
-            raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
-        ya, yb = da[j], db[j]
-        try:
-            same = config_a._normal_form is config_b._normal_form
-        except AttributeError:
-            same = config_a.normal_form is config_b.normal_form
-        if same:
-            return xa, ya, xb, yb
-    else:
-        rows = []
-        for config in (config_a, config_b):
-            pts = [s.ihom for s in _require_points(config)]
-            if i is not None or j is not None:
-                raise ValueError("double-star configurations have fixed anchors; omit i and j")
-            rows += _det_row(ZERO_POINT.ihom, pts), _det_row(INF_POINT.ihom, pts)
-        xa, ya, xb, yb = rows
+    pn = type(config_a) is PnConfig
+    if pn:
+        config_a, config_b = config_a.star, config_b.star
+    try:
+        da = config_a._dets
+    except AttributeError:
+        da = config_a.dets
+    n = len(da)
+    if pn:
+        if i is not None or j is not None:
+            raise ValueError("double-star configurations have fixed anchors; omit i and j")
+        i, j = n - 2, n - 1
+    if i is None or j is None or i == j:
+        raise ValueError("two distinct anchor indices are required")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"anchor indices {i} and {j} must lie in range({n})")
+    xa = da[i]
+    if not xa[j]:
+        raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
+    try:
+        db = config_b._dets
+    except AttributeError:
+        db = config_b.dets
+    xb = db[i]
+    if not xb[j]:
+        raise DegeneratePairError(f"anchor sections {i} and {j} coincide")
+    ya, yb = da[j], db[j]
+    try:
+        same = config_a._normal_form is config_b._normal_form
+    except AttributeError:
+        same = config_a.normal_form is config_b.normal_form
+    if same:
+        return xa, ya, xb, yb
     # the first pair other than (0, 0) fixes the value (r0 : r1); a later
     # pair (0, 0) passes the comparison
     pairs = zip(xa, yb, ya, xb)
@@ -464,7 +477,7 @@ def check_limit_equations(
     (1:0) sends s_k to (-x[k] : y[k]) up to a diagonal factor.  For
     star-quiver configurations the anchors are sections i and j, and the
     rows are rows i and j of the determinant table `dets`; double-star
-    configurations have the implicit anchors (0:1) and (1:0).  With x, y
+    configurations are read as `PnConfig.star`, anchors n and n + 1.  With x, y
     the rows of a and x', y' those of b, the equations say that the pairs
     (x[k] y'[k] : y[k] x'[k]) other than (0, 0) all define one projective
     value.  Equivalently, after sending section i to (0:1) and section j
@@ -472,10 +485,10 @@ def check_limit_equations(
     (1,1)-curve through the two anchor corners.
 
     Checks mode and size first, then the first chart (zero sections,
-    anchor indices, coinciding anchors), then the second.  Star-quiver
-    charts sharing one `QnConfig.normal_form` object are Moebius equivalent
-    and pass at once (the proof is in `_agreeing_rows`); only the other
-    pairs are compared row by row.
+    anchor indices, coinciding anchors), then the second.  Charts whose
+    star configurations share one `QnConfig.normal_form` object are Moebius
+    equivalent and pass at once (the proof is in `_agreeing_rows`); only
+    the other pairs are compared row by row.
     """
     return _agreeing_rows(config_a, config_b, i, j) is not None
 
@@ -525,17 +538,17 @@ def glue_fiber(
     config_a: Config, config_b: Config, i: Optional[int] = None, j: Optional[int] = None
 ) -> GluedFiber:
     """Glue two equation-compatible charts into their common fiber curve;
-    EquationsFailError where `check_limit_equations` is False."""
+    EquationsFailError where `check_limit_equations` is False.  Double-star
+    charts glue as their `PnConfig.star`s, the anchors left out of the marks."""
     rows = _agreeing_rows(config_a, config_b, i, j)
     if rows is None:
         raise EquationsFailError("configurations are not related by the cross-chart equations")
     xa, ya, xb, yb = rows
+    marks = range(len(config_a.sections))
     if type(config_a) is PnConfig:
-        pa = pb = ZERO_POINT
-        qa = qb = INF_POINT
-    else:
-        pa, qa = config_a.sections[i], config_a.sections[j]
-        pb, qb = config_b.sections[i], config_b.sections[j]
+        config_a, config_b, i, j = config_a.star, config_b.star, len(marks), len(marks) + 1
+    pa, qa = config_a.sections[i], config_a.sections[j]
+    pb, qb = config_b.sections[i], config_b.sections[j]
     # one pass over the rows: it stops at the first section off both
     # anchors in both charts, where the fiber is irreducible, and until then
     # collects, for each section varying in one chart (both rows nonzero),
@@ -564,8 +577,8 @@ def glue_fiber(
             raise EquationsFailError("the node corner does not mix the two anchors")
         return GluedFiber(
             TWO_COMPONENTS,
-            marks_on_a=frozenset([k for k, w in enumerate(yb if corner_b[0] else xb) if not w]),
-            marks_on_b=frozenset([k for k, w in enumerate(ya if corner_a[0] else xa) if not w]),
+            marks_on_a=frozenset([k for k, w in zip(marks, yb if corner_b[0] else xb) if not w]),
+            marks_on_b=frozenset([k for k, w in zip(marks, ya if corner_a[0] else xa) if not w]),
             node_a=qa if corner_a[0] else pa,
             node_b=qb if corner_b[0] else pb,
         )

@@ -14,7 +14,7 @@ configuration (`configs.QnConfig`), and `mark_images` gives one per
 component.  The chart layer reads their determinant tables
 (`QnConfig.dets`), and `tree_isomorphic` their Moebius normal forms
 (`QnConfig.normal_form`), as `reconstruct_tree` does for chart
-configurations.
+configurations, of chains through `configs.PnConfig.star`.
 
 Every stable object is encoded by its chart coordinates: contract the tree
 onto the unique component where three chosen marks stay distinct and
@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .chambers import QN, HassettPolytope, cover_check
-from .configs import QnConfig, _blocks, theta_polytope
+from .configs import PnConfig, QnConfig, _blocks, theta_polytope
 from .projline import (
     INF_POINT,
     ONE_POINT,
@@ -737,10 +737,10 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     runs the conditions once per family, so verifying a family and then
     reconstructing it runs them (and the covering test) once.
 
-    Charts are grouped by Moebius equivalence of their configurations (one
-    group per component) in one pass keyed by `QnConfig.normal_form`; key
-    equality is an equivalence relation, so the groups and their order are
-    those of a first-fit pass comparing each chart with every group.
+    Charts are grouped by Moebius equivalence (one group per component) in
+    one pass keyed by `QnConfig.normal_form`, of `PnConfig.star` for chains;
+    key equality is an equivalence relation, so the groups and their order
+    are those of a first-fit pass comparing each chart with every group.
     Adjacency is read off complementary blocks of the coincidence
     partitions `QnConfig.first`, and node coordinates are the block
     positions.  The result
@@ -854,24 +854,11 @@ def _charts_match(charts: Mapping, rows, orderings: int) -> bool:
     return orderings * count == len(charts)
 
 
-def _same_component(rep: Sequence[ProjPoint], row: Sequence[ProjPoint], i: int) -> bool:
-    """Whether `row`, the chart of mark i, is `rep` rescaled by `_diagonal_row`
-    to put i at (1:1), by cross-multiplication (never if rep[i] is 0 or inf)."""
-    c0, c1 = rep[i].ihom
-    pairs = _diagonal_row([x.ihom for x in rep], i)
-    return bool(c0 and c1) and all(a * y.ihom[1] == b * y.ihom[0] for (a, b), y in zip(pairs, row))
-
-
 def _reconstruct_chain(family: LimitFamily) -> Chain:
-    n = family.n
-    groups: list[list[int]] = []
-    for i in range(n):
-        for g in groups:
-            if _same_component(family.charts[g[0]], family.charts[i], i):
-                g.append(i)
-                break
-        else:
-            groups.append([i])
+    by_form: dict[tuple, list[int]] = {}
+    for i in range(family.n):
+        by_form.setdefault(PnConfig(tuple(family.charts[i])).star.normal_form, []).append(i)
+    groups = list(by_form.values())
     # order groups from the zero end: a group earlier than this one shows up
     # at (0:1) in this group's chart
     leads = [g[0] for g in groups]

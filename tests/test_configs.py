@@ -493,6 +493,73 @@ def test_determinant_table_is_invisible():
             zero.dets
 
 
+def test_anchored_star_is_invisible():
+    cfg = PnConfig((affine(2), ZERO_POINT, INF_POINT, affine(2), affine(F(-1, 3))))
+    twin = PnConfig(cfg.sections)
+
+    def looks():
+        return (cfg == twin, hash(cfg), repr(cfg), serialize.dumps(serialize.config_json(cfg)))
+
+    before = looks()
+    copies = [copy.copy(cfg), pickle.loads(pickle.dumps(cfg))]
+    star = cfg.star
+    assert cfg.star is star
+    assert star == QnConfig(cfg.sections + (ZERO_POINT, INF_POINT))
+    assert looks() == before == (True, hash(twin), repr(twin), before[3])
+    copies += [copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))]
+    for c in copies:
+        assert (c == cfg, hash(c), repr(c)) == (True, hash(cfg), repr(cfg))
+        assert c.star == star
+    assert repr(cfg) == f"PnConfig(sections={cfg.sections!r})"
+    # a zero section is named by its double-star index, and a failed build
+    # keeps nothing, so every read raises again
+    zero = PnConfig((affine(2), ZERO_POINT, None, INF_POINT))
+    for _ in range(2):
+        for read in (lambda: zero.star.first, lambda: zero.star.dets, lambda: theta_polytope(zero)):
+            with pytest.raises(ZeroSectionError, match="^section 2 is zero$"):
+                read()
+    for name in ("_first", "_dets", "_normal_form"):
+        with pytest.raises(AttributeError):
+            getattr(zero.star, name)
+
+
+def test_anchored_star_matches_the_moebius_map():
+    # map_config_qn2_pn moves sections a and b to (1:0) and (0:1) with a
+    # Moebius object; its anchored star is then equivalent to the
+    # configuration with a and b moved to the end, and two such stars share
+    # a normal form exactly when those configurations are equivalent
+    rng = random.Random(2802)
+    pool = [INF_POINT, ZERO_POINT, ONE_POINT, affine(-1), affine(2), affine(F(1, 3)), affine(F(-5, 2))]
+    seen = {True: 0, False: 0}
+    for step in range(1500):
+        n = rng.randint(3, 7)
+        secs = [rng.choice(pool) for _ in range(n)] if step % 2 else list(random_points(rng, n))
+        # a Moebius image, an image with one section changed, or a new draw
+        moved = list(_moved(rng, QnConfig(tuple(secs))).sections)
+        if step % 3 == 1:
+            moved[rng.randrange(n)] = rng.choice(pool)
+        elif step % 3 == 2:
+            moved = [rng.choice(pool) for _ in range(n)]
+        draws = [secs, moved]
+        a, b = rng.sample(range(n), 2)
+        if any(secs[a] == secs[b] for secs in draws):
+            continue
+        stars, refs = [], []
+        for secs in draws:
+            rest = tuple(s for k, s in enumerate(secs) if k not in (a, b))
+            stars.append(map_config_qn2_pn(QnConfig(tuple(secs)), a, b).star)
+            refs.append(QnConfig(rest + (secs[b], secs[a])))
+            assert moebius_equivalent(stars[-1], refs[-1]), (secs, a, b)
+        same = moebius_equivalent(*refs)
+        assert (stars[0].normal_form == stars[1].normal_form) == same, (draws, a, b)
+        seen[same] += 1
+    assert min(seen.values()) > 500, seen
+    # a zero section passes through and is named by the same index
+    star = map_config_qn2_pn(qn(0, None, 1, "inf"), 2, 3).star
+    with pytest.raises(ZeroSectionError, match="^section 1 is zero$"):
+        star.normal_form
+
+
 # Reference for the cross-chart tests: both charts normalized by Moebius
 # maps from projline, on the Fraction coordinates of each section.
 

@@ -615,6 +615,99 @@ def test_chain_reconstruct_failure_names(monkeypatch):
     assert _failure(fam) == "stability"
 
 
+# Reference for chain reconstruction: the grouping as it was before charts
+# were keyed by the normal form of `PnConfig.star`, a first-fit pass that
+# compares each chart with the first chart of every group by
+# cross-multiplication.
+
+
+def _same_component(rep, row, i):
+    """Whether `row`, the chart of mark i, is `rep` under the diagonal map
+    x -> (x0 c1 : c0 x1), c = rep[i], that puts i at (1:1) (never if rep[i]
+    is 0 or inf)."""
+    c0, c1 = rep[i].ihom
+    return bool(c0 and c1) and all(
+        x0 * c1 * y.ihom[1] == c0 * x1 * y.ihom[0] for (x0, x1), y in zip((p.ihom for p in rep), row)
+    )
+
+
+def _first_fit_chain(family):
+    groups = []
+    for i in range(family.n):
+        for g in groups:
+            if _same_component(family.charts[g[0]], family.charts[i], i):
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    leads = [g[0] for g in groups]
+    before_counts = [sum(j != i and family.charts[i][j] == ZERO_POINT for j in leads) for i in leads]
+    if sorted(before_counts) != list(range(len(groups))):
+        raise InconsistentFamilyError("chain-order", tuple(before_counts))
+    ordered = sorted(zip(before_counts, groups))
+    chain = Chain(tuple(tuple((lb, family.charts[g[0]][lb]) for lb in g) for _, g in ordered))
+    try:
+        curves.validate_chain(chain)
+    except ValueError as exc:
+        raise InconsistentFamilyError("chain-shape", str(exc))
+    if not is_lm_stable(chain):
+        raise InconsistentFamilyError("stability", None)
+    if family.a is not None or not curves._charts_match(family.charts, curves._lm_chart_pairs(chain), 1):
+        raise InconsistentFamilyError("round-trip", None)
+    return chain
+
+
+def _chain_outcome(charts, a=None):
+    try:
+        return reconstruct_tree(LimitFamily(LM, len(charts), charts, a))
+    except InconsistentFamilyError as exc:
+        return exc.condition, exc.witness
+
+
+def _chain_families(rng):
+    """(charts, weights) of random chains at n = 1-6 (coincident marks
+    included), each with corrupted copies: one point off the anchors moved,
+    two charts swapped, one chart rescaled (whole, and off its own mark),
+    a row given as a list and weights attached; then random rows with (1:1)
+    on the diagonal at n = 1-3."""
+    pool = [ZERO_POINT, INF_POINT, ONE_POINT, affine(2), affine(F(1, 2)), affine(-1)]
+    out = []
+    for n in range(1, 7):
+        for _ in range(30):
+            charts = dict(lm_moduli_coordinates(random_chain(rng, range(n))).charts)
+            out += [(charts, None), (charts, (F(1),) * n)]
+            i = rng.randrange(n)
+            row = list(charts[i])
+            k = rng.choice([k for k in range(n) if row[k] not in (ZERO_POINT, INF_POINT)])
+            row[k] = affine(F(rng.randint(100, 999), 7))
+            out += [({**charts, i: tuple(row)}, None), ({**charts, i: list(charts[i])}, None)]
+            if n >= 2:
+                i, j = rng.sample(range(n), 2)
+                out.append(({**charts, i: charts[j], j: charts[i]}, None))
+            scale = projline.Moebius(rng.choice((2, -3, F(1, 5))), 0, 0, 1)
+            i = rng.randrange(n)
+            scaled = tuple(scale.apply(p) for p in charts[i])
+            out += [({**charts, i: scaled}, None), ({**charts, i: scaled[:i] + (ONE_POINT,) + scaled[i + 1:]}, None)]
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        out.append(({i: tuple(ONE_POINT if k == i else rng.choice(pool) for k in range(n)) for i in range(n)}, None))
+    return out
+
+
+def test_chain_grouping_answers_as_the_first_fit_pass(monkeypatch):
+    # the same chain, or the same failed condition and witness
+    seen = {}
+    for charts, a in _chain_families(random.Random(2801)):
+        got = _chain_outcome(charts, a)
+        with monkeypatch.context() as patch:
+            patch.setattr(curves, "_reconstruct_chain", _first_fit_chain)
+            assert _chain_outcome(charts, a) == got, (charts, a)
+        key = "chain" if isinstance(got, Chain) else got[0]
+        seen[key] = seen.get(key, 0) + 1
+    assert seen.keys() == {"chain", "round-trip", "diagonal-normalization", "triple-identity"}, seen
+    assert min(seen.values()) >= 150, seen
+
+
 def test_contract_to_chart_reads_any_labels():
     # labels other than 0..n-1 (a contraction keeps its marks' labels)
     rng = random.Random(18)

@@ -89,10 +89,10 @@ def test_stability_kernels_read_neither_each_other_nor_the_partition():
         for sub in ast.walk(functions[name])
         if isinstance(sub, ast.Attribute)
     }
-    assert attributes & {"first", "_first", "normal_form", "_normal_form"} == set()
+    assert attributes & {"first", "_first", "normal_form", "_normal_form", "star", "_star"} == set()
     # the names checked above exist, so the check is not vacuous
     assert {"_blocks", "theta_polytope"} <= functions.keys()
-    assert {"first", "_first", "normal_form"} <= {
+    assert {"first", "_first", "normal_form", "star", "_star"} <= {
         sub.attr for sub in ast.walk(module) if isinstance(sub, ast.Attribute)
     }
 
@@ -129,6 +129,51 @@ def test_one_coincidence_partition_builder():
     package = Path(quivermoduli.__file__).parent
     found = {f"{name}:{scope}" for name in ("configs", "curves") for scope in _ihom_keyed_dicts(package / f"{name}.py")}
     assert found == {"configs:QnConfig.first", "configs:is_semistable", "configs:brute_force_semistable"}
+
+
+def _anchor_readers(source: str) -> set[str]:
+    """The functions of a module (as `Class.method` for methods) that
+    compare with an anchor or call `_det_row` on one.  An anchor is
+    ZERO_POINT or INF_POINT, its `.ihom`, or the literal pair (0, 1) or
+    (1, 0)."""
+    found = set()
+
+    def anchor(node) -> bool:
+        if isinstance(node, ast.Attribute) and node.attr == "ihom":
+            node = node.value
+        if isinstance(node, ast.Name):
+            return node.id in ("ZERO_POINT", "INF_POINT")
+        return isinstance(node, ast.Tuple) and [getattr(e, "value", None) for e in node.elts] in ([0, 1], [1, 0])
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Compare):
+            hit = any(anchor(x) for x in [node.left, *node.comparators])
+        else:
+            hit = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_det_row" and anchor(node.args[0])
+        if hit:
+            found.add(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_double_star_anchors_are_read_through_the_star():
+    # a double-star configuration reads its anchor classes, rows and normal
+    # form off `PnConfig.star`; only the two stability kernels, checked
+    # against each other, test the anchors themselves
+    found = _anchor_readers((Path(quivermoduli.__file__).parent / "configs.py").read_text())
+    assert found == {"is_semistable"}
+    # the anchor tests the star replaced are found, so the check is not
+    # vacuous
+    old = (
+        "def rows(pts):\n    return _det_row(ZERO_POINT.ihom, pts), _det_row(INF_POINT.ihom, pts)\n"
+        "def scan(pts):\n    return [k for k, p in enumerate(pts) if p == INF_POINT.ihom]\n"
+    )
+    assert _anchor_readers(old) == {"rows", "scan"}
 
 
 def test_glue_fiber_reads_no_normal_form():
