@@ -27,12 +27,15 @@ equalities and the slack objective are invariant, so the max-slack LP of a
 permuted region is the permuted LP.  The walk of the wall arrangements
 therefore solves one LP per S_n-orbit: a realized flip brings in its whole
 orbit, closed under the adjacent transpositions, and only the flip itself
-goes on to be flipped.  When the LP's final tableau certifies that its
-optimum is unique (`lp.strict_interior_point`, `unique`), the witness of
-each orbit member is the permuted witness, exactly the point that member's
-own LP would return; otherwise every member gets its own LP.  So the
-chambers and witnesses are the same as those of the walk without the group,
-which `cover_check` runs on its facet arrangements.
+goes on to be flipped.  When the LP's optimal face is a single point, which
+`lp.strict_interior_point` decides exactly on its final tableau (`unique`),
+the witness of each orbit member is the permuted witness, exactly the point
+that member's own LP would return; otherwise every member gets its own LP.
+So the chambers and witnesses are the same as those of the walk without the
+group, which `cover_check` runs on its facet arrangements.  The walk keeps
+each witness as integers, a denominator and a tuple of numerators, so an
+orbit member's witness is the representative's numerators permuted, and
+`decode` builds each distinct coordinate Fraction once.
 
 Most LPs of the walk are feasible; an empty flip crosses a hyperplane that
 is not a facet of the current region.  When the LP finds a sign vector's
@@ -127,6 +130,27 @@ def _field_hash_once(self) -> int:
         return h
 
 
+def _check_qn(den: int, nums) -> None:
+    """The checks of the hypersimplex weight nums / den (den > 0)."""
+    if min(nums) < 0 or max(nums) > den:
+        raise ValueError("coordinates must lie in [0, 1]")
+    if sum(nums) != 2 * den:
+        raise ValueError("coordinates must sum to 2")
+
+
+def _check_pn(eta_den: int, a1: int, a2: int, theta_den: int, nums) -> None:
+    """The checks of the double-star weight with eta (a1, a2) / eta_den and
+    theta nums / theta_den (dens > 0)."""
+    if a1 > 0 or a2 > 0:
+        raise ValueError("eta coordinates must be <= 0")
+    if a1 + a2 != -eta_den:
+        raise ValueError("eta coordinates must sum to -1")
+    if min(nums) < 0:
+        raise ValueError("theta coordinates must be >= 0")
+    if sum(nums) != theta_den:
+        raise ValueError("theta coordinates must sum to 1")
+
+
 class QnWeight(_Frozen):
     """A point of the hypersimplex: 0 <= theta_i <= 1, sum theta_i = 2."""
 
@@ -139,11 +163,7 @@ class QnWeight(_Frozen):
         _set(self, "theta", th)
         if len(th) < 3:
             raise ValueError("hypersimplex weights need n >= 3")
-        m, nums = _scaled(th)
-        if any(a < 0 or a > m for a in nums):
-            raise ValueError("coordinates must lie in [0, 1]")
-        if sum(nums) != 2 * m:
-            raise ValueError("coordinates must sum to 2")
+        _check_qn(*_scaled(th))
 
     @property
     def n(self) -> int:
@@ -166,17 +186,8 @@ class PnWeight(_Frozen):
         _set(self, "theta", th)
         if len(th) < 1:
             raise ValueError("double-star weights need n >= 1")
-        # a Fraction has the sign of its numerator
-        if e1.numerator > 0 or e2.numerator > 0:
-            raise ValueError("eta coordinates must be <= 0")
         m, (a1, a2) = _scaled((e1, e2))
-        if a1 + a2 != -m:
-            raise ValueError("eta coordinates must sum to -1")
-        if any(v.numerator < 0 for v in th):
-            raise ValueError("theta coordinates must be >= 0")
-        m, nums = _scaled(th)
-        if sum(nums) != m:
-            raise ValueError("theta coordinates must sum to 1")
+        _check_pn(m, a1, a2, *_scaled(th))
 
     @property
     def n(self) -> int:
@@ -315,10 +326,35 @@ def classify_weight(weight: Weight) -> WeightClass:
 # variables are nonnegative by construction.
 
 
+class _Fractions(dict):
+    """Fraction(num, den) for one den, keyed by num and built on first use."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        self.den = den
+
+    def __missing__(self, num: int) -> Fraction:
+        value = self[num] = Fraction(num, self.den)
+        return value
+
+
 def _space(mode: str, n: int):
     """(nvars, eqs, box_rows, decode): the variable count, the equality rows
-    and the strict box rows of one ambient polytope, and the map from an LP
-    point (theta, or (h1, h2, theta) with h_j = -eta_j) to its weight."""
+    and the strict box rows of one ambient polytope, and the map from the
+    integer witness (den, nums) of an LP point nums / den (theta, or
+    (h1, h2, theta) with h_j = -eta_j) to its weight.  `decode` runs the
+    weight class's checks on the integers and builds each distinct
+    coordinate once: the chambers of a polytope share few (35 across the
+    1678 witnesses at qn 6)."""
+    tables: dict[int, _Fractions] = {}
+
+    def fractions(den):
+        table = tables.get(den)
+        if table is None:
+            table = tables[den] = _Fractions(den)
+        return table
+
     if mode == QN:
         nvars = n
         eqs = (((1,) * n, 2),)
@@ -328,8 +364,13 @@ def _space(mode: str, n: int):
             box.append((e, 0))  # theta_i > 0
             box.append((tuple(-c for c in e), -1))  # theta_i < 1
 
-        def decode(x):
-            return QnWeight(tuple(x))
+        def decode(w):
+            den, nums = w
+            _check_qn(den, nums)
+            # the constructor would repeat the checks on Fractions
+            weight = object.__new__(QnWeight)
+            _set(weight, "theta", tuple(map(fractions(den).__getitem__, nums)))
+            return weight
 
     elif mode == PN:
         nvars = n + 2
@@ -339,8 +380,15 @@ def _space(mode: str, n: int):
         )
         box = [(_indicator(nvars, (i,)), 0) for i in range(nvars)]  # h_j > 0, theta_i > 0
 
-        def decode(x):
-            return PnWeight(-x[0], -x[1], tuple(x[2:]))
+        def decode(w):
+            den, (h1, h2, *theta) = w
+            _check_pn(den, -h1, -h2, den, theta)
+            value = fractions(den).__getitem__
+            weight = object.__new__(PnWeight)
+            _set(weight, "eta1", value(-h1))
+            _set(weight, "eta2", value(-h2))
+            _set(weight, "theta", tuple(map(value, theta)))
+            return weight
 
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -412,12 +460,14 @@ class _Arrangement:
 
 
 def _region_witness(arr, signs, tweak=None, core=None, unique=None):
-    """The LP witness of a sign vector, or None if its region is empty.
+    """The LP witness of a sign vector as integers (den, nums), the point
+    nums / den over the least common denominator den of its coordinates, or
+    None if its region is empty.
 
     When it is empty, a `core` list receives the pairs (k, signs[k]) of a
     set of hyperplane rows that, with the box and the equalities alone,
     already leave nothing; when it is not, a `unique` list receives whether
-    the witness is certified the only optimum of its LP (see
+    the witness is the only optimum of its LP (see
     `lp.strict_interior_point`)."""
     # rows dominated by another active row (subset side, same threshold
     # form) are redundant in the strict system and dropped before the LP
@@ -439,7 +489,10 @@ def _region_witness(arr, signs, tweak=None, core=None, unique=None):
     if core is not None:
         nbox = len(arr.box)
         core.extend((keep[i - nbox], signs[keep[i - nbox]]) for i in found if i >= nbox)
-    return x
+    if x is None:
+        return None
+    den, nums = _scaled(x)
+    return den, tuple(nums)
 
 
 def _subset_implications(walls: Sequence[Wall], n: int):
@@ -552,27 +605,28 @@ def _store(regions, signs, x, cap):
         raise TooLargeError("region enumeration exceeds QML_MAX_WORK")
 
 
-def _add_orbit(arr, regions, signs, x, certified, cap):
-    """Put the region `signs`, with witness x, and every image of it under
-    `arr.group` into `regions`.
+def _add_orbit(arr, regions, signs, w, certified, cap):
+    """Put the region `signs`, with integer witness w = (den, nums), and
+    every image of it under `arr.group` into `regions`.
 
-    If x is `certified` the only optimum of its LP, each image's witness is
-    the image of x; otherwise each image gets its own LP."""
-    _store(regions, signs, x, cap)
+    If w is `certified` as the only optimum of its LP, each image's witness
+    is (den, the permuted nums), read by an itemgetter.  Otherwise, when the
+    optimal face is not a point, each image gets its own LP."""
+    _store(regions, signs, w, cap)
     if not arr.group:
         return
     # an itemgetter of two or more indices returns the tuple of the items
     group = [(itemgetter(*src), itemgetter(*vsrc)) for src, vsrc in arr.group]
-    todo = [(signs, x)]
+    todo = [(signs, w)]
     while todo:
-        signs, x = todo.pop()
+        signs, w = todo.pop()
         both = signs + tuple(map(neg, signs))
         for wall_image, point_image in group:
             image = wall_image(both)
             if image in regions:
                 continue
             if certified:
-                y = list(point_image(x))
+                y = w[0], point_image(w[1])
             else:
                 y = _region_witness(arr, image)
                 if y is None:
@@ -592,7 +646,9 @@ def _enumerate_regions(arr):
     along it flips exactly one class; without merging coinciding rows a
     single-row flip could never cross a hyperplane written twice.  Every
     witness comes from `_region_witness`, so it depends only on the sign
-    vector and not on the order of the walk.
+    vector and not on the order of the walk.  Witnesses are the integer
+    pairs (den, nums) of `_region_witness`, so the orbit expansion permutes
+    integers and builds no Fraction.
 
     With generators in `arr.group`, a kept region brings in its whole orbit
     (`_add_orbit`), and only the region itself, the orbit's representative,
@@ -608,17 +664,19 @@ def _enumerate_regions(arr):
     `regions`.
 
     An orbit member's witness is the image of the representative's when
-    the LP certifies its optimum unique.  The image of the max-slack LP of
-    R under g is the max-slack LP of g(R): the box and equality rows go to
-    box and equality rows, each signed hyperplane row to a signed
-    hyperplane row of g(R) or to one that agrees with it on the affine
-    space of the equalities, and the slack objective stays.  Dropping
-    dominated rows changes no feasible set, since a dominated row is implied
-    by a kept one there.  So g maps the optimal face of R's LP onto that of
-    g(R)'s; a face that is a single point goes to a single point, which is
-    what the LP of g(R) returns.  Without the certificate every orbit member
-    gets its own LP.  Either way the walk returns the same list as the walk
-    without generators.
+    the LP's optimal face is a single point, which the face test of
+    `lp.strict_interior_point` decides exactly.  The image of the
+    max-slack LP of R under g is the max-slack LP of g(R): the box and
+    equality rows go to box and equality rows, each signed hyperplane row
+    to a signed hyperplane row of g(R) or to one that agrees with it on the
+    affine space of the equalities, and the slack objective stays.
+    Dropping dominated rows changes no feasible set, since a dominated row
+    is implied by a kept one there.  So g maps the optimal face of R's LP
+    onto that of g(R)'s; a face that is a single point goes to a single
+    point, which is what the LP of g(R) returns.  When the face is not a
+    point, every orbit member gets its own LP (at qn 3-7 and pn 1-6 every
+    representative's face is a point).  Either way the walk returns the
+    same list as the walk without generators.
 
     A flip whose LP finds it empty yields a core, a set of (row, sign)
     pairs whose rows alone, with the box and the equalities, admit no point;
@@ -645,7 +703,7 @@ def _enumerate_regions(arr):
     start = _row_signs(arr.hyps, seed)
     cap = max_work()
     regions: dict = {}
-    # the certificate matters only where there are orbits to expand
+    # the face test matters only where there are orbits to expand
     unique = [] if arr.group else None
     _add_orbit(arr, regions, start, _region_witness(arr, start, unique=unique), unique == [True], cap)
     # the cores learnt from empty flips, at cores[k][s] for each of their
@@ -742,17 +800,17 @@ def enumerate_chambers(mode: str, n: int) -> list[Chamber]:
             f"chamber enumeration for mode {mode} is capped at n <= {_CHAMBER_BOUNDS[mode]}"
         )
     _, decode, arr = _arrangement(mode, n)
-    return [Chamber(signs, decode(x)) for signs, x in _enumerate_regions(arr)]
+    return [Chamber(signs, decode(w)) for signs, w in _enumerate_regions(arr)]
 
 
 def chamber_second_witness(mode: str, n: int, chamber: Chamber) -> Weight:
     """Another interior point of the same chamber (distinct when possible)."""
     _, decode, arr = _arrangement(mode, n)
     tweak = [Fraction(1, 997 + 13 * k) for k in range(arr.nvars)]
-    x = _region_witness(arr, chamber.signs, tweak=tweak)
-    if x is None:
+    w = _region_witness(arr, chamber.signs, tweak=tweak)
+    if w is None:
         raise ValueError(f"sign vector {chamber.signs} is not a chamber")
-    return decode(x)
+    return decode(w)
 
 
 def chamber_adjacency(mode: str, n: int, chambers: Sequence[Chamber]) -> list[tuple[int, int]]:
@@ -784,7 +842,7 @@ def wall_relative_interior_point(mode: str, n: int, wall: Wall) -> Weight:
     x = _generic_seed(_Arrangement(arr.nvars, eqs, arr.box_rows, rest))
     if x is None:
         raise ValueError(f"wall {wall} does not meet the polytope interior")
-    return decode(x)
+    return decode(_scaled(x))
 
 
 # ---------------------------------------------------------------------------
@@ -1024,7 +1082,7 @@ def cover_check(
             raise ValueError("member polytope in a different ambient space")
         box_rows += _interior_rows(target)
     # the prepared rows live for this call only
-    for signs, x in _enumerate_regions(_Arrangement(nvars, eqs, box_rows, list(index))):
+    for signs, w in _enumerate_regions(_Arrangement(nvars, eqs, box_rows, list(index))):
         if not any(all(signs[k] < 0 for k in ks) for ks in members):
-            return False, decode(x)
+            return False, decode(w)
     return True, None

@@ -45,13 +45,22 @@ x >= 0, the same dual solution stays feasible and keeps its value, so the
 smaller system is empty as well: phase 1 still ends above zero, and phase 2
 still caps the slack at zero.  This support is the system's *core*.
 
-When it has one, the final tableau can also certify that the witness is the
-only optimum.  Every feasible point y has objective value z + sum d_j y_j,
-with z the optimum and d_j the reduced cost of nonbasic variable j, each
-d_j <= 0.  If every d_j is nonzero (the tableau is dual-nondegenerate), the
-value is z only where every nonbasic variable is zero, which is the basic
-solution alone.  The certificate is sufficient, not necessary: a degenerate
-vertex can be the unique optimum and still show a zero reduced cost.
+When it has one, the final tableau also decides whether the witness is
+the only optimum.  Every feasible point y has objective value
+z + sum d_j y_j, with z the optimum and d_j <= 0 the reduced cost of
+nonbasic variable j, so the optimal face is the feasible set with y_j = 0
+wherever d_j < 0.  On that face the basic variables are fixed by the free
+nonbasic ones, those of the set J0 where d_j = 0, through the rows
+x_B = b - A y_J0 >= 0 (b >= 0), and the witness is y_J0 = 0.  The face is
+that point alone iff the cone {y_J0 >= 0 : A_D y_J0 <= 0}, over the rows D
+where b is zero, is {0}: a nonzero y in the cone gives the face point t y
+for small t > 0, as the other rows have room, and a nonzero face point
+lies in the cone.  `_optimum_is_a_point` maximizes the sum of the J0
+variables over that cone, a copy of the rows D restricted to J0 with the
+basic variables as slacks.  The maximum is 0 (OPTIMAL) iff the cone is
+{0}, and unbounded otherwise; every pivot is degenerate, and Bland's rule
+keeps it from cycling.  With J0 empty (a dual-nondegenerate tableau) no
+pivot is needed.
 """
 from __future__ import annotations
 
@@ -311,14 +320,13 @@ def simplex_maximize(
     return _solve(c, ub, eq)
 
 
-def _solve(c, ub, eq, support=None, unique=None):
+def _solve(c, ub, eq, support=None, final=None):
     """`simplex_maximize` over prepared rows.  A `support` list receives,
     when the status is INFEASIBLE or OPTIMAL, the indices of the ub rows
     whose slack has a nonzero reduced cost in the last objective row (phase
     1's when infeasible): the support of an optimal dual solution.  A
-    `unique` list receives, when the status is OPTIMAL, whether the optimum
-    is certified unique: every nonbasic reduced cost of the final tableau is
-    nonzero."""
+    `final` list receives, when the status is OPTIMAL, the final tableau,
+    for `_optimum_is_a_point`."""
     n = len(c)
     first_art = n + len(ub)
     tab, nart = _start(n, ub, eq)
@@ -348,8 +356,8 @@ def _solve(c, ub, eq, support=None, unique=None):
         return UNBOUNDED, None, None
     if support is not None:
         support.extend(_dual_support(tab, n, first_art))
-    if unique is not None:
-        unique.append(all(tab.obj[:-1]))
+    if final is not None:
+        final.append(tab)
     x = [ZERO] * n
     den = tab.den
     for bi, row in zip(tab.basis, tab.rows):
@@ -357,6 +365,25 @@ def _solve(c, ub, eq, support=None, unique=None):
             x[bi] = Fraction(row[-1], den)
     # obj[-1] is -den * mden * (c . x)
     return OPTIMAL, x, Fraction(-tab.obj[-1], den * mden)
+
+
+def _optimum_is_a_point(tab) -> bool:
+    """Whether the optimum of a bounded LP's final tableau is its basic
+    solution alone: whether the sum of the nonbasic variables with reduced
+    cost zero stays bounded over their cone (see the module docstring)."""
+    obj = tab.obj
+    free = [s for s, v in enumerate(obj[:-1]) if not v]
+    if not free:
+        return True
+    degenerate = [(bi, row) for bi, row in zip(tab.basis, tab.rows) if not row[-1]]
+    cone = _Tableau(
+        [[row[s] for s in free] + [0] for _, row in degenerate],
+        [bi for bi, _ in degenerate],
+        [tab.cols[s] for s in free],
+    )
+    cone.den = tab.den
+    cone.obj = [tab.den] * len(free) + [0]
+    return cone.optimize() == OPTIMAL
 
 
 def strict_interior_point(
@@ -377,13 +404,17 @@ def strict_interior_point(
     with the slack pinned to at least half its maximum.  When the system is
     empty, a `core` list receives the ascending indices of strict_ge rows
     that, with the equalities and x >= 0 alone, already make it empty.
+    When it is not empty and there is no `tweak`, a `unique` list receives
+    whether the witness is the only point where the slack is maximal
+    (`_optimum_is_a_point`); the test runs only then, so an empty system
+    pays nothing for it.
     """
     c = [0] * nvars + [1]
     ub = [row if type(row) is TableauRow else strict_row(*row) for row in strict_ge]
     eq = [row if type(row) is TableauRow else equality_row(*row) for row in eqs]
     support = None if core is None else []
-    certified = None if unique is None or tweak is not None else []
-    status, x, _ = _solve(c, ub, eq, support, certified)
+    final = None if unique is None or tweak is not None else []
+    status, x, _ = _solve(c, ub, eq, support, final)
     if status == UNBOUNDED:
         raise RuntimeError("strict feasibility system is unbounded; missing box constraints")
     if status != OPTIMAL or x[nvars] <= 0:
@@ -391,8 +422,8 @@ def strict_interior_point(
             core.extend(support)
         return None
     if tweak is None:
-        if unique is not None:
-            unique.extend(certified)
+        if final is not None:
+            unique.append(_optimum_is_a_point(final[0]))
         return x[:nvars]
     floor_row = _prepare((0,) * nvars + (-1,), -x[nvars] / 2, 1)
     status, x2, _ = _solve([*tweak, 0], [*ub, floor_row], eq)

@@ -144,6 +144,29 @@ def test_pn_weight_checks_match_fraction_reference(eta1, eta2, exact_eta, theta)
     assert _verdict(PnWeight, eta1, eta2, tuple(theta)) == _reference_pn(eta1, eta2, theta)
 
 
+def test_decoders_check_integer_witnesses_as_the_constructors_do():
+    # every integer witness (den, nums) with den <= 3 and each num in
+    # [-1, den + 1]: the decoder of `_space` raises the constructor's error
+    # for nums / den, or builds the weight the constructor builds
+    outcomes = Counter()
+    for mode, n in (("qn", 4), ("pn", 3)):
+        decode = _space(mode, n)[3]
+        for den in (1, 2, 3):
+            for nums in itertools.product(range(-1, den + 2), repeat=n + (mode == "pn") * 2):
+                x = [F(v, den) for v in nums]
+                if mode == "qn":
+                    args, make = (tuple(x),), QnWeight
+                else:
+                    args, make = (-x[0], -x[1], tuple(x[2:])), PnWeight
+                want = _verdict(make, *args)
+                assert _verdict(decode, (den, nums)) == want, (mode, den, nums)
+                if want is None:
+                    got = decode((den, nums))
+                    assert got == make(*args) and hash(got) == hash(make(*args))
+                outcomes[mode, want] += 1
+    assert len(outcomes) == 8 and min(outcomes.values()) >= 10, outcomes
+
+
 def test_wall_counts():
     assert [tuple(w.j) for w in enumerate_walls("qn", 4)] == [(0, 1), (0, 2), (0, 3)]
     assert len(enumerate_walls("qn", 5)) == 10
@@ -683,6 +706,7 @@ _COMPLEX_DIGESTS = {
     ("pn", 2): "b1992171d246e726fc55abf9d3fd392c511c71ebe00538ff9bcb8abd355a117b",
     ("pn", 3): "68efb2ae29a0d59350a7dfb146f70094b47b805d2356e1f480fe3fe2b8cb2f88",
     ("pn", 4): "ac613b097c32542000a85b8f537e40f87230d57461427e33c1fcce2bc3d59ebd",
+    ("pn", 5): "9e384ba2286c458dede95a21c3e0a16b2f8822b8e1d9a4e3c80c86f604565690",
 }
 _QN6_DIGEST = "d2dbad04e9d7bb8ac9c924ab044ec950006ab70813167b833681ddee29eddb2a"
 
@@ -697,6 +721,14 @@ def _assert_complex_output_is_pinned():
 
 def test_chamber_complex_output_is_pinned():
     _assert_complex_output_is_pinned()
+
+
+def test_qn7_chamber_output_is_pinned():
+    # the largest size `qml chambers` accepts for the star quiver: 122914
+    # chambers in 134 orbits
+    text = serialize.dumps(serialize.chamber_complex_json("qn", 7, with_adjacency=False))
+    digest = "7d5ac8b4ab901ff2c43bcdb9dbe6bdb9a3dcf00e05b806b67be5186be81aedec"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _plain_arrangement(mode, n):
@@ -734,16 +766,34 @@ def test_uncertified_orbits_get_one_lp_per_member(monkeypatch):
     assert feasible[True] >= 1678
 
 
+def test_every_orbit_is_certified(monkeypatch):
+    # every orbit representative's optimum is a single point, so no orbit
+    # member gets an LP of its own
+    add = chambers._add_orbit
+    certified = Counter()
+
+    def recorded(arr, regions, signs, w, is_certified, cap):
+        certified[is_certified] += 1
+        add(arr, regions, signs, w, is_certified, cap)
+
+    monkeypatch.setattr(chambers, "_add_orbit", recorded)
+    for mode, n, orbits in (("qn", 5, 6), ("qn", 6, 20), ("pn", 3, 8), ("pn", 4, 25), ("pn", 5, 117)):
+        certified.clear()
+        enumerate_chambers(mode, n)
+        assert certified == {True: orbits}, (mode, n, certified)
+
+
 def _orbit(arr, signs, x):
-    """Every image of the region `signs` with point x under arr.group."""
+    """Every image of the region `signs` with integer witness x = (den, nums)
+    under arr.group."""
     seen = {signs: x}
     todo = [(signs, x)]
     while todo:
-        signs, x = todo.pop()
+        signs, (den, nums) = todo.pop()
         m = len(signs)
         for src, vsrc in arr.group:
             image = tuple(signs[k] if k < m else -signs[k - m] for k in src)
-            y = [x[j] for j in vsrc]
+            y = den, tuple(nums[j] for j in vsrc)
             if image not in seen:
                 seen[image] = y
                 todo.append((image, y))
@@ -824,10 +874,9 @@ def test_learnt_cores_skip_empty_flips(monkeypatch):
 
 
 def test_orbit_walk_lp_counts_are_pinned(monkeypatch):
-    # one LP per orbit, plus the seed's, the empty flips' and, at qn 6, 39
-    # for the members of uncertified orbits
+    # one LP per orbit, plus the seed's and the empty flips'
     calls = _count_lps(monkeypatch)
-    for mode, n, total, empty in (("qn", 6, 71, 5), ("pn", 4, 36, 4), ("pn", 5, 189, 63)):
+    for mode, n, total, empty in (("qn", 6, 32, 5), ("pn", 4, 36, 4), ("pn", 5, 189, 63)):
         calls.clear()
         enumerate_chambers(mode, n)
         assert (len(calls), sum(calls)) == (total, empty), (mode, n)
@@ -859,7 +908,9 @@ def test_pivot_counts_are_pinned(monkeypatch):
 
 def test_orbit_walk_pivot_counts_are_pinned(monkeypatch):
     counts = _count_pivots(monkeypatch)
-    for mode, n, total, unit in (("qn", 6, 962, 852), ("pn", 4, 283, 216)):
+    # the face test adds pivots only on feasible LPs with a zero reduced
+    # cost, none at pn 4 and pn 5
+    for mode, n, total, unit in (("qn", 6, 367, 300), ("pn", 4, 283, 216), ("pn", 5, 1800, 1314)):
         counts.clear()
         enumerate_chambers(mode, n)
         assert (counts["all"], counts["unit"]) == (total, unit), (mode, n)

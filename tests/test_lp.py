@@ -523,10 +523,86 @@ def test_unique_certificate_on_a_vertex_and_on_a_tied_edge():
     assert unique == []
 
 
-def test_certified_witness_is_the_only_optimum():
-    # the seeded strict systems: where the certificate holds, no point of
-    # the max-slack LP's optimal face differs from the witness in any
-    # coordinate
+def test_thin_box_optimum_is_a_segment():
+    # 0 < x < 10 and 0 < y < 1: the slack peaks at 1/2 all along the segment
+    # y = 1/2, 1/2 <= x <= 19/2
+    rows = [((1, 0), 0), ((-1, 0), -10), ((0, 1), 0), ((0, -1), -1)]
+    unique = []
+    x = strict_interior_point(2, rows, unique=unique)
+    assert x[1] == F(1, 2) and F(1, 2) <= x[0] <= F(19, 2)
+    assert unique == [False]
+    assert _optimal_ranges(2, rows, [], x) == [(F(1, 2), F(19, 2)), (F(1, 2), F(1, 2))]
+
+
+def _optimal_ranges(n, rows, eqs, x):
+    """The range (min, max) of each coordinate over the optimal face of the
+    max-slack LP of `strict_interior_point` with witness x: the slack pinned
+    at its optimum, each coordinate minimized and maximized by
+    `simplex_maximize`."""
+    slack = min(sum(a * b for a, b in zip(g, x)) - h for g, h in rows)
+    a_ub = [[-v for v in g] + [1] for g, _ in rows] + [[0] * n + [-1]]
+    b_ub = [-h for _, h in rows] + [-slack]
+    a_eq = [[*g, 0] for g, _ in eqs]
+    b_eq = [h for _, h in eqs]
+    ranges = []
+    for i in range(n):
+        ends = []
+        for sign in (-1, 1):
+            c = [0] * (n + 1)
+            c[i] = sign
+            status, _, value = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq)
+            assert status == OPTIMAL
+            ends.append(sign * value)
+        ranges.append(tuple(ends))
+    return ranges
+
+
+@pytest.fixture
+def reduced_costs(monkeypatch):
+    """The objective rows (den times the nonbasic reduced costs) of the
+    final tableaus that the face test reads."""
+    seen = []
+    point = lp._optimum_is_a_point
+
+    def spy(tab):
+        seen.append(tab.obj[:-1])
+        return point(tab)
+
+    monkeypatch.setattr(lp, "_optimum_is_a_point", spy)
+    return seen
+
+
+# The max-slack LP of the qn 6 chamber -++++++++++-++++++-+++-++ as the
+# chamber walk poses it: 0 < theta_i < 1, sum theta_i = 2, and the wall rows
+# that `chambers._region_witness` keeps, side J on sign s read as
+# s (sum_J theta_i - 1) > 0.
+_QN6_KEPT_SIDES = (
+    ((0, 1), -1), ((0, 1, 2), 1), ((0, 1, 3), 1), ((0, 1, 4), 1), ((0, 2), -1), ((0, 2, 3), 1),
+    ((0, 2, 4), 1), ((0, 3), -1), ((0, 3, 4), 1), ((0, 4), -1), ((0, 5), 1),
+)
+
+
+def test_dual_degenerate_unique_vertex_is_certified(reduced_costs):
+    n = 6
+    rows = []
+    for i in range(n):
+        e = tuple(int(k == i) for k in range(n))
+        rows += [(e, 0), (tuple(-v for v in e), -1)]
+    rows += [(tuple(s * (k in side) for k in range(n)), s) for side, s in _QN6_KEPT_SIDES]
+    eqs = [((1,) * n, 2)]
+    unique = []
+    x = strict_interior_point(n, rows, eqs, unique=unique)
+    assert x == [F(2, 3), *[F(2, 9)] * 4, F(4, 9)]
+    # a nonbasic column has reduced cost zero, so the tableau is not
+    # dual-nondegenerate, and still the optimum is the vertex alone
+    assert 0 in reduced_costs[0]
+    assert unique == [True]
+    assert _optimal_ranges(n, rows, eqs, x) == [(v, v) for v in x]
+
+
+def test_certified_witness_is_the_only_optimum(reduced_costs):
+    # the seeded strict systems: the face test certifies the witness exactly
+    # when every coordinate is constant over the max-slack LP's optimal face
     rng = random.Random(20261018)
     seen = Counter()
     for _ in range(300):
@@ -535,21 +611,12 @@ def test_certified_witness_is_the_only_optimum():
         x = strict_interior_point(n, rows, eqs, unique=unique)
         if x is None:
             continue
-        seen[unique[0]] += 1
-        if not unique[0]:
-            continue
-        slack = min(sum(a * b for a, b in zip(g, x)) - h for g, h in rows)
-        a_ub = [[-v for v in g] + [1] for g, _ in rows] + [[0] * n + [-1]]
-        b_ub = [-h for _, h in rows] + [-slack]
-        a_eq = [[*g, 0] for g, _ in eqs]
-        b_eq = [h for _, h in eqs]
-        for i in range(n):
-            for sign in (1, -1):
-                c = [0] * (n + 1)
-                c[i] = sign
-                status, _, value = simplex_maximize(c, a_ub, b_ub, a_eq, b_eq)
-                assert status == OPTIMAL and value == sign * x[i], (rows, eqs, i)
-    assert seen[True] > 50 and seen[False] > 10, seen
+        point = all(a == b for a, b in _optimal_ranges(n, rows, eqs, x))
+        assert unique == [point], (rows, eqs)
+        seen[point, 0 in reduced_costs[-1]] += 1
+    # unique vertices with and without a zero reduced cost, and faces that
+    # are not points
+    assert seen[True, False] > 40 and seen[True, True] > 20 and seen[False, True] > 30, seen
 
 
 @pytest.fixture
