@@ -731,6 +731,16 @@ def test_qn7_chamber_output_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_pn6_chamber_output_is_pinned(tmp_path):
+    # the largest size `qml chambers` accepts for the double-star quiver:
+    # 244156 chambers in 1111 orbits, 53297905 bytes
+    out = tmp_path / "pn6.json"
+    assert cli.main(["chambers", "--mode", "pn", "--n", "6", "--no-adjacency", "--out", str(out)]) == 0
+    text = out.read_bytes()
+    digest = "215fa0abec664a5f77fdb3cef36bd2290cd19dbe2ba033b3bac1ab0825081765"
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (53297905, digest)
+
+
 def _plain_arrangement(mode, n):
     """The wall arrangement of `chambers._arrangement` without the group, as
     cover_check builds its arrangements."""

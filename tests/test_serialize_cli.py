@@ -79,6 +79,17 @@ def test_cli_chambers_counts():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("mode, n, digest", [
+    ("qn", 5, "f70ad315bbbe6555c29740995cf018623d571568f1590033f77fccd580554311"),
+    ("pn", 3, "20f582fcd105dbafa2a6fc7682997c79ec89c5810382fe6d2542a3c22716c1f3"),
+])
+def test_cli_chambers_text_format_is_pinned(tmp_path, mode, n, digest):
+    # the indented form of the complex, with adjacency
+    out = tmp_path / "complex.txt"
+    assert cli.main(["chambers", "--mode", mode, "--n", str(n), "--format", "text", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_cli_chambers_rejects_sizes_without_interior():
     for mode, n in (("qn", "2"), ("qn", "-1"), ("pn", "0")):
         r = run_cli("chambers", "--mode", mode, "--n", n)
