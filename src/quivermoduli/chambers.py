@@ -10,54 +10,32 @@ ordered wall per proper nonempty subset.
 
 Chambers are enumerated exactly: a sign vector over the walls is realized
 iff the corresponding open system admits a rational point, decided by the
-max-slack LP in `lp`.  One walk finds them all: starting from a generic
-point, it flips the sign of one hyperplane at a time and keeps every
-realized neighbour.  Rows that cut out the same hyperplane of the ambient
-affine space (a hypersimplex wall written over J and over its complement,
-say) flip together, so each step crosses exactly one hyperplane; a generic
-segment between two regions crosses the distinct hyperplanes one at a time,
-so the walk reaches every region.
+max-slack LP in `lp`.  One walk finds them all (`_enumerate_regions`):
+starting from a generic point, it flips one hyperplane at a time and keeps
+every realized neighbour.  The symmetric group S_n permutes the marked
+points, the coordinates theta_i and the walls (`_symmetry`), and the
+max-slack LP of a permuted region is the permuted LP, so the walk of the
+wall arrangements solves one LP per S_n-orbit: when the LP's optimal face
+is a single point, which `lp.strict_interior_point` decides exactly, each
+orbit member's witness is the permuted witness.  An empty flip teaches a
+*core*, signed rows that with the box and the equalities alone leave
+nothing, and a later flip that agrees with a core is skipped without an LP.
+So the chambers and witnesses are those of the plain walk, the one
+`cover_check` runs on its facet arrangements.
 
-The symmetric group S_n permutes the marked points, and with them the
-coordinates theta_i and the walls: a permuted side J is again a wall, and a
-hypersimplex side whose stored form is its complement reads the same wall
-with the opposite sign (the rows of a side and of its complement add up to
-sum theta_i - 2, which vanishes on the hypersimplex).  The box, the
-equalities and the slack objective are invariant, so the max-slack LP of a
-permuted region is the permuted LP.  The walk of the wall arrangements
-therefore solves one LP per S_n-orbit: a realized flip brings in its whole
-orbit, closed under the adjacent transpositions, and only the flip itself
-goes on to be flipped.  When the LP's optimal face is a single point, which
-`lp.strict_interior_point` decides exactly on its final tableau (`unique`),
-the witness of each orbit member is the permuted witness, exactly the point
-that member's own LP would return; otherwise every member gets its own LP.
-So the chambers and witnesses are the same as those of the walk without the
-group, which `cover_check` runs on its facet arrangements.  The walk keeps
-each witness as integers, a denominator and a tuple of numerators, so an
-orbit member's witness is the representative's numerators permuted, and
-`decode` builds each distinct coordinate Fraction once.
-
-Most LPs of the walk are feasible; an empty flip crosses a hyperplane that
-is not a facet of the current region.  When the LP finds a sign vector's
-region empty, the final simplex tableau names a *core*: the signed
-hyperplane rows in the support of its Farkas certificate (see `lp`), which
-with the box and the equalities alone already leave nothing.  The walk
-keeps every core it learns and skips, without an LP, any later flip that
-agrees with a stored core on all of the core's rows: that flip's strict
-system contains the core's rows, so its region is empty too.  The LP of such
-a flip would have returned None, so the walk visits the same regions in the
-same order and finds the same witnesses.
+The walk keeps each region as an int bitmask, bit k set where hyperplane k
+reads +1, so a flip is an XOR and a transposition a bit permutation
+(per-byte tables) and an XOR; and each witness as integers, a denominator
+and a tuple of numerators, so an orbit member's witness is the
+representative's numerators permuted.  Sign tuples are built only for the
+LPs, and a `Chamber` builds its signs and its weight on first use.
 
 Every linear constraint takes one form, the LP row (coeffs, rhs) read as
 coeffs . x - rhs over the variables of `_space`: the box, the walls, and the
 facets that cut a stability polytope or a Hassett target out of its ambient
 polytope (`_constraints`).  `cover_check` walks the arrangement of the
-members' facet rows inside the open target: a Hassett target's facet rows,
-taken strictly, join the box, so no region outside the target is visited.
-A region's witness satisfies every hyperplane row strictly on the side the
-region's sign vector names, so the signs alone decide membership: the
-region lies in a member iff every row of the member reads -1.  Only an
-uncovered witness is decoded into a weight.
+members' facet rows inside the open target and reads membership off the
+region masks; only an uncovered witness is decoded into a weight.
 """
 from __future__ import annotations
 
@@ -66,7 +44,7 @@ import itertools
 import os
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter, neg
+from operator import getitem, itemgetter
 from typing import Optional, Sequence, Union
 
 from .lp import equality_row, strict_interior_point, strict_row
@@ -273,13 +251,8 @@ class WeightClass(_Frozen):
 
     __slots__ = _fields = ("generic", "signs", "inner", "outer")
 
-    def __init__(
-        self,
-        generic: bool,
-        signs: Optional[tuple[int, ...]],
-        inner: tuple[Wall, ...],
-        outer: tuple[tuple[str, int], ...],
-    ):
+    def __init__(self, generic: bool, signs: Optional[tuple[int, ...]], inner: tuple[Wall, ...],
+                 outer: tuple[tuple[str, int], ...]):
         _set(self, "generic", generic)
         _set(self, "signs", signs)
         _set(self, "inner", inner)
@@ -326,16 +299,19 @@ def classify_weight(weight: Weight) -> WeightClass:
 # variables are nonnegative by construction.
 
 
-class _Fractions(dict):
-    """Fraction(num, den) for one den, keyed by num and built on first use."""
+class RationalTable(dict):
+    """make(num, den) at [den][num], each value and each den's table built
+    on first use: the witnesses of a polytope share few coordinates (35
+    distinct across the 1678 at qn 6)."""
 
-    __slots__ = ("den",)
+    __slots__ = ("make", "den")
 
-    def __init__(self, den: int):
+    def __init__(self, make, den=None):
+        self.make = make
         self.den = den
 
-    def __missing__(self, num: int) -> Fraction:
-        value = self[num] = Fraction(num, self.den)
+    def __missing__(self, key):
+        value = self[key] = RationalTable(self.make, key) if self.den is None else self.make(key, self.den)
         return value
 
 
@@ -345,16 +321,8 @@ def _space(mode: str, n: int):
     integer witness (den, nums) of an LP point nums / den (theta, or
     (h1, h2, theta) with h_j = -eta_j) to its weight.  `decode` runs the
     weight class's checks on the integers and builds each distinct
-    coordinate once: the chambers of a polytope share few (35 across the
-    1678 witnesses at qn 6)."""
-    tables: dict[int, _Fractions] = {}
-
-    def fractions(den):
-        table = tables.get(den)
-        if table is None:
-            table = tables[den] = _Fractions(den)
-        return table
-
+    coordinate Fraction once."""
+    fractions = RationalTable(Fraction)
     if mode == QN:
         nvars = n
         eqs = (((1,) * n, 2),)
@@ -369,7 +337,7 @@ def _space(mode: str, n: int):
             _check_qn(den, nums)
             # the constructor would repeat the checks on Fractions
             weight = object.__new__(QnWeight)
-            _set(weight, "theta", tuple(map(fractions(den).__getitem__, nums)))
+            _set(weight, "theta", tuple(map(fractions[den].__getitem__, nums)))
             return weight
 
     elif mode == PN:
@@ -383,7 +351,7 @@ def _space(mode: str, n: int):
         def decode(w):
             den, (h1, h2, *theta) = w
             _check_pn(den, -h1, -h2, den, theta)
-            value = fractions(den).__getitem__
+            value = fractions[den].__getitem__
             weight = object.__new__(PnWeight)
             _set(weight, "eta1", value(-h1))
             _set(weight, "eta2", value(-h2))
@@ -406,14 +374,67 @@ def _wall_row(mode: str, n: int, wall: Wall) -> tuple[tuple[int, ...], int]:
     return (-1, 0) + _indicator(n, wall.j), 0  # -h1 = eta1
 
 
-class Chamber(_Frozen):
-    """A realized sign vector together with an interior witness weight."""
+def _bits_of(ks) -> int:
+    """The bitmask with bit k set for each k in ks."""
+    mask = 0
+    for k in ks:
+        mask |= 1 << k
+    return mask
 
-    __slots__ = _fields = ("signs", "witness")
+
+def _code(mask: int, m: int) -> str:
+    """A region's signs over m hyperplanes as "0" (-1) and "1" (+1), hyperplane
+    0 first, sorting as the sign tuples do (bit m keeps m digits, none at 0)."""
+    return format(mask | 1 << m, "b")[:0:-1]
+
+
+def _signs_of(mask: int, m: int) -> tuple[int, ...]:
+    return tuple([1 if mask >> k & 1 else -1 for k in range(m)])
+
+
+class Chamber(_Frozen):
+    """A realized sign vector together with an interior witness weight.
+
+    `mask` has bit k set where wall k reads +1.  A chamber of
+    `enumerate_chambers` holds the walk's region, its `mask` and `point`,
+    the integer witness (den, nums) of `_region_witness`, and builds its
+    `signs` and `witness` from them on first use, kept outside the fields as
+    `QnConfig` keeps `_dets`: equality, hashing and repr are those of
+    Chamber(signs, witness).  A chamber made from those has no `point`."""
+
+    _fields = ("signs", "witness")
+    __slots__ = ("_signs", "_witness", "mask", "point", "_read")
 
     def __init__(self, signs: tuple[int, ...], witness: Weight):
-        _set(self, "signs", signs)
-        _set(self, "witness", witness)
+        _set(self, "_signs", signs)
+        _set(self, "_witness", witness)
+        _set(self, "mask", _bits_of(k for k, s in enumerate(signs) if s > 0))
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        try:
+            return self._signs
+        except AttributeError:
+            signs = _signs_of(self.mask, self._read[0])
+            _set(self, "_signs", signs)
+            return signs
+
+    @property
+    def witness(self) -> Weight:
+        try:
+            return self._witness
+        except AttributeError:
+            witness = self._read[1](self.point)
+            _set(self, "_witness", witness)
+            return witness
+
+
+def _walk_chamber(mask: int, point, read) -> Chamber:
+    chamber = object.__new__(Chamber)  # read is (m, decode)
+    _set(chamber, "mask", mask)
+    _set(chamber, "point", point)
+    _set(chamber, "_read", read)
+    return chamber
 
 
 class _Arrangement:
@@ -426,9 +447,10 @@ class _Arrangement:
     and `eq` for the box and equality rows and rows[k][s] for hyperplane k
     on side s (s = 1 or -1; index 0 is unused).  The implications
     (i, si, j, sj) of `_subset_implications` and their contrapositives
-    (j, -sj, i, -si) are indexed the same way: implies[i][si] holds each
-    (j, sj) that sign si at row i forces.  The subset implications are
-    already closed under contraposition, so the contrapositives add none.
+    (j, -sj, i, -si) are kept as masks: implied[i][b] is the pair (on, off)
+    of the rows that bit b of row i (0 for sign -1, 1 for +1) forces to +1
+    and to -1.  The subset implications are already closed under
+    contraposition, so the contrapositives add none.
 
     `group` lists generators of a group of symmetries of the arrangement
     that keep the box, the equalities and the hyperplane classes.  Each is
@@ -436,10 +458,13 @@ class _Arrangement:
     hyperplanes, the image of a sign vector s reads (*s, *-s)[src[k]] at
     each k, so src[k] >= m where the hyperplane's sign reverses, and the
     image of a point x reads x[vsrc[j]] at each j.  With no generators the
-    walk runs without symmetry.
+    walk runs without symmetry.  moves[g] is generator g on masks: (tables,
+    flips, point image); tables[b][v] holds where the bits v of byte b go,
+    so a mask's image is the sum of its bytes' entries XOR flips, the
+    hyperplanes whose sign reverses.
     """
 
-    __slots__ = ("nvars", "eqs", "box_rows", "hyps", "box", "eq", "rows", "implies", "group")
+    __slots__ = ("nvars", "eqs", "box_rows", "hyps", "box", "eq", "rows", "implied", "group", "moves")
 
     def __init__(self, nvars, eqs, box_rows, hyps, implications=(), group=()):
         self.nvars = nvars
@@ -448,15 +473,27 @@ class _Arrangement:
         self.hyps = hyps
         self.box = tuple(strict_row(g, h) for g, h in box_rows)
         self.eq = tuple(equality_row(g, h) for g, h in eqs)
-        self.rows = [
-            (None, strict_row(g, h), strict_row(tuple(-c for c in g), -h)) for g, h in hyps
-        ]
-        implies = [(None, set(), set()) for _ in hyps]
+        self.rows = [(None, strict_row(g, h), strict_row(tuple(-c for c in g), -h)) for g, h in hyps]
+        self.implied = [([0, 0], [0, 0]) for _ in hyps]
         for i, si, j, sj in implications:
-            implies[i][si].add((j, sj))
-            implies[j][-sj].add((i, -si))
-        self.implies = [(None, sorted(plus), sorted(minus)) for _, plus, minus in implies]
+            self.implied[i][si > 0][sj < 0] |= 1 << j
+            self.implied[j][sj < 0][si > 0] |= 1 << i
         self.group = group
+        m = len(hyps)
+        self.moves = []
+        for src, vsrc in group:
+            dest = [0] * m
+            for k, j in enumerate(src):
+                dest[j % m] = k
+            tables = []
+            for low in range(0, m, 8):
+                # each entry is the entry without its lowest bit, plus that bit's image
+                table = [0] * (1 << min(8, m - low))
+                for v in range(1, len(table)):
+                    bit = v & -v
+                    table[v] = table[v ^ bit] | 1 << dest[low + bit.bit_length() - 1]
+                tables.append(table)
+            self.moves.append((tables, _bits_of(k for k, j in enumerate(src) if j >= m), itemgetter(*vsrc)))
 
 
 def _region_witness(arr, signs, tweak=None, core=None, unique=None):
@@ -471,21 +508,16 @@ def _region_witness(arr, signs, tweak=None, core=None, unique=None):
     `lp.strict_interior_point`)."""
     # rows dominated by another active row (subset side, same threshold
     # form) are redundant in the strict system and dropped before the LP
-    implies = arr.implies
-    dominated = {
-        j for i, si in enumerate(signs) for j, sj in implies[i][si] if signs[j] == sj
-    }
-    keep = [k for k in range(len(signs)) if k not in dominated]
+    mask = _bits_of(k for k, s in enumerate(signs) if s > 0)
+    dominated = 0
+    for i, s in enumerate(signs):
+        on, off = arr.implied[i][s > 0]
+        dominated |= on & mask | off & ~mask
+    keep = [k for k in range(len(signs)) if not dominated >> k & 1]
     rows = arr.rows
     found: list[int] = []
-    x = strict_interior_point(
-        arr.nvars,
-        [*arr.box, *(rows[k][signs[k]] for k in keep)],
-        arr.eq,
-        tweak=tweak,
-        core=found,
-        unique=unique,
-    )
+    x = strict_interior_point(arr.nvars, [*arr.box, *(rows[k][signs[k]] for k in keep)], arr.eq,
+                              tweak=tweak, core=found, unique=unique)
     if core is not None:
         nbox = len(arr.box)
         core.extend((keep[i - nbox], signs[keep[i - nbox]]) for i in found if i >= nbox)
@@ -508,20 +540,12 @@ def _subset_implications(walls: Sequence[Wall], n: int):
     universe = set(range(n))
     oriented = []
     for idx, w in enumerate(walls):
-        if isinstance(w, QnWall):
-            side = set(w.j)
-            oriented.append((idx, 1, side, "one"))
-            oriented.append((idx, -1, universe - side, "one"))
-        else:
-            side = set(w.j)
-            oriented.append((idx, 1, side, "h1"))
-            oriented.append((idx, -1, universe - side, "h2"))
-    imps = []
-    for (i, si, a, fa) in oriented:
-        for (j, sj, b, fb) in oriented:
-            if i != j and fa == fb and a < b:
-                imps.append((i, si, j, sj))
-    return imps
+        side = set(w.j)
+        plus, minus = ("one", "one") if isinstance(w, QnWall) else ("h1", "h2")
+        oriented += [(idx, 1, side, plus), (idx, -1, universe - side, minus)]
+    return [
+        (i, si, j, sj) for i, si, a, fa in oriented for j, sj, b, fb in oriented if i != j and fa == fb and a < b
+    ]
 
 
 def _row_signs(rows, x) -> tuple[int, ...]:
@@ -599,44 +623,41 @@ def _hyperplane_classes(eqs, hyps) -> list[list[int]]:
     return list(classes.values())
 
 
-def _store(regions, signs, x, cap):
-    regions[signs] = x
+def _add_orbit(arr, regions, mask, w, certified, cap):
+    """Put the region `mask`, with integer witness w = (den, nums), and
+    every image of it under `arr.moves` into `regions`.  If w is `certified`
+    as the only optimum of its LP, an image's witness is (den, the permuted
+    nums); otherwise each image gets its own LP."""
+    regions[mask] = w
     if len(regions) > cap:
         raise TooLargeError("region enumeration exceeds QML_MAX_WORK")
-
-
-def _add_orbit(arr, regions, signs, w, certified, cap):
-    """Put the region `signs`, with integer witness w = (den, nums), and
-    every image of it under `arr.group` into `regions`.
-
-    If w is `certified` as the only optimum of its LP, each image's witness
-    is (den, the permuted nums), read by an itemgetter.  Otherwise, when the
-    optimal face is not a point, each image gets its own LP."""
-    _store(regions, signs, w, cap)
-    if not arr.group:
+    if not arr.moves:
         return
-    # an itemgetter of two or more indices returns the tuple of the items
-    group = [(itemgetter(*src), itemgetter(*vsrc)) for src, vsrc in arr.group]
-    todo = [(signs, w)]
+    m = len(arr.hyps)
+    size = len(arr.moves[0][0])
+    todo = [(mask, w)]
     while todo:
-        signs, w = todo.pop()
-        both = signs + tuple(map(neg, signs))
-        for wall_image, point_image in group:
-            image = wall_image(both)
+        mask, w = todo.pop()
+        code = mask.to_bytes(size, "little")
+        for tables, flips, point_image in arr.moves:
+            image = sum(map(getitem, tables, code)) ^ flips
             if image in regions:
                 continue
             if certified:
                 y = w[0], point_image(w[1])
             else:
-                y = _region_witness(arr, image)
+                y = _region_witness(arr, _signs_of(image, m))
                 if y is None:
                     raise RuntimeError("a symmetry of the arrangement maps a region to nothing")
-            _store(regions, image, y, cap)
+            regions[image] = y
+            if len(regions) > cap:
+                raise TooLargeError("region enumeration exceeds QML_MAX_WORK")
             todo.append((image, y))
 
 
 def _enumerate_regions(arr):
-    """All realized sign vectors over the hyperplane list, with witnesses.
+    """All realized sign vectors over the hyperplane list, with witnesses,
+    as pairs (mask, (den, nums)) sorted as their sign tuples are.
 
     A walk from the region of a generic seed point: each step flips one
     hyperplane class (see `_hyperplane_classes`) and keeps the result if it
@@ -645,10 +666,10 @@ def _enumerate_regions(arr):
     meets no intersection of two distinct hyperplanes, and each crossing
     along it flips exactly one class; without merging coinciding rows a
     single-row flip could never cross a hyperplane written twice.  Every
-    witness comes from `_region_witness`, so it depends only on the sign
-    vector and not on the order of the walk.  Witnesses are the integer
-    pairs (den, nums) of `_region_witness`, so the orbit expansion permutes
-    integers and builds no Fraction.
+    witness is the integer pair of `_region_witness`, so it depends only on
+    the sign vector and not on the order of the walk.  A region is its mask
+    (bit k set where hyperplane k reads +1), a flip is an XOR with its
+    class's mask, and only the LPs read sign tuples.
 
     With generators in `arr.group`, a kept region brings in its whole orbit
     (`_add_orbit`), and only the region itself, the orbit's representative,
@@ -663,33 +684,27 @@ def _enumerate_regions(arr):
     realized flip of R, so R's step to it put its orbit, V included, into
     `regions`.
 
-    An orbit member's witness is the image of the representative's when
-    the LP's optimal face is a single point, which the face test of
-    `lp.strict_interior_point` decides exactly.  The image of the
-    max-slack LP of R under g is the max-slack LP of g(R): the box and
-    equality rows go to box and equality rows, each signed hyperplane row
-    to a signed hyperplane row of g(R) or to one that agrees with it on the
-    affine space of the equalities, and the slack objective stays.
-    Dropping dominated rows changes no feasible set, since a dominated row
-    is implied by a kept one there.  So g maps the optimal face of R's LP
-    onto that of g(R)'s; a face that is a single point goes to a single
-    point, which is what the LP of g(R) returns.  When the face is not a
-    point, every orbit member gets its own LP (at qn 3-7 and pn 1-6 every
-    representative's face is a point).  Either way the walk returns the
-    same list as the walk without generators.
+    The image under g of R's max-slack LP is g(R)'s: box and equality rows
+    go to box and equality rows, each signed hyperplane row to one of g(R)
+    or to one that agrees with it on the affine space of the equalities,
+    and the slack objective stays; dropping dominated rows, implied by kept
+    ones, changes no feasible set.  So g maps the optimal face of R's LP
+    onto that of g(R)'s, and a face that `lp.strict_interior_point` finds
+    to be a single point goes to the point the LP of g(R) returns: the
+    orbit member's witness is the permuted one.  When the face is not a
+    point, every member gets its own LP (at qn 3-7 and pn 1-6 every face is
+    a point).  Either way the walk returns what the plain walk returns.
 
     A flip whose LP finds it empty yields a core, a set of (row, sign)
-    pairs whose rows alone, with the box and the equalities, admit no point;
-    the core is stored under each of its pairs.  A later flip that agrees
-    with a stored core on all of its pairs is empty as well, since its
-    strict system holds the core's rows (the rows `_region_witness` drops as
-    dominated are implied by others it keeps, so dropping them leaves the
-    region as it is).  Such flips are skipped without an LP.  The current
-    region is realized and so matches no core, so only the cores stored
-    under a flipped row's new sign need checking.  Every skipped flip is one
-    whose LP would have returned None, so the regions and witnesses are the
-    same as without the cores; and since every empty flip met again matches
-    its own core, no set of empty sign vectors is kept.
+    pairs whose rows alone, with the box and the equalities, admit no point,
+    kept as the masks (rows, rows on +1) under each of its pairs.  A later
+    flip that agrees with a stored core is empty as well, since its strict
+    system holds the core's rows (the rows `_region_witness` drops as
+    dominated are implied by others it keeps), and is skipped without an
+    LP.  The current region is realized and matches no core, so only the
+    cores under a flipped row's new sign need checking.  The skipped flips'
+    LPs would have returned None, so the result is that of the walk without
+    cores, and no set of empty sign vectors is kept.
 
     `QML_MAX_WORK` caps the number of regions, counted as each one is
     stored, orbit members included.
@@ -697,52 +712,49 @@ def _enumerate_regions(arr):
     seed = _generic_seed(arr)
     if seed is None:
         return []
-    implies = arr.implies
-    steps = _hyperplane_classes(arr.eqs, arr.hyps)
+    m = len(arr.hyps)
+    implied = arr.implied
+    steps = [(_bits_of(cls), cls) for cls in _hyperplane_classes(arr.eqs, arr.hyps)]
     # the seed is off every hyperplane, so no sign is 0
-    start = _row_signs(arr.hyps, seed)
+    start_signs = _row_signs(arr.hyps, seed)
+    start = _bits_of(k for k, s in enumerate(start_signs) if s > 0)
     cap = max_work()
     regions: dict = {}
     # the face test matters only where there are orbits to expand
     unique = [] if arr.group else None
-    _add_orbit(arr, regions, start, _region_witness(arr, start, unique=unique), unique == [True], cap)
-    # the cores learnt from empty flips, at cores[k][s] for each of their
-    # pairs (k, s)
-    cores: list = [(None, [], []) for _ in arr.hyps]
+    _add_orbit(arr, regions, start, _region_witness(arr, start_signs, unique=unique), unique == [True], cap)
+    # the cores learnt from empty flips, at cores[k][b] for each of their
+    # rows k, b its bit in the core
+    cores: list = [([], []) for _ in arr.hyps]
     learnt_any = False
     frontier = [start]
     while frontier:
-        signs = frontier.pop()
-        for cls in steps:
-            flipped = list(signs)
-            for k in cls:
-                flipped[k] = -flipped[k]
-            flipped = tuple(flipped)
+        mask = frontier.pop()
+        for flip, cls in steps:
+            flipped = mask ^ flip
             if flipped in regions:
                 continue
             # a region satisfies every implication, and one that a flip breaks
             # has, up to contraposition, a flipped row on its new side as
             # antecedent
-            if any(flipped[j] != sj for k in cls for j, sj in implies[k][flipped[k]]):
+            if any(flipped & off or on & ~flipped for on, off in (implied[k][flipped >> k & 1] for k in cls)):
                 continue
             if learnt_any and any(
-                all(flipped[i] == si for i, si in core)
-                for k in cls
-                for core in cores[k][flipped[k]]
+                flipped & rows == plus for k in cls for rows, plus in cores[k][flipped >> k & 1]
             ):
                 continue
             learnt: list[tuple[int, int]] = []
             unique = [] if arr.group else None
-            x = _region_witness(arr, flipped, core=learnt, unique=unique)
+            x = _region_witness(arr, _signs_of(flipped, m), core=learnt, unique=unique)
             if x is None:
-                core = tuple(learnt)
-                for k, sk in core:
-                    cores[k][sk].append(core)
+                core = _bits_of(k for k, _ in learnt), _bits_of(k for k, sk in learnt if sk > 0)
+                for k, sk in learnt:
+                    cores[k][sk > 0].append(core)
                 learnt_any = True
                 continue
             _add_orbit(arr, regions, flipped, x, unique == [True], cap)
             frontier.append(flipped)
-    return sorted(regions.items())
+    return sorted(regions.items(), key=lambda region: _code(region[0], m))
 
 
 def _symmetry(mode: str, n: int, walls: Sequence[Wall]):
@@ -800,7 +812,8 @@ def enumerate_chambers(mode: str, n: int) -> list[Chamber]:
             f"chamber enumeration for mode {mode} is capped at n <= {_CHAMBER_BOUNDS[mode]}"
         )
     _, decode, arr = _arrangement(mode, n)
-    return [Chamber(signs, decode(w)) for signs, w in _enumerate_regions(arr)]
+    read = len(arr.hyps), decode
+    return [_walk_chamber(mask, w, read) for mask, w in _enumerate_regions(arr)]
 
 
 def chamber_second_witness(mode: str, n: int, chamber: Chamber) -> Weight:
@@ -817,20 +830,17 @@ def chamber_adjacency(mode: str, n: int, chambers: Sequence[Chamber]) -> list[tu
     """Edges between chambers sharing a full-dimensional wall facet.
 
     These are exactly the pairs whose sign vectors differ in one wall, so no
-    LP is needed.  The segment between the two witnesses keeps every other
-    wall's sign, since an affine function with one sign at both ends of a
-    segment keeps it along the segment; the segment stays inside the open
-    polytope, which is convex; so it crosses the flipped wall at a point of
-    the wall's relative interior that lies on a facet of both chambers.
+    LP is needed: a chamber's neighbours are its masks with one bit flipped.
+    The segment between the two witnesses keeps every other wall's sign,
+    since an affine function with one sign at both ends of a segment keeps
+    it along the segment; the segment stays inside the open polytope, which
+    is convex; so it crosses the flipped wall at a point of the wall's
+    relative interior that lies on a facet of both chambers.
     """
-    index = {c.signs: i for i, c in enumerate(chambers)}
-    edges = []
-    for i, c in enumerate(chambers):
-        for t, s in enumerate(c.signs):
-            k = index.get(c.signs[:t] + (-s,) + c.signs[t + 1 :])
-            if k is not None and i < k:
-                edges.append((i, k))
-    return sorted(edges)
+    bits = [1 << t for t in range(len(enumerate_walls(mode, n)))]
+    index = {c.mask: i for i, c in enumerate(chambers)}
+    pairs = ((i, index.get(c.mask ^ bit)) for i, c in enumerate(chambers) for bit in bits)
+    return sorted((i, k) for i, k in pairs if k is not None and i < k)
 
 
 def wall_relative_interior_point(mode: str, n: int, wall: Wall) -> Weight:
@@ -953,30 +963,20 @@ def stability_polytope(p: StabPolytope) -> list[Weight]:
     """The vertices of a stability polytope: the ambient polytope vertices
     satisfying the class inequalities."""
     n = p.n
-    vertices: list[Weight] = []
     if p.mode == QN:
-        block_of = {}
-        for bi, b in enumerate(p.partition):
-            for i in b:
-                block_of[i] = bi
-        for i, j in itertools.combinations(range(n), 2):
-            if block_of[i] != block_of[j]:
-                theta = [Fraction(0)] * n
-                theta[i] = Fraction(1)
-                theta[j] = Fraction(1)
-                vertices.append(QnWeight(tuple(theta)))
-    else:
-        s0, sinf = set(p.j0), set(p.jinf)
-        for i in range(n):
-            if i not in s0:
-                # vertex with eta = (-1, 0), theta = e_i
-                theta = [Fraction(0)] * n
-                theta[i] = Fraction(1)
-                vertices.append(PnWeight(Fraction(-1), Fraction(0), tuple(theta)))
-            if i not in sinf:
-                theta = [Fraction(0)] * n
-                theta[i] = Fraction(1)
-                vertices.append(PnWeight(Fraction(0), Fraction(-1), tuple(theta)))
+        block_of = {i: bi for bi, b in enumerate(p.partition) for i in b}
+        return [
+            QnWeight(tuple(Fraction(int(k in (i, j))) for k in range(n)))
+            for i, j in itertools.combinations(range(n), 2)
+            if block_of[i] != block_of[j]
+        ]
+    vertices: list[Weight] = []
+    for i in range(n):
+        theta = tuple(Fraction(int(k == i)) for k in range(n))  # e_i
+        if i not in p.j0:
+            vertices.append(PnWeight(Fraction(-1), Fraction(0), theta))
+        if i not in p.jinf:
+            vertices.append(PnWeight(Fraction(0), Fraction(-1), theta))
     return vertices
 
 
@@ -1037,12 +1037,8 @@ def _mode_of(p: TargetPolytope) -> str:
     return QN if isinstance(p, HassettPolytope) else p.mode
 
 
-def cover_check(
-    polys: Sequence[StabPolytope],
-    mode: str,
-    n: int,
-    a: Optional[Sequence[Fraction]] = None,
-) -> tuple[bool, Optional[Weight]]:
+def cover_check(polys: Sequence[StabPolytope], mode: str, n: int,
+                a: Optional[Sequence[Fraction]] = None) -> tuple[bool, Optional[Weight]]:
     """Whether the union of the given stability polytopes covers the target
     (the full ambient polytope, or the sub-polytope below a Hassett weight).
 
@@ -1057,8 +1053,8 @@ def cover_check(
     index with rhs a_i < 1 and a member row that of a block of two or more
     with rhs 1, so no target row is also a hyperplane.  Every region's
     witness satisfies each member row strictly on the side its sign vector
-    names, so the signs decide membership without evaluating a row: the
-    region lies in a member iff every row of the member reads -1.
+    names, so a region lies in a member iff every row of the member reads
+    -1: iff the region's mask and the member's share no bit.
     """
     if a is not None and mode != QN:
         raise ValueError("weighted targets only exist for the hypersimplex")
@@ -1075,14 +1071,14 @@ def cover_check(
     for p in polys:
         if p.n != n or _mode_of(p) != mode:
             raise ValueError("member polytope in a different ambient space")
-        members.append([index.setdefault(row, len(index)) for row in _constraints(p)])
+        members.append(_bits_of(index.setdefault(row, len(index)) for row in _constraints(p)))
     nvars, eqs, box_rows, decode = _space(mode, n)
     if target is not None:
         if target.n != n:
             raise ValueError("member polytope in a different ambient space")
         box_rows += _interior_rows(target)
     # the prepared rows live for this call only
-    for signs, w in _enumerate_regions(_Arrangement(nvars, eqs, box_rows, list(index))):
-        if not any(all(signs[k] < 0 for k in ks) for ks in members):
+    for mask, w in _enumerate_regions(_Arrangement(nvars, eqs, box_rows, list(index))):
+        if all(mask & member for member in members):
             return False, decode(w)
     return True, None

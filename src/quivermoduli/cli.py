@@ -51,11 +51,14 @@ _EXITS = (
 _VERIFY_ROWS = 3
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload) -> None:
+    """Write a payload dict, or compact JSON text as `serialize.dumps` gives it."""
     if args.format == "text":
+        if isinstance(payload, str):
+            payload = json.loads(payload)
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        text = serialize.dumps(payload)
+        text = payload if isinstance(payload, str) else serialize.dumps(payload)
     if args.out:
         try:
             with open(args.out, "w") as fh:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from . import chambers, configs, curves
@@ -141,26 +142,55 @@ def verdict_json(v: configs.Verdict) -> dict:
     return {"verdict": v.kind, "witness": witness}
 
 
-def chamber_complex_json(mode: str, n: int, with_adjacency: bool = True) -> dict:
+def _rational_text(num: int, den: int) -> str:
+    """The JSON string of num / den as `frac_str` writes it (den > 0)."""
+    g = gcd(num, den)
+    return f'"{num // g}/{den // g}"'
+
+
+_SIGN_TEXT = str.maketrans("01", "-+")
+
+
+def chamber_complex_json(mode: str, n: int, with_adjacency: bool = True) -> str:
+    """The chamber complex as compact JSON text: `dumps` of {schema, type,
+    mode, n, walls, chambers, and adjacency unless left out}, each chamber
+    {signs, witness} with its signs as a string of + and - and its witness
+    as `weight_json` writes it.
+
+    The text is built from each chamber's mask and integer witness
+    (`chambers.Chamber`), with no sign tuple and no weight: the weight
+    checks run on the integers, and each distinct coordinate (den, num) is
+    written once."""
     walls = chambers.enumerate_walls(mode, n)
     chs = chambers.enumerate_chambers(mode, n)
-    out = {
-        "schema": SCHEMA,
-        "type": "chamber-complex",
-        "mode": mode,
-        "n": n,
-        "walls": [wall_json(w) for w in walls],
-        "chambers": [
-            {
-                "signs": "".join("+" if s > 0 else "-" for s in c.signs),
-                "witness": weight_json(c.witness),
-            }
-            for c in chs
-        ],
-    }
+    m = len(walls)
+    texts = chambers.RationalTable(_rational_text)
+    close = '],"type":"weight"}'
+    if mode == "qn":
+        open_theta = '{"mode":"qn","schema":"' + SCHEMA + '","theta":['
+
+        def weight(den, nums):
+            chambers._check_qn(den, nums)
+            return open_theta + ",".join(map(texts[den].__getitem__, nums)) + close
+    else:
+        open_theta = '],"mode":"pn","schema":"' + SCHEMA + '","theta":['
+
+        def weight(den, nums):
+            h1, h2, *theta = nums
+            chambers._check_pn(den, -h1, -h2, den, theta)
+            text = texts[den]
+            return f'{{"eta":[{text[-h1]},{text[-h2]}{open_theta}{",".join(map(text.__getitem__, theta))}{close}'
+    items = [
+        f'{{"signs":"{chambers._code(c.mask, m).translate(_SIGN_TEXT)}","witness":{weight(*c.point)}}}'
+        for c in chs
+    ]
+    adjacency = ""
     if with_adjacency:
-        out["adjacency"] = [list(e) for e in chambers.chamber_adjacency(mode, n, chs)]
-    return out
+        adjacency = f'"adjacency":{json.dumps(chambers.chamber_adjacency(mode, n, chs), separators=(",", ":"))},'
+    # the other keys sort after "adjacency" and "chambers", so `dumps` of
+    # them, its opening brace dropped, ends the text
+    rest = {"mode": mode, "n": n, "schema": SCHEMA, "type": "chamber-complex", "walls": [wall_json(w) for w in walls]}
+    return f'{{{adjacency}"chambers":[{",".join(items)}],{dumps(rest)[1:]}'
 
 
 def tree_json(t: curves.PointedTree) -> dict:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -242,6 +243,72 @@ def test_adjacency_no_self_loops_and_connected():
                 reach.add(d)
                 frontier.append(d)
     assert reach == set(range(len(chs)))
+
+
+def test_adjacency_of_chambers_made_from_signs():
+    # chambers made from signs and witness give the walk's chambers' edges:
+    # the pairs whose sign vectors differ in one wall
+    for mode, n in (("qn", 5), ("pn", 3)):
+        chs = enumerate_chambers(mode, n)
+        made = [Chamber(c.signs, c.witness) for c in chs]
+        pairs = [
+            (i, k) for i, k in itertools.combinations(range(len(chs)), 2)
+            if sum(a != b for a, b in zip(chs[i].signs, chs[k].signs)) == 1
+        ]
+        assert chamber_adjacency(mode, n, made) == chamber_adjacency(mode, n, chs) == pairs, (mode, n)
+
+
+def test_walk_chambers_equal_the_chambers_made_from_their_fields():
+    # a chamber of the walk builds its signs and witness on first use, so
+    # each of ==, hash and repr is tried first on fresh chambers
+    for mode, n in (("qn", 4), ("pn", 3)):
+        made = [Chamber(c.signs, c.witness) for c in enumerate_chambers(mode, n)]
+        checks = (
+            lambda c, d: c == d and d == c,
+            lambda c, d: hash(c) == hash(d),
+            lambda c, d: repr(c) == repr(d),
+            lambda c, d: c.mask == d.mask and copy.copy(c) == d,
+        )
+        for check in checks:
+            fresh = enumerate_chambers(mode, n)
+            assert len(fresh) == len(made) and all(map(check, fresh, made)), (mode, n)
+        assert len({*made, *enumerate_chambers(mode, n)}) == len(made)
+
+
+def test_chamber_text_reads_no_sign_tuple_and_no_weight(monkeypatch):
+    # the qn 6 text comes from the masks and the integer witnesses: no
+    # chamber builds its signs or witness, nothing is decoded, every witness
+    # is checked on its integers, and the walk builds a sign tuple only for
+    # each LP of a flip
+    walked = []
+    enumerate_ = chambers.enumerate_chambers
+
+    def recorded(mode, n):
+        walked.extend(enumerate_(mode, n))
+        return walked
+
+    space, signs_of, check = chambers._space, chambers._signs_of, chambers._check_qn
+    decoded, tuples, checked = [], [], []
+
+    def counted_space(mode, n):
+        *rest, decode = space(mode, n)
+        return (*rest, lambda w: decoded.append(w) or decode(w))
+
+    monkeypatch.setattr(chambers, "enumerate_chambers", recorded)
+    monkeypatch.setattr(chambers, "_space", counted_space)
+    monkeypatch.setattr(chambers, "_signs_of", lambda mask, m: tuples.append(mask) or signs_of(mask, m))
+    monkeypatch.setattr(chambers, "_check_qn", lambda den, nums: checked.append(den) or check(den, nums))
+    lps = _count_lps(monkeypatch)
+    chambers._arrangement.cache_clear()
+    try:
+        text = serialize.chamber_complex_json("qn", 6, with_adjacency=False)
+    finally:
+        chambers._arrangement.cache_clear()
+    assert hashlib.sha256(text.encode()).hexdigest() == _QN6_DIGEST
+    assert len(walked) == len(checked) == 1678 and decoded == []
+    assert not any(hasattr(c, "_signs") or hasattr(c, "_witness") for c in walked)
+    # 32 LPs: 7 to pin the seed off the walls, the seed region's and 24 flips'
+    assert (len(tuples), len(lps)) == (24, 32)
 
 
 def test_chamber_bound():
@@ -492,6 +559,15 @@ def test_cover_check_results_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
+def _sign_regions(arr):
+    """The regions of `_enumerate_regions`, each mask read as its sign
+    tuple (bit k set where hyperplane k reads +1)."""
+    m = len(arr.hyps)
+    return [
+        (tuple(1 if mask >> k & 1 else -1 for k in range(m)), x) for mask, x in _enumerate_regions(arr)
+    ]
+
+
 def _full_walk_cover_check(polys, mode, n, a=None):
     """cover_check as a walk of the whole ambient polytope: the member and
     target rows all hyperplanes of one arrangement, and the regions where a
@@ -503,7 +579,7 @@ def _full_walk_cover_check(polys, mode, n, a=None):
     ]
     target_rows = members.pop() if target else []
     nvars, eqs, box_rows, decode = _space(mode, n)
-    for signs, x in _enumerate_regions(_Arrangement(nvars, eqs, box_rows, list(index))):
+    for signs, x in _sign_regions(_Arrangement(nvars, eqs, box_rows, list(index))):
         if any(signs[k] > 0 for k in target_rows):
             continue
         if not any(all(signs[k] < 0 for k in ks) for ks in members):
@@ -644,13 +720,16 @@ def test_prepared_rows_match_the_generic_construction():
             walls, _, arr = chambers._arrangement(mode, n)
             assert len(arr.rows) == len(walls)
             _assert_prepared_rows_are_generic(arr)
-            # the index of implications adds no contrapositive, so the rows
+            # the masks of implications add no contrapositive, so the rows
             # that _region_witness drops as dominated are the ones the
             # implications name
             imps = set(_subset_implications(walls, n))
             assert imps == {(j, -sj, i, -si) for i, si, j, sj in imps}
-            assert {(i, s, *imp) for i in range(len(walls)) for s in (1, -1)
-                    for imp in arr.implies[i][s]} == imps
+            m = len(walls)
+            assert {
+                (i, 2 * b - 1, j, sj) for i in range(m) for b in (0, 1)
+                for sj, mask in zip((1, -1), arr.implied[i][b]) for j in range(m) if mask >> j & 1
+            } == imps
     # cover rows: a Hassett target's rows hold Fractions
     cases = (
         (4, [StabPolytope("qn", 4, partition=((0, 1), (2, 3))),
@@ -695,7 +774,8 @@ def test_enumerate_regions_matches_exhaustive_reference():
     for mode, n, hyps, imps in cases:
         nvars, eqs, box_rows, _ = _space(mode, n)
         arr = _Arrangement(nvars, eqs, box_rows, hyps, imps)
-        assert _enumerate_regions(arr) == _exhaustive_regions(arr), (mode, n, hyps)
+        # the same regions, in the order of their sign tuples, with the same witnesses
+        assert _sign_regions(arr) == _exhaustive_regions(arr), (mode, n, hyps)
 
 
 _COMPLEX_DIGESTS = {
@@ -713,9 +793,9 @@ _QN6_DIGEST = "d2dbad04e9d7bb8ac9c924ab044ec950006ab70813167b833681ddee29eddb2a"
 
 def _assert_complex_output_is_pinned():
     for (mode, n), digest in _COMPLEX_DIGESTS.items():
-        text = serialize.dumps(serialize.chamber_complex_json(mode, n))
+        text = serialize.chamber_complex_json(mode, n)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (mode, n)
-    text = serialize.dumps(serialize.chamber_complex_json("qn", 6, with_adjacency=False))
+    text = serialize.chamber_complex_json("qn", 6, with_adjacency=False)
     assert hashlib.sha256(text.encode()).hexdigest() == _QN6_DIGEST
 
 
@@ -726,7 +806,7 @@ def test_chamber_complex_output_is_pinned():
 def test_qn7_chamber_output_is_pinned():
     # the largest size `qml chambers` accepts for the star quiver: 122914
     # chambers in 134 orbits
-    text = serialize.dumps(serialize.chamber_complex_json("qn", 7, with_adjacency=False))
+    text = serialize.chamber_complex_json("qn", 7, with_adjacency=False)
     digest = "7d5ac8b4ab901ff2c43bcdb9dbe6bdb9a3dcf00e05b806b67be5186be81aedec"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -756,6 +836,24 @@ def test_orbit_walk_matches_the_walk_without_generators():
         _, _, arr = chambers._arrangement(mode, n)
         assert len(arr.group) == (n - 1 if arr.hyps else 0)
         assert _enumerate_regions(arr) == _enumerate_regions(_plain_arrangement(mode, n)), (mode, n)
+
+
+def test_moves_permute_masks_as_the_generators_permute_signs():
+    # the per-byte tables and flips of each generator against its (src,
+    # vsrc) form, on the seed's region and on random sign vectors
+    rng = random.Random(31)
+    for mode, n in (("qn", 5), ("qn", 7), ("pn", 4), ("pn", 6)):
+        walls, _, arr = chambers._arrangement(mode, n)
+        m = len(walls)
+        assert len(arr.moves) == len(arr.group) == n - 1
+        for (src, vsrc), (tables, flips, point_image) in zip(arr.group, arr.moves):
+            assert point_image(tuple(range(arr.nvars))) == vsrc
+            for _ in range(40):
+                signs = tuple(rng.choice((1, -1)) for _ in range(m))
+                image = tuple(signs[k] if k < m else -signs[k - m] for k in src)
+                mask = sum(1 << k for k, s in enumerate(signs) if s > 0)
+                moved = sum(table[v] for table, v in zip(tables, mask.to_bytes(len(tables), "little")))
+                assert moved ^ flips == sum(1 << k for k, s in enumerate(image) if s > 0), (mode, n)
 
 
 def test_uncertified_orbits_get_one_lp_per_member(monkeypatch):
@@ -813,7 +911,7 @@ def _orbit(arr, signs, x):
 def test_certified_witnesses_are_the_permuted_witnesses():
     for mode, n, orbits in (("qn", 5, 6), ("pn", 4, 25)):
         _, _, arr = chambers._arrangement(mode, n)
-        direct = dict(_enumerate_regions(_plain_arrangement(mode, n)))
+        direct = dict(_sign_regions(_plain_arrangement(mode, n)))
         certified = 0
         for signs, x in direct.items():
             unique = []

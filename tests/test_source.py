@@ -18,6 +18,7 @@ _REPO = Path(__file__).resolve().parent.parent
 # users, each with the reason it stays.
 _KEPT_FOR_USERS = {
     "config_json": "writes the input of `qml stability --config`",
+    "weight_json": "writes the input of `qml stability --weight`",
     "moebius_json": "the encoding the sha256-pinned glued-fiber test hashes",
     "contract_to_chart": "the chart of one triple on trees with any mark labels",
     "simplex_maximize": "traced by the benchmark (qmlbench/tracing.py TRACED)",
