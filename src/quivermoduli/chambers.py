@@ -34,8 +34,9 @@ Every linear constraint takes one form, the LP row (coeffs, rhs) read as
 coeffs . x - rhs over the variables of `_space`: the box, the walls, and the
 facets that cut a stability polytope or a Hassett target out of its ambient
 polytope (`_constraints`).  `cover_check` walks the arrangement of the
-members' facet rows inside the open target and reads membership off the
-region masks; only an uncovered witness is decoded into a weight.
+members' facet rows inside the open target, from a seed built in closed
+form, and reads membership off the region masks; only an uncovered witness
+is decoded into a weight.
 """
 from __future__ import annotations
 
@@ -437,6 +438,10 @@ def _walk_chamber(mask: int, point, read) -> Chamber:
     return chamber
 
 
+def _prepared(box_rows, eqs):
+    return tuple(strict_row(g, h) for g, h in box_rows), tuple(equality_row(g, h) for g, h in eqs)
+
+
 class _Arrangement:
     """A hyperplane arrangement in an ambient polytope, prepared once for
     the LPs of every sign vector over it.
@@ -450,7 +455,11 @@ class _Arrangement:
     (j, -sj, i, -si) are kept as masks: implied[i][b] is the pair (on, off)
     of the rows that bit b of row i (0 for sign -1, 1 for +1) forces to +1
     and to -1.  The subset implications are already closed under
-    contraposition, so the contrapositives add none.
+    contraposition, so the contrapositives add none.  A self-implication
+    (k, s, k, -s) says that row k never reads s: the walk rejects each flip
+    to that side before any LP, while row k stays in every LP on its other
+    side.  `prepared`, when given, is (box, eq) already prepared from
+    box_rows and eqs.
 
     `group` lists generators of a group of symmetries of the arrangement
     that keep the box, the equalities and the hyperplane classes.  Each is
@@ -466,13 +475,12 @@ class _Arrangement:
 
     __slots__ = ("nvars", "eqs", "box_rows", "hyps", "box", "eq", "rows", "implied", "group", "moves")
 
-    def __init__(self, nvars, eqs, box_rows, hyps, implications=(), group=()):
+    def __init__(self, nvars, eqs, box_rows, hyps, implications=(), group=(), prepared=None):
         self.nvars = nvars
         self.eqs = eqs
         self.box_rows = box_rows
         self.hyps = hyps
-        self.box = tuple(strict_row(g, h) for g, h in box_rows)
-        self.eq = tuple(equality_row(g, h) for g, h in eqs)
+        self.box, self.eq = prepared or _prepared(box_rows, eqs)
         self.rows = [(None, strict_row(g, h), strict_row(tuple(-c for c in g), -h)) for g, h in hyps]
         self.implied = [([0, 0], [0, 0]) for _ in hyps]
         for i, si, j, sj in implications:
@@ -548,11 +556,10 @@ def _subset_implications(walls: Sequence[Wall], n: int):
     ]
 
 
-def _row_signs(rows, x) -> tuple[int, ...]:
-    """The sign (1, 0 or -1) of coeffs . x - rhs for each row, read off
-    integers: over the common denominator m of x, m times the value is
-    coeffs . (m x) - m rhs, an integer for integer rows."""
-    m, xs = _scaled(x)
+def _row_signs(rows, m, xs) -> tuple[int, ...]:
+    """The sign (1, 0 or -1) of coeffs . x - rhs for each row at the point
+    x = xs / m given as integers (m > 0): m times the value is
+    coeffs . xs - m rhs, an integer for integer rows."""
     signs = []
     for coeffs, rhs in rows:
         v = sum(c * xi for c, xi in zip(coeffs, xs)) - rhs * m
@@ -561,15 +568,20 @@ def _row_signs(rows, x) -> tuple[int, ...]:
 
 
 def _generic_seed(arr):
-    """A point off every hyperplane, found by greedily pinning signs."""
+    """A point strictly inside the box and off every hyperplane, as integers
+    (den, nums), or None if the box is empty: the LP point of the box,
+    moved off each hyperplane in turn by pinning a sign of it that the LPs
+    find open.  The chamber walks and `wall_relative_interior_point` use
+    it; `cover_check` builds its seed in closed form (`_cover_seed`)."""
     pinned: list[tuple[int, int]] = []
     x = strict_interior_point(arr.nvars, arr.box, arr.eq)
     if x is None:
         return None
     while True:
-        signs = _row_signs(arr.hyps, x)
+        den, nums = _scaled(x)
+        signs = _row_signs(arr.hyps, den, nums)
         if 0 not in signs:
-            return x
+            return den, nums
         zero_at = signs.index(0)
         for s in (1, -1):
             trial = pinned + [(zero_at, s)]
@@ -655,13 +667,15 @@ def _add_orbit(arr, regions, mask, w, certified, cap):
             todo.append((image, y))
 
 
-def _enumerate_regions(arr):
+def _enumerate_regions(arr, seed):
     """All realized sign vectors over the hyperplane list, with witnesses,
     as pairs (mask, (den, nums)) sorted as their sign tuples are.
 
-    A walk from the region of a generic seed point: each step flips one
-    hyperplane class (see `_hyperplane_classes`) and keeps the result if it
-    passes the implication filter and its strict system is feasible.  The
+    A walk from the region of `seed`, a point (den, nums) strictly inside
+    the box and off every hyperplane (`_generic_seed`, `_cover_seed`), or
+    None for an empty box: each step flips one hyperplane class (see
+    `_hyperplane_classes`) and keeps the result if it passes the
+    implication filter and its strict system is feasible.  The
     walk is complete because any two regions are joined by a segment that
     meets no intersection of two distinct hyperplanes, and each crossing
     along it flips exactly one class; without merging coinciding rows a
@@ -709,14 +723,13 @@ def _enumerate_regions(arr):
     `QML_MAX_WORK` caps the number of regions, counted as each one is
     stored, orbit members included.
     """
-    seed = _generic_seed(arr)
     if seed is None:
         return []
     m = len(arr.hyps)
     implied = arr.implied
     steps = [(_bits_of(cls), cls) for cls in _hyperplane_classes(arr.eqs, arr.hyps)]
     # the seed is off every hyperplane, so no sign is 0
-    start_signs = _row_signs(arr.hyps, seed)
+    start_signs = _row_signs(arr.hyps, *seed)
     start = _bits_of(k for k, s in enumerate(start_signs) if s > 0)
     cap = max_work()
     regions: dict = {}
@@ -813,7 +826,7 @@ def enumerate_chambers(mode: str, n: int) -> list[Chamber]:
         )
     _, decode, arr = _arrangement(mode, n)
     read = len(arr.hyps), decode
-    return [_walk_chamber(mask, w, read) for mask, w in _enumerate_regions(arr)]
+    return [_walk_chamber(mask, w, read) for mask, w in _enumerate_regions(arr, _generic_seed(arr))]
 
 
 def chamber_second_witness(mode: str, n: int, chamber: Chamber) -> Weight:
@@ -852,7 +865,7 @@ def wall_relative_interior_point(mode: str, n: int, wall: Wall) -> Weight:
     x = _generic_seed(_Arrangement(arr.nvars, eqs, arr.box_rows, rest))
     if x is None:
         raise ValueError(f"wall {wall} does not meet the polytope interior")
-    return decode(_scaled(x))
+    return decode(x)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,8 +1046,50 @@ def _interior_rows(p: TargetPolytope) -> tuple[tuple[tuple[int, ...], Union[int,
     return tuple((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in _constraints(p))
 
 
-def _mode_of(p: TargetPolytope) -> str:
-    return QN if isinstance(p, HassettPolytope) else p.mode
+@functools.cache
+def _ambient(mode: str, n: int):
+    """(nvars, eqs, box_rows, box, eq, g) for the `cover_check` walks of one
+    ambient polytope: `_space`'s rows, the box and equality rows prepared
+    once (`_Arrangement`), and a point g strictly inside it, as integers
+    (den, nums), that lies on no hyperplane a stability polytope's facet
+    row cuts out.
+
+    For the hypersimplex g has theta_i = 2 (2^n + 2^i) / d, d = (n + 1) 2^n
+    - 1: they sum to 2, and the largest is below 1 as 2^(n+1) + 2^n + 1 <
+    (n + 1) 2^n for n >= 3.  A facet row sum_B theta <= 1 reads zero only
+    where d sum_B theta = 2 (|B| 2^n + sum_B 2^i) is d, but one is even and
+    the other odd.  For the product of simplices g has h = (1/2, 1/2) and
+    theta_i = 2^i / (2^n - 1); a facet row sum_J theta <= h_j reads zero
+    only where the even 2 sum_J 2^i is the odd 2^n - 1."""
+    nvars, eqs, box_rows, _ = _space(mode, n)
+    top = 1 << n
+    if mode == QN:
+        g = (n + 1) * top - 1, [2 * (top + (1 << i)) for i in range(n)]
+    else:
+        g = 2 * (top - 1), [top - 1, top - 1, *(2 << i for i in range(n))]
+    return (nvars, eqs, box_rows, *_prepared(box_rows, eqs), g)
+
+
+def _cover_seed(hyps, g, target):
+    """The seed of a `cover_check` walk inside a Hassett target, as integers
+    (den, nums): its centre c = 2a / sum(a), and while that point lies on a
+    hyperplane or outside the open target, ((q - 1) c + g) / q for q = 2,
+    4, ..., g the point of `_ambient`.  c is inside the open target
+    (0 < 2a_i / sum(a) < a_i as sum(a) > 2), which is convex, so from some q
+    on every point is inside; g lies on no hyperplane, so each meets the
+    segment from c to g at most once; so the loop ends.  Everything is
+    checked on integers."""
+    gden, gnums = g
+    s = sum(target.nums)
+    q = 0  # c itself
+    while True:
+        u, v = (1, 0) if q == 0 else (q - 1, 1)
+        den = (u + v) * s * gden
+        nums = [2 * u * a * gden + v * y * s for a, y in zip(target.nums, gnums)]
+        inside = all(x * target.den < a * den for x, a in zip(nums, target.nums))
+        if inside and 0 not in _row_signs(hyps, den, nums):
+            return den, nums
+        q = 2 * q or 2
 
 
 def cover_check(polys: Sequence[StabPolytope], mode: str, n: int,
@@ -1055,6 +1110,12 @@ def cover_check(polys: Sequence[StabPolytope], mode: str, n: int,
     witness satisfies each member row strictly on the side its sign vector
     names, so a region lies in a member iff every row of the member reads
     -1: iff the region's mask and the member's share no bit.
+
+    The walk starts from `_ambient`'s g or `_cover_seed`, with no LP.  In
+    the open target sum_B theta lies strictly between 2 - a(B^c) and a(B),
+    so a member row with a(B) <= 1 always reads -1 and one with
+    a(B^c) <= 1 always +1; its flip is rejected as a self-implication
+    (`_Arrangement`), so every LP, region and witness is the walk's without.
     """
     if a is not None and mode != QN:
         raise ValueError("weighted targets only exist for the hypersimplex")
@@ -1069,16 +1130,30 @@ def cover_check(polys: Sequence[StabPolytope], mode: str, n: int,
     index: dict[tuple, int] = {}
     members = []
     for p in polys:
-        if p.n != n or _mode_of(p) != mode:
+        if not isinstance(p, StabPolytope):
+            raise ValueError("member polytopes must be stability polytopes")
+        if p.n != n or p.mode != mode:
             raise ValueError("member polytope in a different ambient space")
         members.append(_bits_of(index.setdefault(row, len(index)) for row in _constraints(p)))
-    nvars, eqs, box_rows, decode = _space(mode, n)
+    hyps = list(index)
+    nvars, eqs, box_rows, box, eq, seed = _ambient(mode, n)
+    fixed = []
     if target is not None:
         if target.n != n:
             raise ValueError("member polytope in a different ambient space")
-        box_rows += _interior_rows(target)
-    # the prepared rows live for this call only
-    for mask, w in _enumerate_regions(_Arrangement(nvars, eqs, box_rows, list(index))):
+        rows = _interior_rows(target)
+        box_rows += rows
+        box += tuple(strict_row(g, h) for g, h in rows)
+        total, den = sum(target.nums), target.den
+        for (coeffs, _), k in index.items():
+            inside = sum(v for v, c in zip(target.nums, coeffs) if c)  # den a(B)
+            if inside <= den:
+                fixed.append((k, 1, k, -1))
+            elif total - inside <= den:
+                fixed.append((k, -1, k, 1))
+        seed = _cover_seed(hyps, seed, target)
+    arr = _Arrangement(nvars, eqs, box_rows, hyps, fixed, prepared=(box, eq))
+    for mask, w in _enumerate_regions(arr, seed):
         if all(mask & member for member in members):
-            return False, decode(w)
+            return False, _space(mode, n)[3](w)
     return True, None

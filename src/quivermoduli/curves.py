@@ -738,20 +738,33 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     reconstructing it runs them (and the covering test) once.
 
     Charts are grouped by Moebius equivalence (one group per component) in
-    one pass keyed by `QnConfig.normal_form`, of `PnConfig.star` for chains;
-    key equality is an equivalence relation, so the groups and their order
-    are those of a first-fit pass comparing each chart with every group.
-    Adjacency is read off complementary blocks of the coincidence
-    partitions `QnConfig.first`, and node coordinates are the block
-    positions.  The result
-    reproduces the family exactly: after the stability test ("stability"),
-    the family is compared with the rebuilt tree's integer chart rows by
-    cross-multiplication, without building a second family, and
-    "round-trip" is raised exactly when `moduli_coordinates` of the tree
-    would differ from the family.  Only the row of the ordering p < q < r
-    of each triple is compared (`_base_rows`); the functor conditions that
-    have passed determine the other five from it (the proof is in
-    `_charts_match`).
+    one pass keyed by the coincidence partition `QnConfig.first`, in order
+    of first appearance (chains group by `PnConfig.star`'s normal form).
+    Equivalent charts have one partition, and once the functor conditions
+    have passed, charts of one partition P are equivalent, so the groups
+    are those of `QnConfig.normal_form`.  Proof: let (i1, i2, i3) be a
+    chart with partition P and i4 in a block of P other than those of i1
+    and i2, so its entry a at i4 is neither (0:1) nor (1:0).  The chart
+    (i1, i2, i4) is in the family (charts-complete, or active-promotion and
+    ordering-closure), and the exchange and five-term identities make its
+    every entry the image of the same entry of (i1, i2, i3) under x -> x / a,
+    which the anchors agree with; so it is equivalent to (i1, i2, i3), and
+    has partition P.  The permutation identities do the same for every
+    reordering of a triple.  Any triple J of marks in three distinct blocks
+    of P is reached from (i1, i2, i3) by such steps, each replacing a mark
+    outside J by one of J whose block holds none of the two kept marks (the
+    replaced mark shares that block if any does, and is then outside J), so
+    its chart is equivalent to that of (i1, i2, i3).  Every chart with
+    partition P is such a J.  Adjacency is read off complementary blocks of
+    the coincidence partitions, and node coordinates are the block
+    positions.  The result reproduces the family exactly: after the
+    stability test ("stability"), the family is compared with the rebuilt
+    tree's integer chart rows by cross-multiplication, without building a
+    second family, and "round-trip" is raised exactly when
+    `moduli_coordinates` of the tree would differ from the family.  Only
+    the row of the ordering p < q < r of each triple is compared
+    (`_base_rows`); the functor conditions that have passed determine the
+    other five from it (the proof is in `_charts_match`).
     """
     reports = verify_functor_conditions(family)
     for r in reports:
@@ -762,10 +775,10 @@ def reconstruct_tree(family: LimitFamily) -> Union[PointedTree, Chain]:
     n = family.n
     active = family.active_sets()
     configs = {t: QnConfig(tuple(family.charts[t])) for t in active}
-    by_form: dict[tuple, list[tuple[int, ...]]] = {}
+    by_partition: dict[tuple, list[tuple[int, ...]]] = {}
     for t in active:
-        by_form.setdefault(configs[t].normal_form, []).append(t)
-    groups = list(by_form.values())
+        by_partition.setdefault(configs[t].first, []).append(t)
+    groups = list(by_partition.values())
     comp_names = tuple(f"c{k}" for k in range(len(groups)))
     rep_cfg = [configs[g[0]] for g in groups]
     firsts = [cfg.first for cfg in rep_cfg]

@@ -44,7 +44,7 @@ from quivermoduli.chambers import (
     _wall_row,
 )
 from quivermoduli.generate import pn_decorations, set_partitions
-from quivermoduli.projline import ProjPoint
+from quivermoduli.projline import ProjPoint, _scaled
 
 
 def test_weight_invariants():
@@ -559,13 +559,17 @@ def test_cover_check_results_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
+def _walk(arr):
+    """`_enumerate_regions` from the seed of `_generic_seed`, as the chamber
+    walks start."""
+    return _enumerate_regions(arr, chambers._generic_seed(arr))
+
+
 def _sign_regions(arr):
-    """The regions of `_enumerate_regions`, each mask read as its sign
-    tuple (bit k set where hyperplane k reads +1)."""
+    """The regions of `_walk`, each mask read as its sign tuple (bit k set
+    where hyperplane k reads +1)."""
     m = len(arr.hyps)
-    return [
-        (tuple(1 if mask >> k & 1 else -1 for k in range(m)), x) for mask, x in _enumerate_regions(arr)
-    ]
+    return [(tuple(1 if mask >> k & 1 else -1 for k in range(m)), x) for mask, x in _walk(arr)]
 
 
 def _full_walk_cover_check(polys, mode, n, a=None):
@@ -629,7 +633,7 @@ def test_weighted_cover_check_lp_count_is_pinned(monkeypatch):
     covered, witness = cover_check(polys, "qn", 6, a)
     assert not covered
     assert _contains_by_definition(HassettPolytope(a), witness) == "interior"
-    assert (len(calls), sum(calls)) == (10, 3)
+    assert (len(calls), sum(calls)) == (7, 2)
 
 
 def test_max_work_fires_inside_a_weighted_cover_check(monkeypatch):
@@ -835,7 +839,7 @@ def test_orbit_walk_matches_the_walk_without_generators():
     for mode, n in _SIZES:
         _, _, arr = chambers._arrangement(mode, n)
         assert len(arr.group) == (n - 1 if arr.hyps else 0)
-        assert _enumerate_regions(arr) == _enumerate_regions(_plain_arrangement(mode, n)), (mode, n)
+        assert _walk(arr) == _walk(_plain_arrangement(mode, n)), (mode, n)
 
 
 def test_moves_permute_masks_as_the_generators_permute_signs():
@@ -977,7 +981,7 @@ def test_learnt_cores_skip_empty_flips(monkeypatch):
     calls = _count_lps(monkeypatch)
     for mode, n, total, empty in (("qn", 6, 1715, 30), ("pn", 4, 161, 6)):
         calls.clear()
-        _enumerate_regions(_plain_arrangement(mode, n))
+        _walk(_plain_arrangement(mode, n))
         assert (len(calls), sum(calls)) == (total, empty), (mode, n)
 
 
@@ -1010,7 +1014,7 @@ def test_pivot_counts_are_pinned(monkeypatch):
     counts = _count_pivots(monkeypatch)
     for mode, n, total, unit in (("qn", 6, 18871, 15867), ("pn", 4, 1322, 975)):
         counts.clear()
-        _enumerate_regions(_plain_arrangement(mode, n))
+        _walk(_plain_arrangement(mode, n))
         assert (counts["all"], counts["unit"]) == (total, unit), (mode, n)
 
 
@@ -1062,6 +1066,100 @@ _HASSETT_SHAPES = (
     (6, ("1", "2/3", "1", "5/12", "1", "5/6"), ((0, 4),), ()),
     (6, ("5/6", "1/4", "1/12", "1", "1", "5/6"), ((0, 2, 5),), ((2, 5),)),
 )
+
+
+def _hassett_shape_families():
+    """(n, a, chart polytopes) of each weighted tree of _HASSETT_SHAPES."""
+    out = []
+    for n, a, splits, clusters in _HASSETT_SHAPES:
+        a = tuple(F(v) for v in a)
+        fam = curves.moduli_coordinates(generate.tree_from_splits(n, splits, clusters=clusters), "hassett", a)
+        polys = [configs.theta_polytope(configs.QnConfig(tuple(fam.charts[t]))) for t in fam.active_sets()]
+        out.append((n, a, polys))
+    return out
+
+
+def test_hassett_shape_cover_lp_counts_are_pinned(monkeypatch):
+    # one cover_check per shape of the hassett-cover workload: the seeds are
+    # built without LPs and the flips of fixed-sign rows are rejected before
+    # any, where a seed search and those flips made 28 LPs, 4 of them empty
+    families = _hassett_shape_families()
+    calls = _count_lps(monkeypatch)
+    for n, a, polys in families:
+        assert cover_check(polys, "qn", n, a) == (True, None)
+    assert (len(calls), sum(calls)) == (16, 1)
+
+
+def test_cover_seeds_lie_inside_and_off_every_member_row():
+    # g of `_ambient`, checked on its integers: strictly inside the ambient
+    # polytope, and on no hyperplane sum_B theta = 1 (qn) or sum_B theta =
+    # h_j (pn) for any block B
+    for mode, ns in (("qn", range(3, 13)), ("pn", range(1, 13))):
+        for n in ns:
+            nvars, eqs, box_rows, _, _, (den, nums) = chambers._ambient(mode, n)
+            assert den > 0 and len(nums) == nvars
+            assert all(sum(c * x for c, x in zip(g, nums)) == h * den for g, h in eqs), (mode, n)
+            assert all(sum(c * x for c, x in zip(g, nums)) > h * den for g, h in box_rows), (mode, n)
+            theta = nums[nvars - n:]
+            sides = {den} if mode == "qn" else {nums[0], nums[1]}
+            for k in range(1, n + 1):
+                for block in itertools.combinations(range(n), k):
+                    assert sum(theta[i] for i in block) not in sides, (mode, n, block)
+    # the seed inside a Hassett target: the shapes' families, and symmetric
+    # targets whose centre lies on a member row, so the seed moves toward g
+    # (in the second until (15 c + g) / 16, the first point inside the target)
+    cases = _hassett_shape_families()
+    for n, a, blocks in (
+        (4, (1, 1, 1, 1), ((0, 1), (2, 3))),
+        (4, (1, F(1, 4), 1, F(1, 4)), ((0, 1), (2, 3))),
+        (6, (1,) * 6, ((0, 1, 2), (3, 4, 5))),
+        (5, (1, 1, F(1, 2), F(1, 2), 1), ((0, 1), (2, 3, 4))),
+        (6, (F(1, 2),) * 6, ((0, 1, 2, 3), (4,), (5,))),
+    ):
+        cases.append((n, tuple(map(F, a)), [StabPolytope("qn", n, partition=blocks)]))
+    moved = 0
+    for n, a, polys in cases:
+        hyps = _cover_rows(polys)
+        den, nums = chambers._cover_seed(hyps, chambers._ambient("qn", n)[5], HassettPolytope(a))
+        theta = [F(x, den) for x in nums]
+        assert sum(theta) == 2 and all(0 < t < b for t, b in zip(theta, a)), (n, a)
+        assert all(_row_value(row, theta) != 0 for row in hyps), (n, a)
+        moved += theta != [2 * b / sum(a) for b in a]
+    assert moved >= 5, moved
+
+
+def test_rows_of_fixed_sign_are_never_flipped(monkeypatch):
+    # in the open target sum_B theta < a(B) and sum_B theta > 2 - a(B^c):
+    # the first member's row reads -1 throughout (a(B) = 5/6), and +1 (a(B^c)
+    # = 5/6); no LP reads it on its other side, and the answers are the full
+    # walk's
+    a = (F(1, 2), F(1, 3), F(1), F(1), F(1))
+    others = [
+        StabPolytope("qn", 5, partition=((2, 3), (0,), (1,), (4,))),
+        StabPolytope("qn", 5, partition=((1, 4), (0,), (2,), (3,))),
+    ]
+    nvars, eqs, box_rows, _ = _space("qn", 5)
+    box_rows += chambers._interior_rows(HassettPolytope(a))
+    for blocks, sign in ((((0, 1), (2,), (3,), (4,)), -1), (((2, 3, 4), (0,), (1,)), 1)):
+        polys = [StabPolytope("qn", 5, partition=blocks), *others]
+        hyps = _cover_rows(polys)
+        seen = []
+        witness = chambers._region_witness
+
+        def spy(arr, signs, **kwargs):
+            seen.append(signs[0])
+            return witness(arr, signs, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(chambers, "_region_witness", spy)
+            got = cover_check(polys, "qn", 5, a)
+            assert set(seen) == {sign}
+            # the same walk without the self-implication flips the row
+            seed = chambers._cover_seed(hyps, chambers._ambient("qn", 5)[5], HassettPolytope(a))
+            seen.clear()
+            _enumerate_regions(_Arrangement(nvars, eqs, box_rows, hyps), seed)
+            assert set(seen) == {sign, -sign}
+        assert got == _full_walk_cover_check(polys, "qn", 5, a)
 
 
 def _row_value(row, x) -> F:
@@ -1131,18 +1229,12 @@ def _integer_helper_arrangements(monkeypatch):
     walked = []
     walk = chambers._enumerate_regions
 
-    def spy(arr):
+    def spy(arr, seed):
         walked.append(arr)
-        return walk(arr)
+        return walk(arr, seed)
 
     monkeypatch.setattr(chambers, "_enumerate_regions", spy)
-    for n, a, splits, clusters in _HASSETT_SHAPES:
-        a = tuple(F(v) for v in a)
-        tree = generate.tree_from_splits(n, splits, clusters=clusters)
-        fam = curves.moduli_coordinates(tree, "hassett", a)
-        polys = [
-            configs.theta_polytope(configs.QnConfig(tuple(fam.charts[t]))) for t in fam.active_sets()
-        ]
+    for n, a, polys in _hassett_shape_families():
         for members in (polys, *(polys[:i] + polys[i + 1:] for i in range(len(polys)))):
             cover_check(members, "qn", n, a)
             nvars, eqs, box_rows, _ = _space("qn", n)
@@ -1157,13 +1249,15 @@ def test_integer_seed_and_classes_match_the_fraction_reference(monkeypatch):
     merged = pinned = 0
     for arr in arrs:
         seed = chambers._generic_seed(arr)
-        assert seed == _fraction_seed(arr)
         x = chambers.strict_interior_point(arr.nvars, arr.box, arr.eq)
-        for point in (seed, x):
+        reference = _fraction_seed(arr)
+        assert seed == (None if reference is None else _scaled(reference))
+        for point in (reference, x):
             if point is not None:
                 values = [_row_value(row, point) for row in arr.hyps]
-                assert chambers._row_signs(arr.hyps, point) == tuple((v > 0) - (v < 0) for v in values)
-        pinned += seed != x
+                signs = chambers._row_signs(arr.hyps, *_scaled(point))
+                assert signs == tuple((v > 0) - (v < 0) for v in values)
+        pinned += reference != x
         classes = chambers._hyperplane_classes(arr.eqs, arr.hyps)
         assert classes == _fraction_classes(arr.eqs, arr.hyps)
         merged += sum(len(c) > 1 for c in classes)

@@ -246,6 +246,34 @@ def test_reconstruct_detects_mutation():
         reconstruct_tree(broken)
 
 
+def test_charts_of_one_partition_have_one_normal_form():
+    # reconstruct_tree groups charts by their coincidence partition; on a
+    # family that passes the functor conditions that is grouping by normal
+    # form (the proof is in its docstring)
+    rng = random.Random(3131)
+    shared = 0
+    for fam in _round_trip_families(rng):
+        assert family_passes(verify_functor_conditions(fam))
+        by_first, by_form = {}, {}
+        for t in fam.active_sets():
+            cfg = QnConfig(tuple(fam.charts[t]))
+            by_first.setdefault(cfg.first, []).append(t)
+            by_form.setdefault(cfg.normal_form, []).append(t)
+        assert list(by_first.values()) == list(by_form.values())
+        shared += sum(len(group) > 1 for group in by_first.values())
+    assert shared >= 10
+    # a chart moved off the normal form of the charts that share its
+    # partition fails the conditions before any grouping
+    fam = moduli_coordinates(single(5), GK)
+    row = list(fam.charts[(0, 1, 2)])
+    row[4] = affine(F(99))
+    moved = QnConfig(tuple(row))
+    kept = QnConfig(tuple(fam.charts[(0, 1, 3)]))
+    assert moved.first == kept.first and moved.normal_form != kept.normal_form
+    broken = LimitFamily(GK, 5, {**fam.charts, (0, 1, 2): tuple(row)})
+    assert not family_passes(verify_functor_conditions(broken))
+
+
 def _failure(fam):
     try:
         reconstruct_tree(fam)

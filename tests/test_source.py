@@ -61,6 +61,19 @@ def test_cli_maps_errors_to_exit_codes_in_main_only():
     assert [h.lineno for h in others if names(h) & policy] == []
 
 
+def _reached(defs: dict, name: str) -> set[str]:
+    """The names of `defs` (a module's top-level definitions by name) that
+    the definition `name` reads, followed through the definitions it
+    reads."""
+    seen, todo = set(), [name]
+    while todo:
+        for sub in ast.walk(defs[todo.pop()]):
+            if isinstance(sub, ast.Name) and sub.id in defs and sub.id not in seen:
+                seen.add(sub.id)
+                todo.append(sub.id)
+    return seen - {name}
+
+
 def test_stability_kernels_read_neither_each_other_nor_the_partition():
     # the fast rule and the subrepresentation oracle are checked against
     # each other, so neither may reach the other, the coincidence partition
@@ -70,17 +83,7 @@ def test_stability_kernels_read_neither_each_other_nor_the_partition():
     # functions
     module = ast.parse((Path(quivermoduli.__file__).parent / "configs.py").read_text())
     functions = {node.name: node for node in module.body if isinstance(node, ast.FunctionDef)}
-
-    def reached(name: str) -> set[str]:
-        seen, todo = set(), [name]
-        while todo:
-            for sub in ast.walk(functions[todo.pop()]):
-                if isinstance(sub, ast.Name) and sub.id in functions and sub.id not in seen:
-                    seen.add(sub.id)
-                    todo.append(sub.id)
-        return seen - {name}
-
-    fast, oracle = reached("is_semistable"), reached("brute_force_semistable")
+    fast, oracle = _reached(functions, "is_semistable"), _reached(functions, "brute_force_semistable")
     assert "brute_force_semistable" not in fast and "is_semistable" not in oracle
     assert (fast | oracle) & {"_blocks", "theta_polytope"} == set()
     assert fast & oracle == {"_weight_tables"}
@@ -96,6 +99,18 @@ def test_stability_kernels_read_neither_each_other_nor_the_partition():
     assert {"first", "_first", "normal_form", "star", "_star"} <= {
         sub.attr for sub in ast.walk(module) if isinstance(sub, ast.Attribute)
     }
+
+
+def test_cover_check_seeds_its_walk_without_lps():
+    # cover_check starts its walk from the closed-form `_cover_seed`, never
+    # from the LP search of `_generic_seed`, which the chamber walks keep;
+    # reads are followed through the functions and classes of `chambers`
+    module = ast.parse((Path(quivermoduli.__file__).parent / "chambers.py").read_text())
+    defs = {node.name: node for node in module.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    cover = _reached(defs, "cover_check")
+    assert "_generic_seed" not in cover
+    assert {"_cover_seed", "_ambient", "_Arrangement", "_enumerate_regions", "_region_witness"} <= cover
+    assert "_generic_seed" in _reached(defs, "enumerate_chambers")
 
 
 def _ihom_keyed_dicts(path: Path) -> set[str]:
