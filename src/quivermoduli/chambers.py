@@ -672,8 +672,8 @@ def _enumerate_regions(arr, seed):
     as pairs (mask, (den, nums)) sorted as their sign tuples are.
 
     A walk from the region of `seed`, a point (den, nums) strictly inside
-    the box and off every hyperplane (`_generic_seed`, `_cover_seed`), or
-    None for an empty box: each step flips one hyperplane class (see
+    the box and off every hyperplane (`_generic_seed`, or the closed-form
+    seed of `cover_check`), or None for an empty box: each step flips one hyperplane class (see
     `_hyperplane_classes`) and keeps the result if it passes the
     implication filter and its strict system is feasible.  The
     walk is complete because any two regions are joined by a segment that
