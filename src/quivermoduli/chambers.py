@@ -11,17 +11,18 @@ ordered wall per proper nonempty subset.
 Chambers are enumerated exactly: a sign vector over the walls is realized
 iff the corresponding open system admits a rational point, decided by the
 max-slack LP in `lp`.  One walk finds them all (`_enumerate_regions`):
-starting from a generic point, it flips one hyperplane at a time and keeps
-every realized neighbour.  The symmetric group S_n permutes the marked
-points, the coordinates theta_i and the walls (`_symmetry`), and the
-max-slack LP of a permuted region is the permuted LP, so the walk of the
-wall arrangements solves one LP per S_n-orbit: when the LP's optimal face
-is a single point, which `lp.strict_interior_point` decides exactly, each
-orbit member's witness is the permuted witness.  An empty flip teaches a
-*core*, signed rows that with the box and the equalities alone leave
-nothing, and a later flip that agrees with a core is skipped without an LP.
-So the chambers and witnesses are those of the plain walk, the one
-`cover_check` runs on its facet arrangements.
+starting from a point off every wall, built in closed form (`_Space.g`), it
+flips one hyperplane at a time and keeps every realized neighbour.  The
+symmetric group S_n permutes the marked points, the coordinates theta_i and
+the walls (`_symmetry`), and the max-slack LP of a permuted region is the
+permuted LP, so the walk of the wall arrangements solves one LP per
+S_n-orbit: when the LP's optimal face is a single point, which
+`lp.strict_interior_point` decides exactly, each orbit member's witness is
+the permuted witness.  An empty flip teaches a *core*, signed rows that
+with the box and the equalities alone leave nothing, and a later flip that
+agrees with a core is skipped without an LP.  So the chambers and
+witnesses are those of the plain walk, the one `cover_check` runs on its
+facet arrangements.
 
 The walk keeps each region as an int bitmask, bit k set where hyperplane k
 reads +1, so a flip is an XOR and a transposition a bit permutation
@@ -31,9 +32,10 @@ representative's numerators permuted.  Sign tuples are built only for the
 LPs, and a `Chamber` builds its signs and its weight on first use.
 
 Every linear constraint takes one form, the LP row (coeffs, rhs) read as
-coeffs . x - rhs over the variables of `_space`: the box, the walls, and the
-facets that cut a stability polytope or a Hassett target out of its ambient
-polytope (`_constraints`).  `cover_check` walks the arrangement of the
+coeffs . x - rhs over the variables of `_space`, the one ambient polytope of
+each size that every arrangement is built on: the box, the walls, and the
+facets that cut a stability polytope or a Hassett target out of it
+(`_constraints`).  `cover_check` walks the arrangement of the
 members' facet rows inside the open target, from a seed built in closed
 form, and reads membership off the region masks; only an uncovered witness
 is decoded into a weight.
@@ -316,52 +318,74 @@ class RationalTable(dict):
         return value
 
 
-def _space(mode: str, n: int):
-    """(nvars, eqs, box_rows, decode): the variable count, the equality rows
-    and the strict box rows of one ambient polytope, and the map from the
-    integer witness (den, nums) of an LP point nums / den (theta, or
-    (h1, h2, theta) with h_j = -eta_j) to its weight.  `decode` runs the
-    weight class's checks on the integers and builds each distinct
-    coordinate Fraction once."""
-    fractions = RationalTable(Fraction)
-    if mode == QN:
-        nvars = n
-        eqs = (((1,) * n, 2),)
-        box = []
-        for i in range(n):
-            e = _indicator(n, (i,))
-            box.append((e, 0))  # theta_i > 0
-            box.append((tuple(-c for c in e), -1))  # theta_i < 1
+class _Space:
+    """One ambient polytope, built once per size by `_space(mode, n)`: the
+    variable count nvars, the equality rows eqs and strict box rows box_rows
+    (coeffs, rhs), the same rows prepared once for every LP as eq and box
+    (`lp.equality_row`, `lp.strict_row`), and decode, which maps the integer
+    witness (den, nums) of an LP point nums / den (theta, or (h1, h2, theta)
+    with h_j = -eta_j) to its weight, running the weight class's checks on
+    the integers and building each distinct coordinate Fraction once.
 
-        def decode(w):
-            den, nums = w
-            _check_qn(den, nums)
-            # the constructor would repeat the checks on Fractions
-            weight = object.__new__(QnWeight)
-            _set(weight, "theta", tuple(map(fractions[den].__getitem__, nums)))
-            return weight
+    g is a point strictly inside the polytope and on no block row, as
+    integers (den, nums).  For the hypersimplex g has theta_i = 2 (2^n +
+    2^i) / d, d = (n + 1) 2^n - 1: they sum to 2, and the largest is below 1
+    as 2^(n+1) + 2^n + 1 < (n + 1) 2^n for n >= 3.  A block row sum_B theta
+    - 1 is zero only where d sum_B theta = 2 (|B| 2^n + sum_B 2^i) is d, but
+    one is even and the other odd.  For the product of simplices g has h =
+    (1/2, 1/2) and theta_i = 2^i / (2^n - 1); a block row sum_J theta - h_j
+    is zero only where the even 2 sum_J 2^i is the odd 2^n - 1.  Every wall
+    row and every stability polytope's facet row is a block row, so g seeds
+    the chamber walks and `cover_check`'s walks without a target."""
 
-    elif mode == PN:
-        nvars = n + 2
-        eqs = (
-            ((1, 1) + (0,) * n, 1),
-            ((0, 0) + (1,) * n, 1),
-        )
-        box = [(_indicator(nvars, (i,)), 0) for i in range(nvars)]  # h_j > 0, theta_i > 0
+    __slots__ = ("nvars", "eqs", "box_rows", "eq", "box", "decode", "g")
 
-        def decode(w):
-            den, (h1, h2, *theta) = w
-            _check_pn(den, -h1, -h2, den, theta)
-            value = fractions[den].__getitem__
-            weight = object.__new__(PnWeight)
-            _set(weight, "eta1", value(-h1))
-            _set(weight, "eta2", value(-h2))
-            _set(weight, "theta", tuple(map(value, theta)))
-            return weight
+    def __init__(self, mode: str, n: int):
+        fractions = RationalTable(Fraction)
+        top = 1 << n
+        if mode == QN:
+            self.nvars = n
+            self.eqs = (((1,) * n, 2),)
+            box = []
+            for i in range(n):
+                e = _indicator(n, (i,))
+                box.append((e, 0))  # theta_i > 0
+                box.append((tuple(-c for c in e), -1))  # theta_i < 1
+            self.g = (n + 1) * top - 1, tuple(2 * (top + (1 << i)) for i in range(n))
 
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return nvars, eqs, tuple(box), decode
+            def decode(w):
+                den, nums = w
+                _check_qn(den, nums)
+                # the constructor would repeat the checks on Fractions
+                weight = object.__new__(QnWeight)
+                _set(weight, "theta", tuple(map(fractions[den].__getitem__, nums)))
+                return weight
+
+        elif mode == PN:
+            self.nvars = n + 2
+            self.eqs = (((1, 1) + (0,) * n, 1), ((0, 0) + (1,) * n, 1))
+            box = [(_indicator(n + 2, (i,)), 0) for i in range(n + 2)]  # h_j > 0, theta_i > 0
+            self.g = 2 * (top - 1), (top - 1, top - 1, *(2 << i for i in range(n)))
+
+            def decode(w):
+                den, (h1, h2, *theta) = w
+                _check_pn(den, -h1, -h2, den, theta)
+                value = fractions[den].__getitem__
+                weight = object.__new__(PnWeight)
+                _set(weight, "eta1", value(-h1))
+                _set(weight, "eta2", value(-h2))
+                _set(weight, "theta", tuple(map(value, theta)))
+                return weight
+
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        self.box_rows = tuple(box)
+        self.eq = tuple(equality_row(c, h) for c, h in self.eqs)
+        self.box = tuple(strict_row(c, h) for c, h in box)
+        self.decode = decode
+
+
+_space = functools.cache(_Space)
 
 
 def _indicator(length: int, idxs) -> tuple[int, ...]:
@@ -438,28 +462,24 @@ def _walk_chamber(mask: int, point, read) -> Chamber:
     return chamber
 
 
-def _prepared(box_rows, eqs):
-    return tuple(strict_row(g, h) for g, h in box_rows), tuple(equality_row(g, h) for g, h in eqs)
-
-
 class _Arrangement:
     """A hyperplane arrangement in an ambient polytope, prepared once for
     the LPs of every sign vector over it.
 
-    nvars, eqs and box_rows are `_space`'s, hyps the hyperplane rows
-    (coeffs, rhs).  Every row enters each LP as the same starting-tableau
-    row, so it is prepared here (`lp.strict_row`, `lp.equality_row`): `box`
-    and `eq` for the box and equality rows and rows[k][s] for hyperplane k
-    on side s (s = 1 or -1; index 0 is unused).  The implications
-    (i, si, j, sj) of `_subset_implications` and their contrapositives
-    (j, -sj, i, -si) are kept as masks: implied[i][b] is the pair (on, off)
-    of the rows that bit b of row i (0 for sign -1, 1 for +1) forces to +1
-    and to -1.  The subset implications are already closed under
-    contraposition, so the contrapositives add none.  A self-implication
-    (k, s, k, -s) says that row k never reads s: the walk rejects each flip
-    to that side before any LP, while row k stays in every LP on its other
-    side.  `prepared`, when given, is (box, eq) already prepared from
-    box_rows and eqs.
+    hyps are the hyperplane rows (coeffs, rhs) in the ambient `_Space`
+    `space`, cut down by box_rows and eqs, further strict box rows and
+    equality rows (a Hassett target's facets, a wall).  Every row enters
+    each LP as the same starting-tableau row, prepared once: eqs, eq and box
+    are the space's rows followed by the added ones, prepared here, and
+    rows[k][s] is hyperplane k on side s (s = 1 or -1; index 0 is unused).
+    The implications (i, si, j, sj) of `_subset_implications` and their
+    contrapositives (j, -sj, i, -si) are kept as masks: implied[i][b] is the
+    pair (on, off) of the rows that bit b of row i (0 for sign -1, 1 for +1)
+    forces to +1 and to -1.  The subset implications are already closed
+    under contraposition, so the contrapositives add none.  A
+    self-implication (k, s, k, -s) says that row k never reads s: the walk
+    rejects each flip to that side before any LP, while row k stays in
+    every LP on its other side.
 
     `group` lists generators of a group of symmetries of the arrangement
     that keep the box, the equalities and the hyperplane classes.  Each is
@@ -473,14 +493,14 @@ class _Arrangement:
     hyperplanes whose sign reverses.
     """
 
-    __slots__ = ("nvars", "eqs", "box_rows", "hyps", "box", "eq", "rows", "implied", "group", "moves")
+    __slots__ = ("space", "eqs", "hyps", "box", "eq", "rows", "implied", "group", "moves")
 
-    def __init__(self, nvars, eqs, box_rows, hyps, implications=(), group=(), prepared=None):
-        self.nvars = nvars
-        self.eqs = eqs
-        self.box_rows = box_rows
+    def __init__(self, space, hyps, implications=(), group=(), box_rows=(), eqs=()):
+        self.space = space
+        self.eqs = space.eqs + eqs
         self.hyps = hyps
-        self.box, self.eq = prepared or _prepared(box_rows, eqs)
+        self.box = space.box + tuple(strict_row(g, h) for g, h in box_rows)
+        self.eq = space.eq + tuple(equality_row(g, h) for g, h in eqs)
         self.rows = [(None, strict_row(g, h), strict_row(tuple(-c for c in g), -h)) for g, h in hyps]
         self.implied = [([0, 0], [0, 0]) for _ in hyps]
         for i, si, j, sj in implications:
@@ -524,8 +544,8 @@ def _region_witness(arr, signs, tweak=None, core=None, unique=None):
     keep = [k for k in range(len(signs)) if not dominated >> k & 1]
     rows = arr.rows
     found: list[int] = []
-    x = strict_interior_point(arr.nvars, [*arr.box, *(rows[k][signs[k]] for k in keep)], arr.eq,
-                              tweak=tweak, core=found, unique=unique)
+    x = strict_interior_point(arr.space.nvars, [*arr.box, *(rows[k][signs[k]] for k in keep)],
+                              arr.eq, tweak=tweak, core=found, unique=unique)
     if core is not None:
         nbox = len(arr.box)
         core.extend((keep[i - nbox], signs[keep[i - nbox]]) for i in found if i >= nbox)
@@ -571,10 +591,11 @@ def _generic_seed(arr):
     """A point strictly inside the box and off every hyperplane, as integers
     (den, nums), or None if the box is empty: the LP point of the box,
     moved off each hyperplane in turn by pinning a sign of it that the LPs
-    find open.  The chamber walks and `wall_relative_interior_point` use
-    it; `cover_check` builds its seed in closed form (`_cover_seed`)."""
+    find open.  Only `wall_relative_interior_point` uses it, and returns
+    the point; the walks start from g of `_space` (`enumerate_chambers`,
+    `cover_check`) or from `_cover_seed`."""
     pinned: list[tuple[int, int]] = []
-    x = strict_interior_point(arr.nvars, arr.box, arr.eq)
+    x = strict_interior_point(arr.space.nvars, arr.box, arr.eq)
     if x is None:
         return None
     while True:
@@ -586,7 +607,7 @@ def _generic_seed(arr):
         for s in (1, -1):
             trial = pinned + [(zero_at, s)]
             rows = [*arr.box, *(arr.rows[k][sk] for k, sk in trial)]
-            x2 = strict_interior_point(arr.nvars, rows, arr.eq)
+            x2 = strict_interior_point(arr.space.nvars, rows, arr.eq)
             if x2 is not None:
                 pinned, x = trial, x2
                 break
@@ -672,8 +693,8 @@ def _enumerate_regions(arr, seed):
     as pairs (mask, (den, nums)) sorted as their sign tuples are.
 
     A walk from the region of `seed`, a point (den, nums) strictly inside
-    the box and off every hyperplane (`_generic_seed`, or the closed-form
-    seed of `cover_check`), or None for an empty box: each step flips one hyperplane class (see
+    the box and off every hyperplane (g of `_space`, or `_cover_seed`), or
+    None for an empty box: each step flips one hyperplane class (see
     `_hyperplane_classes`) and keeps the result if it passes the
     implication filter and its strict system is feasible.  The
     walk is complete because any two regions are joined by a segment that
@@ -681,9 +702,9 @@ def _enumerate_regions(arr, seed):
     along it flips exactly one class; without merging coinciding rows a
     single-row flip could never cross a hyperplane written twice.  Every
     witness is the integer pair of `_region_witness`, so it depends only on
-    the sign vector and not on the order of the walk.  A region is its mask
-    (bit k set where hyperplane k reads +1), a flip is an XOR with its
-    class's mask, and only the LPs read sign tuples.
+    the sign vector and not on the seed or the order of the walk.  A region
+    is its mask (bit k set where hyperplane k reads +1), a flip is an XOR
+    with its class's mask, and only the LPs read sign tuples.
 
     With generators in `arr.group`, a kept region brings in its whole orbit
     (`_add_orbit`), and only the region itself, the orbit's representative,
@@ -806,37 +827,35 @@ _CHAMBER_BOUNDS = {QN: 7, PN: 6}
 
 @functools.cache
 def _arrangement(mode: str, n: int):
-    """The inner-wall arrangement: (walls, decode, arr), with `_space`'s
-    decoder and an `_Arrangement` of one row per wall, the subset
-    implications between the walls' signs and the action of S_n."""
+    """The inner-wall arrangement: (walls, arr), an `_Arrangement` in
+    `_space(mode, n)` of one row per wall, the subset implications between
+    the walls' signs and the action of S_n."""
     walls = tuple(enumerate_walls(mode, n))
-    nvars, eqs, box_rows, decode = _space(mode, n)
     hyps = tuple(_wall_row(mode, n, w) for w in walls)
-    arr = _Arrangement(
-        nvars, eqs, box_rows, hyps, _subset_implications(walls, n), _symmetry(mode, n, walls)
-    )
-    return walls, decode, arr
+    arr = _Arrangement(_space(mode, n), hyps, _subset_implications(walls, n), _symmetry(mode, n, walls))
+    return walls, arr
 
 
 def enumerate_chambers(mode: str, n: int) -> list[Chamber]:
-    """All chambers of the inner-wall arrangement, each with a witness."""
+    """All chambers of the inner-wall arrangement, each with a witness, from
+    a walk that starts at g of `_space`, on no wall as no block row."""
     if n > _CHAMBER_BOUNDS[mode]:
         raise TooLargeError(
             f"chamber enumeration for mode {mode} is capped at n <= {_CHAMBER_BOUNDS[mode]}"
         )
-    _, decode, arr = _arrangement(mode, n)
-    read = len(arr.hyps), decode
-    return [_walk_chamber(mask, w, read) for mask, w in _enumerate_regions(arr, _generic_seed(arr))]
+    _, arr = _arrangement(mode, n)
+    read = len(arr.hyps), arr.space.decode
+    return [_walk_chamber(mask, w, read) for mask, w in _enumerate_regions(arr, arr.space.g)]
 
 
 def chamber_second_witness(mode: str, n: int, chamber: Chamber) -> Weight:
     """Another interior point of the same chamber (distinct when possible)."""
-    _, decode, arr = _arrangement(mode, n)
-    tweak = [Fraction(1, 997 + 13 * k) for k in range(arr.nvars)]
+    _, arr = _arrangement(mode, n)
+    tweak = [Fraction(1, 997 + 13 * k) for k in range(arr.space.nvars)]
     w = _region_witness(arr, chamber.signs, tweak=tweak)
     if w is None:
         raise ValueError(f"sign vector {chamber.signs} is not a chamber")
-    return decode(w)
+    return arr.space.decode(w)
 
 
 def chamber_adjacency(mode: str, n: int, chambers: Sequence[Chamber]) -> list[tuple[int, int]]:
@@ -859,13 +878,12 @@ def chamber_adjacency(mode: str, n: int, chambers: Sequence[Chamber]) -> list[tu
 def wall_relative_interior_point(mode: str, n: int, wall: Wall) -> Weight:
     """A weight in the relative interior of one inner wall: equality there,
     strictly off every other wall, strictly inside the polytope."""
-    walls, decode, arr = _arrangement(mode, n)
+    walls, arr = _arrangement(mode, n)
     rest = [row for w, row in zip(walls, arr.hyps) if w != wall]
-    eqs = (*arr.eqs, _wall_row(mode, n, wall))
-    x = _generic_seed(_Arrangement(arr.nvars, eqs, arr.box_rows, rest))
+    x = _generic_seed(_Arrangement(arr.space, rest, eqs=(_wall_row(mode, n, wall),)))
     if x is None:
         raise ValueError(f"wall {wall} does not meet the polytope interior")
-    return decode(x)
+    return arr.space.decode(x)
 
 
 # ---------------------------------------------------------------------------
@@ -1046,35 +1064,11 @@ def _interior_rows(p: TargetPolytope) -> tuple[tuple[tuple[int, ...], Union[int,
     return tuple((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in _constraints(p))
 
 
-@functools.cache
-def _ambient(mode: str, n: int):
-    """(nvars, eqs, box_rows, box, eq, g) for the `cover_check` walks of one
-    ambient polytope: `_space`'s rows, the box and equality rows prepared
-    once (`_Arrangement`), and a point g strictly inside it, as integers
-    (den, nums), that lies on no hyperplane a stability polytope's facet
-    row cuts out.
-
-    For the hypersimplex g has theta_i = 2 (2^n + 2^i) / d, d = (n + 1) 2^n
-    - 1: they sum to 2, and the largest is below 1 as 2^(n+1) + 2^n + 1 <
-    (n + 1) 2^n for n >= 3.  A facet row sum_B theta <= 1 reads zero only
-    where d sum_B theta = 2 (|B| 2^n + sum_B 2^i) is d, but one is even and
-    the other odd.  For the product of simplices g has h = (1/2, 1/2) and
-    theta_i = 2^i / (2^n - 1); a facet row sum_J theta <= h_j reads zero
-    only where the even 2 sum_J 2^i is the odd 2^n - 1."""
-    nvars, eqs, box_rows, _ = _space(mode, n)
-    top = 1 << n
-    if mode == QN:
-        g = (n + 1) * top - 1, [2 * (top + (1 << i)) for i in range(n)]
-    else:
-        g = 2 * (top - 1), [top - 1, top - 1, *(2 << i for i in range(n))]
-    return (nvars, eqs, box_rows, *_prepared(box_rows, eqs), g)
-
-
 def _cover_seed(hyps, g, target):
     """The seed of a `cover_check` walk inside a Hassett target, as integers
     (den, nums): its centre c = 2a / sum(a), and while that point lies on a
     hyperplane or outside the open target, ((q - 1) c + g) / q for q = 2,
-    4, ..., g the point of `_ambient`.  c is inside the open target
+    4, ..., g the point of `_space`.  c is inside the open target
     (0 < 2a_i / sum(a) < a_i as sum(a) > 2), which is convex, so from some q
     on every point is inside; g lies on no hyperplane, so each meets the
     segment from c to g at most once; so the loop ends.  Everything is
@@ -1111,7 +1105,8 @@ def cover_check(polys: Sequence[StabPolytope], mode: str, n: int,
     names, so a region lies in a member iff every row of the member reads
     -1: iff the region's mask and the member's share no bit.
 
-    The walk starts from `_ambient`'s g or `_cover_seed`, with no LP.  In
+    The walk starts from g of `_space` or from `_cover_seed`, with no LP,
+    and an uncovered witness is decoded by the space's `decode`.  In
     the open target sum_B theta lies strictly between 2 - a(B^c) and a(B),
     so a member row with a(B) <= 1 always reads -1 and one with
     a(B^c) <= 1 always +1; its flip is rejected as a self-implication
@@ -1136,14 +1131,12 @@ def cover_check(polys: Sequence[StabPolytope], mode: str, n: int,
             raise ValueError("member polytope in a different ambient space")
         members.append(_bits_of(index.setdefault(row, len(index)) for row in _constraints(p)))
     hyps = list(index)
-    nvars, eqs, box_rows, box, eq, seed = _ambient(mode, n)
-    fixed = []
+    space = _space(mode, n)
+    seed, box_rows, fixed = space.g, (), []
     if target is not None:
         if target.n != n:
             raise ValueError("member polytope in a different ambient space")
-        rows = _interior_rows(target)
-        box_rows += rows
-        box += tuple(strict_row(g, h) for g, h in rows)
+        box_rows = _interior_rows(target)
         total, den = sum(target.nums), target.den
         for (coeffs, _), k in index.items():
             inside = sum(v for v, c in zip(target.nums, coeffs) if c)  # den a(B)
@@ -1152,8 +1145,8 @@ def cover_check(polys: Sequence[StabPolytope], mode: str, n: int,
             elif total - inside <= den:
                 fixed.append((k, -1, k, 1))
         seed = _cover_seed(hyps, seed, target)
-    arr = _Arrangement(nvars, eqs, box_rows, hyps, fixed, prepared=(box, eq))
+    arr = _Arrangement(space, hyps, fixed, box_rows=box_rows)
     for mask, w in _enumerate_regions(arr, seed):
         if all(mask & member for member in members):
-            return False, _space(mode, n)[3](w)
+            return False, space.decode(w)
     return True, None

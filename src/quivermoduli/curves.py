@@ -870,7 +870,8 @@ def _charts_match(charts: Mapping, rows, orderings: int) -> bool:
 def _reconstruct_chain(family: LimitFamily) -> Chain:
     """The chain of an LM family that has passed the functor conditions.
 
-    The conditions leave no chain to refuse for its order or its shape.
+    The conditions leave no chain to refuse for its order, its shape or
+    its stability.
     Write r_j(i) in [0, inf] for the point of mark i in chart j.  The
     diagonal normalization gives r_i(i) = 1, and the triple identity reads
     r_j(i) r_i(k) = r_j(k) for all i, j, k, in the form a0 b0 c1 = a1 b1 c0,
@@ -887,7 +888,8 @@ def _reconstruct_chain(family: LimitFamily) -> Chain:
       at 1.  So the groups of equal normal forms are the classes.
     Hence the counts of earlier leads are 0, 1, ..., in some order, and
     each mark sits off 0 and inf in its lead's chart, so the chain is
-    ordered and passes `validate_chain`.
+    ordered and passes `validate_chain`.  Every group holds its lead, so
+    every component carries a mark: the chain is LM-stable (`is_lm_stable`).
     """
     by_form: dict[tuple, list[int]] = {}
     for i in range(family.n):
@@ -900,8 +902,6 @@ def _reconstruct_chain(family: LimitFamily) -> Chain:
     # each group lists its marks in increasing order, its lead first
     ordered = sorted(zip(before_counts, groups))
     chain = Chain(tuple(tuple((lb, family.charts[g[0]][lb]) for lb in g) for _, g in ordered))
-    if not is_lm_stable(chain):
-        raise InconsistentFamilyError("stability", None)
     if family.a is not None or not _charts_match(family.charts, _lm_chart_pairs(chain), 1):
         raise InconsistentFamilyError("round-trip", None)
     return chain

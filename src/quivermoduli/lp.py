@@ -25,12 +25,12 @@ integers, negated when its right-hand side is negative, and carrying its
 own slack entry.  Such a row depends on its constraint alone, so
 `simplex_maximize` prepares its rows on every call, while a caller that
 solves many systems over the same constraints (the chamber walk, see
-`chambers._Arrangement`) prepares each row once and hands the prepared
-rows to `strict_interior_point`.  Both go through one tableau builder,
-`_start`, which only lays the rows out, puts the slack entries in place and
-sums the artificial rows into the phase-1 objective; so a prepared row
-gives the same tableau entries, variable numbers and pivots as the same
-constraint given as numbers.
+`chambers._Space` and `chambers._Arrangement`) prepares each row once and
+hands the prepared rows to `strict_interior_point`.  Both go through one
+tableau builder, `_start`, which only lays the rows out, puts the slack
+entries in place and sums the artificial rows into the phase-1 objective;
+so a prepared row gives the same tableau entries, variable numbers and
+pivots as the same constraint given as numbers.
 
 Strict inequality systems are decided by maximizing an auxiliary slack
 bounded away from zero: the open system {g_k . x > h_k} has a solution iff

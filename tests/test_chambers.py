@@ -151,7 +151,7 @@ def test_decoders_check_integer_witnesses_as_the_constructors_do():
     # for nums / den, or builds the weight the constructor builds
     outcomes = Counter()
     for mode, n in (("qn", 4), ("pn", 3)):
-        decode = _space(mode, n)[3]
+        decode = _space(mode, n).decode
         for den in (1, 2, 3):
             for nums in itertools.product(range(-1, den + 2), repeat=n + (mode == "pn") * 2):
                 x = [F(v, den) for v in nums]
@@ -291,8 +291,9 @@ def test_chamber_text_reads_no_sign_tuple_and_no_weight(monkeypatch):
     decoded, tuples, checked = [], [], []
 
     def counted_space(mode, n):
-        *rest, decode = space(mode, n)
-        return (*rest, lambda w: decoded.append(w) or decode(w))
+        counted = copy.copy(space(mode, n))
+        counted.decode = lambda w: decoded.append(w) or space(mode, n).decode(w)
+        return counted
 
     monkeypatch.setattr(chambers, "enumerate_chambers", recorded)
     monkeypatch.setattr(chambers, "_space", counted_space)
@@ -307,8 +308,8 @@ def test_chamber_text_reads_no_sign_tuple_and_no_weight(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == _QN6_DIGEST
     assert len(walked) == len(checked) == 1678 and decoded == []
     assert not any(hasattr(c, "_signs") or hasattr(c, "_witness") for c in walked)
-    # 32 LPs: 7 to pin the seed off the walls, the seed region's and 24 flips'
-    assert (len(tuples), len(lps)) == (24, 32)
+    # 30 LPs: the seed region's, at g with no LP to find it, and 29 flips'
+    assert (len(tuples), len(lps)) == (29, 30)
 
 
 def test_chamber_bound():
@@ -560,8 +561,14 @@ def test_cover_check_results_are_pinned():
 
 
 def _walk(arr):
-    """`_enumerate_regions` from the seed of `_generic_seed`, as the chamber
-    walks start."""
+    """`_enumerate_regions` seeded as the program seeds it where it can be:
+    from g of the arrangement's `_space` when the arrangement adds no box
+    row and g lies on no hyperplane, as for every wall arrangement
+    (`enumerate_chambers`) and every `cover_check` walk without a target,
+    and from `_generic_seed` otherwise."""
+    g = arr.space.g
+    if arr.box == arr.space.box and 0 not in chambers._row_signs(arr.hyps, *g):
+        return _enumerate_regions(arr, g)
     return _enumerate_regions(arr, chambers._generic_seed(arr))
 
 
@@ -582,12 +589,12 @@ def _full_walk_cover_check(polys, mode, n, a=None):
         [index.setdefault(row, len(index)) for row in _constraints(p)] for p in [*polys, *target]
     ]
     target_rows = members.pop() if target else []
-    nvars, eqs, box_rows, decode = _space(mode, n)
-    for signs, x in _sign_regions(_Arrangement(nvars, eqs, box_rows, list(index))):
+    space = _space(mode, n)
+    for signs, x in _sign_regions(_Arrangement(space, list(index))):
         if any(signs[k] > 0 for k in target_rows):
             continue
         if not any(all(signs[k] < 0 for k in ks) for ks in members):
-            return False, decode(x)
+            return False, space.decode(x)
     return True, None
 
 
@@ -705,11 +712,13 @@ def _generic_row(coeffs, rhs, slack):
     return tuple(-v for v in row) if row[-1] < 0 else tuple(row)
 
 
-def _assert_prepared_rows_are_generic(arr):
+def _assert_prepared_rows_are_generic(arr, box_rows=()):
+    """arr's prepared rows against the generic construction, box_rows the
+    box rows it adds to its space's."""
     def strict(g, h):
         return _generic_row([*(-v for v in g), 1], -h, 1)
 
-    assert arr.box == tuple(strict(g, h) for g, h in arr.box_rows)
+    assert arr.box == tuple(strict(g, h) for g, h in (*arr.space.box_rows, *box_rows))
     assert arr.eq == tuple(_generic_row([*g, 0], h, 0) for g, h in arr.eqs)
     for k, row in enumerate(arr.hyps):
         for s in (1, -1):
@@ -721,7 +730,7 @@ def _assert_prepared_rows_are_generic(arr):
 def test_prepared_rows_match_the_generic_construction():
     for mode, ns in (("qn", (4, 5, 6)), ("pn", (1, 2, 3, 4, 5))):
         for n in ns:
-            walls, _, arr = chambers._arrangement(mode, n)
+            walls, arr = chambers._arrangement(mode, n)
             assert len(arr.rows) == len(walls)
             _assert_prepared_rows_are_generic(arr)
             # the masks of implications add no contrapositive, so the rows
@@ -744,10 +753,18 @@ def test_prepared_rows_match_the_generic_construction():
              HassettPolytope((F(5, 7), F(1, 3), F(2, 5), F(1), F(1, 2), F(3, 11)))]),
     )
     for n, polys in cases:
-        nvars, eqs, box_rows, _ = _space("qn", n)
         rows = _cover_rows(polys)
         assert any(type(rhs) is F for _, rhs in rows)
-        _assert_prepared_rows_are_generic(_Arrangement(nvars, eqs, box_rows, rows))
+        _assert_prepared_rows_are_generic(_Arrangement(_space("qn", n), rows))
+        # the target's rows added as box rows, as `cover_check` adds them
+        box_rows = chambers._interior_rows(polys[-1])
+        arr = _Arrangement(_space("qn", n), _cover_rows(polys[:-1]), box_rows=box_rows)
+        _assert_prepared_rows_are_generic(arr, box_rows)
+    # a wall's equality added, as `wall_relative_interior_point` adds it
+    walls, arr = chambers._arrangement("pn", 3)
+    on_wall = _Arrangement(arr.space, arr.hyps[1:], eqs=(arr.hyps[0],))
+    assert on_wall.eqs == (*arr.eqs, arr.hyps[0])
+    _assert_prepared_rows_are_generic(on_wall)
 
 
 def test_enumerate_regions_matches_exhaustive_reference():
@@ -776,8 +793,7 @@ def test_enumerate_regions_matches_exhaustive_reference():
     for mode, n, polys in cover_sets:
         cases.append((mode, n, _cover_rows(polys), ()))
     for mode, n, hyps, imps in cases:
-        nvars, eqs, box_rows, _ = _space(mode, n)
-        arr = _Arrangement(nvars, eqs, box_rows, hyps, imps)
+        arr = _Arrangement(_space(mode, n), hyps, imps)
         # the same regions, in the order of their sign tuples, with the same witnesses
         assert _sign_regions(arr) == _exhaustive_regions(arr), (mode, n, hyps)
 
@@ -828,8 +844,8 @@ def test_pn6_chamber_output_is_pinned(tmp_path):
 def _plain_arrangement(mode, n):
     """The wall arrangement of `chambers._arrangement` without the group, as
     cover_check builds its arrangements."""
-    walls, _, arr = chambers._arrangement(mode, n)
-    return _Arrangement(arr.nvars, arr.eqs, arr.box_rows, arr.hyps, _subset_implications(walls, n))
+    walls, arr = chambers._arrangement(mode, n)
+    return _Arrangement(arr.space, arr.hyps, _subset_implications(walls, n))
 
 
 _SIZES = [("qn", n) for n in (3, 4, 5, 6)] + [("pn", n) for n in (1, 2, 3, 4, 5)]
@@ -837,9 +853,24 @@ _SIZES = [("qn", n) for n in (3, 4, 5, 6)] + [("pn", n) for n in (1, 2, 3, 4, 5)
 
 def test_orbit_walk_matches_the_walk_without_generators():
     for mode, n in _SIZES:
-        _, _, arr = chambers._arrangement(mode, n)
+        _, arr = chambers._arrangement(mode, n)
         assert len(arr.group) == (n - 1 if arr.hyps else 0)
         assert _walk(arr) == _walk(_plain_arrangement(mode, n)), (mode, n)
+
+
+def test_walks_do_not_depend_on_their_seed():
+    # the walk from g of `_space`, as `enumerate_chambers` runs it, returns
+    # what the walk from `_generic_seed` returns, with and without the group
+    apart = set()
+    for mode, n in [("qn", n) for n in (4, 5, 6)] + [("pn", n) for n in (2, 3, 4, 5)]:
+        _, arr = chambers._arrangement(mode, n)
+        for walked in (arr, _plain_arrangement(mode, n)):
+            g, seed = walked.space.g, chambers._generic_seed(walked)
+            assert _enumerate_regions(walked, g) == _enumerate_regions(walked, seed), (mode, n)
+            if chambers._row_signs(walked.hyps, *g) != chambers._row_signs(walked.hyps, *seed):
+                apart.add((mode, n))
+    # the two seeds lie in different regions at every size but qn 5
+    assert len(apart) == 6 and ("qn", 5) not in apart, apart
 
 
 def test_moves_permute_masks_as_the_generators_permute_signs():
@@ -847,11 +878,11 @@ def test_moves_permute_masks_as_the_generators_permute_signs():
     # vsrc) form, on the seed's region and on random sign vectors
     rng = random.Random(31)
     for mode, n in (("qn", 5), ("qn", 7), ("pn", 4), ("pn", 6)):
-        walls, _, arr = chambers._arrangement(mode, n)
+        walls, arr = chambers._arrangement(mode, n)
         m = len(walls)
         assert len(arr.moves) == len(arr.group) == n - 1
         for (src, vsrc), (tables, flips, point_image) in zip(arr.group, arr.moves):
-            assert point_image(tuple(range(arr.nvars))) == vsrc
+            assert point_image(tuple(range(arr.space.nvars))) == vsrc
             for _ in range(40):
                 signs = tuple(rng.choice((1, -1)) for _ in range(m))
                 image = tuple(signs[k] if k < m else -signs[k - m] for k in src)
@@ -914,7 +945,7 @@ def _orbit(arr, signs, x):
 
 def test_certified_witnesses_are_the_permuted_witnesses():
     for mode, n, orbits in (("qn", 5, 6), ("pn", 4, 25)):
-        _, _, arr = chambers._arrangement(mode, n)
+        _, arr = chambers._arrangement(mode, n)
         direct = dict(_sign_regions(_plain_arrangement(mode, n)))
         certified = 0
         for signs, x in direct.items():
@@ -979,16 +1010,16 @@ def test_learnt_cores_skip_empty_flips(monkeypatch):
     # stored core is skipped without an LP; the walk without generators is
     # the one cover_check runs
     calls = _count_lps(monkeypatch)
-    for mode, n, total, empty in (("qn", 6, 1715, 30), ("pn", 4, 161, 6)):
+    for mode, n, total, empty in (("qn", 6, 1708, 30), ("pn", 4, 154, 6)):
         calls.clear()
         _walk(_plain_arrangement(mode, n))
         assert (len(calls), sum(calls)) == (total, empty), (mode, n)
 
 
 def test_orbit_walk_lp_counts_are_pinned(monkeypatch):
-    # one LP per orbit, plus the seed's and the empty flips'
+    # one LP per orbit, plus the empty flips'
     calls = _count_lps(monkeypatch)
-    for mode, n, total, empty in (("qn", 6, 32, 5), ("pn", 4, 36, 4), ("pn", 5, 189, 63)):
+    for mode, n, total, empty in (("qn", 6, 30, 10), ("pn", 4, 28, 3), ("pn", 5, 175, 58)):
         calls.clear()
         enumerate_chambers(mode, n)
         assert (len(calls), sum(calls)) == (total, empty), (mode, n)
@@ -1012,7 +1043,7 @@ def _count_pivots(monkeypatch):
 
 def test_pivot_counts_are_pinned(monkeypatch):
     counts = _count_pivots(monkeypatch)
-    for mode, n, total, unit in (("qn", 6, 18871, 15867), ("pn", 4, 1322, 975)):
+    for mode, n, total, unit in (("qn", 6, 18816, 15820), ("pn", 4, 1265, 927)):
         counts.clear()
         _walk(_plain_arrangement(mode, n))
         assert (counts["all"], counts["unit"]) == (total, unit), (mode, n)
@@ -1022,7 +1053,7 @@ def test_orbit_walk_pivot_counts_are_pinned(monkeypatch):
     counts = _count_pivots(monkeypatch)
     # the face test adds pivots only on feasible LPs with a zero reduced
     # cost, none at pn 4 and pn 5
-    for mode, n, total, unit in (("qn", 6, 367, 300), ("pn", 4, 283, 216), ("pn", 5, 1800, 1314)):
+    for mode, n, total, unit in (("qn", 6, 358, 294), ("pn", 4, 222, 165), ("pn", 5, 1762, 1290)):
         counts.clear()
         enumerate_chambers(mode, n)
         assert (counts["all"], counts["unit"]) == (total, unit), (mode, n)
@@ -1031,9 +1062,9 @@ def test_orbit_walk_pivot_counts_are_pinned(monkeypatch):
 def test_region_witness_core_is_empty_on_its_own():
     mode, n = "pn", 4
     walls = enumerate_walls(mode, n)
-    nvars, eqs, box_rows, _ = _space(mode, n)
+    space = _space(mode, n)
     hyps = [_wall_row(mode, n, w) for w in walls]
-    arr = _Arrangement(nvars, eqs, box_rows, hyps, _subset_implications(walls, n))
+    arr = _Arrangement(space, hyps, _subset_implications(walls, n))
     seen = 0
     for signs in itertools.islice(itertools.product((1, -1), repeat=len(hyps)), 0, None, 97):
         core = []
@@ -1044,7 +1075,7 @@ def test_region_witness_core_is_empty_on_its_own():
         assert core and all(signs[k] == s for k, s in core)
         # the core's rows as (coeffs, rhs) pairs, not the prepared rows
         rows = [_signed(hyps[k], s) for k, s in core]
-        assert chambers.strict_interior_point(nvars, [*box_rows, *rows], eqs) is None
+        assert chambers.strict_interior_point(space.nvars, [*space.box_rows, *rows], space.eqs) is None
     assert seen > 100
 
 
@@ -1091,20 +1122,27 @@ def test_hassett_shape_cover_lp_counts_are_pinned(monkeypatch):
 
 
 def test_cover_seeds_lie_inside_and_off_every_member_row():
-    # g of `_ambient`, checked on its integers: strictly inside the ambient
+    # g of `_space`, checked on its integers: strictly inside the ambient
     # polytope, and on no hyperplane sum_B theta = 1 (qn) or sum_B theta =
     # h_j (pn) for any block B
     for mode, ns in (("qn", range(3, 13)), ("pn", range(1, 13))):
         for n in ns:
-            nvars, eqs, box_rows, _, _, (den, nums) = chambers._ambient(mode, n)
-            assert den > 0 and len(nums) == nvars
-            assert all(sum(c * x for c, x in zip(g, nums)) == h * den for g, h in eqs), (mode, n)
-            assert all(sum(c * x for c, x in zip(g, nums)) > h * den for g, h in box_rows), (mode, n)
-            theta = nums[nvars - n:]
+            space = _space(mode, n)
+            den, nums = space.g
+            assert den > 0 and len(nums) == space.nvars
+            assert all(sum(c * x for c, x in zip(g, nums)) == h * den for g, h in space.eqs), (mode, n)
+            assert all(sum(c * x for c, x in zip(g, nums)) > h * den for g, h in space.box_rows), (mode, n)
+            theta = nums[space.nvars - n:]
             sides = {den} if mode == "qn" else {nums[0], nums[1]}
             for k in range(1, n + 1):
                 for block in itertools.combinations(range(n), k):
                     assert sum(theta[i] for i in block) not in sides, (mode, n, block)
+    # so g seeds the chamber walks: it lies on no wall of the arrangements
+    # that `enumerate_chambers` walks, nor of the next size up
+    for mode, ns in (("qn", range(3, 9)), ("pn", range(1, 8))):
+        for n in ns:
+            _, arr = chambers._arrangement(mode, n)
+            assert 0 not in chambers._row_signs(arr.hyps, *arr.space.g), (mode, n)
     # the seed inside a Hassett target: the shapes' families, and symmetric
     # targets whose centre lies on a member row, so the seed moves toward g
     # (in the second until (15 c + g) / 16, the first point inside the target)
@@ -1120,7 +1158,7 @@ def test_cover_seeds_lie_inside_and_off_every_member_row():
     moved = 0
     for n, a, polys in cases:
         hyps = _cover_rows(polys)
-        den, nums = chambers._cover_seed(hyps, chambers._ambient("qn", n)[5], HassettPolytope(a))
+        den, nums = chambers._cover_seed(hyps, _space("qn", n).g, HassettPolytope(a))
         theta = [F(x, den) for x in nums]
         assert sum(theta) == 2 and all(0 < t < b for t, b in zip(theta, a)), (n, a)
         assert all(_row_value(row, theta) != 0 for row in hyps), (n, a)
@@ -1138,8 +1176,7 @@ def test_rows_of_fixed_sign_are_never_flipped(monkeypatch):
         StabPolytope("qn", 5, partition=((2, 3), (0,), (1,), (4,))),
         StabPolytope("qn", 5, partition=((1, 4), (0,), (2,), (3,))),
     ]
-    nvars, eqs, box_rows, _ = _space("qn", 5)
-    box_rows += chambers._interior_rows(HassettPolytope(a))
+    box_rows = chambers._interior_rows(HassettPolytope(a))
     for blocks, sign in ((((0, 1), (2,), (3,), (4,)), -1), (((2, 3, 4), (0,), (1,)), 1)):
         polys = [StabPolytope("qn", 5, partition=blocks), *others]
         hyps = _cover_rows(polys)
@@ -1155,9 +1192,9 @@ def test_rows_of_fixed_sign_are_never_flipped(monkeypatch):
             got = cover_check(polys, "qn", 5, a)
             assert set(seen) == {sign}
             # the same walk without the self-implication flips the row
-            seed = chambers._cover_seed(hyps, chambers._ambient("qn", 5)[5], HassettPolytope(a))
+            seed = chambers._cover_seed(hyps, _space("qn", 5).g, HassettPolytope(a))
             seen.clear()
-            _enumerate_regions(_Arrangement(nvars, eqs, box_rows, hyps), seed)
+            _enumerate_regions(_Arrangement(_space("qn", 5), hyps, box_rows=box_rows), seed)
             assert set(seen) == {sign, -sign}
         assert got == _full_walk_cover_check(polys, "qn", 5, a)
 
@@ -1170,7 +1207,7 @@ def _row_value(row, x) -> F:
 def _fraction_seed(arr):
     """`chambers._generic_seed` with every row value a Fraction."""
     pinned = []
-    x = chambers.strict_interior_point(arr.nvars, arr.box, arr.eq)
+    x = chambers.strict_interior_point(arr.space.nvars, arr.box, arr.eq)
     if x is None:
         return None
     while True:
@@ -1180,7 +1217,7 @@ def _fraction_seed(arr):
         for s in (1, -1):
             trial = pinned + [(zero_at, s)]
             rows = [*arr.box, *(arr.rows[k][sk] for k, sk in trial)]
-            x2 = chambers.strict_interior_point(arr.nvars, rows, arr.eq)
+            x2 = chambers.strict_interior_point(arr.space.nvars, rows, arr.eq)
             if x2 is not None:
                 pinned, x = trial, x2
                 break
@@ -1221,11 +1258,10 @@ def _integer_helper_arrangements(monkeypatch):
     full-walk forms, where the targets' rational rows are hyperplanes."""
     arrs = [_plain_arrangement(mode, n) for mode, n in _SIZES if (mode, n) != ("pn", 5)]
     for mode, n in (("qn", 4), ("qn", 5), ("pn", 3)):
-        walls, _, arr = chambers._arrangement(mode, n)
+        walls, arr = chambers._arrangement(mode, n)
         for wall in walls:
             rest = [row for w, row in zip(walls, arr.hyps) if w != wall]
-            eqs = (*arr.eqs, _wall_row(mode, n, wall))
-            arrs.append(_Arrangement(arr.nvars, eqs, arr.box_rows, rest))
+            arrs.append(_Arrangement(arr.space, rest, eqs=(_wall_row(mode, n, wall),)))
     walked = []
     walk = chambers._enumerate_regions
 
@@ -1237,9 +1273,8 @@ def _integer_helper_arrangements(monkeypatch):
     for n, a, polys in _hassett_shape_families():
         for members in (polys, *(polys[:i] + polys[i + 1:] for i in range(len(polys)))):
             cover_check(members, "qn", n, a)
-            nvars, eqs, box_rows, _ = _space("qn", n)
             rows = list(dict.fromkeys(row for p in (*members, HassettPolytope(a)) for row in _constraints(p)))
-            arrs.append(_Arrangement(nvars, eqs, box_rows, rows))
+            arrs.append(_Arrangement(_space("qn", n), rows))
     monkeypatch.undo()
     return arrs + walked
 
@@ -1249,7 +1284,7 @@ def test_integer_seed_and_classes_match_the_fraction_reference(monkeypatch):
     merged = pinned = 0
     for arr in arrs:
         seed = chambers._generic_seed(arr)
-        x = chambers.strict_interior_point(arr.nvars, arr.box, arr.eq)
+        x = chambers.strict_interior_point(arr.space.nvars, arr.box, arr.eq)
         reference = _fraction_seed(arr)
         assert seed == (None if reference is None else _scaled(reference))
         for point in (reference, x):

@@ -102,15 +102,22 @@ def test_stability_kernels_read_neither_each_other_nor_the_partition():
 
 
 def test_cover_check_seeds_its_walk_without_lps():
-    # cover_check starts its walk from the closed-form `_cover_seed`, never
-    # from the LP search of `_generic_seed`, which the chamber walks keep;
-    # reads are followed through the functions and classes of `chambers`
+    # the chamber walk and cover_check start from g of `_space` or from the
+    # closed-form `_cover_seed`, never from the LP search of `_generic_seed`,
+    # which only `wall_relative_interior_point` keeps; reads are followed
+    # through the functions, classes and assigned names of `chambers`
     module = ast.parse((Path(quivermoduli.__file__).parent / "chambers.py").read_text())
     defs = {node.name: node for node in module.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    cover = _reached(defs, "cover_check")
+    defs.update(
+        (target.id, node) for node in module.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    )
+    cover, walk = _reached(defs, "cover_check"), _reached(defs, "enumerate_chambers")
     assert "_generic_seed" not in cover
-    assert {"_cover_seed", "_ambient", "_Arrangement", "_enumerate_regions", "_region_witness"} <= cover
-    assert "_generic_seed" in _reached(defs, "enumerate_chambers")
+    assert "_generic_seed" not in walk
+    assert "_generic_seed" in _reached(defs, "wall_relative_interior_point")
+    assert {"_cover_seed", "_space", "_Space", "_Arrangement", "_enumerate_regions"} <= cover
+    assert {"_arrangement", "_space", "_Space", "_Arrangement", "_enumerate_regions"} <= walk
 
 
 def _ihom_keyed_dicts(path: Path) -> set[str]:
